@@ -13,6 +13,13 @@ everywhere, so finite-difference gradient checks stay tight. Images are
 shifted by -0.5 on the way in: without that centering the shared background
 level dominates every pooled feature and embeddings start out collapsed.
 
+The conv stage is one GEMM of (batch x positions, 9) patches by (9, k)
+filters. The rectifier takes one exp per element and gives both the
+softplus, which is pooled straight away, and its slope (a sigmoid), which
+the forward pass caches: the image cache holds the patches and the slope, so
+the backward pass recomputes nothing. The temporaries scale with the batch,
+so evaluation encodes large study sets in chunks (``evalrun.EVAL_CHUNK``).
+
 Forward passes cache intermediates; backward functions consume the cache and
 return gradients per parameter array. Parameters live in plain dataclasses
 whose ``arrays()`` method exposes named live views for the optimizer and the
@@ -219,18 +226,25 @@ RECTIFIER_SLOPE = 8.0
 IMAGE_SHIFT = 0.5
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, RECTIFIER_SLOPE * x) / RECTIFIER_SLOPE
+def _rectify(z: np.ndarray) -> np.ndarray:
+    """In place: z becomes softplus(z); returns the slope sigmoid(z).
 
-
-def _softplus_grad(x: np.ndarray) -> np.ndarray:
-    z = RECTIFIER_SLOPE * x
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ex = np.exp(z[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    Both come from one exp(-|z|) per element: with a = exp(-|z|) and
+    r = 1/(1+a) = sigmoid(|z|), softplus(z) = max(z, 0) + log(1+a) and
+    sigmoid(z) = 0.5 + sign(z)(r - 0.5). Three arrays of z's size are live.
+    """
+    a = np.abs(z)
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    r = a + 1.0
+    np.log(r, out=a)
+    np.reciprocal(r, out=r)
+    r -= 0.5
+    np.copysign(r, z, out=r)
+    r += 0.5
+    np.maximum(z, 0.0, out=z)
+    z += a
+    return r
 
 
 def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray):
@@ -238,24 +252,31 @@ def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray):
     if imgs.ndim != 3:
         raise ShapeMismatch(f"expected (batch, H, W), got {imgs.shape}")
     cols = _conv_patches(imgs - IMAGE_SHIFT)
-    wmat = params.conv_w.reshape(-1, 9).T  # (9, k)
-    pre = cols @ wmat + params.conv_b
-    pooled = _softplus(pre).mean(axis=(1, 2))
+    b, out_h, out_w, _ = cols.shape
+    cols = cols.reshape(-1, 9)
+    k = params.conv_w.shape[0]
+    # scaling by the slope (a power of two) is exact, so z is bitwise slope * pre-activation
+    z = cols @ (params.conv_w.reshape(k, 9).T * RECTIFIER_SLOPE)
+    z += params.conv_b * RECTIFIER_SLOPE
+    slope = _rectify(z)
+    positions = out_h * out_w
+    # average pooling as one vector-matrix product per image: far faster than a mean over axis 1
+    pooled = np.ones(positions) @ z.reshape(b, positions, k)
+    pooled /= RECTIFIER_SLOPE * positions
     embedding, cache = _head_forward(params, pooled)
-    cache.update({"cols": cols, "pre": pre})
+    cache.update({"cols": cols, "slope": slope})
     return embedding, cache
 
 
 def image_backward(params: ImageEncoderParams, cache, d_emb: np.ndarray) -> dict[str, np.ndarray]:
     grads, d_pooled = _head_backward(params, cache, d_emb)
-    pre = cache["pre"]
-    _, out_h, out_w, k = pre.shape
-    d_act = np.broadcast_to(d_pooled[:, None, None, :] / (out_h * out_w), pre.shape)
-    d_pre = _softplus_grad(pre) * d_act
-    cols_flat = cache["cols"].reshape(-1, 9)
-    d_pre_flat = d_pre.reshape(-1, k)
-    grads["conv_w"] = (cols_flat.T @ d_pre_flat).T.reshape(k, 3, 3)
-    grads["conv_b"] = d_pre_flat.sum(axis=0)
+    slope = cache["slope"]
+    b, k = d_pooled.shape
+    positions = slope.shape[0] // b
+    d_pre = slope.reshape(b, positions, k) * (d_pooled / positions)[:, None, :]
+    d_pre = d_pre.reshape(-1, k)
+    grads["conv_w"] = (d_pre.T @ cache["cols"]).reshape(k, 3, 3)
+    grads["conv_b"] = d_pre.sum(axis=0)
     return grads
 
 

@@ -2,8 +2,10 @@
 
 Evaluation is deterministic: the first image of each study (resized, never
 augmented) stands for the study; the evaluation text is the findings section,
-falling back to the impression, falling back to one seeded prompt rendering
-of the label record.
+falling back to the impression, falling back to one prompt rendering of the
+label record, seeded from (seed, study id) so every process renders the same.
+Images are resized and encoded ``EVAL_CHUNK`` studies at a time, so memory
+stays bounded for any test-set size.
 """
 
 from __future__ import annotations
@@ -19,15 +21,26 @@ from .metrics import (
     zero_shot_multiclass,
 )
 from .prompts import PromptEngine
+from .sampling import study_rng
 from .studies import Study
 from .training import TrainedModel
 
 
+# Studies resized and encoded at a time: bounds the conv stage's temporaries,
+# which grow with the batch, whatever the size of the test set.
+EVAL_CHUNK = 128
+
+
 def eval_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarray:
     size = model.config.image_size
-    imgs = np.stack([resize_bilinear(s.images[0].pixels, size, size) for s in studies])
-    emb, _ = encode_image_batch(model.image_params(), imgs)
-    return emb
+    params = model.image_params()
+    chunks = []
+    for start in range(0, len(studies), EVAL_CHUNK):
+        imgs = np.stack(
+            [resize_bilinear(s.images[0].pixels, size, size) for s in studies[start : start + EVAL_CHUNK]]
+        )
+        chunks.append(encode_image_batch(params, imgs)[0])
+    return np.concatenate(chunks)
 
 
 def eval_text(study: Study, engine: PromptEngine, seed: int = 1234) -> str:
@@ -35,10 +48,7 @@ def eval_text(study: Study, engine: PromptEngine, seed: int = 1234) -> str:
         return study.findings
     if study.impression:
         return study.impression
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, abs(hash(study.id)) % (2**32)])
-    )
-    return engine.build_study_text(study.labels, rng)
+    return engine.build_study_text(study.labels, study_rng(seed, study.id))
 
 
 def encode_texts(model: TrainedModel, texts: list[str]) -> np.ndarray:

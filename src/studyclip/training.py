@@ -45,9 +45,13 @@ class ConfigError(ValueError):
 
 
 class NumericError(FloatingPointError):
-    def __init__(self, step: int, value: float):
-        super().__init__(f"non-finite loss {value!r} at step {step}")
+    """A non-finite loss, or a non-finite gradient for the named parameter."""
+
+    def __init__(self, step: int, value: float, param: str | None = None):
+        what = f"gradient for {param}" if param else f"loss {value!r}"
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
+        self.param = param
 
 
 @dataclass
@@ -169,9 +173,9 @@ def _coerce(key: str, value):
         return text.lower() == "true"
     defaults = TrainConfig()
     current = getattr(defaults, key)
+    if isinstance(current, bool):
+        raise ConfigError(f"{key} expects true/false, got {text!r}")
     try:
-        if isinstance(current, bool):
-            raise ConfigError(f"{key} expects true/false, got {text!r}")
         if isinstance(current, int):
             return int(text)
         if isinstance(current, float) or key in ("grad_clip",):
@@ -468,6 +472,9 @@ def train(
             out, grads = _batch_loss(model, batch, cfg, with_grads=True)
             if not math.isfinite(out.value):
                 raise NumericError(step=step, value=out.value)
+            for name, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise NumericError(step=step, value=out.value, param=name)
             if cfg.grad_clip is not None:
                 norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
                 if norm > cfg.grad_clip:
@@ -501,7 +508,7 @@ def train(
         else:
             epochs_since_best += 1
         log.epochs.append(EpochRecord(epoch=epoch, val_loss=val, best=improved))
-        if epochs_since_best > cfg.early_stop_patience:
+        if not improved and epochs_since_best >= cfg.early_stop_patience:
             break
 
     model.params = best_params

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from studyclip.encoders import (
+    RECTIFIER_SLOPE,
     EncoderConfig,
     EmptySequence,
     ImageEncoderParams,
@@ -17,7 +20,9 @@ from studyclip.encoders import (
     init_text_params,
     text_backward,
     tokenize,
+    _rectify,
 )
+from studyclip.evalrun import EVAL_CHUNK, eval_image_embeddings
 from studyclip.losses import (
     EmbeddingBatch,
     LossWeights,
@@ -27,6 +32,8 @@ from studyclip.losses import (
     max_relative_error,
     total_loss,
 )
+from studyclip.studies import Study, StudyImage
+from studyclip.training import TrainConfig, TrainedModel, _combined_params
 
 TINY = EncoderConfig(image_size=8, conv_filters=2, hidden_dim=3, feature_dim=4, token_dim=3, embed_dim=4)
 
@@ -253,3 +260,44 @@ def test_batch_embeddings_unit_norm():
 def test_vocab_requires_unk_slot():
     with pytest.raises(ValueError):
         Vocab(tokens=["word"])
+
+
+# ------------------------------------------------------------------ rectifier
+
+
+def test_fused_rectifier_matches_reference_formulas():
+    x = np.concatenate([
+        np.linspace(-4.0, 4.0, 801),
+        [0.0, -0.0, 1e-3, -1e-3, 1e3, -1e3, 1e-12, -1e-12, 50.0, -50.0],
+    ])
+    z = RECTIFIER_SLOPE * x
+    softplus = z.copy()
+    slope = _rectify(softplus)
+    softplus /= RECTIFIER_SLOPE
+    ref_softplus = np.logaddexp(0.0, RECTIFIER_SLOPE * x) / RECTIFIER_SLOPE
+    e = np.exp(-np.abs(z))
+    ref_slope = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    np.testing.assert_allclose(softplus, ref_softplus, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(slope, ref_slope, rtol=0, atol=1e-15)
+    assert np.all(slope[x == 0.0] == 0.5)
+
+
+def test_chunked_eval_embeddings_match_one_batch():
+    n = 300
+    assert n > EVAL_CHUNK and n % EVAL_CHUNK
+    cfg = TrainConfig(image_size=8, conv_filters=2, hidden_dim=3, feature_dim=4, token_dim=3, embed_dim=4)
+    enc = cfg.encoder_config()
+    model = TrainedModel(
+        config=cfg,
+        vocab=Vocab(tokens=["<unk>"]),
+        params=_combined_params(init_image_params(0, enc), init_text_params(1, 1, enc), math.log(0.07)),
+    )
+    rng = np.random.default_rng(7)
+    studies = [
+        Study(id=f"s{i}", images=[StudyImage(rng.uniform(size=(8, 8)))], findings="lungs are clear.")
+        for i in range(n)
+    ]
+    chunked = eval_image_embeddings(model, studies)
+    whole, _ = encode_image_batch(model.image_params(), np.stack([s.images[0].pixels for s in studies]))
+    assert chunked.shape == whole.shape
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
