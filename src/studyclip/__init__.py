@@ -3,28 +3,24 @@
 __version__ = "0.1.0"
 
 from .losses import (
+    CLIP_TABLE,
     EmbeddingBatch,
     LossOutput,
-    LossWeights,
+    Pairing,
     Temperature,
-    clip_loss,
-    icl_loss,
     l2_normalize,
-    mvs_loss,
-    tcl_loss,
+    paper_table,
     total_loss,
 )
 
 __all__ = [
+    "CLIP_TABLE",
     "EmbeddingBatch",
     "LossOutput",
-    "LossWeights",
+    "Pairing",
     "Temperature",
-    "clip_loss",
-    "icl_loss",
     "l2_normalize",
-    "mvs_loss",
-    "tcl_loss",
+    "paper_table",
     "total_loss",
     "__version__",
 ]

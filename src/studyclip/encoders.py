@@ -46,7 +46,6 @@ _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 @dataclass
 class EncoderConfig:
-    image_size: int = 32
     conv_filters: int = 16
     hidden_dim: int = 32
     feature_dim: int = 64
@@ -124,14 +123,6 @@ class TextEncoderParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-
-@dataclass
-class EncoderOutput:
-    feature: np.ndarray
-    projected: np.ndarray
-    embedding: np.ndarray
-    cache: dict
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int):
@@ -280,18 +271,6 @@ def image_backward(params: ImageEncoderParams, cache, d_emb: np.ndarray) -> dict
     return grads
 
 
-def encode_image(params: ImageEncoderParams, img: np.ndarray, cfg: EncoderConfig | None = None) -> EncoderOutput:
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d image, got {img.shape}")
-    if cfg is not None and img.shape != (cfg.image_size, cfg.image_size):
-        raise ShapeMismatch(f"expected {cfg.image_size}x{cfg.image_size}, got {img.shape}")
-    embedding, cache = encode_image_batch(params, img[None])
-    return EncoderOutput(
-        feature=cache["feature"][0], projected=cache["projected"][0], embedding=embedding[0], cache=cache
-    )
-
-
 # ----------------------------------------------------------------- text path
 
 
@@ -311,12 +290,3 @@ def text_backward(params: TextEncoderParams, cache, d_emb: np.ndarray) -> dict[s
         np.add.at(d_table, seq, row / len(seq))
     grads["emb"] = d_table
     return grads
-
-
-def encode_text(params: TextEncoderParams, ids: list[int]) -> EncoderOutput:
-    if not ids:
-        raise EmptySequence("token id sequence must be non-empty")
-    embedding, cache = encode_text_batch(params, [list(ids)])
-    return EncoderOutput(
-        feature=cache["feature"][0], projected=cache["projected"][0], embedding=embedding[0], cache=cache
-    )

@@ -1,15 +1,25 @@
-"""Symmetric InfoNCE losses over paired embedding batches, with analytic gradients.
+"""One contrastive primitive and a table of weighted view pairings, with analytic gradients.
 
-All losses here are built from one primitive: the symmetric contrastive loss
-over a batch of n paired embeddings,
+The primitive is the symmetric contrastive loss over a batch of n paired
+embeddings,
 
-    loss = -1/(2n) * sum_i [ log softmax_j(s_ij / tau)|_{j=i}      (row direction)
-                           + log softmax_j(s_ji / tau)|_{j=i} ]    (column direction)
+    L(a, b) = -1/(2n) * sum_i [ log softmax_j(s_ij / tau)|_{j=i}      (row direction)
+                              + log softmax_j(s_ji / tau)|_{j=i} ]    (column direction)
 
-where s_ij is the inner product between row i of the first batch and row j of
-the second. On top of it sit the multi-view average over two image and two
-text views, the image-only and text-only variants, and the weighted total
-objective. Gradients with respect to every input batch and with respect to
+where s_ij is the inner product between row i of a and row j of b. A batch
+has up to four views: the text views u1, u2 and the image views v1, v2. Every
+objective is a table of rows (view_a, view_b, weight, component), and its
+value is the sum over rows of weight * L(view_a, view_b):
+
+- ``paper_table``: the paper's six rows, the four text-image cross pairings
+  at 1/4 each (MVS, the multi-view mean), (v1, v2) at lambda_icl (ICL) and
+  (u1, u2) at lambda_tcl (TCL);
+- ``CLIP_TABLE``: one row, (u1, v1) at weight 1, for the single-pair
+  baselines.
+
+Each component is logged as the mean of its rows' unweighted terms. The 1/4
+weights are a power of two, so the weighted MVS rows sum to exactly the
+mean of the four terms. Gradients with respect to every view and to
 log(tau) are derived by hand and returned alongside the value; no autodiff.
 
 All arithmetic is float64 with max-subtracted log-sum-exp and row-major
@@ -19,7 +29,8 @@ accumulation, so results are deterministic and gradient checks are tight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,14 +70,6 @@ class EmbeddingBatch:
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"rows must be unit-norm within {ROW_NORM_TOL}, off by {worst:g}")
 
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
-
 
 @dataclass
 class Temperature:
@@ -93,30 +96,43 @@ class Temperature:
         return Temperature(log_tau=min(max(self.log_tau, lo), hi))
 
 
-@dataclass
-class LossWeights:
-    """Mixing weights for the image-only and text-only terms of the total loss."""
+class Pairing(NamedTuple):
+    """One row of a loss table: weight * L(view_a, view_b), logged under component."""
 
-    lambda_icl: float = 1.0
-    lambda_tcl: float = 0.5
+    view_a: str
+    view_b: str
+    weight: float
+    component: str
 
-    def __post_init__(self) -> None:
-        if self.lambda_icl < 0 or self.lambda_tcl < 0:
-            raise ValueError("loss weights must be non-negative")
+
+CLIP_TABLE = (Pairing("u1", "v1", 1.0, "mvs"),)
+
+
+def paper_table(lambda_icl: float, lambda_tcl: float) -> tuple[Pairing, ...]:
+    """The paper's objective: MVS over the four text-image pairings, plus ICL and TCL."""
+    if lambda_icl < 0 or lambda_tcl < 0:
+        raise ValueError("loss weights must be non-negative")
+    return (
+        Pairing("u1", "v1", 0.25, "mvs"),
+        Pairing("u2", "v1", 0.25, "mvs"),
+        Pairing("u1", "v2", 0.25, "mvs"),
+        Pairing("u2", "v2", 0.25, "mvs"),
+        Pairing("v1", "v2", lambda_icl, "icl"),
+        Pairing("u1", "u2", lambda_tcl, "tcl"),
+    )
 
 
 @dataclass
 class LossOutput:
-    """Scalar loss with gradients matching each input batch, plus d/d log(tau).
+    """Scalar loss with the gradient for each view the table names, plus d/d log(tau).
 
-    grad_inputs follows the positional order of the loss function's batch
-    arguments. components carries per-term values for logging.
+    components maps each component to the mean of its rows' unweighted terms.
     """
 
     value: float
-    grad_inputs: tuple[np.ndarray, ...]
+    grad_views: dict[str, np.ndarray]
     grad_log_tau: float
-    components: dict[str, float] = field(default_factory=dict)
+    components: dict[str, float]
 
 
 def l2_normalize(matrix: np.ndarray, role: str = "image") -> EmbeddingBatch:
@@ -183,131 +199,28 @@ def _symmetric_infonce(a: np.ndarray, b: np.ndarray, temp: Temperature):
     return float(value), grad_a, grad_b, grad_log_tau
 
 
-def clip_loss(U: EmbeddingBatch, V: EmbeddingBatch, temp: Temperature) -> LossOutput:
-    """Symmetric contrastive loss between paired batches (first arg text-role).
+def total_loss(views: dict[str, EmbeddingBatch], temp: Temperature, table: tuple[Pairing, ...]) -> LossOutput:
+    """Weighted sum of symmetric InfoNCE terms over the table's view pairings.
 
-    Mean of the two directional InfoNCE terms: each text scored against all
-    images and each image against all texts, matched pairs on the diagonal.
+    value = sum over rows of weight * L(view_a, view_b), rows in table order.
+    Every row is evaluated, zero-weight rows included, so each component's
+    value is available for logging whatever its weight.
     """
-    _require_same_shape(U, V)
-    value, grad_u, grad_v, grad_lt = _symmetric_infonce(U.rows, V.rows, temp)
-    return LossOutput(value=value, grad_inputs=(grad_u, grad_v), grad_log_tau=grad_lt)
-
-
-def mvs_loss(
-    U1: EmbeddingBatch,
-    U2: EmbeddingBatch,
-    V1: EmbeddingBatch,
-    V2: EmbeddingBatch,
-    temp: Temperature,
-) -> LossOutput:
-    """Multi-view loss: mean of the four text/image cross pairings.
-
-    value = 1/4 * [L(U1,V1) + L(U2,V1) + L(U1,V2) + L(U2,V2)], with gradients
-    accumulated across the four terms.
-    """
-    _require_same_shape(U1, U2, V1, V2)
-    grads = {
-        "u1": np.zeros_like(U1.rows),
-        "u2": np.zeros_like(U2.rows),
-        "v1": np.zeros_like(V1.rows),
-        "v2": np.zeros_like(V2.rows),
-    }
+    _require_same_shape(*(views[name] for row in table for name in row[:2]))
     value = 0.0
     grad_lt = 0.0
-    pairings = [("u1", U1, "v1", V1), ("u2", U2, "v1", V1), ("u1", U1, "v2", V2), ("u2", U2, "v2", V2)]
-    for ku, u, kv, v in pairings:
-        term, gu, gv, glt = _symmetric_infonce(u.rows, v.rows, temp)
-        value += term
-        grads[ku] += gu
-        grads[kv] += gv
-        grad_lt += glt
-    value /= 4.0
-    grad_lt /= 4.0
+    grads: dict[str, np.ndarray] = {}
+    terms: dict[str, list[float]] = {}
+    for view_a, view_b, weight, component in table:
+        term, grad_a, grad_b, glt = _symmetric_infonce(views[view_a].rows, views[view_b].rows, temp)
+        value += weight * term
+        grad_lt += weight * glt
+        for name, grad in ((view_a, grad_a), (view_b, grad_b)):
+            grads[name] = grads[name] + weight * grad if name in grads else weight * grad
+        terms.setdefault(component, []).append(term)
     return LossOutput(
         value=value,
-        grad_inputs=(grads["u1"] / 4.0, grads["u2"] / 4.0, grads["v1"] / 4.0, grads["v2"] / 4.0),
+        grad_views=grads,
         grad_log_tau=grad_lt,
+        components={name: sum(values) / len(values) for name, values in terms.items()},
     )
-
-
-def icl_loss(V1: EmbeddingBatch, V2: EmbeddingBatch, temp: Temperature) -> LossOutput:
-    """Contrastive loss between the two image views of each study."""
-    _require_same_shape(V1, V2)
-    value, g1, g2, grad_lt = _symmetric_infonce(V1.rows, V2.rows, temp)
-    return LossOutput(value=value, grad_inputs=(g1, g2), grad_log_tau=grad_lt)
-
-
-def tcl_loss(U1: EmbeddingBatch, U2: EmbeddingBatch, temp: Temperature) -> LossOutput:
-    """Contrastive loss between the two text views of each study."""
-    _require_same_shape(U1, U2)
-    value, g1, g2, grad_lt = _symmetric_infonce(U1.rows, U2.rows, temp)
-    return LossOutput(value=value, grad_inputs=(g1, g2), grad_log_tau=grad_lt)
-
-
-def total_loss(
-    U1: EmbeddingBatch,
-    U2: EmbeddingBatch,
-    V1: EmbeddingBatch,
-    V2: EmbeddingBatch,
-    temp: Temperature,
-    weights: LossWeights,
-) -> LossOutput:
-    """Weighted training objective: multi-view + image-only + text-only terms.
-
-    value = mvs + lambda_icl * icl + lambda_tcl * tcl. Per-component values
-    are reported in .components so the trainer can log them without a second
-    pass.
-    """
-    _require_same_shape(U1, U2, V1, V2)
-    mvs = mvs_loss(U1, U2, V1, V2, temp)
-    icl = icl_loss(V1, V2, temp)
-    tcl = tcl_loss(U1, U2, temp)
-    li, lt = weights.lambda_icl, weights.lambda_tcl
-    value = mvs.value + li * icl.value + lt * tcl.value
-    grad_u1 = mvs.grad_inputs[0] + lt * tcl.grad_inputs[0]
-    grad_u2 = mvs.grad_inputs[1] + lt * tcl.grad_inputs[1]
-    grad_v1 = mvs.grad_inputs[2] + li * icl.grad_inputs[0]
-    grad_v2 = mvs.grad_inputs[3] + li * icl.grad_inputs[1]
-    grad_log_tau = mvs.grad_log_tau + li * icl.grad_log_tau + lt * tcl.grad_log_tau
-    return LossOutput(
-        value=value,
-        grad_inputs=(grad_u1, grad_u2, grad_v1, grad_v2),
-        grad_log_tau=grad_log_tau,
-        components={"mvs": mvs.value, "icl": icl.value, "tcl": tcl.value, "total": value},
-    )
-
-
-def finite_diff_grad(loss_fn, inputs: list[np.ndarray], epsilon: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradient of a scalar function of ndarray inputs.
-
-    Test oracle: perturbs every scalar entry of every input by +/- epsilon.
-    Inputs are raw (pre-normalization) parameters; any normalization belongs
-    inside loss_fn.
-    """
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
-    grads = []
-    work = [np.array(x, dtype=np.float64) for x in inputs]
-    for idx, x in enumerate(work):
-        g = np.zeros_like(x)
-        flat_x = x.reshape(-1)
-        flat_g = g.reshape(-1)
-        for k in range(flat_x.size):
-            orig = flat_x[k]
-            flat_x[k] = orig + epsilon
-            hi = loss_fn(*work)
-            flat_x[k] = orig - epsilon
-            lo = loss_fn(*work)
-            flat_x[k] = orig
-            flat_g[k] = (hi - lo) / (2.0 * epsilon)
-        grads.append(g)
-    return grads
-
-
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
-    """Max entrywise |a - f| / max(|a|, |f|, floor)."""
-    a = np.asarray(analytic, dtype=np.float64)
-    f = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
-    return float(np.max(np.abs(a - f) / denom))

@@ -1,20 +1,26 @@
-"""Study-level sampling: two images and two texts per study, with fallbacks.
+"""Study-level sampling: one batch path for every sampling mode.
 
+Mode ``pairs`` gives two images and two texts per study, with fallbacks.
 Images prefer two distinct view tags when the study has them, otherwise two
 distinct images, otherwise an augmented copy of the single image. Texts use
 (findings, impression) when both sections exist, a section plus its augmented
 copy when only one does, and two prompt renderings of the label record for
-label-only studies.
+label-only studies. Modes ``single`` and ``study_single`` give one image and
+one text per study, placed in both view slots, for the single-pair baselines.
+With ``augment`` off, the fallback second views of ``pairs`` use identity
+augmentation parameters (no crop, CLAHE, brightness or contrast change, text
+unchanged) and the single modes skip augmentation.
 
-Batch assembly derives each study's sub-seed deterministically from
-(global seed, study id), so batches are reproducible and order-independent
-workers could assemble them concurrently.
+``make_batch`` is the only batch path, for every mode. It derives each
+study's sub-seed deterministically from (global seed, study id), so batches
+are reproducible and order-independent workers could assemble them
+concurrently.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,12 +41,31 @@ class SamplingError(RuntimeError):
     """Per-study failure inside batch assembly, tagged with the study id."""
 
 
+SAMPLING_MODES = ("pairs", "study_single", "single")
+# image augmentation parameters that leave the picture as it is
+IDENTITY_IMAGE_AUG = {
+    "crop_scale_range": (1.0, 1.0),
+    "clahe_probability": 0.0,
+    "brightness_range": (1.0, 1.0),
+    "contrast_range": (1.0, 1.0),
+}
+
+
 @dataclass
 class SamplerConfig:
     image_aug: ImageAugConfig = field(default_factory=ImageAugConfig)
     text_aug: TextAugConfig = field(default_factory=TextAugConfig)
     negative_sample_count: int | None = None  # binary-label prompt mode
     findings_first: bool = True  # assign findings to t1 (seeded swap when False)
+    mode: str = "pairs"  # pairs | study_single | single
+    augment: bool = True  # False: identity parameters for pairs, none for single modes
+
+    def __post_init__(self):
+        if self.mode not in SAMPLING_MODES:
+            raise ValueError(f"unknown sampling mode {self.mode!r}")
+        if not self.augment:
+            self.image_aug = replace(self.image_aug, **IDENTITY_IMAGE_AUG)
+            self.text_aug = TextAugConfig(mode="identity")
 
 
 @dataclass
@@ -130,14 +155,41 @@ def sample_pair(study: Study, cfg: SamplerConfig, engine: PromptEngine, rng) -> 
     return SampledPair(x1=x1, x2=x2, t1=t1, t2=t2, image2_augmented=augmented, text_source=source)
 
 
+def sample_single(study: Study, cfg: SamplerConfig, engine: PromptEngine, rng) -> SampledPair:
+    """One (image, text) per study, in both view slots, for the single-pair modes.
+
+    mode 'single': first image and first section (or one prompt rendering).
+    mode 'study_single': seeded random image and random section or prompt.
+    With cfg.augment set, augmentation is applied on top.
+    """
+    if cfg.mode == "single":
+        img = study.images[0].pixels
+        text = study.sections[0] if study.sections else engine.build_study_text(
+            study.labels, rng, cfg.negative_sample_count
+        )
+    else:
+        img = study.images[int(rng.integers(len(study.images)))].pixels
+        if study.sections:
+            text = study.sections[int(rng.integers(len(study.sections)))]
+        else:
+            text = engine.build_study_text(study.labels, rng, cfg.negative_sample_count)
+    size = cfg.image_aug.output_size
+    img = resize_bilinear(img, size, size)
+    if cfg.augment:
+        img = augment_image(img, cfg.image_aug, rng)
+        text = augment_text(text, cfg.text_aug, rng)
+    return SampledPair(x1=img, x2=img, t1=text, t2=text, text_source="single")
+
+
 def make_batch(studies: list[Study], cfg: SamplerConfig, engine: PromptEngine, seed: int) -> StudyBatch:
-    """One SampledPair per study, assembled with per-study derived sub-seeds."""
+    """One SampledPair per study in cfg.mode, assembled with per-study derived sub-seeds."""
     if not studies:
         raise ValueError("cannot assemble a batch from zero studies")
+    sample = sample_pair if cfg.mode == "pairs" else sample_single
     pairs = []
     for study in studies:
         try:
-            pairs.append(sample_pair(study, cfg, engine, study_rng(seed, study.id)))
+            pairs.append(sample(study, cfg, engine, study_rng(seed, study.id)))
         except Exception as err:
             raise SamplingError(f"study {study.id!r}: {err}") from err
     return StudyBatch(
@@ -147,27 +199,3 @@ def make_batch(studies: list[Study], cfg: SamplerConfig, engine: PromptEngine, s
         t2=[p.t2 for p in pairs],
         pairs=pairs,
     )
-
-
-def sample_single(study: Study, cfg: SamplerConfig, engine: PromptEngine, rng, mode: str):
-    """One (image, text) per study for the reduced training variants.
-
-    mode 'single': first image and first section (or one prompt rendering),
-    untouched. mode 'study_single': seeded random image and random section or
-    prompt. Augmentation, when enabled by the caller, is applied on top.
-    """
-    if mode == "single":
-        img = study.images[0].pixels
-        text = study.sections[0] if study.sections else engine.build_study_text(
-            study.labels, rng, cfg.negative_sample_count
-        )
-    elif mode == "study_single":
-        img = study.images[int(rng.integers(len(study.images)))].pixels
-        if study.sections:
-            text = study.sections[int(rng.integers(len(study.sections)))]
-        else:
-            text = engine.build_study_text(study.labels, rng, cfg.negative_sample_count)
-    else:
-        raise ValueError(f"unknown single-pair sampling mode {mode!r}")
-    size = cfg.image_aug.output_size
-    return resize_bilinear(img, size, size), text

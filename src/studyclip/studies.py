@@ -33,6 +33,8 @@ class StudyImage:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 2 or self.pixels.size == 0:
             raise DataFormatError(f"image must be a non-empty 2-d grid, got {self.pixels.shape}")
+        if not np.all(np.isfinite(self.pixels)):
+            raise DataFormatError("image intensities must be finite")
         if np.min(self.pixels) < -1e-9 or np.max(self.pixels) > 1 + 1e-9:
             raise DataFormatError("image intensities must lie in [0, 1]")
         if self.view not in VIEWS:
@@ -77,7 +79,7 @@ class SampledPair:
     t1: str
     t2: str
     image2_augmented: bool = False
-    text_source: str = "sections"  # sections | section_aug | prompts
+    text_source: str = "sections"  # sections | section_aug | prompts | single
 
     def __post_init__(self):
         if self.x1.size == 0 or self.x2.size == 0 or not self.t1 or not self.t2:

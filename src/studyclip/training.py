@@ -1,4 +1,12 @@
-"""Training loop: batches, total objective, decoupled-decay adaptive updates.
+"""Training loop: batches, table-driven objective, decoupled-decay adaptive updates.
+
+Each step assembles one batch through ``sampling.make_batch`` in the
+configured sampling mode and scores it with the loss table of
+``TrainConfig.loss_table``: the paper's six pairings for ``pairs``, the
+single (u1, v1) pairing for the single modes. Each view the table names is
+encoded once; the gradient of each view is propagated back through its
+encoder, and parameter gradients accumulate in the fixed view order v1, v2,
+u1, u2.
 
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
@@ -16,14 +24,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .augment import ImageAugConfig, TextAugConfig, augment_image, augment_text
+from .augment import ImageAugConfig, TextAugConfig
 from .encoders import (
     EncoderConfig,
+    ImageEncoderParams,
+    TextEncoderParams,
     Vocab,
     build_vocab,
     encode_image_batch,
@@ -34,9 +44,9 @@ from .encoders import (
     text_backward,
     tokenize,
 )
-from .losses import EmbeddingBatch, LossWeights, ShapeMismatch, Temperature, clip_loss, total_loss
+from .losses import CLIP_TABLE, EmbeddingBatch, Pairing, ShapeMismatch, Temperature, paper_table, total_loss
 from .prompts import PromptEngine
-from .sampling import SamplerConfig, make_batch, sample_single, study_rng
+from .sampling import SAMPLING_MODES, SamplerConfig, make_batch
 from .studies import Study
 
 
@@ -98,12 +108,16 @@ class TrainConfig:
             raise ConfigError("warmup_epochs must be smaller than epochs")
         if self.lambda_icl < 0 or self.lambda_tcl < 0:
             raise ConfigError("loss weights must be non-negative")
-        if self.sampling_mode not in ("pairs", "study_single", "single"):
+        if self.sampling_mode not in SAMPLING_MODES:
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
+        if self.sampling_mode != "pairs" and (self.lambda_icl > 0 or self.lambda_tcl > 0):
+            raise ConfigError(
+                f"sampling_mode {self.sampling_mode!r} trains only the (u1, v1) pairing: "
+                "lambda_icl and lambda_tcl must be 0"
+            )
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(
-            image_size=self.image_size,
             conv_filters=self.conv_filters,
             hidden_dim=self.hidden_dim,
             feature_dim=self.feature_dim,
@@ -121,7 +135,15 @@ class TrainConfig:
             ),
             negative_sample_count=self.negative_sample_count,
             findings_first=self.findings_first,
+            mode=self.sampling_mode,
+            augment=self.augment,
         )
+
+    def loss_table(self) -> tuple[Pairing, ...]:
+        """The weighted view pairings of the objective for this sampling mode."""
+        if self.sampling_mode == "pairs":
+            return paper_table(self.lambda_icl, self.lambda_tcl)
+        return CLIP_TABLE
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -313,14 +335,10 @@ class TrainedModel:
     vocab: Vocab
     params: dict[str, np.ndarray]  # img.* / txt.* / log_tau
 
-    def image_params(self):
-        from .encoders import ImageEncoderParams
-
+    def image_params(self) -> ImageEncoderParams:
         return ImageEncoderParams(**{k[4:]: v for k, v in self.params.items() if k.startswith("img.")})
 
-    def text_params(self):
-        from .encoders import TextEncoderParams
-
+    def text_params(self) -> TextEncoderParams:
         return TextEncoderParams(**{k[4:]: v for k, v in self.params.items() if k.startswith("txt.")})
 
     @property
@@ -338,95 +356,50 @@ def _combined_params(img_params, txt_params, log_tau: float) -> dict[str, np.nda
     return params
 
 
-def _batch_loss(model: TrainedModel, batch, cfg: TrainConfig, with_grads: bool):
-    """Forward (and optionally backward) for one assembled batch."""
+# view name -> (StudyBatch field, parameter prefix), in gradient accumulation order
+VIEWS = {"v1": ("x1", "img"), "v2": ("x2", "img"), "u1": ("t1", "txt"), "u2": ("t2", "txt")}
+
+
+def _batch_loss(model: TrainedModel, batch, table: tuple[Pairing, ...], with_grads: bool):
+    """Forward (and optionally backward) for one batch, encoding each view the table names once."""
     img_p, txt_p = model.image_params(), model.text_params()
-    vocab = model.vocab
-    temp = Temperature(model.log_tau)
-
-    if cfg.sampling_mode == "pairs":
-        v1, c_v1 = encode_image_batch(img_p, batch.x1)
-        v2, c_v2 = encode_image_batch(img_p, batch.x2)
-        u1, c_u1 = encode_text_batch(txt_p, [tokenize(t, vocab) for t in batch.t1])
-        u2, c_u2 = encode_text_batch(txt_p, [tokenize(t, vocab) for t in batch.t2])
-        out = total_loss(
-            EmbeddingBatch(u1, "text"),
-            EmbeddingBatch(u2, "text"),
-            EmbeddingBatch(v1, "image"),
-            EmbeddingBatch(v2, "image"),
-            temp,
-            LossWeights(cfg.lambda_icl, cfg.lambda_tcl),
-        )
-        if not with_grads:
-            return out, None
-        du1, du2, dv1, dv2 = out.grad_inputs
-        grads: dict[str, np.ndarray] = {}
-        for name, g in image_backward(img_p, c_v1, dv1).items():
-            grads[f"img.{name}"] = g
-        for name, g in image_backward(img_p, c_v2, dv2).items():
-            grads[f"img.{name}"] = grads[f"img.{name}"] + g
-        for name, g in text_backward(txt_p, c_u1, du1).items():
-            grads[f"txt.{name}"] = g
-        for name, g in text_backward(txt_p, c_u2, du2).items():
-            grads[f"txt.{name}"] = grads[f"txt.{name}"] + g
-        grads["log_tau"] = np.array(out.grad_log_tau)
-        return out, grads
-
-    # single-pair variants: symmetric contrastive loss on (U1, V1) only
-    v1, c_v1 = encode_image_batch(img_p, batch.x1)
-    u1, c_u1 = encode_text_batch(txt_p, [tokenize(t, vocab) for t in batch.t1])
-    out = clip_loss(EmbeddingBatch(u1, "text"), EmbeddingBatch(v1, "image"), temp)
-    out.components = {"mvs": out.value, "icl": 0.0, "tcl": 0.0, "total": out.value}
+    named = {name for row in table for name in row[:2]}
+    views, caches = {}, {}
+    for name, (attr, prefix) in VIEWS.items():
+        if name not in named:
+            continue
+        data = getattr(batch, attr)
+        if prefix == "img":
+            emb, caches[name] = encode_image_batch(img_p, data)
+            views[name] = EmbeddingBatch(emb, "image")
+        else:
+            emb, caches[name] = encode_text_batch(txt_p, [tokenize(t, model.vocab) for t in data])
+            views[name] = EmbeddingBatch(emb, "text")
+    out = total_loss(views, Temperature(model.log_tau), table)
     if not with_grads:
         return out, None
-    du1, dv1 = out.grad_inputs
-    grads = {}
-    for name, g in image_backward(img_p, c_v1, dv1).items():
-        grads[f"img.{name}"] = g
-    for name, g in text_backward(txt_p, c_u1, du1).items():
-        grads[f"txt.{name}"] = g
+    grads: dict[str, np.ndarray] = {}
+    for name in views:
+        prefix = VIEWS[name][1]
+        if prefix == "img":
+            view_grads = image_backward(img_p, caches[name], out.grad_views[name])
+        else:
+            view_grads = text_backward(txt_p, caches[name], out.grad_views[name])
+        for param, g in view_grads.items():
+            key = f"{prefix}.{param}"
+            grads[key] = grads[key] + g if key in grads else g
     grads["log_tau"] = np.array(out.grad_log_tau)
     return out, grads
-
-
-def _assemble_batch(studies, cfg: TrainConfig, engine, seed: int):
-    sampler_cfg = cfg.sampler_config()
-    if cfg.sampling_mode == "pairs":
-        if not cfg.augment:
-            sampler_cfg = replace(
-                sampler_cfg,
-                image_aug=replace(sampler_cfg.image_aug, crop_scale_range=(1.0, 1.0), clahe_probability=0.0,
-                                  brightness_range=(1.0, 1.0), contrast_range=(1.0, 1.0)),
-                text_aug=TextAugConfig(mode="identity"),
-            )
-        return make_batch(studies, sampler_cfg, engine, seed)
-
-    # reduced variants assemble a single view per study
-    from .sampling import StudyBatch
-    from .studies import SampledPair
-
-    xs, ts, pairs = [], [], []
-    for study in studies:
-        rng = study_rng(seed, study.id)
-        img, text = sample_single(study, sampler_cfg, engine, rng, cfg.sampling_mode)
-        if cfg.augment:
-            img = augment_image(img, sampler_cfg.image_aug, rng)
-            text = augment_text(text, sampler_cfg.text_aug, rng)
-        xs.append(img)
-        ts.append(text)
-        pairs.append(SampledPair(x1=img, x2=img, t1=text, t2=text, text_source="single"))
-    stacked = np.stack(xs)
-    return StudyBatch(x1=stacked, x2=stacked, t1=ts, t2=list(ts), pairs=pairs)
 
 
 def validation_loss(model: TrainedModel, studies, cfg: TrainConfig, engine) -> float:
     """Mean batch loss over the validation set with a fixed sampling seed."""
     val_seed = cfg.seed + 7919  # fixed offset: same batches every epoch
+    sampler_cfg, table = cfg.sampler_config(), cfg.loss_table()
     values = []
     for start in range(0, len(studies), cfg.batch_studies):
-        chunk = studies[start : start + cfg.batch_studies]
-        batch = _assemble_batch(chunk, cfg, engine, val_seed)
-        out, _ = _batch_loss(model, batch, cfg, with_grads=False)
+        batch = make_batch(studies[start : start + cfg.batch_studies], sampler_cfg, engine, val_seed)
+        out, _ = _batch_loss(model, batch, table, with_grads=False)
         values.append(out.value)
     return float(np.mean(values))
 
@@ -456,6 +429,7 @@ def train(
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
     state = OptimState()
     log = TrainLog()
+    sampler_cfg, table = cfg.sampler_config(), cfg.loss_table()
 
     best_val = validation_loss(model, val_dataset, cfg, engine)
     best_params = {k: v.copy() for k, v in model.params.items()}
@@ -468,8 +442,8 @@ def train(
         order = order_rng.permutation(len(dataset))
         for start in range(0, len(dataset), cfg.batch_studies):
             chunk = [dataset[int(i)] for i in order[start : start + cfg.batch_studies]]
-            batch = _assemble_batch(chunk, cfg, engine, seed=cfg.seed * 1_000_003 + step)
-            out, grads = _batch_loss(model, batch, cfg, with_grads=True)
+            batch = make_batch(chunk, sampler_cfg, engine, seed=cfg.seed * 1_000_003 + step)
+            out, grads = _batch_loss(model, batch, table, with_grads=True)
             if not math.isfinite(out.value):
                 raise NumericError(step=step, value=out.value)
             for name, g in grads.items():
@@ -489,7 +463,7 @@ def train(
                 StepRecord(
                     step=step,
                     epoch=epoch,
-                    mvs=out.components.get("mvs", out.value),
+                    mvs=out.components["mvs"],
                     icl=out.components.get("icl", 0.0),
                     tcl=out.components.get("tcl", 0.0),
                     total=out.value,

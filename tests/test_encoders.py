@@ -11,9 +11,7 @@ from studyclip.encoders import (
     TextEncoderParams,
     Vocab,
     build_vocab,
-    encode_image,
     encode_image_batch,
-    encode_text,
     encode_text_batch,
     image_backward,
     init_image_params,
@@ -22,20 +20,13 @@ from studyclip.encoders import (
     tokenize,
     _rectify,
 )
+from gradcheck import finite_diff_grad, max_relative_error
 from studyclip.evalrun import EVAL_CHUNK, eval_image_embeddings
-from studyclip.losses import (
-    EmbeddingBatch,
-    LossWeights,
-    ShapeMismatch,
-    Temperature,
-    finite_diff_grad,
-    max_relative_error,
-    total_loss,
-)
+from studyclip.losses import EmbeddingBatch, ShapeMismatch, Temperature, paper_table, total_loss
 from studyclip.studies import Study, StudyImage
 from studyclip.training import TrainConfig, TrainedModel, _combined_params
 
-TINY = EncoderConfig(image_size=8, conv_filters=2, hidden_dim=3, feature_dim=4, token_dim=3, embed_dim=4)
+TINY = EncoderConfig(conv_filters=2, hidden_dim=3, feature_dim=4, token_dim=3, embed_dim=4)
 
 
 @pytest.fixture(scope="module")
@@ -74,25 +65,27 @@ def test_vocab_deterministic_order():
 
 def test_image_embedding_unit_norm_and_deterministic():
     params = init_image_params(0, TINY)
-    img = np.random.default_rng(1).uniform(size=(8, 8))
-    out1 = encode_image(params, img, TINY)
-    out2 = encode_image(params, img, TINY)
-    assert np.linalg.norm(out1.embedding) == pytest.approx(1.0, abs=1e-6)
-    np.testing.assert_array_equal(out1.embedding, out2.embedding)
+    imgs = np.random.default_rng(1).uniform(size=(1, 8, 8))
+    emb1, _ = encode_image_batch(params, imgs)
+    emb2, _ = encode_image_batch(params, imgs)
+    assert np.linalg.norm(emb1[0]) == pytest.approx(1.0, abs=1e-6)
+    np.testing.assert_array_equal(emb1, emb2)
 
 
 def test_image_shape_checked():
     params = init_image_params(0, TINY)
     with pytest.raises(ShapeMismatch):
-        encode_image(params, np.zeros((4, 4)), TINY)
+        encode_image_batch(params, np.zeros((8, 8)))  # one image without its batch axis
+    with pytest.raises(ShapeMismatch):
+        encode_image_batch(params, np.zeros((1, 2, 2)))  # smaller than the 3x3 conv window
 
 
 def test_text_embedding_unit_norm_and_empty_rejected(vocab):
     params = init_text_params(0, len(vocab), TINY)
-    out = encode_text(params, tokenize("lungs are clear.", vocab))
-    assert np.linalg.norm(out.embedding) == pytest.approx(1.0, abs=1e-6)
+    emb, _ = encode_text_batch(params, [tokenize("lungs are clear.", vocab)])
+    assert np.linalg.norm(emb[0]) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(EmptySequence):
-        encode_text(params, [])
+        encode_text_batch(params, [tokenize("lungs are clear.", vocab), []])
 
 
 def test_projection_dims_match_across_modalities(vocab):
@@ -113,7 +106,7 @@ def test_init_deterministic_and_seed_sensitive():
 
 
 def test_init_scale_matches_glorot_variance():
-    cfg = EncoderConfig(image_size=8, conv_filters=2, hidden_dim=200, feature_dim=300, token_dim=3, embed_dim=4)
+    cfg = EncoderConfig(conv_filters=2, hidden_dim=200, feature_dim=300, token_dim=3, embed_dim=4)
     params = init_image_params(3, cfg)
     w = params.mlp_w2  # 200 x 300
     fan_in, fan_out = w.shape
@@ -185,6 +178,15 @@ def test_text_encoder_gradients_match_finite_differences(vocab):
         assert max_relative_error(grads[name], fd_grad) <= 1e-4, name
 
 
+def views(u1, u2, v1, v2):
+    return {
+        "u1": EmbeddingBatch(u1, "text"),
+        "u2": EmbeddingBatch(u2, "text"),
+        "v1": EmbeddingBatch(v1, "image"),
+        "v2": EmbeddingBatch(v2, "image"),
+    }
+
+
 def test_full_pipeline_gradients_match_finite_differences(vocab):
     # total objective through both encoders, checked on every parameter block
     img_params = init_image_params(0, TINY)
@@ -194,7 +196,7 @@ def test_full_pipeline_gradients_match_finite_differences(vocab):
     imgs2 = rng.uniform(size=(2, 8, 8))
     seqs1 = [tokenize("heart size is enlarged.", vocab), tokenize("lungs are clear.", vocab)]
     seqs2 = [tokenize("no pneumothorax.", vocab), tokenize("clear lungs.", vocab)]
-    weights = LossWeights(1.0, 0.5)
+    table = paper_table(1.0, 0.5)
     log_tau = np.array(np.log(0.3))
 
     img_names = list(img_params.arrays())
@@ -209,34 +211,19 @@ def test_full_pipeline_gradients_match_finite_differences(vocab):
         v2, _ = encode_image_batch(ip, imgs2)
         u1, _ = encode_text_batch(tp, seqs1)
         u2, _ = encode_text_batch(tp, seqs2)
-        out = total_loss(
-            EmbeddingBatch(u1, "text"),
-            EmbeddingBatch(u2, "text"),
-            EmbeddingBatch(v1, "image"),
-            EmbeddingBatch(v2, "image"),
-            Temperature(lt),
-            weights,
-        )
-        return out.value
+        return total_loss(views(u1, u2, v1, v2), Temperature(lt), table).value
 
     v1, c_v1 = encode_image_batch(img_params, imgs1)
     v2, c_v2 = encode_image_batch(img_params, imgs2)
     u1, c_u1 = encode_text_batch(txt_params, seqs1)
     u2, c_u2 = encode_text_batch(txt_params, seqs2)
-    out = total_loss(
-        EmbeddingBatch(u1, "text"),
-        EmbeddingBatch(u2, "text"),
-        EmbeddingBatch(v1, "image"),
-        EmbeddingBatch(v2, "image"),
-        Temperature(float(log_tau)),
-        LossWeights(1.0, 0.5),
-    )
-    du1, du2, dv1, dv2 = out.grad_inputs
-    img_grads = image_backward(img_params, c_v1, dv1)
-    for name, g in image_backward(img_params, c_v2, dv2).items():
+    out = total_loss(views(u1, u2, v1, v2), Temperature(float(log_tau)), table)
+    d = out.grad_views
+    img_grads = image_backward(img_params, c_v1, d["v1"])
+    for name, g in image_backward(img_params, c_v2, d["v2"]).items():
         img_grads[name] = img_grads[name] + g
-    txt_grads = text_backward(txt_params, c_u1, du1)
-    for name, g in text_backward(txt_params, c_u2, du2).items():
+    txt_grads = text_backward(txt_params, c_u1, d["u1"])
+    for name, g in text_backward(txt_params, c_u2, d["u2"]).items():
         txt_grads[name] = txt_grads[name] + g
 
     inputs = [img_params.arrays()[n] for n in img_names] + [

@@ -5,24 +5,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import finite_diff_grad, max_relative_error
 from studyclip.losses import (
+    CLIP_TABLE,
     EmbeddingBatch,
-    LossWeights,
+    Pairing,
     ShapeMismatch,
     Temperature,
     ZeroRow,
-    clip_loss,
-    finite_diff_grad,
-    icl_loss,
     l2_normalize,
     l2_normalize_vjp,
-    max_relative_error,
-    mvs_loss,
-    tcl_loss,
+    paper_table,
     total_loss,
 )
 
 LOG_1P_EXP_NEG1 = 0.3132616875182228  # log(1 + e^-1), 2x2 orthonormal case
+
+# The paper's terms, each a table over total_loss with positional batches.
+MVS_TABLE = paper_table(0.0, 0.0)[:4]
+ICL_TABLE = (Pairing("v1", "v2", 1.0, "icl"),)
+TCL_TABLE = (Pairing("u1", "u2", 1.0, "tcl"),)
+FOUR_VIEWS = ("u1", "u2", "v1", "v2")
+
+
+def clip_loss(U, V, temp):
+    return total_loss({"u1": U, "v1": V}, temp, CLIP_TABLE)
+
+
+def mvs_loss(U1, U2, V1, V2, temp):
+    return total_loss(dict(zip(FOUR_VIEWS, (U1, U2, V1, V2))), temp, MVS_TABLE)
+
+
+def icl_loss(V1, V2, temp):
+    return total_loss({"v1": V1, "v2": V2}, temp, ICL_TABLE)
+
+
+def tcl_loss(U1, U2, temp):
+    return total_loss({"u1": U1, "u2": U2}, temp, TCL_TABLE)
+
+
+def paper_loss(U1, U2, V1, V2, temp, lambda_icl=1.0, lambda_tcl=0.5):
+    return total_loss(dict(zip(FOUR_VIEWS, (U1, U2, V1, V2))), temp, paper_table(lambda_icl, lambda_tcl))
+
+
+# view names bound, in order, to each helper's batch arguments
+ARG_VIEWS = {
+    clip_loss: ("u1", "v1"),
+    mvs_loss: FOUR_VIEWS,
+    icl_loss: ("v1", "v2"),
+    tcl_loss: ("u1", "u2"),
+    paper_loss: FOUR_VIEWS,
+}
 
 
 def random_batch(rng, n, d, role="image"):
@@ -163,7 +196,7 @@ def test_temperature_monotonicity_at_perfect_alignment():
         assert hi < lo
 
 
-# -------------------------------------------------------- mvs / icl / tcl / total
+# ---------------------------------------------- mvs / icl / tcl / paper table
 
 
 def test_mvs_collapse_equals_clip_bitwise():
@@ -217,7 +250,7 @@ def test_total_weighted_arithmetic():
     U1, U2 = random_batch(rng, 4, 6, "text"), random_batch(rng, 4, 6, "text")
     V1, V2 = random_batch(rng, 4, 6, "image"), random_batch(rng, 4, 6, "image")
     temp = Temperature.from_tau(0.3)
-    out = total_loss(U1, U2, V1, V2, temp, LossWeights(1.0, 0.5))
+    out = paper_loss(U1, U2, V1, V2, temp, 1.0, 0.5)
     mvs = mvs_loss(U1, U2, V1, V2, temp).value
     icl = icl_loss(V1, V2, temp).value
     tcl = tcl_loss(U1, U2, temp).value
@@ -227,20 +260,19 @@ def test_total_weighted_arithmetic():
     assert out.components["tcl"] == tcl
 
 
-def test_total_component_weighting_example():
-    # components (1.0, 0.4, 0.2) with weights (1.0, 0.5) -> 1.0 + 0.4 + 0.1
-    assert 1.0 + 1.0 * 0.4 + 0.5 * 0.2 == pytest.approx(1.5, abs=1e-15)
-
-
 def test_total_zero_weights_equals_mvs():
     rng = np.random.default_rng(9)
     U1, U2 = random_batch(rng, 3, 4, "text"), random_batch(rng, 3, 4, "text")
     V1, V2 = random_batch(rng, 3, 4, "image"), random_batch(rng, 3, 4, "image")
     temp = Temperature.from_tau(1.2)
-    out = total_loss(U1, U2, V1, V2, temp, LossWeights(0.0, 0.0))
-    assert out.value == mvs_loss(U1, U2, V1, V2, temp).value
-    for g, gm in zip(out.grad_inputs, mvs_loss(U1, U2, V1, V2, temp).grad_inputs):
-        np.testing.assert_array_equal(g, gm)
+    out = paper_loss(U1, U2, V1, V2, temp, 0.0, 0.0)
+    mvs = mvs_loss(U1, U2, V1, V2, temp)
+    assert out.value == mvs.value
+    for name in FOUR_VIEWS:
+        np.testing.assert_array_equal(out.grad_views[name], mvs.grad_views[name])
+    # zero-weight rows are still evaluated, so their components stay in the log
+    assert out.components["icl"] == icl_loss(V1, V2, temp).value
+    assert out.components["tcl"] == tcl_loss(U1, U2, temp).value
 
 
 def test_total_gradient_is_weighted_sum_of_component_gradients():
@@ -248,21 +280,21 @@ def test_total_gradient_is_weighted_sum_of_component_gradients():
     U1, U2 = random_batch(rng, 4, 5, "text"), random_batch(rng, 4, 5, "text")
     V1, V2 = random_batch(rng, 4, 5, "image"), random_batch(rng, 4, 5, "image")
     temp = Temperature.from_tau(0.4)
-    w = LossWeights(0.8, 0.3)
-    out = total_loss(U1, U2, V1, V2, temp, w)
+    li, lt = 0.8, 0.3
+    out = paper_loss(U1, U2, V1, V2, temp, li, lt)
     mvs = mvs_loss(U1, U2, V1, V2, temp)
     icl = icl_loss(V1, V2, temp)
     tcl = tcl_loss(U1, U2, temp)
-    want = (
-        mvs.grad_inputs[0] + w.lambda_tcl * tcl.grad_inputs[0],
-        mvs.grad_inputs[1] + w.lambda_tcl * tcl.grad_inputs[1],
-        mvs.grad_inputs[2] + w.lambda_icl * icl.grad_inputs[0],
-        mvs.grad_inputs[3] + w.lambda_icl * icl.grad_inputs[1],
-    )
-    for got, expect in zip(out.grad_inputs, want):
-        assert max_relative_error(got, expect) <= 1e-12
+    want = {
+        "u1": mvs.grad_views["u1"] + lt * tcl.grad_views["u1"],
+        "u2": mvs.grad_views["u2"] + lt * tcl.grad_views["u2"],
+        "v1": mvs.grad_views["v1"] + li * icl.grad_views["v1"],
+        "v2": mvs.grad_views["v2"] + li * icl.grad_views["v2"],
+    }
+    for name, expect in want.items():
+        assert max_relative_error(out.grad_views[name], expect) <= 1e-12
     assert out.grad_log_tau == pytest.approx(
-        mvs.grad_log_tau + w.lambda_icl * icl.grad_log_tau + w.lambda_tcl * tcl.grad_log_tau, rel=1e-12
+        mvs.grad_log_tau + li * icl.grad_log_tau + lt * tcl.grad_log_tau, rel=1e-12
     )
 
 
@@ -287,7 +319,7 @@ def composed(loss_builder, num_inputs):
         (mvs_loss, 4),
         (icl_loss, 2),
         (tcl_loss, 2),
-        (lambda *a: total_loss(*a, LossWeights(1.0, 0.5)), 4),
+        (paper_loss, 4),
     ],
 )
 def test_analytic_gradients_match_finite_differences(builder, num_batches):
@@ -299,8 +331,8 @@ def test_analytic_gradients_match_finite_differences(builder, num_batches):
         fd = finite_diff_grad(f, raws + [log_tau], epsilon=1e-5)
         batches = [l2_normalize(r) for r in raws]
         out = builder(*batches, Temperature(float(log_tau)))
-        for raw, grad_emb, fd_grad in zip(raws, out.grad_inputs, fd[:-1]):
-            analytic = l2_normalize_vjp(raw, grad_emb)
+        for raw, name, fd_grad in zip(raws, ARG_VIEWS[builder], fd[:-1]):
+            analytic = l2_normalize_vjp(raw, out.grad_views[name])
             assert max_relative_error(analytic, fd_grad) <= 1e-4
         assert max_relative_error(np.array(out.grad_log_tau), fd[-1]) <= 1e-4
 

@@ -280,10 +280,11 @@ def test_batch_independent_of_study_order(engine):
     assert fwd.t1 == rev.t1[::-1]
 
 
-def test_batch_error_carries_study_id(engine):
+@pytest.mark.parametrize("mode", ["pairs", "study_single", "single"])
+def test_batch_error_carries_study_id(engine, mode):
     bad = Study(id="weird", images=[StudyImage(grid_image(8), "PA")], labels={"Zebra": "positive"})
     with pytest.raises(SamplingError, match="weird"):
-        make_batch([bad], SamplerConfig(), engine, seed=0)
+        make_batch([bad], SamplerConfig(mode=mode), engine, seed=0)
 
 
 def test_augmentation_fallback_flag_consistency(engine):
@@ -343,6 +344,17 @@ def test_inline_pixel_records(tmp_path):
     )
     (study,) = load_studies(path)
     np.testing.assert_allclose(study.images[0].pixels, [[0.0, 1.0], [0.5, 0.25]])
+
+
+def test_non_finite_pixels_rejected(tmp_path):
+    # json.loads accepts NaN, so a record can carry it straight into the pixel grid
+    path = tmp_path / "nan.jsonl"
+    path.write_text(
+        '{"id": "s1", "images": [{"view": "PA", "pixels": [[NaN, 0.5], [0.5, 0.5]]}], "findings": "Lungs are clear."}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError, match="finite"):
+        load_studies(path)
 
 
 def test_study_invariants_enforced():
