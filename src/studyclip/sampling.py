@@ -11,10 +11,11 @@ With ``augment`` off, the fallback second views of ``pairs`` use identity
 augmentation parameters (no crop, CLAHE, brightness or contrast change, text
 unchanged) and the single modes skip augmentation.
 
-``make_batch`` is the only batch path, for every mode. It derives each
+``assemble_batch`` is the one batch loop, for every mode: it derives each
 study's sub-seed deterministically from (global seed, study id), so batches
 are reproducible and order-independent workers could assemble them
-concurrently.
+concurrently, and it tags a per-study failure with the study id.
+``make_batch`` picks the per-study sampler for the configured mode.
 """
 
 from __future__ import annotations
@@ -181,21 +182,28 @@ def sample_single(study: Study, cfg: SamplerConfig, engine: PromptEngine, rng) -
     return SampledPair(x1=img, x2=img, t1=text, t2=text, text_source="single")
 
 
-def make_batch(studies: list[Study], cfg: SamplerConfig, engine: PromptEngine, seed: int) -> StudyBatch:
-    """One SampledPair per study in cfg.mode, assembled with per-study derived sub-seeds."""
+def assemble_batch(
+    studies: list[Study], sample, cfg: SamplerConfig, engine: PromptEngine, seed: int
+) -> StudyBatch:
+    """One ``sample(study, cfg, engine, rng)`` per study, each rng derived from (seed, study id)."""
     if not studies:
         raise ValueError("cannot assemble a batch from zero studies")
-    sample = sample_pair if cfg.mode == "pairs" else sample_single
     pairs = []
     for study in studies:
         try:
             pairs.append(sample(study, cfg, engine, study_rng(seed, study.id)))
         except Exception as err:
             raise SamplingError(f"study {study.id!r}: {err}") from err
+    x1 = np.stack([p.x1 for p in pairs])
     return StudyBatch(
-        x1=np.stack([p.x1 for p in pairs]),
-        x2=np.stack([p.x2 for p in pairs]),
+        x1=x1,
+        x2=np.stack([p.x2 for p in pairs]) if cfg.mode == "pairs" else x1,
         t1=[p.t1 for p in pairs],
         t2=[p.t2 for p in pairs],
         pairs=pairs,
     )
+
+
+def make_batch(studies: list[Study], cfg: SamplerConfig, engine: PromptEngine, seed: int) -> StudyBatch:
+    """The batch of cfg.mode: ``sample_pair`` per study for pairs, ``sample_single`` otherwise."""
+    return assemble_batch(studies, sample_pair if cfg.mode == "pairs" else sample_single, cfg, engine, seed)

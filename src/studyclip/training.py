@@ -1,7 +1,7 @@
 """Training loop: batches, table-driven objective, decoupled-decay adaptive updates.
 
-Each step assembles one batch through ``sampling.make_batch`` in the
-configured sampling mode and scores it with the loss table of
+Each step assembles one batch in the configured sampling mode through the
+sampler's batch loop and scores it with the loss table of
 ``TrainConfig.loss_table``: the paper's six pairings for ``pairs``, the
 single (u1, v1) pairing for the single modes. Each view the table names is
 encoded once; the gradient of each view is propagated back through its
@@ -46,7 +46,7 @@ from .encoders import (
 )
 from .losses import CLIP_TABLE, EmbeddingBatch, Pairing, ShapeMismatch, Temperature, paper_table, total_loss
 from .prompts import PromptEngine
-from .sampling import SAMPLING_MODES, SamplerConfig, make_batch
+from .sampling import SAMPLING_MODES, SamplerConfig, assemble_batch, make_batch, sample_single
 from .studies import Study
 
 
@@ -392,13 +392,25 @@ def _batch_loss(model: TrainedModel, batch, table: tuple[Pairing, ...], with_gra
     return out, grads
 
 
+def _sample_batch(studies, sampler_cfg: SamplerConfig, engine, seed: int):
+    """The batch ``make_batch`` gives, with single modes sampled through this module's names.
+
+    perfbench times the names ``training`` calls: passing ``sample_single`` from here keeps
+    its per-study span ``sampling.sample_single``. Once the benchmark drops that span, call
+    ``make_batch`` for every mode.
+    """
+    if sampler_cfg.mode == "pairs":
+        return make_batch(studies, sampler_cfg, engine, seed)
+    return assemble_batch(studies, sample_single, sampler_cfg, engine, seed)
+
+
 def validation_loss(model: TrainedModel, studies, cfg: TrainConfig, engine) -> float:
     """Mean batch loss over the validation set with a fixed sampling seed."""
     val_seed = cfg.seed + 7919  # fixed offset: same batches every epoch
     sampler_cfg, table = cfg.sampler_config(), cfg.loss_table()
     values = []
     for start in range(0, len(studies), cfg.batch_studies):
-        batch = make_batch(studies[start : start + cfg.batch_studies], sampler_cfg, engine, val_seed)
+        batch = _sample_batch(studies[start : start + cfg.batch_studies], sampler_cfg, engine, val_seed)
         out, _ = _batch_loss(model, batch, table, with_grads=False)
         values.append(out.value)
     return float(np.mean(values))
@@ -442,7 +454,7 @@ def train(
         order = order_rng.permutation(len(dataset))
         for start in range(0, len(dataset), cfg.batch_studies):
             chunk = [dataset[int(i)] for i in order[start : start + cfg.batch_studies]]
-            batch = make_batch(chunk, sampler_cfg, engine, seed=cfg.seed * 1_000_003 + step)
+            batch = _sample_batch(chunk, sampler_cfg, engine, seed=cfg.seed * 1_000_003 + step)
             out, grads = _batch_loss(model, batch, table, with_grads=True)
             if not math.isfinite(out.value):
                 raise NumericError(step=step, value=out.value)

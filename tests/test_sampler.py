@@ -280,6 +280,14 @@ def test_batch_independent_of_study_order(engine):
     assert fwd.t1 == rev.t1[::-1]
 
 
+@pytest.mark.parametrize("mode", ["study_single", "single"])
+def test_single_modes_share_one_image_array(engine, mode):
+    cfg = SamplerConfig(image_aug=ImageAugConfig(output_size=8), mode=mode)
+    batch = make_batch(studies_for_batch(6), cfg, engine, seed=0)
+    assert batch.x2 is batch.x1 and batch.x1.shape == (6, 8, 8)
+    assert batch.t2 == batch.t1
+
+
 @pytest.mark.parametrize("mode", ["pairs", "study_single", "single"])
 def test_batch_error_carries_study_id(engine, mode):
     bad = Study(id="weird", images=[StudyImage(grid_image(8), "PA")], labels={"Zebra": "positive"})
