@@ -67,9 +67,7 @@ def recall_at_k(image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10)) ->
     diag = sims[np.arange(n), np.arange(n)]
     # rank = number of strictly better candidates + equal candidates at lower index
     better = np.sum(sims > diag[:, None], axis=1)
-    ties_before = np.array(
-        [np.sum(sims[i, :i] == diag[i]) for i in range(n)], dtype=np.int64
-    )
+    ties_before = np.tril(sims == diag[:, None], -1).sum(axis=1)
     ranks = better + ties_before
     recalls = {int(k): float(np.mean(ranks < k)) for k in ks}
     ordered = sorted(recalls)
@@ -100,16 +98,9 @@ def auc_exact(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("need at least one positive and one negative label")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty_like(scores)
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # mid-rank, 1-based
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # 1-based mid-rank of each group of equal scores: its last rank minus half its width
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum_pos = float(np.sum(ranks[labels == 1]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -14,8 +14,12 @@ punctuation) with capitalization kept exactly as written in the templates.
 The grammar file carries one entry per line, ``kind|name|polarity|template``,
 where kind is ``template`` or ``expr`` and polarity is ``positive``,
 ``negative`` or ``both``. Classes without a class-specific template fall back
-to the ``default`` template of the requested polarity with ``{E}`` resolved
-from their ``expr`` entry.
+to the ``default`` template of the requested polarity. Every ``{E}`` slot is
+resolved when the grammar loads, against the class's ``expr`` entry of that
+polarity, so the engine holds one finished template per (class, value). An
+entry that could never render (a template slot with no expression, an
+expression holding ``{E}``, an expression with no template to go in) is a
+grammar error raised by ``PromptEngine.from_path``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class TemplateSyntaxError(ValueError):
 
 
 class UnresolvedSlot(KeyError):
-    """A {E} slot was found but no class expression was supplied."""
+    """A {E} slot was found where no class expression can fill it."""
 
 
 class ExplosionError(RuntimeError):
@@ -199,66 +203,66 @@ def serialize_template(t: Template) -> str:
     raise TypeError(f"not a template node: {t!r}")
 
 
-def _contains_slot(t: Template) -> bool:
+def resolve_slots(t: Template, expr: Template | None) -> Template:
+    """``t`` with every {E} slot replaced by ``expr``; a slot raises UnresolvedSlot
+    when ``expr`` is None or holds a slot itself."""
     if isinstance(t, ExprSlot):
-        return True
+        if expr is None:
+            raise UnresolvedSlot("template has a {E} slot but no class expression was given")
+        return resolve_slots(expr, None)
     if isinstance(t, Choice):
-        return any(_contains_slot(o) for o in t.options)
+        return Choice(tuple(resolve_slots(o, expr) for o in t.options))
     if isinstance(t, Concat):
-        return any(_contains_slot(p) for p in t.parts)
-    return False
+        return Concat(tuple(resolve_slots(p, expr) for p in t.parts))
+    return t
 
 
-def expand_template(t: Template, class_expr: Template | None, rng: np.random.Generator) -> str:
+def expand_template(t: Template, rng: np.random.Generator) -> str:
     """One random expansion: each choice node sampled uniformly, output normalized."""
-    return _normalize(_expand_raw(t, class_expr, rng))
+    return _normalize(_expand_raw(t, rng))
 
 
-def _expand_raw(t: Template, class_expr: Template | None, rng) -> str:
+def _expand_raw(t: Template, rng) -> str:
     if isinstance(t, Literal):
         return t.text
     if isinstance(t, Blank):
         return ""
-    if isinstance(t, ExprSlot):
-        if class_expr is None:
-            raise UnresolvedSlot("template has a {E} slot but no class expression was given")
-        return _expand_raw(class_expr, None, rng)
     if isinstance(t, Choice):
         pick = int(rng.integers(len(t.options)))
-        return _expand_raw(t.options[pick], class_expr, rng)
+        return _expand_raw(t.options[pick], rng)
     if isinstance(t, Concat):
-        return " ".join(_expand_raw(p, class_expr, rng) for p in t.parts)
+        return " ".join(_expand_raw(p, rng) for p in t.parts)
+    if isinstance(t, ExprSlot):
+        raise UnresolvedSlot("template has an unresolved {E} slot")
     raise TypeError(f"not a template node: {t!r}")
 
 
-def enumerate_expansions(t: Template, class_expr: Template | None, cap: int = 100_000) -> set[str]:
+def enumerate_expansions(t: Template, cap: int = 100_000) -> set[str]:
     """Complete expansion set (normalized, deduplicated); ExplosionError beyond cap."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     out: set[str] = set()
-    for raw in _enumerate_raw(t, class_expr):
+    for raw in _enumerate_raw(t):
         out.add(_normalize(raw))
         if len(out) > cap:
             raise ExplosionError(f"expansion set exceeds cap {cap}")
     return out
 
 
-def _enumerate_raw(t: Template, class_expr: Template | None):
+def _enumerate_raw(t: Template):
     if isinstance(t, Literal):
         yield t.text
     elif isinstance(t, Blank):
         yield ""
-    elif isinstance(t, ExprSlot):
-        if class_expr is None:
-            raise UnresolvedSlot("template has a {E} slot but no class expression was given")
-        yield from _enumerate_raw(class_expr, None)
     elif isinstance(t, Choice):
         for option in t.options:
-            yield from _enumerate_raw(option, class_expr)
+            yield from _enumerate_raw(option)
     elif isinstance(t, Concat):
-        part_sets = [list(_enumerate_raw(p, class_expr)) for p in t.parts]
+        part_sets = [list(_enumerate_raw(p)) for p in t.parts]
         for combo in itertools.product(*part_sets):
             yield " ".join(combo)
+    elif isinstance(t, ExprSlot):
+        raise UnresolvedSlot("template has an unresolved {E} slot")
     else:
         raise TypeError(f"not a template node: {t!r}")
 
@@ -266,26 +270,15 @@ def _enumerate_raw(t: Template, class_expr: Template | None):
 # -------------------------------------------------------------- prompt engine
 
 
-@dataclass(frozen=True)
-class PromptSet:
-    class_name: str
-    value: str
-    sentences: frozenset[str]
-
-
 @dataclass
 class PromptEngine:
-    """Parsed grammar: sentence templates plus per-class expression sets."""
+    """Parsed grammar: one slot-free template per (class, value)."""
 
-    templates: dict[tuple[str, str], Template]
-    expressions: dict[tuple[str, str], Template]
-    source_path: str | None = None
+    prompts: dict[tuple[str, str], Template]
     classes: list[str] = field(init=False)
 
     def __post_init__(self):
-        names = {name for name, _ in self.templates if name != "default"}
-        names |= {name for name, _ in self.expressions}
-        self.classes = sorted(names)
+        self.classes = sorted({name for name, _ in self.prompts})
 
     # -- loading
 
@@ -315,7 +308,21 @@ class PromptEngine:
                 if key in target:
                     raise ValueError(f"{path}:{lineno}: duplicate entry for {key}")
                 target[key] = tree
-        return cls(templates=templates, expressions=expressions, source_path=str(path))
+        prompts: dict[tuple[str, str], Template] = {}
+        for name, pol in sorted({k for k in templates if k[0] != "default"} | set(expressions)):
+            where = f"{path}: class {name!r}, {pol}"
+            template = templates.get((name, pol), templates.get(("default", pol)))
+            if template is None:
+                raise ValueError(f"{where}: no class template and no default {pol} template")
+            expr = expressions.get((name, pol))
+            try:
+                prompts[(name, pol)] = resolve_slots(template, expr)
+                if expr is not None:
+                    resolve_slots(expr, None)
+            except UnresolvedSlot:
+                problem = "the expression holds" if expr is not None else "no expression fills"
+                raise ValueError(f"{where}: {problem} a {{E}} slot") from None
+        return cls(prompts)
 
     @classmethod
     def default(cls) -> "PromptEngine":
@@ -324,37 +331,21 @@ class PromptEngine:
             return cls.from_path(override)
         return cls.from_path(default_grammar_path())
 
-    # -- lookup
-
-    def _select(self, class_name: str, value: str):
-        if value not in (POSITIVE, NEGATIVE):
-            raise UnsupportedValue(f"prompts exist only for positive/negative, got {value!r}")
-        template = self.templates.get((class_name, value))
-        expr = self.expressions.get((class_name, value))
-        if template is None:
-            if expr is None:
-                raise NoTemplateError(f"no prompt set for ({class_name!r}, {value!r})")
-            template = self.templates[("default", value)]
-        if _contains_slot(template) and expr is None:
-            raise UnresolvedSlot(f"template for ({class_name!r}, {value!r}) needs an expression set")
-        return template, expr
-
-    def has_prompt(self, class_name: str, value: str) -> bool:
-        try:
-            self._select(class_name, value)
-        except (NoTemplateError, UnsupportedValue, UnresolvedSlot):
-            return False
-        return True
-
     # -- rendering
 
-    def render_prompt(self, class_name: str, value: str, rng: np.random.Generator) -> str:
-        template, expr = self._select(class_name, value)
-        return expand_template(template, expr, rng)
+    def _prompt(self, class_name: str, value: str) -> Template:
+        try:
+            return self.prompts[(class_name, value)]
+        except KeyError:
+            if value not in (POSITIVE, NEGATIVE):
+                raise UnsupportedValue(f"prompts exist only for positive/negative, got {value!r}") from None
+            raise NoTemplateError(f"no prompt set for ({class_name!r}, {value!r})") from None
 
-    def prompt_set(self, class_name: str, value: str, cap: int = 100_000) -> PromptSet:
-        template, expr = self._select(class_name, value)
-        return PromptSet(class_name, value, frozenset(enumerate_expansions(template, expr, cap)))
+    def render_prompt(self, class_name: str, value: str, rng: np.random.Generator) -> str:
+        return expand_template(self._prompt(class_name, value), rng)
+
+    def prompt_set(self, class_name: str, value: str, cap: int = 100_000) -> frozenset[str]:
+        return frozenset(enumerate_expansions(self._prompt(class_name, value), cap))
 
     def build_study_text(
         self,
@@ -370,7 +361,7 @@ class PromptEngine:
         """
         positives = sorted(c for c, v in labels.items() if v == POSITIVE)
         negatives = sorted(
-            c for c, v in labels.items() if v == NEGATIVE and self.has_prompt(c, NEGATIVE)
+            c for c, v in labels.items() if v == NEGATIVE and (c, NEGATIVE) in self.prompts
         )
         if negative_sample_count is not None:
             k = min(negative_sample_count, len(negatives))

@@ -108,6 +108,8 @@ class TrainConfig:
             raise ConfigError("warmup_epochs must be smaller than epochs")
         if self.lambda_icl < 0 or self.lambda_tcl < 0:
             raise ConfigError("loss weights must be non-negative")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be positive or None, got {self.grad_clip}")
         if self.sampling_mode not in SAMPLING_MODES:
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
         if self.sampling_mode != "pairs" and (self.lambda_icl > 0 or self.lambda_tcl > 0):
@@ -320,8 +322,8 @@ def corpus_texts(studies: list[Study], engine: PromptEngine) -> list[str]:
                 if value in ("positive", "negative"):
                     values_seen.add((cls, value))
     for cls, value in sorted(values_seen):
-        if engine.has_prompt(cls, value):
-            texts.extend(sorted(engine.prompt_set(cls, value).sentences))
+        if (cls, value) in engine.prompts:
+            texts.extend(sorted(engine.prompt_set(cls, value)))
     for cls in engine.classes:
         pos, neg = engine.eval_prompt_pair(cls, "simple")
         texts.extend([pos, neg])

@@ -1,0 +1,51 @@
+import numpy as np
+import pytest
+
+from studyclip.metrics import auc_exact, recall_at_k
+
+
+def brute_force_ranks(sims: np.ndarray) -> np.ndarray:
+    """Rank of the paired text: strictly better candidates plus equal ones at a lower index."""
+    n = sims.shape[0]
+    ranks = []
+    for i in range(n):
+        better = sum(1 for j in range(n) if sims[i, j] > sims[i, i])
+        ties_before = sum(1 for j in range(i) if sims[i, j] == sims[i, i])
+        ranks.append(better + ties_before)
+    return np.array(ranks)
+
+
+def brute_force_auc(scores, labels) -> float:
+    pos = [s for s, y in zip(scores, labels) if y == 1]
+    neg = [s for s, y in zip(scores, labels) if y == 0]
+    wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
+    return wins / (len(pos) * len(neg))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_recall_with_tied_similarities_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 40))
+    # small integer embeddings give integer similarities with many ties
+    images = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+    texts = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+    ranks = brute_force_ranks(images @ texts.T)
+    result = recall_at_k(images, texts)
+    np.testing.assert_array_equal(result.ranks, ranks)
+    assert result.recalls == {k: float(np.mean(ranks < k)) for k in (1, 5, 10)}
+
+
+def test_recall_all_tied_ranks_by_index():
+    result = recall_at_k(np.ones((12, 2)), np.ones((12, 2)))
+    np.testing.assert_array_equal(result.ranks, np.arange(12))
+    assert result.recalls == {1: 1 / 12, 5: 5 / 12, 10: 10 / 12}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_auc_with_ties_matches_brute_force_pair_count(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 60))
+    scores = np.round(rng.normal(size=n), int(rng.integers(0, 2)))
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    assert auc_exact(scores, labels) == brute_force_auc(scores, labels)

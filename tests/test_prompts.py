@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from studyclip.prompts import (
     enumerate_expansions,
     expand_template,
     parse_template,
+    resolve_slots,
     serialize_template,
 )
 
@@ -68,9 +71,7 @@ def test_parse_slot_inline():
 
 
 def test_default_negative_enumeration_includes_there_is_no(engine):
-    template = engine.templates[("default", "negative")]
-    expr = engine.expressions[("Pneumonia", "negative")]
-    expansions = enumerate_expansions(template, expr)
+    expansions = enumerate_expansions(engine.prompts[("Pneumonia", "negative")])
     assert "There is no Pneumonia." in expansions
 
 
@@ -100,21 +101,33 @@ def test_parse_errors_carry_position(bad):
 
 
 def test_expand_deterministic_under_seed(engine):
-    template = engine.templates[("default", "positive")]
-    expr = engine.expressions[("Pneumothorax", "positive")]
-    a = expand_template(template, expr, np.random.default_rng(123))
-    b = expand_template(template, expr, np.random.default_rng(123))
+    template = engine.prompts[("Pneumothorax", "positive")]
+    a = expand_template(template, np.random.default_rng(123))
+    b = expand_template(template, np.random.default_rng(123))
     assert a == b
 
 
 def test_expand_unresolved_slot():
     with pytest.raises(UnresolvedSlot):
-        expand_template(parse_template("no {E}."), None, np.random.default_rng(0))
+        expand_template(parse_template("no {E}."), np.random.default_rng(0))
+    with pytest.raises(UnresolvedSlot):
+        enumerate_expansions(parse_template("[a, no {E}.]"))
+
+
+def test_resolve_slots_substitutes_expression_tree():
+    expr = parse_template("[x, y]")
+    resolved = resolve_slots(parse_template("[no {E}., {E} seen.]"), expr)
+    assert resolved == parse_template("[no [x, y]., [x, y] seen.]")
+    assert enumerate_expansions(resolved) == {"no x.", "no y.", "x seen.", "y seen."}
+    with pytest.raises(UnresolvedSlot):
+        resolve_slots(parse_template("no {E}."), None)
+    with pytest.raises(UnresolvedSlot):
+        resolve_slots(parse_template("no {E}."), parse_template("[a, {E}]"))
 
 
 def test_enumerate_product_count():
     tree = parse_template("[a, b] + [x, y, z]")
-    assert enumerate_expansions(tree, None) == {
+    assert enumerate_expansions(tree) == {
         "a x", "a y", "a z", "b x", "b y", "b z",
     }
 
@@ -122,18 +135,18 @@ def test_enumerate_product_count():
 def test_enumerate_cap_explosion():
     tree = parse_template("[a, b] + [x, y, z]")
     with pytest.raises(ExplosionError):
-        enumerate_expansions(tree, None, cap=5)
+        enumerate_expansions(tree, cap=5)
 
 
 def test_cardiomegaly_positive_has_exactly_20_expansions(engine):
-    assert len(engine.prompt_set("Cardiomegaly", "positive").sentences) == 20
+    assert len(engine.prompt_set("Cardiomegaly", "positive")) == 20
 
 
 def test_sampled_expansion_always_in_enumerated_set(engine):
     rng = np.random.default_rng(7)
     for class_name in ("Cardiomegaly", "Fibrosis", "Lung Lesion"):
         for value in ("positive", "negative"):
-            sentences = engine.prompt_set(class_name, value).sentences
+            sentences = engine.prompt_set(class_name, value)
             for _ in range(500):
                 assert engine.render_prompt(class_name, value, rng) in sentences
 
@@ -154,7 +167,7 @@ def test_choice_sampling_is_uniform():
     n = 100_000
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     for _ in range(n):
-        counts[expand_template(tree, None, rng)] += 1
+        counts[expand_template(tree, rng)] += 1
     p = 1.0 / 4.0
     tol = 3.0 * np.sqrt(p * (1 - p) / n)
     for c in counts.values():
@@ -195,29 +208,26 @@ def test_uncertain_value_unsupported(engine):
 
 
 def test_lung_lesion_has_distinct_negative_expressions(engine):
-    pos = engine.prompt_set("Lung Lesion", "positive").sentences
-    neg = engine.prompt_set("Lung Lesion", "negative").sentences
+    pos = engine.prompt_set("Lung Lesion", "positive")
+    neg = engine.prompt_set("Lung Lesion", "negative")
     assert "There is lung lesion." in pos
     # negatives use the nodule/mass expression set, not the positive one
-    assert engine.expressions[("Lung Lesion", "positive")] != engine.expressions[
-        ("Lung Lesion", "negative")
-    ]
     assert "There is no lung lesion." not in neg
     assert any("nodules or masses" in s for s in neg)
 
 
 def test_pneumothorax_negative_includes_no_is_noted_family(engine):
-    sentences = engine.prompt_set("Pneumothorax", "negative").sentences
+    sentences = engine.prompt_set("Pneumothorax", "negative")
     assert "No Pneumothorax is noted." in sentences
 
 
 def test_edema_positive_includes_findings_family(engine):
-    sentences = engine.prompt_set("Edema", "positive").sentences
+    sentences = engine.prompt_set("Edema", "positive")
     assert "Findings are suggestive of Pulmonary edema." in sentences
 
 
 def test_no_finding_positive_lungs_clear(engine):
-    assert "the lungs are clear." in engine.prompt_set("No Finding", "positive").sentences
+    assert "the lungs are clear." in engine.prompt_set("No Finding", "positive")
 
 
 # ----------------------------------------------------------- build_study_text
@@ -229,7 +239,7 @@ def sentence_count(text):
 
 def test_build_single_class(engine):
     out = engine.build_study_text({"Cardiomegaly": "positive"}, np.random.default_rng(3))
-    assert out in engine.prompt_set("Cardiomegaly", "positive").sentences
+    assert out in engine.prompt_set("Cardiomegaly", "positive")
 
 
 def test_build_skips_uncertain_and_none(engine):
@@ -296,8 +306,12 @@ def test_eval_prompt_pair_rejects_empty_class(engine):
 
 
 def test_grammar_covers_all_18_expression_classes(engine):
-    covered = {name for name, _ in engine.expressions}
-    assert covered == set(EXPRESSION_CLASSES)
+    # the three template-only classes carry no expression entry
+    template_only = {"Cardiomegaly", "Enlarged Cardiomediastinum", "No Finding"}
+    assert set(engine.classes) == set(EXPRESSION_CLASSES) | template_only
+    for class_name in EXPRESSION_CLASSES:
+        assert (class_name, "positive") in engine.prompts
+        assert (class_name, "negative") in engine.prompts
 
 
 def test_grammar_loadable_from_env_override(tmp_path, monkeypatch):
@@ -311,6 +325,63 @@ def test_grammar_loadable_from_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("STUDYCLIP_GRAMMAR", str(grammar))
     engine = PromptEngine.default()
     assert engine.classes == ["Thing"]
-    assert engine.prompt_set("Thing", "positive").sentences == frozenset(
+    assert engine.prompt_set("Thing", "positive") == frozenset(
         {"thing is here.", "object is here."}
     )
+
+
+@pytest.mark.parametrize(
+    "entries, class_name, polarity",
+    [
+        ("template|Thing|positive|no {E}.\n", "Thing", "positive"),
+        ("template|default|negative|no {E}.\nexpr|Thing|negative|[a, {E}]\n", "Thing", "negative"),
+        ("template|default|positive|{E}.\nexpr|Thing|both|[thing]\n", "Thing", "negative"),
+    ],
+    ids=["slot_without_expression", "expression_holds_slot", "no_default_template"],
+)
+def test_unrenderable_grammar_fails_at_load(tmp_path, entries, class_name, polarity):
+    grammar = tmp_path / "bad.grammar"
+    grammar.write_text(entries, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        PromptEngine.from_path(grammar)
+    message = str(err.value)
+    assert str(grammar) in message
+    assert repr(class_name) in message and polarity in message
+
+
+# ------------------------------------------------------------- golden stream
+
+GOLDEN_LABELS = {
+    "Atelectasis": "negative",
+    "Cardiomegaly": "negative",
+    "Edema": "positive",
+    "Enlarged Cardiomediastinum": "positive",
+    "Fibrosis": "negative",
+    "Fracture": "none",
+    "Lung Lesion": "negative",
+    "No Finding": "negative",
+    "Nodule": "negative",
+    "Pleural Effusion": "positive",
+    "Pneumothorax": "uncertain",
+    "Support Devices": "negative",
+}
+# SHA-256 of the stream below: a refactor of the grammar or the renderer must
+# keep every rendered bit, since training batches are built from these texts.
+GOLDEN_SHA256 = "aedd1c41a5628b6439ab3f86c1d4e00226472465044a404ed5caab37af9d0045"
+
+
+def test_render_stream_matches_golden_digest(engine):
+    digest = hashlib.sha256()
+    for class_name in engine.classes:
+        for value in ("positive", "negative"):
+            rng = np.random.default_rng(0)
+            try:
+                draws = [engine.render_prompt(class_name, value, rng) for _ in range(200)]
+            except NoTemplateError:
+                continue
+            digest.update("\n".join([class_name, value, *draws, ""]).encode())
+    for seed in range(300):
+        count = (None, 1, 2, 3)[seed % 4]
+        text = engine.build_study_text(GOLDEN_LABELS, np.random.default_rng(seed), count)
+        digest.update(f"{seed}:{text}\n".encode())
+    assert digest.hexdigest() == GOLDEN_SHA256

@@ -100,7 +100,7 @@ def test_labels_give_two_prompt_renderings(engine):
     study = make_study(labels={"Cardiomegaly": "positive"})
     t1, t2, source = sample_texts(study, TextAugConfig(), np.random.default_rng(3), engine)
     assert source == "prompts"
-    sentences = engine.prompt_set("Cardiomegaly", "positive").sentences
+    sentences = engine.prompt_set("Cardiomegaly", "positive")
     assert t1 in sentences and t2 in sentences
 
 

@@ -70,6 +70,17 @@ def test_bool_config_rejects_non_bool_text():
     assert config_from_dict({"augment": "false"}).augment is False
 
 
+@pytest.mark.parametrize("grad_clip, text", [(-1.0, "-1"), (0.0, "0")])
+def test_grad_clip_must_be_positive(grad_clip, text):
+    # clipping rescales by grad_clip / norm: a negative value would flip the gradient, 0 would zero it
+    with pytest.raises(ConfigError, match="grad_clip must be positive"):
+        TrainConfig(grad_clip=grad_clip)
+    with pytest.raises(ConfigError, match="grad_clip must be positive"):
+        config_from_dict({"grad_clip": text})
+    assert config_from_dict({"grad_clip": "none"}).grad_clip is None
+    assert config_from_dict({"grad_clip": "0.5"}).grad_clip == 0.5
+
+
 @pytest.mark.parametrize("mode", ["single", "study_single"])
 def test_single_modes_reject_icl_and_tcl_weights(mode):
     for lambda_icl, lambda_tcl in ((1.0, 0.0), (0.0, 0.5)):
@@ -124,13 +135,40 @@ print(eval_text(study, PromptEngine.default()))
 """
 
 
-def test_eval_text_of_label_only_study_is_the_same_in_every_process():
-    texts = []
+SYNTH_SPLIT_SCRIPT = """
+import hashlib
+from studyclip.prompts import PromptEngine
+from studyclip.synth import SynthSpec, generate_split
+spec = SynthSpec(train_studies=12, valid_studies=4, test_studies=4)
+digest = hashlib.sha256()
+for study in generate_split(spec, "train", 12, 3, PromptEngine.default()):
+    print(study.id, study.findings, study.impression, study.labels)
+    for image in study.images:
+        digest.update(image.view.encode() + image.pixels.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def outputs_under_two_hash_seeds(script: str) -> list[str]:
+    outputs = []
     for hash_seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
         done = subprocess.run(
-            [sys.executable, "-c", EVAL_TEXT_SCRIPT], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
-        texts.append(done.stdout)
+        outputs.append(done.stdout)
+    return outputs
+
+
+def test_eval_text_of_label_only_study_is_the_same_in_every_process():
+    texts = outputs_under_two_hash_seeds(EVAL_TEXT_SCRIPT)
     assert texts[0].strip()
     assert texts[0] == texts[1]
+
+
+def test_synth_split_is_the_same_in_every_process():
+    first, second = outputs_under_two_hash_seeds(SYNTH_SPLIT_SCRIPT)
+    studies = first.splitlines()[:-1]
+    # both label-only studies and report-bearing ones (texts rendered from prompts) occur
+    assert {" None None " in line for line in studies} == {True, False}
+    assert first == second
