@@ -6,15 +6,30 @@ falling back to the impression, falling back to one prompt rendering of the
 label record, seeded from (seed, study id) so every process renders the same.
 Images are resized and encoded ``EVAL_CHUNK`` studies at a time, so memory
 stays bounded for any test-set size.
+
+One evaluation encodes its test images once. ``evaluate_model`` always
+encodes, then keeps one shared entry, (fingerprint, embeddings), with the
+array marked read-only; ``evaluate_binary`` scores against that entry when its
+fingerprint matches and otherwise encodes and replaces it. The fingerprint is
+a SHA-256 over everything the embeddings depend on: ``config.image_size``,
+each ``img.*`` parameter (name, dtype, shape, bytes, in sorted order) and each
+study's first image (dtype, shape, bytes). It does not use ``id()``, since
+addresses are reused once objects are freed, and the entry holds no reference
+to the model or the studies. ``evaluate_model`` never reads the entry, so
+every call to it measures a real encoding. ``eval_image_embeddings`` itself
+shares nothing and returns a fresh, writable array.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
 from .augment import resize_bilinear
 from .encoders import encode_image_batch, encode_text_batch, tokenize
 from .metrics import (
+    DegenerateLabels,
     class_prompt_embeddings,
     recall_at_k,
     zero_shot_binary,
@@ -30,6 +45,17 @@ from .training import TrainedModel
 # which grow with the batch, whatever the size of the test set.
 EVAL_CHUNK = 128
 
+# The test embeddings of the last evaluation: (fingerprint, read-only array).
+_shared_embeddings: tuple[bytes, np.ndarray] | None = None
+
+
+class LabelError(ValueError):
+    """A test study without exactly one known positive class, named by its id."""
+
+    def __init__(self, study_id: str):
+        super().__init__(f"study {study_id!r} lacks exactly one known positive class")
+        self.study_id = study_id
+
 
 def eval_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarray:
     size = model.config.image_size
@@ -41,6 +67,27 @@ def eval_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarr
         )
         chunks.append(encode_image_batch(params, imgs)[0])
     return np.concatenate(chunks)
+
+
+def _fingerprint(model: TrainedModel, studies: list[Study]) -> bytes:
+    """SHA-256 of every input ``eval_image_embeddings`` reads."""
+    digest = hashlib.sha256(f"image_size:{model.config.image_size};".encode())
+    for name in sorted(k for k in model.params if k.startswith("img.")):
+        arr = np.ascontiguousarray(model.params[name])
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape};".encode())
+        digest.update(arr)
+    for study in studies:
+        pixels = np.ascontiguousarray(study.images[0].pixels)
+        digest.update(f"{pixels.dtype.str}:{pixels.shape};".encode())
+        digest.update(pixels)
+    return digest.digest()
+
+
+def _share(fingerprint: bytes, image_embs: np.ndarray) -> np.ndarray:
+    global _shared_embeddings
+    image_embs.flags.writeable = False
+    _shared_embeddings = (fingerprint, image_embs)
+    return image_embs
 
 
 def eval_text(study: Study, engine: PromptEngine, seed: int = 1234) -> str:
@@ -71,7 +118,7 @@ def multiclass_labels(studies: list[Study], class_names: list[str]) -> np.ndarra
     for study in studies:
         positives = [c for c, v in (study.labels or {}).items() if v == "positive"]
         if len(positives) != 1 or positives[0] not in index:
-            raise ValueError(f"study {study.id!r} lacks exactly one known positive class")
+            raise LabelError(study.id)
         labels.append(index[positives[0]])
     return np.array(labels, dtype=np.int64)
 
@@ -85,7 +132,7 @@ def evaluate_model(
 ) -> dict[str, float]:
     """Zero-shot multiclass accuracy plus image-to-text retrieval metrics."""
     engine = engine or PromptEngine.default()
-    image_embs = eval_image_embeddings(model, test_set)
+    image_embs = _share(_fingerprint(model, test_set), eval_image_embeddings(model, test_set))
 
     class_names = positive_classes(test_set)
     labels = multiclass_labels(test_set, class_names)
@@ -121,14 +168,25 @@ def evaluate_binary(
     engine: PromptEngine | None = None,
     prompt_style: str = "simple",
 ) -> dict[str, float]:
-    """One-vs-rest zero-shot AUC using the fixed evaluation prompt pair."""
-    engine = engine or PromptEngine.default()
-    image_embs = eval_image_embeddings(model, test_set)
-    pos_text, neg_text = engine.eval_prompt_pair(class_name, prompt_style)
-    pos_emb, neg_emb = encode_texts(model, [pos_text, neg_text])
+    """One-vs-rest zero-shot AUC using the fixed evaluation prompt pair.
+
+    Scores against the test embeddings ``evaluate_model`` (or an earlier call)
+    shared when their fingerprint matches, else encodes and shares them.
+    """
     labels = np.array(
         [1 if (s.labels or {}).get(class_name) == "positive" else 0 for s in test_set],
         dtype=np.int64,
     )
+    if labels.all() or not labels.any():
+        kind = "negative" if labels.all() else "positive"
+        raise DegenerateLabels(f"class {class_name!r} has no {kind} study among {len(test_set)} test studies")
+    engine = engine or PromptEngine.default()
+    fingerprint = _fingerprint(model, test_set)
+    if _shared_embeddings is not None and _shared_embeddings[0] == fingerprint:
+        image_embs = _shared_embeddings[1]
+    else:
+        image_embs = _share(fingerprint, eval_image_embeddings(model, test_set))
+    pos_text, neg_text = engine.eval_prompt_pair(class_name, prompt_style)
+    pos_emb, neg_emb = encode_texts(model, [pos_text, neg_text])
     result = zero_shot_binary(image_embs, pos_emb, neg_emb, labels)
     return {"auc": result.auc, "n_test": float(len(test_set))}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from studyclip import training
+from studyclip.evalrun import evaluate_model
 from studyclip.prompts import PromptEngine
 from studyclip.synth import SynthSpec, generate_split
 from studyclip.training import (
@@ -19,6 +20,7 @@ from studyclip.training import (
     lr_at,
     optim_step,
     train,
+    validation_loss,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,6 +64,40 @@ def test_early_stop_after_patience_epochs_without_improvement(splits, monkeypatc
     assert [rec.epoch for rec in log.epochs] == [0, 1, 2]
     assert [rec.best for rec in log.epochs] == [True, False, False]
     assert len(log.steps) == 2 * 2  # 10 studies in batches of 8: 2 steps per epoch
+
+
+def test_validation_loss_is_the_unweighted_mean_of_batch_losses(engine, splits, monkeypatch):
+    cfg = tiny_config(epochs=1, warmup_epochs=0, batch_studies=32)
+    model, _ = train(*splits, cfg, engine)
+    valid = generate_split(SynthSpec(valid_studies=40), "valid", 40, 0, engine)
+    batches = []
+    original = training.total_loss
+
+    def recording(views, temp, table):
+        out = original(views, temp, table)
+        batches.append((len(views["u1"].rows), out.value))
+        return out
+
+    monkeypatch.setattr(training, "total_loss", recording)
+    loss = validation_loss(model, valid, cfg, engine)
+    (n_a, a), (n_b, b) = batches
+    assert (n_a, n_b) == (32, 8)
+    assert loss == (a + b) / 2
+    assert loss != pytest.approx((32 * a + 8 * b) / 40)
+
+
+def test_learns_above_chance_on_a_tiny_spec(engine):
+    # lr 5e-3: the default lr (5e-5) stays at chance on this task; at this seed RSUM reads 80,
+    # chance itself, with lr 5e-5 or 0
+    spec = SynthSpec(train_studies=48, valid_studies=16, test_studies=20)
+    train_set, valid_set, test_set = (
+        generate_split(spec, split, count, 0, engine) for split, count in (("train", 48), ("valid", 16), ("test", 20))
+    )
+    cfg = TrainConfig(learning_rate=5e-3, epochs=6, batch_studies=16, early_stop_patience=6)
+    model, log = train(train_set, valid_set, cfg, engine)
+    assert min(rec.val_loss for rec in log.epochs[1:]) < log.epochs[0].val_loss
+    chance_rsum = 100.0 * (1 + 5 + 10) / len(test_set)
+    assert evaluate_model(model, test_set, engine)["rsum"] > chance_rsum
 
 
 def test_bool_config_rejects_non_bool_text():
