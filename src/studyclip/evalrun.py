@@ -7,17 +7,20 @@ label record, seeded from (seed, study id) so every process renders the same.
 Images are resized and encoded ``EVAL_CHUNK`` studies at a time, so memory
 stays bounded for any test-set size.
 
-One evaluation encodes its test images once. ``evaluate_model`` always
-encodes, then keeps one shared entry, (fingerprint, embeddings), with the
-array marked read-only; ``evaluate_binary`` scores against that entry when its
-fingerprint matches and otherwise encodes and replaces it. The fingerprint is
-a SHA-256 over everything the embeddings depend on: ``config.image_size``,
-each ``img.*`` parameter (name, dtype, shape, bytes, in sorted order) and each
-study's first image (dtype, shape, bytes). It does not use ``id()``, since
-addresses are reused once objects are freed, and the entry holds no reference
-to the model or the studies. ``evaluate_model`` never reads the entry, so
-every call to it measures a real encoding. ``eval_image_embeddings`` itself
-shares nothing and returns a fresh, writable array.
+``evaluate_binary`` encodes the test images once for all its calls in one
+evaluation. It keeps one shared entry, (fingerprint, embeddings), with
+the array marked read-only, scores against it when the fingerprint matches,
+and otherwise encodes and replaces it. The fingerprint is a SHA-256 over
+everything the embeddings depend on: ``config.image_size``, each ``img.*``
+parameter (name, dtype, shape, bytes, in sorted order) and each study's first
+image (dtype, shape, bytes). It does not use ``id()``, since addresses are
+reused once objects are freed, and the entry holds no reference to the model
+or the studies. ``evaluate_model`` neither reads nor fills the entry, so a
+caller that only runs it pays no hashing; it drops the entry, since it starts
+a new evaluation. An evaluation, ``evaluate_model`` then ``evaluate_binary``
+per class, so encodes twice, whether or not the same model and test set were
+evaluated before. ``eval_image_embeddings`` itself shares nothing and returns
+a fresh, writable array.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .training import TrainedModel
 # which grow with the batch, whatever the size of the test set.
 EVAL_CHUNK = 128
 
-# The test embeddings of the last evaluation: (fingerprint, read-only array).
+# The test embeddings of the last evaluate_binary call: (fingerprint, read-only array).
 _shared_embeddings: tuple[bytes, np.ndarray] | None = None
 
 
@@ -83,11 +86,15 @@ def _fingerprint(model: TrainedModel, studies: list[Study]) -> bytes:
     return digest.digest()
 
 
-def _share(fingerprint: bytes, image_embs: np.ndarray) -> np.ndarray:
+def _shared_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarray:
+    """The shared test embeddings when their fingerprint matches, else a new encoding that replaces them."""
     global _shared_embeddings
-    image_embs.flags.writeable = False
-    _shared_embeddings = (fingerprint, image_embs)
-    return image_embs
+    fingerprint = _fingerprint(model, studies)
+    if _shared_embeddings is None or _shared_embeddings[0] != fingerprint:
+        image_embs = eval_image_embeddings(model, studies)
+        image_embs.flags.writeable = False
+        _shared_embeddings = (fingerprint, image_embs)
+    return _shared_embeddings[1]
 
 
 def eval_text(study: Study, engine: PromptEngine, seed: int = 1234) -> str:
@@ -131,8 +138,10 @@ def evaluate_model(
     prompt_seed: int = 99,
 ) -> dict[str, float]:
     """Zero-shot multiclass accuracy plus image-to-text retrieval metrics."""
+    global _shared_embeddings
+    _shared_embeddings = None  # a new evaluation: evaluate_binary encodes afresh
     engine = engine or PromptEngine.default()
-    image_embs = _share(_fingerprint(model, test_set), eval_image_embeddings(model, test_set))
+    image_embs = eval_image_embeddings(model, test_set)
 
     class_names = positive_classes(test_set)
     labels = multiclass_labels(test_set, class_names)
@@ -170,8 +179,8 @@ def evaluate_binary(
 ) -> dict[str, float]:
     """One-vs-rest zero-shot AUC using the fixed evaluation prompt pair.
 
-    Scores against the test embeddings ``evaluate_model`` (or an earlier call)
-    shared when their fingerprint matches, else encodes and shares them.
+    Scores against the test embeddings an earlier call shared when their
+    fingerprint matches, else encodes and shares them.
     """
     labels = np.array(
         [1 if (s.labels or {}).get(class_name) == "positive" else 0 for s in test_set],
@@ -181,11 +190,7 @@ def evaluate_binary(
         kind = "negative" if labels.all() else "positive"
         raise DegenerateLabels(f"class {class_name!r} has no {kind} study among {len(test_set)} test studies")
     engine = engine or PromptEngine.default()
-    fingerprint = _fingerprint(model, test_set)
-    if _shared_embeddings is not None and _shared_embeddings[0] == fingerprint:
-        image_embs = _shared_embeddings[1]
-    else:
-        image_embs = _share(fingerprint, eval_image_embeddings(model, test_set))
+    image_embs = _shared_image_embeddings(model, test_set)
     pos_text, neg_text = engine.eval_prompt_pair(class_name, prompt_style)
     pos_emb, neg_emb = encode_texts(model, [pos_text, neg_text])
     result = zero_shot_binary(image_embs, pos_emb, neg_emb, labels)

@@ -410,9 +410,10 @@ def validation_loss(model: TrainedModel, studies, cfg: TrainConfig, engine) -> f
     """Mean batch loss over the validation set with a fixed sampling seed.
 
     The mean is over batches, unweighted: a short last batch counts as much as
-    a full one. Weighting by batch size would not make them comparable, since
-    an InfoNCE loss over n studies has a log n floor, and it would change which
-    epoch is best, and so the trained parameters.
+    a full one. Weighting by batch size would not make them comparable: an
+    InfoNCE loss over n studies sits near log n at chance, so its scale depends
+    on n. It would also change which epoch is best, and so the trained
+    parameters.
     """
     val_seed = cfg.seed + 7919  # fixed offset: same batches every epoch
     sampler_cfg, table = cfg.sampler_config(), cfg.loss_table()

@@ -61,19 +61,33 @@ def test_binary_after_model_matches_fresh_call_bit_for_bit(model_and_test, engin
     assert len(classes) == 5
     evaluate_model(model, test_set, engine)
     shared = [evaluate_binary(model, test_set, c, engine)["auc"] for c in classes]
-    assert encodings == [len(test_set)]
+    assert encodings == [len(test_set)] * 2
     fresh = [fresh_auc(model, test_set, c, engine) for c in classes]
     assert shared == fresh  # exact float equality
     assert all(0.0 <= auc <= 1.0 for auc in shared)
 
 
-def test_one_encoding_per_evaluation(model_and_test, engine, encodings):
+def test_two_encodings_per_evaluation(model_and_test, engine, encodings):
     model, test_set = model_and_test
     for repeat in range(1, 3):
-        evaluate_model(model, test_set, engine)  # never reads the entry: encodes every time
+        evaluate_model(model, test_set, engine)  # encodes, and drops the entry of the last evaluation
         for cls in positive_classes(test_set):
             evaluate_binary(model, test_set, cls, engine)
-        assert len(encodings) == repeat
+        assert len(encodings) == 2 * repeat
+
+
+def test_model_alone_neither_hashes_nor_shares(model_and_test, engine, encodings, monkeypatch):
+    model, test_set = model_and_test
+    evaluate_binary(model, test_set, "Edema", engine)
+    assert evalrun._shared_embeddings is not None
+
+    def no_hashing(*args):
+        raise AssertionError("evaluate_model computed a fingerprint")
+
+    monkeypatch.setattr(evalrun, "_fingerprint", no_hashing)
+    evaluate_model(model, test_set, engine)
+    assert evalrun._shared_embeddings is None
+    assert encodings == [len(test_set)] * 2
 
 
 def test_standalone_binary_encodes_once_and_shares(model_and_test, engine, encodings):
@@ -96,13 +110,13 @@ def with_changed_pixel(test_set):
 @pytest.mark.parametrize("change", ["test_list", "conv_w_in_place", "one_pixel", "image_size"])
 def test_changed_inputs_miss_and_re_encode(model_and_test, engine, encodings, change):
     model, test_set = model_and_test
-    evaluate_model(model, test_set, engine)
+    evaluate_binary(model, test_set, "Edema", engine)
     other_model, other_set = model, test_set
     if change == "test_list":
         other_set = test_set[::-1]
     elif change == "conv_w_in_place":
         other_model = dataclasses.replace(model, params={k: v.copy() for k, v in model.params.items()})
-        evaluate_model(other_model, test_set, engine)
+        evaluate_binary(other_model, test_set, "Edema", engine)
         other_model.params["img.conv_w"][0] += 1e-6  # same dict, same array object, new bytes
     elif change == "one_pixel":
         other_set = with_changed_pixel(test_set)
@@ -116,7 +130,7 @@ def test_changed_inputs_miss_and_re_encode(model_and_test, engine, encodings, ch
 
 def test_shared_array_is_read_only_and_direct_calls_are_writable(model_and_test, engine):
     model, test_set = model_and_test
-    evaluate_model(model, test_set, engine)
+    evaluate_binary(model, test_set, "Edema", engine)
     fingerprint, shared = evalrun._shared_embeddings
     assert isinstance(fingerprint, bytes) and len(fingerprint) == 32
     assert shared.shape[0] == len(test_set)
