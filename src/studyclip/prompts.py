@@ -11,15 +11,24 @@ Adjacent atoms inside one alternative concatenate the same way ``+`` does;
 rendered strings are whitespace-normalized (single spaces, no space before
 punctuation) with capitalization kept exactly as written in the templates.
 
+A render runs on a compiled form of the template (``_compile``): each literal
+is normalized once, at compile time, blanks become empty strings, a choice
+becomes a tuple of its options and a concatenation a flat list of its parts,
+with adjacent literals pre-joined. Rendering draws one ``rng.integers`` index
+per choice met, depth first and left to right, as a walk of the tree would,
+then joins the picked pieces with one space between non-empty pieces and none
+before a piece that starts with punctuation. That join gives exactly the
+normalization of the space-joined raw text, so no regex runs per render.
+
 The grammar file carries one entry per line, ``kind|name|polarity|template``,
 where kind is ``template`` or ``expr`` and polarity is ``positive``,
 ``negative`` or ``both``. Classes without a class-specific template fall back
 to the ``default`` template of the requested polarity. Every ``{E}`` slot is
 resolved when the grammar loads, against the class's ``expr`` entry of that
-polarity, so the engine holds one finished template per (class, value). An
-entry that could never render (a template slot with no expression, an
-expression holding ``{E}``, an expression with no template to go in) is a
-grammar error raised by ``PromptEngine.from_path``.
+polarity, so the engine holds one finished template per (class, value), and
+compiles each once. An entry that could never render (a template slot with no
+expression, an expression holding ``{E}``, an expression with no template to
+go in) is a grammar error raised by ``PromptEngine.from_path``.
 """
 
 from __future__ import annotations
@@ -99,13 +108,16 @@ class Concat:
 
 
 Template = Literal | Blank | ExprSlot | Choice | Concat
+# compiled form: str (normalized text), tuple (choice options), list (concatenated parts)
+Compiled = str | tuple | list
 
 _SPECIALS = "[],+{}"
+_PUNCTUATION = ".,;:!?"
 
 
 def _normalize(text: str) -> str:
     text = re.sub(r"\s+", " ", text).strip()
-    return re.sub(r"\s+([.,;:!?])", r"\1", text)
+    return re.sub(rf"\s+([{_PUNCTUATION}])", r"\1", text)
 
 
 def parse_template(source: str) -> Template:
@@ -217,24 +229,76 @@ def resolve_slots(t: Template, expr: Template | None) -> Template:
     return t
 
 
-def expand_template(t: Template, rng: np.random.Generator) -> str:
-    """One random expansion: each choice node sampled uniformly, output normalized."""
-    return _normalize(_expand_raw(t, rng))
+def _compile(t: Template, normalized: dict[str, str]) -> Compiled:
+    """Flat render form of a slot-free template; a {E} slot raises UnresolvedSlot.
 
-
-def _expand_raw(t: Template, rng) -> str:
+    A literal becomes its normalized text and a blank the empty string, a
+    choice a tuple of its compiled options, and a concatenation a list of its
+    non-empty parts, with nested lists spliced in and adjacent strings
+    pre-joined. ``normalized`` maps each literal text seen so far to its
+    normalized form: the resolved templates of one grammar repeat each class
+    expression, so its literals recur.
+    """
     if isinstance(t, Literal):
-        return t.text
+        if t.text not in normalized:
+            normalized[t.text] = _normalize(t.text)
+        return normalized[t.text]
     if isinstance(t, Blank):
         return ""
     if isinstance(t, Choice):
-        pick = int(rng.integers(len(t.options)))
-        return _expand_raw(t.options[pick], rng)
+        return tuple(_compile(o, normalized) for o in t.options)
     if isinstance(t, Concat):
-        return " ".join(_expand_raw(p, rng) for p in t.parts)
+        parts: list = []
+        for part in t.parts:
+            compiled = _compile(part, normalized)
+            for piece in compiled if isinstance(compiled, list) else (compiled,):
+                if isinstance(piece, str) and parts and isinstance(parts[-1], str):
+                    parts[-1] = _join((parts[-1], piece))
+                elif piece != "":
+                    parts.append(piece)
+        if len(parts) < 2:
+            return parts[0] if parts else ""
+        return parts
     if isinstance(t, ExprSlot):
         raise UnresolvedSlot("template has an unresolved {E} slot")
     raise TypeError(f"not a template node: {t!r}")
+
+
+def _join(pieces) -> str:
+    """``_normalize`` of normalized pieces joined by spaces: one space between
+    non-empty pieces, none before a piece that starts with punctuation."""
+    out: list[str] = []
+    for piece in pieces:
+        if piece:
+            if out and piece[0] not in _PUNCTUATION:
+                out.append(" ")
+            out.append(piece)
+    return "".join(out)
+
+
+def _pick(node: Compiled, rng, out: list[str]) -> None:
+    """Append the pieces of one expansion, drawing one index per choice, depth first."""
+    if type(node) is str:
+        out.append(node)
+    elif type(node) is tuple:
+        _pick(node[int(rng.integers(len(node)))], rng, out)
+    else:
+        for part in node:
+            _pick(part, rng, out)
+
+
+def _render(node: Compiled, rng) -> str:
+    pieces: list[str] = []
+    _pick(node, rng, pieces)
+    return _join(pieces)
+
+
+def expand_template(t: Template, rng: np.random.Generator) -> str:
+    """One random expansion: each choice node sampled uniformly, output normalized.
+
+    A {E} slot anywhere in ``t`` raises UnresolvedSlot, whichever branch is drawn.
+    """
+    return _render(_compile(t, {}), rng)
 
 
 def enumerate_expansions(t: Template, cap: int = 100_000) -> set[str]:
@@ -272,13 +336,16 @@ def _enumerate_raw(t: Template):
 
 @dataclass
 class PromptEngine:
-    """Parsed grammar: one slot-free template per (class, value)."""
+    """Parsed grammar: one slot-free template per (class, value), and its compiled form."""
 
     prompts: dict[tuple[str, str], Template]
     classes: list[str] = field(init=False)
+    compiled: dict[tuple[str, str], Compiled] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.classes = sorted({name for name, _ in self.prompts})
+        normalized: dict[str, str] = {}
+        self.compiled = {key: _compile(t, normalized) for key, t in self.prompts.items()}
 
     # -- loading
 
@@ -333,19 +400,20 @@ class PromptEngine:
 
     # -- rendering
 
-    def _prompt(self, class_name: str, value: str) -> Template:
+    def _prompt(self, table: dict, class_name: str, value: str):
+        """The entry for (class, value) in ``table``: ``prompts`` or ``compiled``."""
         try:
-            return self.prompts[(class_name, value)]
+            return table[(class_name, value)]
         except KeyError:
             if value not in (POSITIVE, NEGATIVE):
                 raise UnsupportedValue(f"prompts exist only for positive/negative, got {value!r}") from None
             raise NoTemplateError(f"no prompt set for ({class_name!r}, {value!r})") from None
 
     def render_prompt(self, class_name: str, value: str, rng: np.random.Generator) -> str:
-        return expand_template(self._prompt(class_name, value), rng)
+        return _render(self._prompt(self.compiled, class_name, value), rng)
 
     def prompt_set(self, class_name: str, value: str, cap: int = 100_000) -> frozenset[str]:
-        return frozenset(enumerate_expansions(self._prompt(class_name, value), cap))
+        return frozenset(enumerate_expansions(self._prompt(self.prompts, class_name, value), cap))
 
     def build_study_text(
         self,

@@ -11,8 +11,9 @@ fixed sentence patterns), so exact-study retrieval is learnable while
 within-class confusion remains.
 
 The default five classes mirror a 5-way evaluation subset; label-only studies
-stand in for image-label data (sparse CheXpert-style maps: one positive, one
-negative, rest not mentioned), report-bearing studies for image-text data.
+stand in for image-label data, report-bearing studies for image-text data.
+Every study's label map names every class: its latent class positive, all
+others negative.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
 learnable log-temperature is updated like any other parameter but excluded
 from weight decay and clamped after every step. Validation loss is evaluated
-once per epoch with a fixed sampling seed; the best-validation parameters are
-kept and training stops after ``early_stop_patience`` epochs without
-improvement.
+before the first epoch and after each one, on validation batches assembled
+once per ``train`` call with a fixed sampling seed: each study draws from its
+own ``study_rng``, so every epoch would assemble the same batches. The
+best-validation parameters are kept and training stops after
+``early_stop_patience`` epochs without improvement.
 
 Everything is seeded: identical config and data give bit-identical parameters
 and logs.
@@ -46,7 +48,7 @@ from .encoders import (
 )
 from .losses import CLIP_TABLE, EmbeddingBatch, Pairing, ShapeMismatch, Temperature, paper_table, total_loss
 from .prompts import PromptEngine
-from .sampling import SAMPLING_MODES, SamplerConfig, assemble_batch, make_batch, sample_single
+from .sampling import SAMPLING_MODES, SamplerConfig, StudyBatch, assemble_batch, make_batch, sample_single
 from .studies import Study
 
 
@@ -94,16 +96,22 @@ class TrainConfig:
     backtranslation_command: str | None = None
 
     def __post_init__(self):
-        positive = (
-            "learning_rate", "weight_decay", "epochs", "warmup_epochs", "batch_studies",
-            "early_stop_patience", "tau_init", "image_size", "conv_filters", "hidden_dim",
-            "feature_dim", "token_dim", "embed_dim",
-        )
-        for name in positive:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in ("learning_rate", "weight_decay", "warmup_epochs", "early_stop_patience"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.epochs < 1 or self.batch_studies < 1:
-            raise ConfigError("epochs and batch_studies must be at least 1")
+        at_least_one = (
+            "epochs", "batch_studies", "image_size", "conv_filters", "hidden_dim",
+            "feature_dim", "token_dim", "embed_dim",
+        )
+        for name in at_least_one:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.tau_init > 0:
+            raise ConfigError(f"tau_init must be positive, got {self.tau_init}")
         if self.warmup_epochs >= self.epochs:
             raise ConfigError("warmup_epochs must be smaller than epochs")
         if self.lambda_icl < 0 or self.lambda_tcl < 0:
@@ -406,8 +414,22 @@ def _sample_batch(studies, sampler_cfg: SamplerConfig, engine, seed: int):
     return assemble_batch(studies, sample_single, sampler_cfg, engine, seed)
 
 
-def validation_loss(model: TrainedModel, studies, cfg: TrainConfig, engine) -> float:
-    """Mean batch loss over the validation set with a fixed sampling seed.
+def validation_batches(studies, cfg: TrainConfig, engine) -> list[StudyBatch]:
+    """The validation set in batches of ``cfg.batch_studies``, sampled with a fixed seed.
+
+    Every study draws from its own ``study_rng``, so these are the batches any
+    epoch would assemble: ``train`` builds them once and scores them each epoch.
+    """
+    val_seed = cfg.seed + 7919  # fixed offset: same batches every epoch
+    sampler_cfg = cfg.sampler_config()
+    return [
+        _sample_batch(studies[start : start + cfg.batch_studies], sampler_cfg, engine, val_seed)
+        for start in range(0, len(studies), cfg.batch_studies)
+    ]
+
+
+def validation_loss(model: TrainedModel, batches: list[StudyBatch], table: tuple[Pairing, ...]) -> float:
+    """Mean batch loss over the validation batches.
 
     The mean is over batches, unweighted: a short last batch counts as much as
     a full one. Weighting by batch size would not make them comparable: an
@@ -415,13 +437,7 @@ def validation_loss(model: TrainedModel, studies, cfg: TrainConfig, engine) -> f
     on n. It would also change which epoch is best, and so the trained
     parameters.
     """
-    val_seed = cfg.seed + 7919  # fixed offset: same batches every epoch
-    sampler_cfg, table = cfg.sampler_config(), cfg.loss_table()
-    values = []
-    for start in range(0, len(studies), cfg.batch_studies):
-        batch = _sample_batch(studies[start : start + cfg.batch_studies], sampler_cfg, engine, val_seed)
-        out, _ = _batch_loss(model, batch, table, with_grads=False)
-        values.append(out.value)
+    values = [_batch_loss(model, batch, table, with_grads=False)[0].value for batch in batches]
     return float(np.mean(values))
 
 
@@ -452,7 +468,8 @@ def train(
     log = TrainLog()
     sampler_cfg, table = cfg.sampler_config(), cfg.loss_table()
 
-    best_val = validation_loss(model, val_dataset, cfg, engine)
+    val_batches = validation_batches(val_dataset, cfg, engine)
+    best_val = validation_loss(model, val_batches, table)
     best_params = {k: v.copy() for k, v in model.params.items()}
     log.epochs.append(EpochRecord(epoch=0, val_loss=best_val, best=True))
     epochs_since_best = 0
@@ -494,7 +511,7 @@ def train(
             )
             step += 1
 
-        val = validation_loss(model, val_dataset, cfg, engine)
+        val = validation_loss(model, val_batches, table)
         improved = val < best_val
         if improved:
             best_val = val

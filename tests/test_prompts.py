@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from render_oracle import reference_walk
 from studyclip.prompts import (
     Blank,
     Choice,
@@ -18,6 +19,8 @@ from studyclip.prompts import (
     TemplateSyntaxError,
     UnresolvedSlot,
     UnsupportedValue,
+    _compile,
+    _normalize,
     enumerate_expansions,
     expand_template,
     parse_template,
@@ -110,6 +113,9 @@ def test_expand_deterministic_under_seed(engine):
 def test_expand_unresolved_slot():
     with pytest.raises(UnresolvedSlot):
         expand_template(parse_template("no {E}."), np.random.default_rng(0))
+    # the slot is found when the template compiles, whichever branch a draw would take
+    with pytest.raises(UnresolvedSlot):
+        expand_template(parse_template("[a, no {E}.]"), np.random.default_rng(0))
     with pytest.raises(UnresolvedSlot):
         enumerate_expansions(parse_template("[a, no {E}.]"))
 
@@ -159,6 +165,38 @@ def test_whitespace_normalized(engine, seed):
     assert "  " not in out
     assert " ." not in out
     assert out == out.strip()
+
+
+def test_compiled_form_prejoins_and_normalizes_literals():
+    tree = parse_template("There is + ( ) + no + [a, b  c, ( )] + seen .")
+    assert _compile(tree, {}) == ["There is no", ("a", "b c", ""), "seen."]
+    assert _compile(parse_template("[x, y]"), {}) == ("x", "y")
+    assert _compile(parse_template("( ) + ( )"), {}) == ""
+
+
+# Literals include forms the parser never makes: untrimmed, whitespace only,
+# with runs of spaces and tabs, with leading punctuation.
+LITERALS = st.text(alphabet="ab .,;:!?\t", min_size=1, max_size=6).map(Literal)
+TEMPLATES = st.recursive(
+    LITERALS | st.just(Blank()),
+    lambda children: (
+        st.lists(children, min_size=1, max_size=4).map(lambda xs: Choice(tuple(xs)))
+        | st.lists(children, min_size=2, max_size=4).map(lambda xs: Concat(tuple(xs)))
+    ),
+    max_leaves=24,
+)
+
+
+@given(template=TEMPLATES, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_compiled_render_matches_normalized_reference_walk(template, seed):
+    engine = PromptEngine({("X", "positive"): template})
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        assert expand_template(template, rng) == _normalize(reference_walk(template, reference))
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert engine.render_prompt("X", "positive", rng) == _normalize(reference_walk(template, reference))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_choice_sampling_is_uniform():

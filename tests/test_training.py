@@ -20,6 +20,7 @@ from studyclip.training import (
     lr_at,
     optim_step,
     train,
+    validation_batches,
     validation_loss,
 )
 
@@ -79,11 +80,47 @@ def test_validation_loss_is_the_unweighted_mean_of_batch_losses(engine, splits, 
         return out
 
     monkeypatch.setattr(training, "total_loss", recording)
-    loss = validation_loss(model, valid, cfg, engine)
+    loss = validation_loss(model, validation_batches(valid, cfg, engine), cfg.loss_table())
     (n_a, a), (n_b, b) = batches
     assert (n_a, n_b) == (32, 8)
     assert loss == (a + b) / 2
     assert loss != pytest.approx((32 * a + 8 * b) / 40)
+
+
+def test_train_assembles_the_validation_batches_once(engine, splits, monkeypatch):
+    sizes = []
+    original = training.make_batch
+
+    def counting(studies, *args):
+        sizes.append(len(studies))
+        return original(studies, *args)
+
+    monkeypatch.setattr(training, "make_batch", counting)
+    cfg = tiny_config(batch_studies=4)
+    _, log = train(*splits, cfg, engine)
+    valid = splits[1]
+    assert len(log.epochs) == cfg.epochs + 1  # validated before the first epoch and after each
+    assert len(sizes) == len(log.steps) + math.ceil(len(valid) / cfg.batch_studies)
+    assert sizes[:2] == [4, 1]  # the 5 validation studies, assembled before the first step
+
+
+def test_cached_validation_batches_score_as_batches_assembled_that_epoch(engine, splits, monkeypatch):
+    cfg = tiny_config()
+    valid = splits[1]
+    scored = []
+    original = training.validation_loss
+
+    def checking(model, batches, table):
+        loss = original(model, batches, table)
+        scored.append((loss, original(model, validation_batches(valid, cfg, engine), table)))
+        return loss
+
+    monkeypatch.setattr(training, "validation_loss", checking)
+    _, log = train(*splits, cfg, engine)
+    assert [cached for cached, _ in scored] == [rec.val_loss for rec in log.epochs]
+    assert len({cached for cached, _ in scored}) == len(scored)  # the model moved every epoch
+    for cached, fresh in scored:
+        assert cached == fresh
 
 
 def test_learns_above_chance_on_a_tiny_spec(engine):
@@ -115,6 +152,46 @@ def test_grad_clip_must_be_positive(grad_clip, text):
         config_from_dict({"grad_clip": text})
     assert config_from_dict({"grad_clip": "none"}).grad_clip is None
     assert config_from_dict({"grad_clip": "0.5"}).grad_clip == 0.5
+
+
+@pytest.mark.parametrize(
+    "name, value, text",
+    [
+        ("learning_rate", math.nan, "nan"),
+        ("weight_decay", math.inf, "inf"),
+        ("lambda_icl", math.nan, "nan"),
+        ("lambda_tcl", -math.inf, "-inf"),
+        ("grad_clip", math.nan, "nan"),
+        ("tau_init", math.inf, "inf"),
+        ("clahe_probability", math.nan, "NaN"),
+    ],
+)
+def test_non_finite_float_fields_are_rejected(name, value, text):
+    # NaN passes every "< 0" check; inf tau would train silently at the clamped temperature
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        config_from_dict({name: text})
+
+
+@pytest.mark.parametrize("value, text", [(0.0, "0"), (-0.07, "-0.07")])
+def test_tau_init_must_be_positive(value, text):
+    # log(0) fails inside train as a bare math domain error
+    with pytest.raises(ConfigError, match="tau_init must be positive"):
+        TrainConfig(tau_init=value)
+    with pytest.raises(ConfigError, match="tau_init must be positive"):
+        config_from_dict({"tau_init": text})
+
+
+@pytest.mark.parametrize(
+    "name", ["image_size", "conv_filters", "hidden_dim", "feature_dim", "token_dim", "embed_dim"]
+)
+def test_zero_sizes_are_rejected(name):
+    with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+        TrainConfig(**{name: 0})
+    with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+        config_from_dict({name: "0"})
+    assert getattr(config_from_dict({name: "1"}), name) == 1
 
 
 @pytest.mark.parametrize("mode", ["single", "study_single"])
