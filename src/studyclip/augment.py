@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class ImageAugConfig:
             if not (lo <= 1.0 <= hi):
                 raise ValueError(f"{name} must contain 1.0, got ({lo}, {hi})")
         if not 0.0 <= self.clahe_probability <= 1.0:
-            raise ValueError("clahe_probability must lie in [0, 1]")
+            raise ValueError(f"clahe_probability must lie in [0, 1], got {self.clahe_probability}")
         if self.output_size < 1:
             raise ValueError("output_size must be positive")
 

@@ -22,8 +22,7 @@ so evaluation encodes large study sets in chunks (``evalrun.EVAL_CHUNK``).
 
 Forward passes cache intermediates; backward functions consume the cache and
 return gradients per parameter array. Parameters live in plain dataclasses
-whose ``arrays()`` method exposes named live views for the optimizer and the
-checkpoint container.
+whose ``arrays()`` method exposes named live views for the optimizer.
 """
 
 from __future__ import annotations
@@ -42,20 +41,6 @@ class EmptySequence(ValueError):
 
 UNK_TOKEN = "<unk>"
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
-
-
-@dataclass
-class EncoderConfig:
-    conv_filters: int = 16
-    hidden_dim: int = 32
-    feature_dim: int = 64
-    token_dim: int = 24
-    embed_dim: int = 64
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
 
 
 # -------------------------------------------------------------------- tokens
@@ -130,7 +115,8 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_image_params(seed_or_rng, cfg: EncoderConfig) -> ImageEncoderParams:
+def init_image_params(seed_or_rng, cfg) -> ImageEncoderParams:
+    """Glorot-uniform weights, zero biases; sizes from ``cfg``, a ``training.TrainConfig``."""
     rng = np.random.default_rng(seed_or_rng) if isinstance(seed_or_rng, int) else seed_or_rng
     k, h, f, d = cfg.conv_filters, cfg.hidden_dim, cfg.feature_dim, cfg.embed_dim
     return ImageEncoderParams(
@@ -144,7 +130,8 @@ def init_image_params(seed_or_rng, cfg: EncoderConfig) -> ImageEncoderParams:
     )
 
 
-def init_text_params(seed_or_rng, vocab_size: int, cfg: EncoderConfig) -> TextEncoderParams:
+def init_text_params(seed_or_rng, vocab_size: int, cfg) -> TextEncoderParams:
+    """Glorot-uniform weights, zero biases; sizes from ``cfg``, a ``training.TrainConfig``."""
     rng = np.random.default_rng(seed_or_rng) if isinstance(seed_or_rng, int) else seed_or_rng
     e, h, f, d = cfg.token_dim, cfg.hidden_dim, cfg.feature_dim, cfg.embed_dim
     return TextEncoderParams(

@@ -153,7 +153,7 @@ def evaluate_model(
         prompt_rng,
         ensemble_size=prompt_ensemble,
     )
-    cls = zero_shot_multiclass(image_embs, class_embs, labels)
+    acc = zero_shot_multiclass(image_embs, class_embs, labels)
 
     texts = [eval_text(s, engine) for s in test_set]
     text_embs = encode_texts(model, texts)
@@ -161,7 +161,7 @@ def evaluate_model(
     retrieval = recall_at_k(image_embs, text_embs, ks=ks)
 
     out = {
-        "acc": cls.accuracy,
+        "acc": acc,
         "rsum": retrieval.rsum,
         "n_test": float(len(test_set)),
     }
@@ -193,5 +193,4 @@ def evaluate_binary(
     image_embs = _shared_image_embeddings(model, test_set)
     pos_text, neg_text = engine.eval_prompt_pair(class_name, prompt_style)
     pos_emb, neg_emb = encode_texts(model, [pos_text, neg_text])
-    result = zero_shot_binary(image_embs, pos_emb, neg_emb, labels)
-    return {"auc": result.auc, "n_test": float(len(test_set))}
+    return {"auc": zero_shot_binary(image_embs, pos_emb, neg_emb, labels), "n_test": float(len(test_set))}

@@ -111,7 +111,6 @@ Template = Literal | Blank | ExprSlot | Choice | Concat
 # compiled form: str (normalized text), tuple (choice options), list (concatenated parts)
 Compiled = str | tuple | list
 
-_SPECIALS = "[],+{}"
 _PUNCTUATION = ".,;:!?"
 
 

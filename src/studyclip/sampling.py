@@ -64,6 +64,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
+        if self.negative_sample_count is not None and self.negative_sample_count < 0:
+            raise ValueError(
+                f"negative_sample_count must be non-negative or None, got {self.negative_sample_count}"
+            )
         if not self.augment:
             self.image_aug = replace(self.image_aug, **IDENTITY_IMAGE_AUG)
             self.text_aug = TextAugConfig(mode="identity")

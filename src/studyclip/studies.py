@@ -10,7 +10,7 @@ Image paths are resolved relative to the record file's directory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

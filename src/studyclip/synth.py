@@ -54,6 +54,13 @@ class SynthSpec:
             raise ValueError("label_only_fraction must lie in [0, 1]")
         if not 0.0 <= self.multi_image_fraction <= 1.0:
             raise ValueError("multi_image_fraction must lie in [0, 1]")
+        if not (math.isfinite(self.noise_level) and self.noise_level >= 0.0):
+            raise ValueError(f"noise_level must be finite and non-negative, got {self.noise_level}")
+        if self.image_size < 1:
+            raise ValueError(f"image_size must be at least 1, got {self.image_size}")
+        for name in ("train_studies", "valid_studies", "test_studies"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     @property
     def class_count(self) -> int:

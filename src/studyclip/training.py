@@ -24,16 +24,13 @@ and logs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
 from .augment import ImageAugConfig, TextAugConfig
 from .encoders import (
-    EncoderConfig,
     ImageEncoderParams,
     TextEncoderParams,
     Vocab,
@@ -125,15 +122,10 @@ class TrainConfig:
                 f"sampling_mode {self.sampling_mode!r} trains only the (u1, v1) pairing: "
                 "lambda_icl and lambda_tcl must be 0"
             )
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            conv_filters=self.conv_filters,
-            hidden_dim=self.hidden_dim,
-            feature_dim=self.feature_dim,
-            token_dim=self.token_dim,
-            embed_dim=self.embed_dim,
-        )
+        try:
+            self.sampler_config()
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(
@@ -154,32 +146,6 @@ class TrainConfig:
         if self.sampling_mode == "pairs":
             return paper_table(self.lambda_icl, self.lambda_tcl)
         return CLIP_TABLE
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def load_train_config(path: str | Path, overrides: dict | None = None) -> TrainConfig:
-    """Config from JSON or key=value lines; explicit overrides win."""
-    text = Path(path).read_text(encoding="utf-8").strip()
-    raw: dict = {}
-    if text.startswith("{"):
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: invalid JSON ({err})") from None
-    else:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            raw[key] = value
-    if overrides:
-        raw.update(overrides)
-    return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> TrainConfig:
@@ -306,14 +272,6 @@ class EpochRecord:
 class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
     epochs: list[EpochRecord] = field(default_factory=list)
-
-    def to_jsonl(self) -> str:
-        lines = []
-        for rec in self.epochs:
-            lines.append(json.dumps({"kind": "epoch", **rec.__dict__}, sort_keys=True))
-        for rec in self.steps:
-            lines.append(json.dumps({"kind": "step", **rec.__dict__}, sort_keys=True))
-        return "\n".join(lines) + "\n"
 
 
 # -------------------------------------------------------------------- trainer
@@ -450,11 +408,10 @@ def train(
     if not dataset or not val_dataset:
         raise ValueError("train and validation datasets must be non-empty")
     engine = engine or PromptEngine.default()
-    enc_cfg = cfg.encoder_config()
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(corpus_texts(dataset, engine))
-    img_params = init_image_params(rng, enc_cfg)
-    txt_params = init_text_params(rng, len(vocab), enc_cfg)
+    img_params = init_image_params(rng, cfg)
+    txt_params = init_text_params(rng, len(vocab), cfg)
     model = TrainedModel(
         config=cfg,
         vocab=vocab,

@@ -5,7 +5,6 @@ import pytest
 
 from studyclip.encoders import (
     RECTIFIER_SLOPE,
-    EncoderConfig,
     EmptySequence,
     ImageEncoderParams,
     TextEncoderParams,
@@ -26,7 +25,7 @@ from studyclip.losses import EmbeddingBatch, ShapeMismatch, Temperature, paper_t
 from studyclip.studies import Study, StudyImage
 from studyclip.training import TrainConfig, TrainedModel, _combined_params
 
-TINY = EncoderConfig(conv_filters=2, hidden_dim=3, feature_dim=4, token_dim=3, embed_dim=4)
+TINY = TrainConfig(conv_filters=2, hidden_dim=3, feature_dim=4, token_dim=3, embed_dim=4)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +105,7 @@ def test_init_deterministic_and_seed_sensitive():
 
 
 def test_init_scale_matches_glorot_variance():
-    cfg = EncoderConfig(conv_filters=2, hidden_dim=200, feature_dim=300, token_dim=3, embed_dim=4)
+    cfg = TrainConfig(conv_filters=2, hidden_dim=200, feature_dim=300, token_dim=3, embed_dim=4)
     params = init_image_params(3, cfg)
     w = params.mlp_w2  # 200 x 300
     fan_in, fan_out = w.shape
@@ -273,11 +272,10 @@ def test_chunked_eval_embeddings_match_one_batch():
     n = 300
     assert n > EVAL_CHUNK and n % EVAL_CHUNK
     cfg = TrainConfig(image_size=8, conv_filters=2, hidden_dim=3, feature_dim=4, token_dim=3, embed_dim=4)
-    enc = cfg.encoder_config()
     model = TrainedModel(
         config=cfg,
         vocab=Vocab(tokens=["<unk>"]),
-        params=_combined_params(init_image_params(0, enc), init_text_params(1, 1, enc), math.log(0.07)),
+        params=_combined_params(init_image_params(0, cfg), init_text_params(1, 1, cfg), math.log(0.07)),
     )
     rng = np.random.default_rng(7)
     studies = [

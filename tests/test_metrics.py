@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from studyclip.metrics import auc_exact, recall_at_k
+from studyclip.losses import ShapeMismatch
+from studyclip.metrics import auc_exact, recall_at_k, zero_shot_binary, zero_shot_multiclass
 
 
 def brute_force_ranks(sims: np.ndarray) -> np.ndarray:
@@ -49,3 +50,39 @@ def test_auc_with_ties_matches_brute_force_pair_count(seed):
     labels = rng.integers(0, 2, size=n)
     labels[:2] = (0, 1)
     assert auc_exact(scores, labels) == brute_force_auc(scores, labels)
+
+
+def test_zero_shot_multiclass_is_the_share_of_correct_predictions():
+    classes = np.eye(3)
+    # predictions 0, 1, 2, 1 (tie between 1 and 2), 0 (three-way tie), 2
+    images = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1], [0, 0, 1]], dtype=np.float64)
+    labels = np.array([0, 1, 1, 1, 2, 2])
+    assert zero_shot_multiclass(images, classes, labels) == 4 / 6
+
+
+@pytest.mark.parametrize("label, accuracy", [(0, 1.0), (1, 0.0), (2, 0.0)])
+def test_zero_shot_multiclass_ties_go_to_the_lowest_class(label, accuracy):
+    assert zero_shot_multiclass(np.ones((1, 3)), np.eye(3), np.array([label])) == accuracy
+
+
+@pytest.mark.parametrize(
+    "images, classes, labels",
+    [
+        (np.ones((2, 3)), np.ones((1, 3)), [0, 0]),  # one class
+        (np.ones((2, 3)), np.eye(4)[:2], [0, 1]),  # embedding dims differ
+        (np.ones((2, 3)), np.eye(3), [0, 3]),
+        (np.ones((2, 3)), np.eye(3), [-1, 0]),
+        (np.ones((2, 3)), np.eye(3), [0]),  # one label for two images
+    ],
+)
+def test_zero_shot_multiclass_rejects_inconsistent_shapes(images, classes, labels):
+    with pytest.raises(ShapeMismatch):
+        zero_shot_multiclass(images, classes, np.array(labels))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zero_shot_binary_is_the_auc_of_the_prompt_score_difference(seed):
+    rng = np.random.default_rng(seed)
+    images, pos, neg = rng.normal(size=(30, 4)), rng.normal(size=4), rng.normal(size=4)
+    labels = np.arange(30) % 2
+    assert zero_shot_binary(images, pos, neg, labels) == auc_exact(images @ pos - images @ neg, labels)

@@ -1,15 +1,59 @@
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "studyclip"
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def test_every_declared_entry_point_imports_and_is_callable():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"].get("scripts", {})
     for name, target in scripts.items():
         module_name, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module_name), attr)), name
+
+
+def test_every_public_function_class_and_method_is_referenced():
+    # a name counts as used when code names it; its definition and an import of it do not count
+    referenced = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(parse(path)):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [m for m in node.body if isinstance(m, ast.FunctionDef)] if isinstance(node, ast.ClassDef) else []
+            for definition in [node, *members]:
+                if not definition.name.startswith("_") and definition.name not in referenced:
+                    unreferenced.append(f"{path.stem}.{definition.name}")
+    assert unreferenced == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the package's exports
+        tree = parse(path)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.stem}: {bound}")
+    assert unused == []

@@ -81,6 +81,28 @@ def test_spec_rejects_invalid_fields(overrides):
         SynthSpec(**overrides)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("noise_level", math.nan),
+        ("noise_level", math.inf),
+        ("noise_level", -0.1),
+        ("image_size", 0),
+        ("train_studies", -3),
+        ("valid_studies", -1),
+        ("test_studies", -1),
+    ],
+)
+def test_spec_rejects_bad_numbers_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=name):
+        SynthSpec(**{name: value})
+
+
+def test_spec_accepts_zero_noise_and_empty_splits(engine):
+    spec = SynthSpec(train_studies=0, noise_level=0.0, image_size=1)
+    assert generate_split(spec, "train", spec.train_studies, 0, engine) == []
+
+
 def test_generate_dataset_refuses_classes_closer_than_the_minimum(engine, tmp_path):
     spec = SynthSpec(min_pattern_distance=pattern_distances(SynthSpec()) + 0.01)
     with pytest.raises(ValueError, match="class signatures too close"):

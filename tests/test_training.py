@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,22 @@ def test_single_modes_reject_icl_and_tcl_weights(mode):
         with pytest.raises(ConfigError, match="lambda_icl and lambda_tcl must be 0"):
             TrainConfig(sampling_mode=mode, lambda_icl=lambda_icl, lambda_tcl=lambda_tcl)
     assert TrainConfig(sampling_mode=mode, lambda_icl=0.0, lambda_tcl=0.0).loss_table() == (("u1", "v1", 1.0, "mvs"),)
+
+
+@pytest.mark.parametrize(
+    "name, value, text, message",
+    [
+        ("clahe_probability", 1.5, "1.5", "clahe_probability must lie in [0, 1], got 1.5"),
+        ("text_aug_mode", "bogus", "bogus", "unknown text augmentation mode 'bogus'"),
+        ("negative_sample_count", -2, "-2", "negative_sample_count must be non-negative or None, got -2"),
+    ],
+)
+def test_bad_sampler_settings_are_rejected_when_the_config_is_built(name, value, text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        TrainConfig(**{name: value})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict({name: text})
+    assert config_from_dict({"negative_sample_count": "0"}).negative_sample_count == 0
 
 
 def test_adamw_two_steps_match_hand_arithmetic():
