@@ -1,10 +1,10 @@
 """Image and text augmentations for second-view fallbacks.
 
 Image pipeline, in order: random resized crop with area scale in
-[0.8, 1.1] (scales above 1 pad by edge replication before cropping), CLAHE
-applied with a configured probability, brightness multiply in [0.9, 1.1],
-contrast stretch about the mean in [0.8, 1.2]; the result is clipped to
-[0, 1] and resized to the configured output size.
+``CROP_SCALE_RANGE`` (scales above 1 pad by edge replication before
+cropping), CLAHE applied with a given probability, brightness multiply in
+``BRIGHTNESS_RANGE``, contrast stretch about the mean in ``CONTRAST_RANGE``;
+the result is clipped to [0, 1] and resized to the given output size.
 
 CLAHE here is desk-scale: histogram equalization over a 2x2 tile grid with
 the histogram clipped at 1% of the tile mass (excess redistributed uniformly)
@@ -13,56 +13,28 @@ one histogram bin passes through unchanged, so constant images are exact
 fixpoints.
 
 Text augmentation swaps sentence order (seeded uniform permutation over
-sentences split at ./?/! followed by whitespace or end of string) or defers
-to an external back-translation hook; an executable that reads text on stdin
-and writes the translation on stdout, invoked twice with arguments
-``forward`` then ``backward``. When the hook is unset the mode falls back to
-sentence swap.
+sentences split at ./?/! followed by whitespace or end of string). When a
+back-translation command is given, the command runs instead: an executable
+that reads text on stdin and writes the translation on stdout, invoked twice
+with arguments ``forward`` then ``backward``.
 """
 
 from __future__ import annotations
 
 import re
 import subprocess
-from dataclasses import dataclass
 
 import numpy as np
 
 CLAHE_BINS = 256
 CLAHE_CLIP_FRACTION = 0.01
+CROP_SCALE_RANGE = (0.8, 1.1)
+BRIGHTNESS_RANGE = (0.9, 1.1)
+CONTRAST_RANGE = (0.8, 1.2)
 
 
 class BadImage(ValueError):
     """Empty or degenerate pixel grid."""
-
-
-@dataclass
-class ImageAugConfig:
-    crop_scale_range: tuple[float, float] = (0.8, 1.1)
-    clahe_probability: float = 0.5
-    brightness_range: tuple[float, float] = (0.9, 1.1)
-    contrast_range: tuple[float, float] = (0.8, 1.2)
-    output_size: int = 32
-
-    def __post_init__(self):
-        for name in ("crop_scale_range", "brightness_range", "contrast_range"):
-            lo, hi = getattr(self, name)
-            if not (lo <= 1.0 <= hi):
-                raise ValueError(f"{name} must contain 1.0, got ({lo}, {hi})")
-        if not 0.0 <= self.clahe_probability <= 1.0:
-            raise ValueError(f"clahe_probability must lie in [0, 1], got {self.clahe_probability}")
-        if self.output_size < 1:
-            raise ValueError("output_size must be positive")
-
-
-@dataclass
-class TextAugConfig:
-    mode: str = "sentence_swap"  # sentence_swap | external_backtranslation | identity
-    backtranslation_command: str | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("sentence_swap", "external_backtranslation", "identity"):
-            raise ValueError(f"unknown text augmentation mode {self.mode!r}")
 
 
 # ----------------------------------------------------------------- primitives
@@ -133,9 +105,9 @@ def clahe(img: np.ndarray) -> np.ndarray:
     )
 
 
-def _random_resized_crop(img: np.ndarray, scale_range, rng) -> np.ndarray:
+def _random_resized_crop(img: np.ndarray, rng) -> np.ndarray:
     h, w = img.shape
-    scale = float(rng.uniform(*scale_range))
+    scale = float(rng.uniform(*CROP_SCALE_RANGE))
     side = np.sqrt(scale)
     crop_h = max(1, int(round(h * side)))
     crop_w = max(1, int(round(w * side)))
@@ -154,21 +126,21 @@ def _random_resized_crop(img: np.ndarray, scale_range, rng) -> np.ndarray:
 # ------------------------------------------------------------------- pipeline
 
 
-def augment_image(img: np.ndarray, cfg: ImageAugConfig, rng: np.random.Generator) -> np.ndarray:
+def augment_image(img: np.ndarray, size: int, clahe_probability: float, rng: np.random.Generator) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise BadImage(f"expected non-empty 2-d grid, got shape {img.shape}")
     if not np.all(np.isfinite(img)):
         raise BadImage("image contains non-finite values")
 
-    out = _random_resized_crop(img, cfg.crop_scale_range, rng)
-    if rng.uniform() < cfg.clahe_probability:
+    out = _random_resized_crop(img, rng)
+    if rng.uniform() < clahe_probability:
         out = clahe(out)
-    out = out * float(rng.uniform(*cfg.brightness_range))
+    out = out * float(rng.uniform(*BRIGHTNESS_RANGE))
     mean = float(np.mean(out))
-    out = mean + float(rng.uniform(*cfg.contrast_range)) * (out - mean)
+    out = mean + float(rng.uniform(*CONTRAST_RANGE)) * (out - mean)
     out = np.clip(out, 0.0, 1.0)
-    return resize_bilinear(out, cfg.output_size, cfg.output_size)
+    return resize_bilinear(out, size, size)
 
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
@@ -178,14 +150,12 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_SPLIT.split(text.strip()) if s]
 
 
-def augment_text(text: str, tcfg: TextAugConfig, rng: np.random.Generator) -> str:
+def augment_text(text: str, rng: np.random.Generator, backtranslation_command: str | None = None) -> str:
     if not text:
         raise ValueError("cannot augment empty text")
-    if tcfg.mode == "identity":
-        return text
-    if tcfg.mode == "external_backtranslation" and tcfg.backtranslation_command:
-        intermediate = _run_hook(tcfg.backtranslation_command, "forward", text)
-        return _run_hook(tcfg.backtranslation_command, "backward", intermediate)
+    if backtranslation_command:
+        intermediate = _run_hook(backtranslation_command, "forward", text)
+        return _run_hook(backtranslation_command, "backward", intermediate)
     sentences = split_sentences(text)
     if len(sentences) <= 1:
         return text

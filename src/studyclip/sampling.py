@@ -7,9 +7,13 @@ distinct images, otherwise an augmented copy of the single image. Texts use
 copy when only one does, and two prompt renderings of the label record for
 label-only studies. Modes ``single`` and ``study_single`` give one image and
 one text per study, placed in both view slots, for the single-pair baselines.
-With ``augment`` off, the fallback second views of ``pairs`` use identity
-augmentation parameters (no crop, CLAHE, brightness or contrast change, text
-unchanged) and the single modes skip augmentation.
+With ``augment`` off, augmentation is skipped: a fallback second view of
+``pairs`` is a copy of the first, and the single modes use the picked image
+and text as they are.
+
+Every sampler reads the one ``TrainConfig``: its sampling mode, ``augment``,
+image size, CLAHE probability, negative prompt count and back-translation
+command.
 
 ``assemble_batch`` is the one batch loop, for every mode: it derives each
 study's sub-seed deterministically from (global seed, study id), so batches
@@ -21,13 +25,17 @@ concurrently, and it tags a per-study failure with the study id.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .augment import ImageAugConfig, TextAugConfig, augment_image, augment_text, resize_bilinear
+from .augment import augment_image, augment_text, resize_bilinear
 from .prompts import PromptEngine
 from .studies import SampledPair, Study
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 
 class NoImages(ValueError):
@@ -43,34 +51,6 @@ class SamplingError(RuntimeError):
 
 
 SAMPLING_MODES = ("pairs", "study_single", "single")
-# image augmentation parameters that leave the picture as it is
-IDENTITY_IMAGE_AUG = {
-    "crop_scale_range": (1.0, 1.0),
-    "clahe_probability": 0.0,
-    "brightness_range": (1.0, 1.0),
-    "contrast_range": (1.0, 1.0),
-}
-
-
-@dataclass
-class SamplerConfig:
-    image_aug: ImageAugConfig = field(default_factory=ImageAugConfig)
-    text_aug: TextAugConfig = field(default_factory=TextAugConfig)
-    negative_sample_count: int | None = None  # binary-label prompt mode
-    findings_first: bool = True  # assign findings to t1 (seeded swap when False)
-    mode: str = "pairs"  # pairs | study_single | single
-    augment: bool = True  # False: identity parameters for pairs, none for single modes
-
-    def __post_init__(self):
-        if self.mode not in SAMPLING_MODES:
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.negative_sample_count is not None and self.negative_sample_count < 0:
-            raise ValueError(
-                f"negative_sample_count must be non-negative or None, got {self.negative_sample_count}"
-            )
-        if not self.augment:
-            self.image_aug = replace(self.image_aug, **IDENTITY_IMAGE_AUG)
-            self.text_aug = TextAugConfig(mode="identity")
 
 
 @dataclass
@@ -94,16 +74,17 @@ def study_rng(global_seed: int, study_id: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def sample_images(study: Study, cfg: ImageAugConfig, rng: np.random.Generator):
+def sample_images(study: Study, cfg: TrainConfig, rng: np.random.Generator):
     """Pick (x1, x2) per the distinct-view preference; returns (x1, x2, augmented)."""
     if not study.images:
         raise NoImages(f"study {study.id!r} has no images")
-    size = cfg.output_size
+    size = cfg.image_size
     if len(study.images) == 1:
         base = study.images[0].pixels
         x1 = resize_bilinear(base, size, size)
-        x2 = augment_image(base, cfg, rng)
-        return x1, x2, True
+        if not cfg.augment:
+            return x1, x1, False
+        return x1, augment_image(base, size, cfg.clahe_probability, rng), True
 
     views = [img.view for img in study.images]
     unique_views = sorted(set(views))
@@ -122,52 +103,36 @@ def sample_images(study: Study, cfg: ImageAugConfig, rng: np.random.Generator):
     return x1, x2, False
 
 
-def sample_texts(
-    study: Study,
-    tcfg: TextAugConfig,
-    rng: np.random.Generator,
-    engine: PromptEngine,
-    negative_sample_count: int | None = None,
-    findings_first: bool = True,
-):
+def sample_texts(study: Study, cfg: TrainConfig, rng: np.random.Generator, engine: PromptEngine):
     """Pick (t1, t2) per the section/prompt rules; returns (t1, t2, source)."""
     sections = study.sections
     if not sections and study.labels is None:
         raise NoText(f"study {study.id!r} has neither text sections nor labels")
     if not sections:
-        t1 = engine.build_study_text(study.labels, rng, negative_sample_count)
-        t2 = engine.build_study_text(study.labels, rng, negative_sample_count)
+        t1 = engine.build_study_text(study.labels, rng, cfg.negative_sample_count)
+        t2 = engine.build_study_text(study.labels, rng, cfg.negative_sample_count)
         return t1, t2, "prompts"
     if len(sections) == 2:
-        t1, t2 = sections
-        if not findings_first and rng.integers(2) == 1:
-            t1, t2 = t2, t1
-        return t1, t2, "sections"
+        return sections[0], sections[1], "sections"
     t1 = sections[0]
-    return t1, augment_text(t1, tcfg, rng), "section_aug"
+    t2 = augment_text(t1, rng, cfg.backtranslation_command) if cfg.augment else t1
+    return t1, t2, "section_aug"
 
 
-def sample_pair(study: Study, cfg: SamplerConfig, engine: PromptEngine, rng) -> SampledPair:
-    x1, x2, augmented = sample_images(study, cfg.image_aug, rng)
-    t1, t2, source = sample_texts(
-        study,
-        cfg.text_aug,
-        rng,
-        engine,
-        negative_sample_count=cfg.negative_sample_count,
-        findings_first=cfg.findings_first,
-    )
+def sample_pair(study: Study, cfg: TrainConfig, engine: PromptEngine, rng) -> SampledPair:
+    x1, x2, augmented = sample_images(study, cfg, rng)
+    t1, t2, source = sample_texts(study, cfg, rng, engine)
     return SampledPair(x1=x1, x2=x2, t1=t1, t2=t2, image2_augmented=augmented, text_source=source)
 
 
-def sample_single(study: Study, cfg: SamplerConfig, engine: PromptEngine, rng) -> SampledPair:
+def sample_single(study: Study, cfg: TrainConfig, engine: PromptEngine, rng) -> SampledPair:
     """One (image, text) per study, in both view slots, for the single-pair modes.
 
     mode 'single': first image and first section (or one prompt rendering).
     mode 'study_single': seeded random image and random section or prompt.
     With cfg.augment set, augmentation is applied on top.
     """
-    if cfg.mode == "single":
+    if cfg.sampling_mode == "single":
         img = study.images[0].pixels
         text = study.sections[0] if study.sections else engine.build_study_text(
             study.labels, rng, cfg.negative_sample_count
@@ -178,16 +143,16 @@ def sample_single(study: Study, cfg: SamplerConfig, engine: PromptEngine, rng) -
             text = study.sections[int(rng.integers(len(study.sections)))]
         else:
             text = engine.build_study_text(study.labels, rng, cfg.negative_sample_count)
-    size = cfg.image_aug.output_size
+    size = cfg.image_size
     img = resize_bilinear(img, size, size)
     if cfg.augment:
-        img = augment_image(img, cfg.image_aug, rng)
-        text = augment_text(text, cfg.text_aug, rng)
+        img = augment_image(img, size, cfg.clahe_probability, rng)
+        text = augment_text(text, rng, cfg.backtranslation_command)
     return SampledPair(x1=img, x2=img, t1=text, t2=text, text_source="single")
 
 
 def assemble_batch(
-    studies: list[Study], sample, cfg: SamplerConfig, engine: PromptEngine, seed: int
+    studies: list[Study], sample, cfg: TrainConfig, engine: PromptEngine, seed: int
 ) -> StudyBatch:
     """One ``sample(study, cfg, engine, rng)`` per study, each rng derived from (seed, study id)."""
     if not studies:
@@ -201,13 +166,14 @@ def assemble_batch(
     x1 = np.stack([p.x1 for p in pairs])
     return StudyBatch(
         x1=x1,
-        x2=np.stack([p.x2 for p in pairs]) if cfg.mode == "pairs" else x1,
+        x2=np.stack([p.x2 for p in pairs]) if cfg.sampling_mode == "pairs" else x1,
         t1=[p.t1 for p in pairs],
         t2=[p.t2 for p in pairs],
         pairs=pairs,
     )
 
 
-def make_batch(studies: list[Study], cfg: SamplerConfig, engine: PromptEngine, seed: int) -> StudyBatch:
-    """The batch of cfg.mode: ``sample_pair`` per study for pairs, ``sample_single`` otherwise."""
-    return assemble_batch(studies, sample_pair if cfg.mode == "pairs" else sample_single, cfg, engine, seed)
+def make_batch(studies: list[Study], cfg: TrainConfig, engine: PromptEngine, seed: int) -> StudyBatch:
+    """The batch of cfg.sampling_mode: ``sample_pair`` per study for pairs, ``sample_single`` otherwise."""
+    sample = sample_pair if cfg.sampling_mode == "pairs" else sample_single
+    return assemble_batch(studies, sample, cfg, engine, seed)

@@ -118,10 +118,12 @@ def read_pgm(path: str | Path) -> np.ndarray:
         raise DataFormatError(f"{path}: truncated graymap header")
     magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
     if magic == b"P5":
-        body = raw[i + 1 : i + 1 + w * h]
-        if len(body) != w * h:
-            raise DataFormatError(f"{path}: expected {w * h} pixel bytes, got {len(body)}")
-        data = np.frombuffer(body, dtype=np.uint8).reshape(h, w).astype(np.float64)
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)  # 2 big-endian bytes per pixel above 255
+        size = w * h * dtype.itemsize
+        body = raw[i + 1 : i + 1 + size]
+        if len(body) != size:
+            raise DataFormatError(f"{path}: expected {size} pixel bytes, got {len(body)}")
+        data = np.frombuffer(body, dtype=dtype).reshape(h, w).astype(np.float64)
     elif magic == b"P2":
         values = raw[i:].split()
         if len(values) != w * h:

@@ -1,5 +1,9 @@
 """Training loop: batches, table-driven objective, decoupled-decay adaptive updates.
 
+``TrainConfig`` is the one settings object: the sampler reads its sampling
+and augmentation fields, and with ``augment`` off no augmentation runs. It
+checks every field against its declared type when it is built.
+
 Each step assembles one batch in the configured sampling mode through the
 sampler's batch loop and scores it with the loss table of
 ``TrainConfig.loss_table``: the paper's six pairings for ``pairs``, the
@@ -29,7 +33,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .augment import ImageAugConfig, TextAugConfig
 from .encoders import (
     ImageEncoderParams,
     TextEncoderParams,
@@ -45,7 +48,7 @@ from .encoders import (
 )
 from .losses import CLIP_TABLE, EmbeddingBatch, Pairing, ShapeMismatch, Temperature, paper_table, total_loss
 from .prompts import PromptEngine
-from .sampling import SAMPLING_MODES, SamplerConfig, StudyBatch, assemble_batch, make_batch, sample_single
+from .sampling import SAMPLING_MODES, StudyBatch, assemble_batch, make_batch, sample_single
 from .studies import Study
 
 
@@ -88,16 +91,20 @@ class TrainConfig:
     augment: bool = True
     clahe_probability: float = 0.5
     negative_sample_count: int | None = None
-    findings_first: bool = True
-    text_aug_mode: str = "sentence_swap"
-    backtranslation_command: str | None = None
+    backtranslation_command: str | None = None  # augment_text back-translates through it when set
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, kind = getattr(self, f.name), _field_kind(f)
+            if value is None and f.type.endswith("| None"):
+                continue
+            allowed = (int, float) if kind is float else kind
+            # bool is an int subclass: an int field takes no bool, and a bool field only a bool
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("learning_rate", "weight_decay", "warmup_epochs", "early_stop_patience"):
+        for name in ("learning_rate", "weight_decay", "warmup_epochs", "early_stop_patience", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         at_least_one = (
@@ -122,24 +129,12 @@ class TrainConfig:
                 f"sampling_mode {self.sampling_mode!r} trains only the (u1, v1) pairing: "
                 "lambda_icl and lambda_tcl must be 0"
             )
-        try:
-            self.sampler_config()
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-
-    def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            image_aug=ImageAugConfig(
-                clahe_probability=self.clahe_probability, output_size=self.image_size
-            ),
-            text_aug=TextAugConfig(
-                mode=self.text_aug_mode, backtranslation_command=self.backtranslation_command
-            ),
-            negative_sample_count=self.negative_sample_count,
-            findings_first=self.findings_first,
-            mode=self.sampling_mode,
-            augment=self.augment,
-        )
+        if not 0.0 <= self.clahe_probability <= 1.0:
+            raise ConfigError(f"clahe_probability must lie in [0, 1], got {self.clahe_probability}")
+        if self.negative_sample_count is not None and self.negative_sample_count < 0:
+            raise ConfigError(
+                f"negative_sample_count must be non-negative or None, got {self.negative_sample_count}"
+            )
 
     def loss_table(self) -> tuple[Pairing, ...]:
         """The weighted view pairings of the objective for this sampling mode."""
@@ -148,41 +143,37 @@ class TrainConfig:
         return CLIP_TABLE
 
 
+def _field_kind(f) -> type:
+    """The type a ``TrainConfig`` field declares, ``None`` aside."""
+    return {"int": int, "float": float, "bool": bool, "str": str}[f.type.partition(" | ")[0]]
+
+
 def config_from_dict(raw: dict) -> TrainConfig:
     known = {f.name: f for f in fields(TrainConfig)}
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, value)
-    try:
-        return TrainConfig(**kwargs)
-    except TypeError as err:
-        raise ConfigError(str(err)) from None
+        kwargs[key] = _coerce(known[key], value)
+    return TrainConfig(**kwargs)
 
 
-def _coerce(key: str, value):
+def _coerce(f, value):
+    """A string parsed as the field's declared type; "none" and "null" read as None."""
     if not isinstance(value, str):
         return value
     text = value.strip()
     if text.lower() in ("none", "null"):
         return None
-    if text.lower() in ("true", "false"):
+    kind = _field_kind(f)
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ConfigError(f"{f.name} expects true/false, got {text!r}")
         return text.lower() == "true"
-    defaults = TrainConfig()
-    current = getattr(defaults, key)
-    if isinstance(current, bool):
-        raise ConfigError(f"{key} expects true/false, got {text!r}")
     try:
-        if isinstance(current, int):
-            return int(text)
-        if isinstance(current, float) or key in ("grad_clip",):
-            return float(text)
-        if key == "negative_sample_count":
-            return int(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"cannot parse {key}={text!r}") from None
-    return text
+        raise ConfigError(f"cannot parse {f.name}={text!r}") from None
 
 
 # ------------------------------------------------------------------- schedule
@@ -360,16 +351,16 @@ def _batch_loss(model: TrainedModel, batch, table: tuple[Pairing, ...], with_gra
     return out, grads
 
 
-def _sample_batch(studies, sampler_cfg: SamplerConfig, engine, seed: int):
+def _sample_batch(studies, cfg: TrainConfig, engine, seed: int):
     """The batch ``make_batch`` gives, with single modes sampled through this module's names.
 
     perfbench times the names ``training`` calls: passing ``sample_single`` from here keeps
     its per-study span ``sampling.sample_single``. Once the benchmark drops that span, call
     ``make_batch`` for every mode.
     """
-    if sampler_cfg.mode == "pairs":
-        return make_batch(studies, sampler_cfg, engine, seed)
-    return assemble_batch(studies, sample_single, sampler_cfg, engine, seed)
+    if cfg.sampling_mode == "pairs":
+        return make_batch(studies, cfg, engine, seed)
+    return assemble_batch(studies, sample_single, cfg, engine, seed)
 
 
 def validation_batches(studies, cfg: TrainConfig, engine) -> list[StudyBatch]:
@@ -379,9 +370,8 @@ def validation_batches(studies, cfg: TrainConfig, engine) -> list[StudyBatch]:
     epoch would assemble: ``train`` builds them once and scores them each epoch.
     """
     val_seed = cfg.seed + 7919  # fixed offset: same batches every epoch
-    sampler_cfg = cfg.sampler_config()
     return [
-        _sample_batch(studies[start : start + cfg.batch_studies], sampler_cfg, engine, val_seed)
+        _sample_batch(studies[start : start + cfg.batch_studies], cfg, engine, val_seed)
         for start in range(0, len(studies), cfg.batch_studies)
     ]
 
@@ -423,7 +413,7 @@ def train(
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
     state = OptimState()
     log = TrainLog()
-    sampler_cfg, table = cfg.sampler_config(), cfg.loss_table()
+    table = cfg.loss_table()
 
     val_batches = validation_batches(val_dataset, cfg, engine)
     best_val = validation_loss(model, val_batches, table)
@@ -437,7 +427,7 @@ def train(
         order = order_rng.permutation(len(dataset))
         for start in range(0, len(dataset), cfg.batch_studies):
             chunk = [dataset[int(i)] for i in order[start : start + cfg.batch_studies]]
-            batch = _sample_batch(chunk, sampler_cfg, engine, seed=cfg.seed * 1_000_003 + step)
+            batch = _sample_batch(chunk, cfg, engine, seed=cfg.seed * 1_000_003 + step)
             out, grads = _batch_loss(model, batch, table, with_grads=True)
             if not math.isfinite(out.value):
                 raise NumericError(step=step, value=out.value)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,14 @@ def test_no_module_imports_a_name_it_never_uses():
                     if bound not in names:
                         unused.append(f"{path.stem}: {bound}")
     assert unused == []
+
+
+def test_every_call_site_the_benchmark_traces_exists():
+    # the benchmark patches names one module calls in another; a refactor that drops one
+    # leaves that name's per-layer metrics out of every run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer() as active:
+        pass
+    assert active.absent == set()

@@ -11,17 +11,15 @@ from studyclip.augment import (
     BadImage,
     CLAHE_BINS,
     CLAHE_CLIP_FRACTION,
-    ImageAugConfig,
-    TextAugConfig,
     augment_image,
     augment_text,
     clahe,
     resize_bilinear,
     split_sentences,
 )
+from studyclip import sampling
 from studyclip.prompts import PromptEngine
 from studyclip.sampling import (
-    SamplerConfig,
     SamplingError,
     make_batch,
     sample_images,
@@ -37,11 +35,18 @@ from studyclip.studies import (
     save_studies,
     write_pgm,
 )
+from studyclip.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
 def engine():
     return PromptEngine.default()
+
+
+def config(mode="pairs", **overrides) -> TrainConfig:
+    """A sampler config at 8 px; the single modes train no ICL or TCL term."""
+    lambdas = {} if mode == "pairs" else {"lambda_icl": 0.0, "lambda_tcl": 0.0}
+    return TrainConfig(sampling_mode=mode, image_size=8, **lambdas, **overrides)
 
 
 def flat_image(value=0.5, size=16):
@@ -62,7 +67,7 @@ def make_study(study_id="s0", views=("PA",), findings=None, impression=None, lab
 
 def test_distinct_views_preferred(engine):
     study = make_study(views=("PA", "LATERAL", "LATERAL"), findings="F.")
-    cfg = ImageAugConfig(output_size=8)
+    cfg = config()
     for seed in range(20):
         rng = np.random.default_rng(seed)
         x1, x2, augmented = sample_images(study, cfg, rng)
@@ -75,14 +80,14 @@ def test_distinct_views_preferred(engine):
 
 def test_single_image_fallback_is_augmented(engine):
     study = make_study(views=("AP",), findings="F.")
-    x1, x2, augmented = sample_images(study, ImageAugConfig(output_size=8), np.random.default_rng(0))
+    x1, x2, augmented = sample_images(study, config(), np.random.default_rng(0))
     assert augmented
     assert x1.shape == x2.shape == (8, 8)
 
 
 def test_same_view_pair_uses_distinct_images(engine):
     study = make_study(views=("AP", "AP"), findings="F.")
-    x1, x2, augmented = sample_images(study, ImageAugConfig(output_size=8), np.random.default_rng(1))
+    x1, x2, augmented = sample_images(study, config(), np.random.default_rng(1))
     assert not augmented
     assert not np.allclose(x1, x2)
 
@@ -92,13 +97,13 @@ def test_same_view_pair_uses_distinct_images(engine):
 
 def test_both_sections_fixed_order(engine):
     study = make_study(findings="F one.", impression="I two.")
-    t1, t2, source = sample_texts(study, TextAugConfig(), np.random.default_rng(0), engine)
+    t1, t2, source = sample_texts(study, TrainConfig(), np.random.default_rng(0), engine)
     assert (t1, t2, source) == ("F one.", "I two.", "sections")
 
 
 def test_labels_give_two_prompt_renderings(engine):
     study = make_study(labels={"Cardiomegaly": "positive"})
-    t1, t2, source = sample_texts(study, TextAugConfig(), np.random.default_rng(3), engine)
+    t1, t2, source = sample_texts(study, TrainConfig(), np.random.default_rng(3), engine)
     assert source == "prompts"
     sentences = engine.prompt_set("Cardiomegaly", "positive")
     assert t1 in sentences and t2 in sentences
@@ -106,7 +111,7 @@ def test_labels_give_two_prompt_renderings(engine):
 
 def test_single_section_single_sentence_swap_is_identity(engine):
     study = make_study(findings="Only one sentence.")
-    t1, t2, source = sample_texts(study, TextAugConfig(), np.random.default_rng(0), engine)
+    t1, t2, source = sample_texts(study, TrainConfig(), np.random.default_rng(0), engine)
     assert source == "section_aug"
     assert t1 == t2 == "Only one sentence."
 
@@ -115,9 +120,7 @@ def test_negative_sample_count_forwarded(engine):
     labels = {"Pneumonia": "positive"}
     labels.update({c: "negative" for c in ("Edema", "Fracture", "Mass", "Hernia", "Nodule")})
     study = make_study(labels=labels)
-    t1, _, _ = sample_texts(
-        study, TextAugConfig(), np.random.default_rng(5), engine, negative_sample_count=3
-    )
+    t1, _, _ = sample_texts(study, TrainConfig(negative_sample_count=3), np.random.default_rng(5), engine)
     assert sum(t1.count(p) for p in ".!?") == 4
 
 
@@ -125,34 +128,31 @@ def test_negative_sample_count_forwarded(engine):
 
 
 def test_constant_image_fixpoint_up_to_brightness():
-    cfg = ImageAugConfig(output_size=12, clahe_probability=1.0)
     for seed in range(30):
-        out = augment_image(flat_image(0.5), cfg, np.random.default_rng(seed))
+        out = augment_image(flat_image(0.5), 12, 1.0, np.random.default_rng(seed))
         assert out.shape == (12, 12)
         assert np.ptp(out) < 1e-12  # still spatially constant
         assert 0.45 - 1e-12 <= out[0, 0] <= 0.55 + 1e-12
 
 
 def test_output_shape_contract():
-    cfg = ImageAugConfig(output_size=9)
     for shape in [(5, 7), (16, 16), (3, 3)]:
         img = np.random.default_rng(1).uniform(size=shape)
-        out = augment_image(img, cfg, np.random.default_rng(2))
+        out = augment_image(img, 9, 0.5, np.random.default_rng(2))
         assert out.shape == (9, 9)
 
 
 def test_augmented_range_stays_in_unit_interval():
-    cfg = ImageAugConfig(output_size=16, clahe_probability=1.0)
     for seed in range(10):
-        out = augment_image(grid_image(seed=seed), cfg, np.random.default_rng(seed))
+        out = augment_image(grid_image(seed=seed), 16, 1.0, np.random.default_rng(seed))
         assert np.min(out) >= 0.0 and np.max(out) <= 1.0
 
 
 def test_bad_image_rejected():
     with pytest.raises(BadImage):
-        augment_image(np.empty((0, 4)), ImageAugConfig(), np.random.default_rng(0))
+        augment_image(np.empty((0, 4)), 32, 0.5, np.random.default_rng(0))
     with pytest.raises(BadImage):
-        augment_image(np.ones((2, 2, 2)), ImageAugConfig(), np.random.default_rng(0))
+        augment_image(np.ones((2, 2, 2)), 32, 0.5, np.random.default_rng(0))
 
 
 def test_clahe_checker_matches_direct_histogram_oracle():
@@ -188,14 +188,13 @@ def test_resize_bilinear_constant_and_identity():
 
 
 def test_sentence_swap_two_sentences():
-    tcfg = TextAugConfig()
-    outs = {augment_text("A. B.", tcfg, np.random.default_rng(s)) for s in range(10)}
+    outs = {augment_text("A. B.", np.random.default_rng(s)) for s in range(10)}
     assert "B. A." in outs
     assert outs <= {"A. B.", "B. A."}
 
 
 def test_single_sentence_unchanged():
-    assert augment_text("A.", TextAugConfig(), np.random.default_rng(0)) == "A."
+    assert augment_text("A.", np.random.default_rng(0)) == "A."
 
 
 @given(
@@ -206,26 +205,20 @@ def test_single_sentence_unchanged():
 @settings(max_examples=40, deadline=None)
 def test_sentence_multiset_preserved(sentences, seed):
     text = " ".join(sentences)
-    out = augment_text(text, TextAugConfig(), np.random.default_rng(seed))
+    out = augment_text(text, np.random.default_rng(seed))
     assert collections.Counter(split_sentences(out)) == collections.Counter(split_sentences(text))
-
-
-def test_identity_mode():
-    assert augment_text("A. B.", TextAugConfig(mode="identity"), np.random.default_rng(0)) == "A. B."
 
 
 def test_backtranslation_hook_invoked_twice(tmp_path):
     hook = tmp_path / "hook.sh"
     hook.write_text('#!/bin/sh\nprintf \'%s [%s]\' "$(cat)" "$1"\n', encoding="utf-8")
     hook.chmod(hook.stat().st_mode | stat.S_IEXEC)
-    tcfg = TextAugConfig(mode="external_backtranslation", backtranslation_command=str(hook))
-    out = augment_text("Text here.", tcfg, np.random.default_rng(0))
+    out = augment_text("Text here.", np.random.default_rng(0), str(hook))
     assert out == "Text here. [forward] [backward]"
 
 
 def test_backtranslation_without_hook_falls_back_to_swap():
-    tcfg = TextAugConfig(mode="external_backtranslation")
-    outs = {augment_text("A. B.", tcfg, np.random.default_rng(s)) for s in range(10)}
+    outs = {augment_text("A. B.", np.random.default_rng(s), None) for s in range(10)}
     assert outs <= {"A. B.", "B. A."} and len(outs) == 2
 
 
@@ -245,7 +238,7 @@ def studies_for_batch(n, size=12):
 
 
 def test_batch_of_128_studies_yields_256_pairs(engine):
-    cfg = SamplerConfig(image_aug=ImageAugConfig(output_size=8))
+    cfg = config()
     batch = make_batch(studies_for_batch(128), cfg, engine, seed=0)
     assert batch.n == 128
     assert batch.x1.shape == batch.x2.shape == (128, 8, 8)
@@ -255,13 +248,13 @@ def test_batch_of_128_studies_yields_256_pairs(engine):
 
 
 def test_batch_of_one(engine):
-    cfg = SamplerConfig(image_aug=ImageAugConfig(output_size=8))
+    cfg = config()
     batch = make_batch(studies_for_batch(1), cfg, engine, seed=0)
     assert batch.n == 1
 
 
 def test_batch_deterministic_under_seed(engine):
-    cfg = SamplerConfig(image_aug=ImageAugConfig(output_size=8))
+    cfg = config()
     studies = studies_for_batch(9)
     a = make_batch(studies, cfg, engine, seed=42)
     b = make_batch(studies, cfg, engine, seed=42)
@@ -272,7 +265,7 @@ def test_batch_deterministic_under_seed(engine):
 
 def test_batch_independent_of_study_order(engine):
     # per-study sub-seeds come from (seed, id), not list position
-    cfg = SamplerConfig(image_aug=ImageAugConfig(output_size=8))
+    cfg = config()
     studies = studies_for_batch(6)
     fwd = make_batch(studies, cfg, engine, seed=7)
     rev = make_batch(studies[::-1], cfg, engine, seed=7)
@@ -282,7 +275,7 @@ def test_batch_independent_of_study_order(engine):
 
 @pytest.mark.parametrize("mode", ["study_single", "single"])
 def test_single_modes_share_one_image_array(engine, mode):
-    cfg = SamplerConfig(image_aug=ImageAugConfig(output_size=8), mode=mode)
+    cfg = config(mode)
     batch = make_batch(studies_for_batch(6), cfg, engine, seed=0)
     assert batch.x2 is batch.x1 and batch.x1.shape == (6, 8, 8)
     assert batch.t2 == batch.t1
@@ -292,11 +285,11 @@ def test_single_modes_share_one_image_array(engine, mode):
 def test_batch_error_carries_study_id(engine, mode):
     bad = Study(id="weird", images=[StudyImage(grid_image(8), "PA")], labels={"Zebra": "positive"})
     with pytest.raises(SamplingError, match="weird"):
-        make_batch([bad], SamplerConfig(mode=mode), engine, seed=0)
+        make_batch([bad], config(mode), engine, seed=0)
 
 
 def test_augmentation_fallback_flag_consistency(engine):
-    cfg = SamplerConfig(image_aug=ImageAugConfig(output_size=8))
+    cfg = config()
     for study in studies_for_batch(12):
         pair = sample_pair(study, cfg, engine, np.random.default_rng(0))
         assert pair.image2_augmented == (len(study.images) == 1)
@@ -306,6 +299,21 @@ def test_augmentation_fallback_flag_consistency(engine):
             assert pair.text_source == "sections"
         else:
             assert pair.text_source == "prompts"
+
+
+def test_pairs_without_augmentation_repeat_the_first_view(engine, monkeypatch):
+    def never(*args):
+        raise AssertionError("augmentation ran with augment off")
+
+    monkeypatch.setattr(sampling, "augment_image", never)
+    monkeypatch.setattr(sampling, "augment_text", never)
+    batch = make_batch(studies_for_batch(12), config(augment=False), engine, seed=0)
+    for study, pair in zip(studies_for_batch(12), batch.pairs):
+        assert not pair.image2_augmented
+        if len(study.images) == 1:
+            np.testing.assert_array_equal(pair.x2, pair.x1)
+        if pair.text_source == "section_aug":
+            assert pair.t2 == pair.t1 == "One. Two."
 
 
 # -------------------------------------------------------------- study records
@@ -342,6 +350,16 @@ def test_ascii_pgm_supported(tmp_path):
     p = tmp_path / "a.pgm"
     p.write_text("P2\n# comment\n2 2\n255\n0 128\n255 64\n", encoding="ascii")
     np.testing.assert_allclose(read_pgm(p), [[0, 128 / 255], [1.0, 64 / 255]])
+
+
+def test_16_bit_binary_pgm_reads_two_big_endian_bytes_per_pixel(tmp_path):
+    p = tmp_path / "wide.pgm"
+    pixels = np.array([[0, 65535], [32768, 1000]], dtype=">u2")
+    p.write_bytes(b"P5\n2 2\n65535\n" + pixels.tobytes())
+    np.testing.assert_array_equal(read_pgm(p), pixels / 65535.0)
+    p.write_bytes(b"P5\n2 2\n65535\n" + pixels.tobytes()[:4])  # one byte per pixel: truncated
+    with pytest.raises(DataFormatError, match="expected 8 pixel bytes, got 4"):
+        read_pgm(p)
 
 
 def test_inline_pixel_records(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from studyclip import training
 from studyclip.evalrun import evaluate_model
+from studyclip.metrics import DEFAULT_VARIANTS
 from studyclip.prompts import PromptEngine
 from studyclip.synth import SynthSpec, generate_split
 from studyclip.training import (
@@ -207,16 +209,51 @@ def test_single_modes_reject_icl_and_tcl_weights(mode):
     "name, value, text, message",
     [
         ("clahe_probability", 1.5, "1.5", "clahe_probability must lie in [0, 1], got 1.5"),
-        ("text_aug_mode", "bogus", "bogus", "unknown text augmentation mode 'bogus'"),
+        ("text_aug_mode", "bogus", "bogus", "unknown config key 'text_aug_mode'"),
         ("negative_sample_count", -2, "-2", "negative_sample_count must be non-negative or None, got -2"),
     ],
 )
 def test_bad_sampler_settings_are_rejected_when_the_config_is_built(name, value, text, message):
+    # a non-string value passes straight to the constructor
     with pytest.raises(ConfigError, match=re.escape(message)):
-        TrainConfig(**{name: value})
+        config_from_dict({name: value})
     with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict({name: text})
     assert config_from_dict({"negative_sample_count": "0"}).negative_sample_count == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"batch_studies": 2.5}, "batch_studies must be int, got 2.5"),
+        ({"epochs": True}, "epochs must be int, got True"),
+        ({"negative_sample_count": 1.0}, "negative_sample_count must be int | None, got 1.0"),
+        ({"learning_rate": False}, "learning_rate must be float, got False"),
+        ({"augment": "yes"}, "augment must be bool, got 'yes'"),
+        ({"augment": 1}, "augment must be bool, got 1"),
+        ({"sampling_mode": None}, "sampling_mode must be str, got None"),
+        ({"backtranslation_command": True}, "backtranslation_command must be str | None, got True"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ],
+)
+def test_fields_are_checked_against_their_declared_types(overrides, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        TrainConfig(**overrides)
+
+
+def test_float_fields_accept_ints_and_strings_parse_as_the_declared_type():
+    assert TrainConfig(learning_rate=1, grad_clip=2).grad_clip == 2
+    cfg = config_from_dict(
+        {"backtranslation_command": "true", "grad_clip": "1", "negative_sample_count": "3", "seed": "4"}
+    )
+    assert cfg.backtranslation_command == "true"
+    assert cfg.grad_clip == 1.0 and isinstance(cfg.grad_clip, float)
+    assert (cfg.negative_sample_count, cfg.seed) == (3, 4)
+    assert config_from_dict({"backtranslation_command": "none"}).backtranslation_command is None
+    with pytest.raises(ConfigError, match=re.escape("cannot parse batch_studies='2.5'")):
+        config_from_dict({"batch_studies": "2.5"})
+    with pytest.raises(ConfigError, match="epochs must be int, got None"):
+        config_from_dict({"epochs": "null"})
 
 
 def test_adamw_two_steps_match_hand_arithmetic():
@@ -302,3 +339,33 @@ def test_synth_split_is_the_same_in_every_process():
     # both label-only studies and report-bearing ones (texts rendered from prompts) occur
     assert {" None None " in line for line in studies} == {True, False}
     assert first == second
+
+
+# SHA-256 of the parameters each DEFAULT_VARIANTS entry trains on GOLDEN_SPEC. A refactor keeps
+# these bits; a change meant to alter the numbers updates this table and says why.
+GOLDEN_SPEC = SynthSpec(train_studies=48, valid_studies=20, test_studies=20)
+GOLDEN_DIGESTS = {
+    "clip_only": "4e500f5e5660878c62d570de7b6ccfb0895ca430ee868d926f9433300dd3f5c0",
+    "study_sampling": "2a5b7c878474f5661a44f53f82b331075783053757b5e18016d130dbe2e81edd",
+    "augmentations": "592a20be1d592390dfadea76e6d0c89b67dad1866d0df7c65096748e5d4c29ff",
+    "mvs": "d233ec90e05b4fefa3a9eca60c1e470317a18ead4e650cf56d7b97c2f0521c6c",
+    "mvs_icl": "61a356ff8eb7cbfc08c92d000e13b27e1f615dd6abea9c20c5920e2885a02eb8",
+    "full": "baba190ba1880e0de5d01403a9319247551e44adbefcab03765a20c14f9a3243",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_splits(engine):
+    return [generate_split(GOLDEN_SPEC, split, count, 0, engine) for split, count in (("train", 48), ("valid", 20))]
+
+
+@pytest.mark.parametrize("variant", DEFAULT_VARIANTS, ids=lambda v: v.name)
+def test_variant_parameters_keep_their_golden_digest(variant, golden_splits, engine):
+    cfg = config_from_dict({"learning_rate": 5e-3, "epochs": 3, "batch_studies": 16, "seed": 0, **variant.overrides})
+    model, _ = train(*golden_splits, cfg, engine)
+    digest = hashlib.sha256()
+    for name in sorted(model.params):  # the digest the benchmark reports as param_sha256
+        arr = np.ascontiguousarray(model.params[name])
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape};".encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[variant.name]
