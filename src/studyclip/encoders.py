@@ -17,8 +17,12 @@ The conv stage is one GEMM of (batch x positions, 9) patches by (9, k)
 filters. The rectifier takes one exp per element and gives both the
 softplus, which is pooled straight away, and its slope (a sigmoid), which
 the forward pass caches: the image cache holds the patches and the slope, so
-the backward pass recomputes nothing. The temporaries scale with the batch,
-so evaluation encodes large study sets in chunks (``evalrun.EVAL_CHUNK``).
+the backward pass recomputes nothing. The GEMM, the rectifier and the
+pooling run over blocks of a few images, each block's pre-activations within
+``CONV_BLOCK_BYTES``, so their temporaries scale with the block, not the
+batch, and stay in cache. Each block writes its rows of the slope and of the
+pooled features into arrays allocated once per call; the backward pass still
+takes the filter gradient as one GEMM over every row.
 
 Forward passes cache intermediates; backward functions consume the cache and
 return gradients per parameter array. Parameters live in plain dataclasses
@@ -202,19 +206,22 @@ def _conv_patches(imgs: np.ndarray):
 
 RECTIFIER_SLOPE = 8.0
 IMAGE_SHIFT = 0.5
+# Byte budget of one block's pre-activations: 4 images of 15x15 positions x 16 filters.
+CONV_BLOCK_BYTES = 1 << 17
 
 
-def _rectify(z: np.ndarray) -> np.ndarray:
-    """In place: z becomes softplus(z); returns the slope sigmoid(z).
+def _rectify(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """In place: z becomes softplus(z); returns the slope sigmoid(z), in ``out`` if given.
 
     Both come from one exp(-|z|) per element: with a = exp(-|z|) and
     r = 1/(1+a) = sigmoid(|z|), softplus(z) = max(z, 0) + log(1+a) and
-    sigmoid(z) = 0.5 + sign(z)(r - 0.5). Three arrays of z's size are live.
+    sigmoid(z) = 0.5 + sign(z)(r - 0.5). Three arrays of z's size are live;
+    ``encode_image_batch`` passes one block at a time, so that is a block's size.
     """
     a = np.abs(z)
     np.negative(a, out=a)
     np.exp(a, out=a)
-    r = a + 1.0
+    r = np.add(a, 1.0, out=out)
     np.log(r, out=a)
     np.reciprocal(r, out=r)
     r -= 0.5
@@ -233,13 +240,22 @@ def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray):
     b, out_h, out_w, _ = cols.shape
     cols = cols.reshape(-1, 9)
     k = params.conv_w.shape[0]
-    # scaling by the slope (a power of two) is exact, so z is bitwise slope * pre-activation
-    z = cols @ (params.conv_w.reshape(k, 9).T * RECTIFIER_SLOPE)
-    z += params.conv_b * RECTIFIER_SLOPE
-    slope = _rectify(z)
     positions = out_h * out_w
-    # average pooling as one vector-matrix product per image: far faster than a mean over axis 1
-    pooled = np.ones(positions) @ z.reshape(b, positions, k)
+    # scaling by the slope (a power of two) is exact, so z is bitwise slope * pre-activation
+    w = params.conv_w.reshape(k, 9).T * RECTIFIER_SLOPE
+    bias = params.conv_b * RECTIFIER_SLOPE
+    ones = np.ones(positions)
+    slope = np.empty((b * positions, k))
+    pooled = np.empty((b, k))
+    block = max(1, CONV_BLOCK_BYTES // (positions * k * 8))
+    for start in range(0, b, block):
+        stop = min(start + block, b)
+        rows = slice(start * positions, stop * positions)
+        z = cols[rows] @ w
+        z += bias
+        _rectify(z, out=slope[rows])
+        # average pooling as one vector-matrix product per image: far faster than a mean over axis 1
+        pooled[start:stop] = ones @ z.reshape(stop - start, positions, k)
     pooled /= RECTIFIER_SLOPE * positions
     embedding, cache = _head_forward(params, pooled)
     cache.update({"cols": cols, "slope": slope})

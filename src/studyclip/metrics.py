@@ -2,7 +2,9 @@
 
 Retrieval ranks every candidate text per image by inner product (ties broken
 toward the lower index) and reports recall at K plus RSUM, defined as
-100 * (R@1 + R@5 + R@10). Binary zero-shot scores each image by
+100 * (R@1 + R@5 + R@10). Images are ranked ``RANK_BLOCK`` rows at a time:
+each block scores its images against every text, so memory grows with n, not
+with n squared. Binary zero-shot scores each image by
 sim(image, positive prompt) - sim(image, negative prompt) and reports the
 exact rank-based AUC with ties counted one half. Multi-class zero-shot
 predicts the argmax over class prompt embeddings (ties toward the lower
@@ -16,6 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import ShapeMismatch
+
+
+# Images ranked at a time: a block's similarities are RANK_BLOCK x n floats.
+RANK_BLOCK = 256
 
 
 class DegenerateLabels(ValueError):
@@ -45,12 +51,16 @@ def recall_at_k(image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10)) ->
     n = image_embs.shape[0]
     if any(k > n for k in ks):
         raise ShapeMismatch(f"every K must be <= {n}")
-    sims = image_embs @ text_embs.T
-    diag = sims[np.arange(n), np.arange(n)]
-    # rank = number of strictly better candidates + equal candidates at lower index
-    better = np.sum(sims > diag[:, None], axis=1)
-    ties_before = np.tril(sims == diag[:, None], -1).sum(axis=1)
-    ranks = better + ties_before
+    ranks = np.empty(n, dtype=np.int64)
+    for start in range(0, n, RANK_BLOCK):
+        stop = min(start + RANK_BLOCK, n)
+        sims = image_embs[start:stop] @ text_embs.T
+        diag = sims[np.arange(stop - start), np.arange(start, stop)][:, None]
+        # rank = number of strictly better candidates + equal candidates at lower index;
+        # the diagonal offset keeps the ties in columns below each row's global index
+        better = np.sum(sims > diag, axis=1)
+        ties_before = np.tril(sims == diag, start - 1).sum(axis=1)
+        ranks[start:stop] = better + ties_before
     recalls = {int(k): float(np.mean(ranks < k)) for k in ks}
     return RetrievalResult(recalls=recalls, rsum=100.0 * sum(recalls.values()), ranks=ranks)
 

@@ -99,6 +99,15 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
+def _header_int(path, field: str, token: bytes, lo: int, hi: int | None = None) -> int:
+    """A graymap header field: ASCII decimal digits with a value in [lo, hi]."""
+    value = int(token) if token.isdigit() else None
+    if value is None or value < lo or (hi is not None and value > hi):
+        allowed = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise DataFormatError(f"{path}: graymap {field} must be an integer {allowed}, got {token!r}")
+    return value
+
+
 def read_pgm(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     tokens: list[bytes] = []
@@ -116,7 +125,12 @@ def read_pgm(path: str | Path) -> np.ndarray:
         tokens.append(raw[start:i])
     if len(tokens) < 4:
         raise DataFormatError(f"{path}: truncated graymap header")
-    magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
+    magic = tokens[0]
+    if magic not in (b"P5", b"P2"):
+        raise DataFormatError(f"{path}: unsupported graymap magic {magic!r}")
+    w = _header_int(path, "width", tokens[1], 1)
+    h = _header_int(path, "height", tokens[2], 1)
+    maxval = _header_int(path, "maxval", tokens[3], 1, 65535)
     if magic == b"P5":
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)  # 2 big-endian bytes per pixel above 255
         size = w * h * dtype.itemsize
@@ -124,13 +138,15 @@ def read_pgm(path: str | Path) -> np.ndarray:
         if len(body) != size:
             raise DataFormatError(f"{path}: expected {size} pixel bytes, got {len(body)}")
         data = np.frombuffer(body, dtype=dtype).reshape(h, w).astype(np.float64)
-    elif magic == b"P2":
+    else:
         values = raw[i:].split()
         if len(values) != w * h:
             raise DataFormatError(f"{path}: expected {w * h} pixel values, got {len(values)}")
+        if not all(v.isdigit() for v in values):
+            raise DataFormatError(f"{path}: graymap pixel values must be non-negative integers")
         data = np.array([int(v) for v in values], dtype=np.float64).reshape(h, w)
-    else:
-        raise DataFormatError(f"{path}: unsupported graymap magic {magic!r}")
+    if data.max() > maxval:
+        raise DataFormatError(f"{path}: graymap pixel value {int(data.max())} exceeds maxval {maxval}")
     return data / float(maxval)
 
 

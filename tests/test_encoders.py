@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from studyclip.encoders import (
+    CONV_BLOCK_BYTES,
     RECTIFIER_SLOPE,
     EmptySequence,
     ImageEncoderParams,
@@ -19,6 +20,7 @@ from studyclip.encoders import (
     tokenize,
     _rectify,
 )
+from encoder_oracle import reference_encode
 from gradcheck import finite_diff_grad, max_relative_error
 from studyclip.evalrun import EVAL_CHUNK, eval_image_embeddings
 from studyclip.losses import EmbeddingBatch, ShapeMismatch, Temperature, paper_table, total_loss
@@ -285,4 +287,25 @@ def test_chunked_eval_embeddings_match_one_batch():
     chunked = eval_image_embeddings(model, studies)
     whole, _ = encode_image_batch(model.image_params(), np.stack([s.images[0].pixels for s in studies]))
     assert chunked.shape == whole.shape
-    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(chunked, whole)
+
+
+# ------------------------------------------------------------------- blocking
+
+DEFAULT = TrainConfig()
+# images per conv block at the default sizes: 15x15 positions of 16 filters, float64
+BLOCK = CONV_BLOCK_BYTES // (15 * 15 * DEFAULT.conv_filters * 8)
+
+
+@pytest.mark.parametrize("batch", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+def test_blocked_forward_matches_one_pass_oracle_bit_for_bit(batch):
+    assert BLOCK >= 2  # so block - 1 is a batch and the cases differ
+    params = init_image_params(0, DEFAULT)
+    params.conv_b = np.random.default_rng(8).normal(size=DEFAULT.conv_filters)  # exercise the bias
+    imgs = np.random.default_rng(batch).uniform(size=(batch, DEFAULT.image_size, DEFAULT.image_size))
+    emb, cache = encode_image_batch(params, imgs)
+    ref_emb, ref_cache = reference_encode(params, imgs)
+    assert emb.tobytes() == ref_emb.tobytes()
+    for name in ("cols", "slope", "pooled", "h", "feature", "projected"):
+        assert cache[name].shape == ref_cache[name].shape, name
+        assert cache[name].tobytes() == ref_cache[name].tobytes(), name

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from studyclip.losses import ShapeMismatch
-from studyclip.metrics import auc_exact, recall_at_k, zero_shot_binary, zero_shot_multiclass
+from studyclip.metrics import RANK_BLOCK, auc_exact, recall_at_k, zero_shot_binary, zero_shot_multiclass
 
 
 def brute_force_ranks(sims: np.ndarray) -> np.ndarray:
@@ -40,6 +42,43 @@ def test_recall_all_tied_ranks_by_index():
     result = recall_at_k(np.ones((12, 2)), np.ones((12, 2)))
     np.testing.assert_array_equal(result.ranks, np.arange(12))
     assert result.recalls == {1: 1 / 12, 5: 5 / 12, 10: 10 / 12}
+
+
+def full_matrix_ranks(images: np.ndarray, texts: np.ndarray) -> np.ndarray:
+    """The rank formula over the whole n x n similarity matrix at once."""
+    sims = images @ texts.T
+    diag = np.diag(sims)[:, None]
+    return np.sum(sims > diag, axis=1) + np.tril(sims == diag, -1).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1])
+def test_blocked_ranks_match_the_full_matrix_on_ties(n):
+    rng = np.random.default_rng(n)
+    # values rounded to halves make exact similarities; repeated rows make ties across blocks
+    images = np.round(2.0 * rng.normal(size=(n, 3))) / 2.0
+    texts = np.round(2.0 * rng.normal(size=(n, 3))) / 2.0
+    images[n // 2 :] = images[: n - n // 2]
+    texts[n // 2 :] = texts[: n - n // 2]
+    sims = images @ texts.T
+    assert np.tril(sims == np.diag(sims)[:, None], -1).any()  # ties at a lower index do count
+    expected = full_matrix_ranks(images, texts)
+    result = recall_at_k(images, texts)
+    np.testing.assert_array_equal(result.ranks, expected)
+    assert result.recalls == {k: float(np.mean(expected < k)) for k in (1, 5, 10)}
+
+
+def test_ranking_memory_is_bounded_by_the_block():
+    n = 2000
+    rng = np.random.default_rng(0)
+    images, texts = rng.normal(size=(n, 64)), rng.normal(size=(n, 64))
+    tracemalloc.start()
+    try:
+        recall_at_k(images, texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x n similarity matrix alone is 32 MB; three blocks of it are 12.3 MB
+    assert peak < 3 * RANK_BLOCK * n * 8
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -362,6 +362,29 @@ def test_16_bit_binary_pgm_reads_two_big_endian_bytes_per_pixel(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize(
+    "header, body, field",
+    [
+        (b"P5\n2 1\n0\n", b"\x00\x01", "maxval"),  # maxval 0 would divide by zero
+        (b"P5\n2 1\n65536\n", b"\x00\x00\x00\x01", "maxval"),
+        (b"P5\n2 1\nabc\n", b"\x00\x01", "maxval"),
+        (b"P5\n0 1\n255\n", b"", "width"),
+        (b"P5\n2 -1\n255\n", b"\x00\x01", "height"),
+        (b"P5\n2.5 1\n255\n", b"\x00\x01", "width"),
+        (b"P5\n2 1\n100\n", bytes([50, 200]), "pixel value 200 exceeds maxval 100"),
+        (b"P2\n2 1\n100\n", b"50 101\n", "pixel value 101 exceeds maxval 100"),
+        (b"P2\n2 1\n100\n", b"50 -1\n", "pixel values must be non-negative integers"),
+    ],
+    ids=["maxval_0", "maxval_65536", "maxval_text", "width_0", "height_negative", "width_fraction",
+         "p5_pixel_above_maxval", "p2_pixel_above_maxval", "p2_pixel_negative"],
+)
+def test_invalid_pgm_header_or_pixel_names_the_file_and_field(tmp_path, header, body, field):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(header + body)
+    with pytest.raises(DataFormatError, match=f"bad.pgm: graymap {field}"):
+        read_pgm(p)
+
+
 def test_inline_pixel_records(tmp_path):
     path = tmp_path / "inline.jsonl"
     path.write_text(
