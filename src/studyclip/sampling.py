@@ -16,9 +16,12 @@ image size, CLAHE probability, negative prompt count and back-translation
 command.
 
 ``assemble_batch`` is the one batch loop, for every mode: it derives each
-study's sub-seed deterministically from (global seed, study id), so batches
-are reproducible and order-independent workers could assemble them
-concurrently, and it tags a per-study failure with the study id.
+study's sub-seed deterministically from (global seed, study id), so a batch
+depends only on its studies and seed, not on the order or the process that
+assembles it; it tags a per-study failure with the study id. So
+``training.train`` assembles its training batches in a forked worker process,
+beside the compute, bit for bit as the main process would, and its
+validation batches in the main process.
 ``make_batch`` picks the per-study sampler for the configured mode.
 """
 

@@ -12,15 +12,53 @@ encoded once; the gradient of each view is propagated back through its
 encoder, and parameter gradients accumulate in the fixed view order v1, v2,
 u1, u2.
 
+Training batches are assembled beside the compute, in one worker process. It
+is forked, not spawned, so it reads the studies and the prompt engine the
+main process already holds, with no pickling and no fresh import. ``train``
+first draws the whole step schedule: each step's study indices from the
+epoch permutations of ``seed + 1``, and its sampling seed
+``seed * 1_000_003 + step``. Every study draws from its own ``study_rng``, so a
+batch depends only on its indices and seed, and the worker's batches are bit
+for bit those the main process would assemble. The worker starts before the
+first validation pass and assembles the steps in order into a ring of
+``SLOTS`` slots in one anonymous shared ``mmap``: per slot the images, the
+texts as UTF-8 bytes with their lengths, and each study's provenance (text
+source, augmented second image). The main process reads a batch as read-only
+views of its slot, with no copy and no unpickling, and frees the slot once
+the step's loss and gradients are computed; meanwhile the worker fills the
+other slot.
+
+Two semaphores count the filled and the free slots (``_wait_for_batch`` is
+the main side's wait). Taking one whose slot is already filled needs no
+system call, and the main process never blocks in a pipe read; pickling
+whole batches through a pipe instead made every evaluation after a ``train``
+call page-fault its heap back in. The worker runs on the CPUs the process
+may use other than the one the main process last ran on before the fork
+(where Linux says which). Left to the scheduler on a 2-CPU machine, the
+worker, woken for each short single-view batch, at times shared the main
+process's CPU while the other CPU stayed idle, and single-view training ran
+about 5% slower than with assembly in the main process; kept off that CPU,
+it ran about 35% faster. Slots signalled through a pipe had shown the same
+loss.
+
+A study that fails in the worker comes back through its slot: ``train``
+raises ``SamplingError`` naming the step and the study. A worker that dies
+makes ``train`` raise ``AssemblyError`` naming the step. A batch whose
+texts do not fit their slot (``TEXT_BYTES_PER_STUDY``) is assembled again
+in the main process, which gives the same batch. Whenever ``train`` leaves,
+by return, early stop or error, the worker is killed and reaped. A
+daemonic ``multiprocessing`` process cannot fork it, so ``train`` cannot
+run inside one.
+
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
 learnable log-temperature is updated like any other parameter but excluded
 from weight decay and clamped after every step. Validation loss is evaluated
 before the first epoch and after each one, on validation batches assembled
-once per ``train`` call with a fixed sampling seed: each study draws from its
-own ``study_rng``, so every epoch would assemble the same batches. The
-best-validation parameters are kept and training stops after
-``early_stop_patience`` epochs without improvement.
+in the main process and tokenized once per ``train`` call, with a fixed
+sampling seed: each study draws from its own ``study_rng``, so every epoch
+would assemble the same batches. The best-validation parameters are kept and
+training stops after ``early_stop_patience`` epochs without improvement.
 
 Everything is seeded: identical config and data give bit-identical parameters
 and logs.
@@ -29,6 +67,11 @@ and logs.
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+import signal
+import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -48,8 +91,8 @@ from .encoders import (
 )
 from .losses import CLIP_TABLE, EmbeddingBatch, Pairing, ShapeMismatch, Temperature, paper_table, total_loss
 from .prompts import PromptEngine
-from .sampling import SAMPLING_MODES, StudyBatch, assemble_batch, make_batch, sample_single
-from .studies import Study
+from .sampling import SAMPLING_MODES, SamplingError, StudyBatch, assemble_batch, make_batch, sample_single
+from .studies import SampledPair, Study
 
 
 class ConfigError(ValueError):
@@ -64,6 +107,15 @@ class NumericError(FloatingPointError):
         super().__init__(f"non-finite {what} at step {step}")
         self.step = step
         self.param = param
+
+
+class AssemblyError(RuntimeError):
+    """The batch assembly worker ended before it handed over the batch of a step."""
+
+    def __init__(self, step: int, exitcode: int):
+        super().__init__(f"batch assembly worker exited with code {exitcode} before step {step}")
+        self.step = step
+        self.exitcode = exitcode
 
 
 @dataclass
@@ -319,20 +371,33 @@ def _combined_params(img_params, txt_params, log_tau: float) -> dict[str, np.nda
 VIEWS = {"v1": ("x1", "img"), "v2": ("x2", "img"), "u1": ("t1", "txt"), "u2": ("t2", "txt")}
 
 
-def _batch_loss(model: TrainedModel, batch, table: tuple[Pairing, ...], with_grads: bool):
-    """Forward (and optionally backward) for one batch, encoding each view the table names once."""
+def _token_ids(batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab) -> dict[str, list[list[int]]]:
+    """The token ids of each text view the table names."""
+    named = {name for row in table for name in row[:2]}
+    return {
+        name: [tokenize(t, vocab) for t in getattr(batch, attr)]
+        for name, (attr, prefix) in VIEWS.items()
+        if prefix == "txt" and name in named
+    }
+
+
+def _batch_loss(model: TrainedModel, batch, table: tuple[Pairing, ...], with_grads: bool, ids=None):
+    """Forward (and optionally backward) for one batch, encoding each view the table names once.
+
+    ``ids`` are the batch's ``_token_ids``; the texts are tokenized here when they are absent.
+    """
     img_p, txt_p = model.image_params(), model.text_params()
+    ids = _token_ids(batch, table, model.vocab) if ids is None else ids
     named = {name for row in table for name in row[:2]}
     views, caches = {}, {}
     for name, (attr, prefix) in VIEWS.items():
         if name not in named:
             continue
-        data = getattr(batch, attr)
         if prefix == "img":
-            emb, caches[name] = encode_image_batch(img_p, data)
+            emb, caches[name] = encode_image_batch(img_p, getattr(batch, attr))
             views[name] = EmbeddingBatch(emb, "image")
         else:
-            emb, caches[name] = encode_text_batch(txt_p, [tokenize(t, model.vocab) for t in data])
+            emb, caches[name] = encode_text_batch(txt_p, ids[name])
             views[name] = EmbeddingBatch(emb, "text")
     out = total_loss(views, Temperature(model.log_tau), table)
     if not with_grads:
@@ -376,8 +441,13 @@ def validation_batches(studies, cfg: TrainConfig, engine) -> list[StudyBatch]:
     ]
 
 
-def validation_loss(model: TrainedModel, batches: list[StudyBatch], table: tuple[Pairing, ...]) -> float:
+def validation_loss(
+    model: TrainedModel, batches: list[StudyBatch], table: tuple[Pairing, ...], ids: list | None = None
+) -> float:
     """Mean batch loss over the validation batches.
+
+    ``ids`` are the batches' ``_token_ids``, which ``train`` computes once per
+    call; the texts are tokenized here when they are absent.
 
     The mean is over batches, unweighted: a short last batch counts as much as
     a full one. Weighting by batch size would not make them comparable: an
@@ -385,8 +455,188 @@ def validation_loss(model: TrainedModel, batches: list[StudyBatch], table: tuple
     on n. It would also change which epoch is best, and so the trained
     parameters.
     """
-    values = [_batch_loss(model, batch, table, with_grads=False)[0].value for batch in batches]
+    ids = [_token_ids(batch, table, model.vocab) for batch in batches] if ids is None else ids
+    values = [_batch_loss(model, batch, table, False, batch_ids)[0].value for batch, batch_ids in zip(batches, ids)]
     return float(np.mean(values))
+
+
+# ------------------------------------------------------------ assembly worker
+
+SLOTS = 2  # batches in the shared ring: one read by the step, one written by the worker
+TEXT_BYTES_PER_STUDY = 1 << 13  # UTF-8 room per study in a slot, for its two texts together
+_POLL_S = 0.1  # a blocked wait checks this often that the other process is alive
+_TEXT_SOURCES = ("sections", "section_aug", "prompts", "single")
+_BATCH, _FAILED, _TEXTS_TOO_LONG = 0, 1, 2  # slot status
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of a failure in the assembly worker, as text."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class _BatchRing:
+    """``SLOTS`` batch slots in one anonymous shared mapping, and the semaphores counting them.
+
+    A slot holds a header (status, studies, text bytes), the images of both views
+    (one view in the single modes, where x2 is x1), each text's byte length, the
+    per-study provenance codes and the texts' UTF-8 bytes, or an error message and
+    its traceback.
+    """
+
+    def __init__(self, cfg: TrainConfig, studies: int, ctx):
+        size = cfg.image_size
+        self.text_room = studies * TEXT_BYTES_PER_STUDY
+        slot = np.dtype(
+            [
+                ("header", np.int64, (3,)),
+                ("images", np.float64, (2 if cfg.sampling_mode == "pairs" else 1, studies, size, size)),
+                ("lengths", np.int64, (2 * studies,)),
+                ("provenance", np.uint8, (studies, 2)),  # text source code, image2_augmented
+                ("text", np.uint8, (self.text_room,)),
+            ],
+            align=True,
+        )
+        slots = np.frombuffer(mmap.mmap(-1, SLOTS * slot.itemsize), dtype=slot)
+        self.header, self.images, self.lengths, self.provenance, self.text = (slots[name] for name in slot.names)
+        self.filled = ctx.Semaphore(0)
+        self.free = ctx.Semaphore(SLOTS)
+
+    def put(self, k: int, batch: StudyBatch) -> None:
+        n = batch.n
+        encoded = [t.encode("utf-8") for t in batch.t1 + batch.t2]
+        total = self._put_texts(k, encoded)
+        if total is None:
+            self.header[k] = (_TEXTS_TOO_LONG, n, 0)
+            return
+        self.images[k, 0, :n] = batch.x1
+        if self.images.shape[1] == 2:
+            self.images[k, 1, :n] = batch.x2
+        self.provenance[k, :n] = [(_TEXT_SOURCES.index(p.text_source), p.image2_augmented) for p in batch.pairs]
+        self.header[k] = (_BATCH, n, total)
+
+    def put_error(self, k: int, err: Exception) -> None:
+        message = str(err) if isinstance(err, SamplingError) else f"{type(err).__name__}: {err}"
+        half = self.text_room // 2
+        total = self._put_texts(k, [message.encode("utf-8")[:half], traceback.format_exc().encode("utf-8")[-half:]])
+        self.header[k] = (_FAILED, 0, total)
+
+    def _put_texts(self, k: int, encoded: list[bytes]) -> int | None:
+        """Writes the byte strings into slot k; their total length, or None when they do not fit."""
+        blob = b"".join(encoded)
+        if len(blob) > self.text_room:
+            return None
+        self.lengths[k, : len(encoded)] = [len(e) for e in encoded]
+        self.text[k, : len(blob)] = np.frombuffer(blob, dtype=np.uint8)
+        return len(blob)
+
+    def _texts(self, k: int, count: int, total: int) -> list[str]:
+        blob = self.text[k, :total].tobytes()
+        ends = np.cumsum(self.lengths[k, :count]).tolist()
+        return [blob[a:b].decode("utf-8", "replace") for a, b in zip([0] + ends, ends)]
+
+    def get(self, k: int, step: int) -> StudyBatch | None:
+        """The batch in slot k as views of the slot, or None when its texts did not fit."""
+        status, n, total = (int(v) for v in self.header[k])
+        if status == _FAILED:
+            message, worker_traceback = self._texts(k, 2, total)
+            raise SamplingError(f"step {step}: {message}") from _WorkerTraceback(worker_traceback)
+        if status == _TEXTS_TOO_LONG:
+            return None
+        images = self.images[k, :, :n]
+        images.flags.writeable = False
+        x1, x2 = images[0], images[-1]
+        texts = self._texts(k, 2 * n, total)
+        t1, t2 = texts[:n], texts[n:]
+        pairs = [
+            SampledPair(x1[i], x2[i], t1[i], t2[i], image2_augmented=bool(aug), text_source=_TEXT_SOURCES[source])
+            for i, (source, aug) in enumerate(self.provenance[k, :n].tolist())
+        ]
+        return StudyBatch(x1=x1, x2=x2, t1=t1, t2=t2, pairs=pairs)
+
+
+class _AssemblyWorker:
+    """A forked process that assembles the batch of each scheduled step, in order, into a ``_BatchRing``.
+
+    Entering starts the worker; leaving kills it if it still runs, and reaps it.
+    """
+
+    def __init__(self, dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, chunks: list[np.ndarray]):
+        self.dataset, self.cfg, self.engine, self.chunks = dataset, cfg, engine, chunks
+        ctx = multiprocessing.get_context("fork")
+        self.ring = _BatchRing(cfg, min(cfg.batch_studies, len(dataset)), ctx)
+        self.process = ctx.Process(
+            target=self._run, args=(os.getpid(), _current_cpu()), name="studyclip-assembly", daemon=True
+        )
+
+    def batch(self, step: int) -> StudyBatch:
+        """The batch of ``step``, assembled in the calling process."""
+        studies = [self.dataset[int(i)] for i in self.chunks[step]]
+        return _sample_batch(studies, self.cfg, self.engine, seed=self.cfg.seed * 1_000_003 + step)
+
+    def _run(self, parent: int, parent_cpu: int | None) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process takes an interrupt and ends the worker
+        others = set() if parent_cpu is None else os.sched_getaffinity(0) - {parent_cpu}
+        if others:
+            os.sched_setaffinity(0, others)  # off the main process's CPU: see the module docstring
+        ring = self.ring
+        for step in range(len(self.chunks)):
+            while not ring.free.acquire(timeout=_POLL_S):
+                if os.getppid() != parent:
+                    return  # the main process is gone
+            try:
+                ring.put(step % SLOTS, self.batch(step))
+            except Exception as err:
+                ring.put_error(step % SLOTS, err)
+                ring.filled.release()
+                return
+            ring.filled.release()
+
+    def __enter__(self) -> "_AssemblyWorker":
+        self.process.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.process.exitcode is None:
+            self.process.kill()
+        self.process.join()
+        self.process.close()
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on, where the system says (Linux), else None."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/self/stat") as stat:
+            return int(stat.read().rsplit(")", 1)[1].split()[36])  # field 39, "processor"
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _wait_for_batch(worker: _AssemblyWorker, step: int) -> StudyBatch:
+    """The batch of ``step``: waits until the worker has filled its slot, then reads it.
+
+    The caller frees the slot (``ring.free``) once it is done with the batch's views.
+    """
+    ring = worker.ring
+    while not ring.filled.acquire(timeout=_POLL_S):
+        exitcode = worker.process.exitcode
+        if exitcode is not None and not ring.filled.acquire(block=False):
+            raise AssemblyError(step, exitcode)
+    batch = ring.get(step % SLOTS, step)
+    return worker.batch(step) if batch is None else batch
+
+
+def _step_chunks(studies: int, cfg: TrainConfig) -> list[np.ndarray]:
+    """The study indices of every step: each epoch's permutation, in batches of ``cfg.batch_studies``."""
+    order_rng = np.random.default_rng(cfg.seed + 1)
+    chunks = []
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(studies)
+        chunks.extend(order[start : start + cfg.batch_studies] for start in range(0, studies, cfg.batch_studies))
+    return chunks
 
 
 def train(
@@ -415,60 +665,60 @@ def train(
     log = TrainLog()
     table = cfg.loss_table()
 
-    val_batches = validation_batches(val_dataset, cfg, engine)
-    best_val = validation_loss(model, val_batches, table)
-    best_params = {k: v.copy() for k, v in model.params.items()}
-    log.epochs.append(EpochRecord(epoch=0, val_loss=best_val, best=True))
-    epochs_since_best = 0
+    with _AssemblyWorker(dataset, cfg, engine, _step_chunks(len(dataset), cfg)) as worker:
+        val_batches = validation_batches(val_dataset, cfg, engine)
+        val_ids = [_token_ids(batch, table, vocab) for batch in val_batches]
+        best_val = validation_loss(model, val_batches, table, val_ids)
+        best_params = {k: v.copy() for k, v in model.params.items()}
+        log.epochs.append(EpochRecord(epoch=0, val_loss=best_val, best=True))
+        epochs_since_best = 0
 
-    step = 0
-    order_rng = np.random.default_rng(cfg.seed + 1)
-    for epoch in range(1, cfg.epochs + 1):
-        order = order_rng.permutation(len(dataset))
-        for start in range(0, len(dataset), cfg.batch_studies):
-            chunk = [dataset[int(i)] for i in order[start : start + cfg.batch_studies]]
-            batch = _sample_batch(chunk, cfg, engine, seed=cfg.seed * 1_000_003 + step)
-            out, grads = _batch_loss(model, batch, table, with_grads=True)
-            if not math.isfinite(out.value):
-                raise NumericError(step=step, value=out.value)
-            for name, g in grads.items():
-                if not np.isfinite(g).all():
-                    raise NumericError(step=step, value=out.value, param=name)
-            if cfg.grad_clip is not None:
-                norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-                if norm > cfg.grad_clip:
-                    scale = cfg.grad_clip / norm
-                    grads = {k: g * scale for k, g in grads.items()}
-            lr = lr_at(step, total_steps, warmup_steps, cfg.learning_rate)
-            optim_step(model.params, grads, state, lr, cfg.weight_decay)
-            model.params["log_tau"] = np.array(
-                Temperature(float(model.params["log_tau"])).clamped().log_tau
-            )
-            log.steps.append(
-                StepRecord(
-                    step=step,
-                    epoch=epoch,
-                    mvs=out.components["mvs"],
-                    icl=out.components.get("icl", 0.0),
-                    tcl=out.components.get("tcl", 0.0),
-                    total=out.value,
-                    lr=lr,
-                    tau=float(np.exp(model.params["log_tau"])),
+        step = 0
+        for epoch in range(1, cfg.epochs + 1):
+            for _ in range(steps_per_epoch):
+                batch = _wait_for_batch(worker, step)
+                out, grads = _batch_loss(model, batch, table, with_grads=True)
+                worker.ring.free.release()  # the step is done with its slot
+                if not math.isfinite(out.value):
+                    raise NumericError(step=step, value=out.value)
+                for name, g in grads.items():
+                    if not np.isfinite(g).all():
+                        raise NumericError(step=step, value=out.value, param=name)
+                if cfg.grad_clip is not None:
+                    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                    if norm > cfg.grad_clip:
+                        scale = cfg.grad_clip / norm
+                        grads = {k: g * scale for k, g in grads.items()}
+                lr = lr_at(step, total_steps, warmup_steps, cfg.learning_rate)
+                optim_step(model.params, grads, state, lr, cfg.weight_decay)
+                model.params["log_tau"] = np.array(
+                    Temperature(float(model.params["log_tau"])).clamped().log_tau
                 )
-            )
-            step += 1
+                log.steps.append(
+                    StepRecord(
+                        step=step,
+                        epoch=epoch,
+                        mvs=out.components["mvs"],
+                        icl=out.components.get("icl", 0.0),
+                        tcl=out.components.get("tcl", 0.0),
+                        total=out.value,
+                        lr=lr,
+                        tau=float(np.exp(model.params["log_tau"])),
+                    )
+                )
+                step += 1
 
-        val = validation_loss(model, val_batches, table)
-        improved = val < best_val
-        if improved:
-            best_val = val
-            best_params = {k: v.copy() for k, v in model.params.items()}
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-        log.epochs.append(EpochRecord(epoch=epoch, val_loss=val, best=improved))
-        if not improved and epochs_since_best >= cfg.early_stop_patience:
-            break
+            val = validation_loss(model, val_batches, table, val_ids)
+            improved = val < best_val
+            if improved:
+                best_val = val
+                best_params = {k: v.copy() for k, v in model.params.items()}
+                epochs_since_best = 0
+            else:
+                epochs_since_best += 1
+            log.epochs.append(EpochRecord(epoch=epoch, val_loss=val, best=improved))
+            if not improved and epochs_since_best >= cfg.early_stop_patience:
+                break
 
     model.params = best_params
     return model, log

@@ -1,20 +1,26 @@
+import collections
 import hashlib
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from studyclip import training
+from studyclip import sampling, training
 from studyclip.evalrun import evaluate_model
 from studyclip.metrics import DEFAULT_VARIANTS
 from studyclip.prompts import PromptEngine
+from studyclip.sampling import SamplingError, make_batch
 from studyclip.synth import SynthSpec, generate_split
 from studyclip.training import (
+    AssemblyError,
     ConfigError,
     NumericError,
     OptimState,
@@ -90,21 +96,46 @@ def test_validation_loss_is_the_unweighted_mean_of_batch_losses(engine, splits, 
     assert loss != pytest.approx((32 * a + 8 * b) / 40)
 
 
-def test_train_assembles_the_validation_batches_once(engine, splits, monkeypatch):
-    sizes = []
+def test_train_assembles_the_validation_batches_once(engine, splits, monkeypatch, tmp_path):
+    # the worker is a forked process: each make_batch call appends its process id to a file
+    record = tmp_path / "assembled.txt"
     original = training.make_batch
 
     def counting(studies, *args):
-        sizes.append(len(studies))
+        with open(record, "a") as out:
+            out.write(f"{os.getpid()} {len(studies)}\n")
         return original(studies, *args)
 
     monkeypatch.setattr(training, "make_batch", counting)
     cfg = tiny_config(batch_studies=4)
     _, log = train(*splits, cfg, engine)
-    valid = splits[1]
+    sizes = collections.defaultdict(list)
+    for line in record.read_text().splitlines():
+        pid, size = map(int, line.split())
+        sizes[pid].append(size)
+    main = sizes.pop(os.getpid())
+    (worker,) = sizes.values()
     assert len(log.epochs) == cfg.epochs + 1  # validated before the first epoch and after each
-    assert len(sizes) == len(log.steps) + math.ceil(len(valid) / cfg.batch_studies)
-    assert sizes[:2] == [4, 1]  # the 5 validation studies, assembled before the first step
+    assert main == [4, 1]  # the 5 validation studies, assembled once, in this process
+    assert worker == [4, 4, 2] * cfg.epochs  # the 10 train studies: one batch per logged step
+    assert len(worker) == len(log.steps)
+
+
+def test_train_tokenizes_each_validation_text_once(engine, splits, monkeypatch):
+    calls = collections.Counter()
+    original = training.tokenize
+
+    def counting(text, vocab):
+        calls[text] += 1
+        return original(text, vocab)
+
+    monkeypatch.setattr(training, "tokenize", counting)
+    cfg = tiny_config()
+    _, log = train(*splits, cfg, engine)
+    train_set, valid = splits
+    assert len(log.epochs) == cfg.epochs + 1
+    # two texts per study: each training study once per epoch, the validation studies once in all
+    assert sum(calls.values()) == 2 * (cfg.epochs * len(train_set) + len(valid))
 
 
 def test_cached_validation_batches_score_as_batches_assembled_that_epoch(engine, splits, monkeypatch):
@@ -113,8 +144,8 @@ def test_cached_validation_batches_score_as_batches_assembled_that_epoch(engine,
     scored = []
     original = training.validation_loss
 
-    def checking(model, batches, table):
-        loss = original(model, batches, table)
+    def checking(model, batches, table, *token_ids):
+        loss = original(model, batches, table, *token_ids)
         scored.append((loss, original(model, validation_batches(valid, cfg, engine), table)))
         return loss
 
@@ -124,6 +155,199 @@ def test_cached_validation_batches_score_as_batches_assembled_that_epoch(engine,
     assert len({cached for cached, _ in scored}) == len(scored)  # the model moved every epoch
     for cached, fresh in scored:
         assert cached == fresh
+
+
+def expected_batches(train_set, cfg, engine):
+    """In-process ``make_batch`` for every step ``train`` schedules: epoch permutations of seed + 1."""
+    order_rng = np.random.default_rng(cfg.seed + 1)
+    batches = []
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(len(train_set))
+        for start in range(0, len(train_set), cfg.batch_studies):
+            chunk = [train_set[int(i)] for i in order[start : start + cfg.batch_studies]]
+            batches.append(make_batch(chunk, cfg, engine, cfg.seed * 1_000_003 + len(batches)))
+    return batches
+
+
+def batch_contents(batch):
+    return (
+        batch.x1.dtype, batch.x1.shape, batch.x1.tobytes(), batch.x2.shape, batch.x2.tobytes(),
+        list(batch.t1), list(batch.t2), [(p.text_source, p.image2_augmented) for p in batch.pairs],
+    )
+
+
+def record_training_batches(monkeypatch) -> list:
+    """The contents and writeable flag of each batch a training step scores, copied on arrival."""
+    received = []
+    original = training._batch_loss
+
+    def recording(model, batch, table, with_grads, ids=None):
+        if with_grads:
+            received.append((batch_contents(batch), batch.x1.flags.writeable))
+        return original(model, batch, table, with_grads, ids)
+
+    monkeypatch.setattr(training, "_batch_loss", recording)
+    return received
+
+
+@pytest.mark.parametrize("augment", [True, False], ids=["augment", "plain"])
+@pytest.mark.parametrize("mode", ["pairs", "study_single", "single"])
+def test_worker_batches_equal_in_process_make_batch(engine, splits, monkeypatch, mode, augment):
+    lambdas = {} if mode == "pairs" else {"lambda_icl": 0.0, "lambda_tcl": 0.0}
+    cfg = tiny_config(epochs=2, early_stop_patience=2, sampling_mode=mode, augment=augment, **lambdas)
+    received = record_training_batches(monkeypatch)
+    train(*splits, cfg, engine)
+    expected = expected_batches(splits[0], cfg, engine)
+    assert len(received) == len(expected) == 4
+    for (contents, writeable), batch in zip(received, expected):
+        assert not writeable  # read-only views of a shared slot: handed over by the worker
+        assert contents == batch_contents(batch)
+
+
+def test_texts_too_long_for_their_slot_are_assembled_in_process(engine, splits, monkeypatch):
+    cfg = tiny_config(epochs=2, early_stop_patience=2)
+    reference, _ = train(*splits, cfg, engine)
+    monkeypatch.setattr(training, "TEXT_BYTES_PER_STUDY", 1)
+    received = record_training_batches(monkeypatch)
+    model, _ = train(*splits, cfg, engine)
+    expected = expected_batches(splits[0], cfg, engine)
+    assert [writeable for _, writeable in received] == [True] * len(expected)
+    assert [contents for contents, _ in received] == [batch_contents(batch) for batch in expected]
+    for name, value in reference.params.items():
+        assert model.params[name].tobytes() == value.tobytes()
+
+
+def test_a_slot_is_not_rewritten_while_its_step_reads_it(engine, splits, monkeypatch):
+    # random delays on both sides: the worker runs ahead at times and lags at others
+    main = os.getpid()
+    delays = np.random.default_rng(0)
+    original_make, original_loss = training.make_batch, training._batch_loss
+
+    def slow_make(studies, *args):
+        if os.getpid() != main:
+            time.sleep(delays.uniform(0.0, 0.004))
+        return original_make(studies, *args)
+
+    snapshots = []
+
+    def slow_loss(model, batch, table, with_grads, ids=None):
+        if not with_grads:
+            return original_loss(model, batch, table, with_grads, ids)
+        before = batch_contents(batch)
+        time.sleep(delays.uniform(0.0, 0.004))
+        out = original_loss(model, batch, table, with_grads, ids)
+        snapshots.append((before, batch_contents(batch)))
+        return out
+
+    monkeypatch.setattr(training, "make_batch", slow_make)
+    monkeypatch.setattr(training, "_batch_loss", slow_loss)
+    cfg = tiny_config(batch_studies=2, epochs=4, early_stop_patience=4)
+    train(*splits, cfg, engine)
+    expected = expected_batches(splits[0], cfg, engine)
+    assert len(snapshots) == len(expected) == 20
+    for (before, after), batch in zip(snapshots, expected):
+        assert before == after == batch_contents(batch)
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 CPUs and affinity")
+def test_the_worker_keeps_off_the_cpu_the_main_process_ran_on(engine, splits, monkeypatch, tmp_path):
+    record = tmp_path / "affinity.txt"
+    main = os.getpid()
+    original = training.make_batch
+
+    def recording(studies, *args):
+        if os.getpid() != main:
+            record.write_text(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
+        return original(studies, *args)
+
+    monkeypatch.setattr(training, "make_batch", recording)
+    allowed = os.sched_getaffinity(0)
+    train(*splits, tiny_config(epochs=2, early_stop_patience=2), engine)
+    worker = set(map(int, record.read_text().split()))
+    assert worker < allowed and len(worker) == len(allowed) - 1
+    assert os.sched_getaffinity(0) == allowed  # the main process keeps its own
+
+
+@pytest.fixture
+def deadline():
+    """Turns a hang of more than 30 s into a failure."""
+
+    def expire(signum, frame):
+        raise TimeoutError("train did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_study_failing_in_the_worker_raises_sampling_error_naming_it(engine, splits, monkeypatch, deadline):
+    train_set = splits[0]
+    cfg = tiny_config()
+    bad = 3
+    first_step = next(step for step, chunk in enumerate(training._step_chunks(len(train_set), cfg)) if bad in chunk)
+    main = os.getpid()
+    original = sampling.sample_images
+
+    def failing(study, *args):
+        if os.getpid() != main and study.id == train_set[bad].id:
+            raise ValueError("unreadable pixels")
+        return original(study, *args)
+
+    monkeypatch.setattr(sampling, "sample_images", failing)
+    message = rf"^step {first_step}: study '{train_set[bad].id}': unreadable pixels$"
+    with pytest.raises(SamplingError, match=message) as err:
+        train(*splits, cfg, engine)
+    assert "ValueError: unreadable pixels" in str(err.value.__cause__)  # the worker's traceback
+
+
+def test_a_killed_worker_raises_assembly_error_naming_the_step(engine, splits, monkeypatch, deadline):
+    main = os.getpid()
+    calls = []
+    original = training.make_batch
+
+    def dying(studies, *args):
+        if os.getpid() != main:
+            calls.append(len(studies))
+            if len(calls) == 3:  # steps 0 and 1 fill the ring; step 2 never arrives
+                os.kill(os.getpid(), signal.SIGKILL)
+        return original(studies, *args)
+
+    monkeypatch.setattr(training, "make_batch", dying)
+    start = time.perf_counter()
+    with pytest.raises(AssemblyError, match=r"exited with code -9 before step 2$") as err:
+        train(*splits, tiny_config(), engine)
+    assert time.perf_counter() - start < 5.0
+    assert (err.value.step, err.value.exitcode) == (2, -signal.SIGKILL)
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
+@pytest.mark.parametrize("ending", ["return", "early_stop", "numeric_error"])
+def test_train_leaves_no_worker_and_no_descriptor_behind(engine, splits, monkeypatch, deadline, ending):
+    train(*splits, tiny_config(epochs=2, early_stop_patience=2), engine)  # any lazy imports and set-up first
+    before = open_descriptors()
+    cfg = tiny_config()
+    if ending == "early_stop":  # stops after epoch 1 of 6, with the worker waiting on a free slot
+        monkeypatch.setattr(training, "validation_loss", lambda *args: 1.0)
+        _, log = train(*splits, tiny_config(early_stop_patience=1), engine)
+        assert len(log.epochs) == 2
+    elif ending == "numeric_error":
+        original = training.image_backward
+        monkeypatch.setattr(training, "image_backward", lambda *args: {**original(*args), "conv_w": np.inf})
+        # the caller holds the error, its traceback and so train's frame: the worker is closed all the same
+        with pytest.raises(NumericError, match="at step 0") as held:
+            train(*splits, cfg, engine)
+    else:
+        train(*splits, cfg, engine)
+    assert multiprocessing.active_children() == []
+    assert open_descriptors() == before
+    if ending == "numeric_error":
+        assert held.value.step == 0
 
 
 def test_learns_above_chance_on_a_tiny_spec(engine):
