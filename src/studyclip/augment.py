@@ -21,6 +21,7 @@ with arguments ``forward`` then ``backward``.
 
 from __future__ import annotations
 
+import functools
 import re
 import subprocess
 
@@ -40,11 +41,18 @@ class BadImage(ValueError):
 # ----------------------------------------------------------------- primitives
 
 
-def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Center-aligned bilinear resize; preserves constant images exactly."""
-    h, w = img.shape
-    if (h, w) == (out_h, out_w):
-        return img.copy()
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only: a cached plan is shared by every call."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+# A plan holds four index arrays of the output's shape (32 KB at 32x32): 64 plans cover
+# the crop sizes of a few input sizes.
+@functools.lru_cache(maxsize=64)
+def _resize_plan(h: int, w: int, out_h: int, out_w: int):
+    """Flat source indices of the four neighbours of each output pixel, and the blend weights."""
     ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(int)
@@ -53,56 +61,55 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None]
     wx = (xs - x0)[None, :]
-    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
-    bot = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bot * wy
+    rows0, rows1 = y0[:, None] * w, y1[:, None] * w
+    return _read_only(rows0 + x0, rows0 + x1, rows1 + x0, rows1 + x1, wy, wx, 1 - wy, 1 - wx)
 
 
-def _tile_mapping(tile: np.ndarray) -> np.ndarray | None:
-    """Bin-to-value equalization mapping for one tile; None marks pass-through."""
-    bins = np.minimum((tile * CLAHE_BINS).astype(int), CLAHE_BINS - 1)
-    hist = np.bincount(bins.ravel(), minlength=CLAHE_BINS).astype(np.float64)
-    if np.count_nonzero(hist) <= 1:
-        return None
-    n = float(tile.size)
-    limit = CLAHE_CLIP_FRACTION * n
-    excess = float(np.sum(np.maximum(hist - limit, 0.0)))
-    hist = np.minimum(hist, limit) + excess / CLAHE_BINS
-    cdf = np.cumsum(hist)
-    return (cdf - hist / 2.0) / n  # mid-bin rule
+def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Center-aligned bilinear resize; preserves constant images exactly."""
+    h, w = img.shape
+    if (h, w) == (out_h, out_w):
+        return img.copy()
+    i00, i01, i10, i11, wy, wx, vy, vx = _resize_plan(h, w, out_h, out_w)
+    flat = img.ravel()
+    top = flat[i00] * vx + flat[i01] * wx
+    bot = flat[i10] * vx + flat[i11] * wx
+    return top * vy + bot * wy
+
+
+@functools.lru_cache(maxsize=64)
+def _clahe_plan(h: int, w: int):
+    """The 2x2 tiles as slices, their pixel counts (4, 1), and the row and column blend weights."""
+    row_splits = [(0, h // 2), (h // 2, h)] if h >= 2 else [(0, h), (0, h)]
+    col_splits = [(0, w // 2), (w // 2, w)] if w >= 2 else [(0, w), (0, w)]
+    tiles = [(slice(r0, r1), slice(c0, c1)) for r0, r1 in row_splits for c0, c1 in col_splits]
+    sizes = np.array([[float((r1 - r0) * (c1 - c0))] for r0, r1 in row_splits for c0, c1 in col_splits])
+    centers_r = [(r0 + r1 - 1) / 2.0 for r0, r1 in row_splits]
+    centers_c = [(c0 + c1 - 1) / 2.0 for c0, c1 in col_splits]
+    span_r = max(centers_r[1] - centers_r[0], 1e-12)
+    span_c = max(centers_c[1] - centers_c[0], 1e-12)
+    wr = np.clip((np.arange(h) - centers_r[0]) / span_r, 0.0, 1.0)[:, None]
+    wc = np.clip((np.arange(w) - centers_c[0]) / span_c, 0.0, 1.0)[None, :]
+    return tiles, _read_only(sizes, wr, 1 - wr, wc, 1 - wc)
 
 
 def clahe(img: np.ndarray) -> np.ndarray:
     """Contrast-limited equalization over a 2x2 tile grid with bilinear blending."""
     h, w = img.shape
     bins = np.minimum((img * CLAHE_BINS).astype(int), CLAHE_BINS - 1)
-    row_splits = [(0, h // 2), (h // 2, h)] if h >= 2 else [(0, h), (0, h)]
-    col_splits = [(0, w // 2), (w // 2, w)] if w >= 2 else [(0, w), (0, w)]
-
-    mapped = np.empty((2, 2, h, w))
-    centers_r = np.empty(2)
-    centers_c = np.empty(2)
-    any_equalized = False
-    for ti, (r0, r1) in enumerate(row_splits):
-        centers_r[ti] = (r0 + r1 - 1) / 2.0
-        for tj, (c0, c1) in enumerate(col_splits):
-            centers_c[tj] = (c0 + c1 - 1) / 2.0
-            mapping = _tile_mapping(img[r0:r1, c0:c1])
-            any_equalized = any_equalized or mapping is not None
-            mapped[ti, tj] = img if mapping is None else mapping[bins]
-    if not any_equalized:
+    tiles, (n, wr, vr, wc, vc) = _clahe_plan(h, w)
+    hist = np.empty((4, CLAHE_BINS))
+    for t, tile in enumerate(tiles):
+        hist[t] = np.bincount(bins[tile].ravel(), minlength=CLAHE_BINS)
+    equalized = np.count_nonzero(hist, axis=1) > 1  # a tile with one occupied bin passes through
+    if not equalized.any():
         return img.copy()
-
-    span_r = max(centers_r[1] - centers_r[0], 1e-12)
-    span_c = max(centers_c[1] - centers_c[0], 1e-12)
-    wr = np.clip((np.arange(h) - centers_r[0]) / span_r, 0.0, 1.0)[:, None]
-    wc = np.clip((np.arange(w) - centers_c[0]) / span_c, 0.0, 1.0)[None, :]
-    return (
-        (1 - wr) * (1 - wc) * mapped[0, 0]
-        + (1 - wr) * wc * mapped[0, 1]
-        + wr * (1 - wc) * mapped[1, 0]
-        + wr * wc * mapped[1, 1]
-    )
+    limit = CLAHE_CLIP_FRACTION * n
+    excess = np.sum(np.maximum(hist - limit, 0.0), axis=1, keepdims=True)
+    hist = np.minimum(hist, limit) + excess / CLAHE_BINS
+    mappings = (np.cumsum(hist, axis=1) - hist / 2.0) / n  # mid-bin rule
+    m = [mappings[t][bins] if equalized[t] else img for t in range(4)]
+    return vr * vc * m[0] + vr * wc * m[1] + wr * vc * m[2] + wr * wc * m[3]
 
 
 def _random_resized_crop(img: np.ndarray, rng) -> np.ndarray:

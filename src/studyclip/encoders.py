@@ -13,16 +13,25 @@ everywhere, so finite-difference gradient checks stay tight. Images are
 shifted by -0.5 on the way in: without that centering the shared background
 level dominates every pooled feature and embeddings start out collapsed.
 
-The conv stage is one GEMM of (batch x positions, 9) patches by (9, k)
-filters. The rectifier takes one exp per element and gives both the
-softplus, which is pooled straight away, and its slope (a sigmoid), which
-the forward pass caches: the image cache holds the patches and the slope, so
-the backward pass recomputes nothing. The GEMM, the rectifier and the
-pooling run over blocks of a few images, each block's pre-activations within
+The conv stage is one GEMM of (batch x positions, 10) patches by (10, k)
+weights: the nine patch entries, and a constant 1 that carries the bias. The
+rectifier takes one exp per element and gives both the softplus, which is
+pooled straight away, and its slope (a sigmoid). Average pooling is linear,
+so the filter and bias gradients need the slope only through its moments:
+per image, the mean over positions of the slope times each patch entry (and
+times the 1, which gives the mean slope), a (10, k) matrix. The forward pass
+computes them as it goes, and the image cache holds the moments, not the
+patches or the slope: the backward pass weighs each image's moments by its
+pooled-feature gradient and sums over the batch, with no per-position array.
+The patches, the GEMM, the rectifier, the pooling and the moments run over
+blocks of a few images, each block's pre-activations within
 ``CONV_BLOCK_BYTES``, so their temporaries scale with the block, not the
-batch, and stay in cache. Each block writes its rows of the slope and of the
-pooled features into arrays allocated once per call; the backward pass still
-takes the filter gradient as one GEMM over every row.
+batch, and stay in cache.
+
+The text mean pool is one product with a (batch, vocab) bag matrix, whose
+row i weighs each token of sequence i by 1/len (a repeated token adds up);
+the text cache holds the bag, and the table gradient is its transpose times
+the pooled-feature gradient.
 
 Forward passes cache intermediates; backward functions consume the cache and
 return gradients per parameter array. Parameters live in plain dataclasses
@@ -35,6 +44,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .losses import ShapeMismatch, l2_normalize_vjp
 
@@ -44,7 +54,7 @@ class EmptySequence(ValueError):
 
 
 UNK_TOKEN = "<unk>"
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 
 
 # -------------------------------------------------------------------- tokens
@@ -65,7 +75,7 @@ class Vocab:
 
 
 def words(text: str) -> list[str]:
-    return [w for w in _TOKEN_SPLIT.split(text.lower()) if w]
+    return _TOKEN.findall(text.lower())
 
 
 def build_vocab(texts) -> Vocab:
@@ -189,19 +199,21 @@ def _head_backward(params, cache, d_emb: np.ndarray):
 # ---------------------------------------------------------------- image path
 
 
-def _conv_patches(imgs: np.ndarray):
+def _conv_patches(imgs: np.ndarray) -> np.ndarray:
+    """(10, batch x positions): rows 0-8 the 3x3 stride-2 patches of the shifted images, row 9 ones.
+
+    Column b x positions + p is position p of image b. The row of ones carries
+    the bias through the conv GEMM and gives the mean slope with the moments.
+    """
     b, height, width = imgs.shape
-    out_h = (height - 3) // 2 + 1
-    out_w = (width - 3) // 2 + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeMismatch(f"images of shape {imgs.shape[1:]} too small for the conv stage")
-    cols = np.empty((b, out_h, out_w, 9))
-    idx = 0
-    for di in range(3):
-        for dj in range(3):
-            cols[..., idx] = imgs[:, di : di + 2 * out_h - 1 : 2, dj : dj + 2 * out_w - 1 : 2]
-            idx += 1
-    return cols
+    out_h, out_w = (height - 1) // 2, (width - 1) // 2  # 3x3 windows at stride 2
+    s_b, s_h, s_w = imgs.strides
+    # a view, (di, dj, image, i, j) -> imgs[image, 2i + di, 2j + dj]: one subtract writes every patch row
+    windows = as_strided(imgs, (3, 3, b, out_h, out_w), (s_h, s_w, s_b, 2 * s_h, 2 * s_w), writeable=False)
+    cols = np.empty((10, b, out_h, out_w))
+    np.subtract(windows, IMAGE_SHIFT, out=cols[:9].reshape(windows.shape))
+    cols[9] = 1.0
+    return cols.reshape(10, -1)
 
 
 RECTIFIER_SLOPE = 8.0
@@ -210,8 +222,8 @@ IMAGE_SHIFT = 0.5
 CONV_BLOCK_BYTES = 1 << 17
 
 
-def _rectify(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """In place: z becomes softplus(z); returns the slope sigmoid(z), in ``out`` if given.
+def _rectify(z: np.ndarray) -> np.ndarray:
+    """In place: z becomes softplus(z); returns the slope sigmoid(z).
 
     Both come from one exp(-|z|) per element: with a = exp(-|z|) and
     r = 1/(1+a) = sigmoid(|z|), softplus(z) = max(z, 0) + log(1+a) and
@@ -221,7 +233,7 @@ def _rectify(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     a = np.abs(z)
     np.negative(a, out=a)
     np.exp(a, out=a)
-    r = np.add(a, 1.0, out=out)
+    r = a + 1.0
     np.log(r, out=a)
     np.reciprocal(r, out=r)
     r -= 0.5
@@ -232,64 +244,84 @@ def _rectify(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return r
 
 
+def _conv_weights(params: ImageEncoderParams) -> np.ndarray:
+    """(10, k): the filters over the patch rows, then the bias, each times the slope.
+
+    Scaling by the slope (a power of two) is exact, so z is bitwise slope * pre-activation.
+    """
+    k = params.conv_w.shape[0]
+    w = np.empty((10, k))
+    w[:9] = params.conv_w.reshape(k, 9).T * RECTIFIER_SLOPE
+    w[9] = params.conv_b * RECTIFIER_SLOPE
+    return w
+
+
 def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray):
     imgs = np.asarray(imgs, dtype=np.float64)
     if imgs.ndim != 3:
         raise ShapeMismatch(f"expected (batch, H, W), got {imgs.shape}")
-    cols = _conv_patches(imgs - IMAGE_SHIFT)
-    b, out_h, out_w, _ = cols.shape
-    cols = cols.reshape(-1, 9)
-    k = params.conv_w.shape[0]
-    positions = out_h * out_w
-    # scaling by the slope (a power of two) is exact, so z is bitwise slope * pre-activation
-    w = params.conv_w.reshape(k, 9).T * RECTIFIER_SLOPE
-    bias = params.conv_b * RECTIFIER_SLOPE
+    b, height, width = imgs.shape
+    if height < 3 or width < 3:
+        raise ShapeMismatch(f"images of shape {imgs.shape[1:]} too small for the conv stage")
+    positions = ((height - 1) // 2) * ((width - 1) // 2)
+    w = _conv_weights(params)
+    k = w.shape[1]
     ones = np.ones(positions)
-    slope = np.empty((b * positions, k))
+    moments = np.empty((b, 10, k))
     pooled = np.empty((b, k))
     block = max(1, CONV_BLOCK_BYTES // (positions * k * 8))
     for start in range(0, b, block):
         stop = min(start + block, b)
-        rows = slice(start * positions, stop * positions)
-        z = cols[rows] @ w
-        z += bias
-        _rectify(z, out=slope[rows])
+        n = stop - start
+        cols = _conv_patches(imgs[start:stop])
+        z = cols.T @ w
+        slope = _rectify(z)
         # average pooling as one vector-matrix product per image: far faster than a mean over axis 1
-        pooled[start:stop] = ones @ z.reshape(stop - start, positions, k)
+        pooled[start:stop] = ones @ z.reshape(n, positions, k)
+        # per image, patches (10, positions) @ slope (positions, k)
+        np.matmul(
+            cols.reshape(10, n, positions).transpose(1, 0, 2), slope.reshape(n, positions, k), out=moments[start:stop]
+        )
     pooled /= RECTIFIER_SLOPE * positions
+    moments /= positions
     embedding, cache = _head_forward(params, pooled)
-    cache.update({"cols": cols, "slope": slope})
+    cache["moments"] = moments
     return embedding, cache
 
 
 def image_backward(params: ImageEncoderParams, cache, d_emb: np.ndarray) -> dict[str, np.ndarray]:
+    """Pooling is linear: each image's filter and bias gradient is its moments scaled by dL/dpooled."""
     grads, d_pooled = _head_backward(params, cache, d_emb)
-    slope = cache["slope"]
-    b, k = d_pooled.shape
-    positions = slope.shape[0] // b
-    d_pre = slope.reshape(b, positions, k) * (d_pooled / positions)[:, None, :]
-    d_pre = d_pre.reshape(-1, k)
-    grads["conv_w"] = (d_pre.T @ cache["cols"]).reshape(k, 3, 3)
-    grads["conv_b"] = d_pre.sum(axis=0)
+    d_w = np.einsum("bjk,bk->jk", cache["moments"], d_pooled)
+    grads["conv_w"] = d_w[:9].T.reshape(-1, 3, 3)
+    grads["conv_b"] = d_w[9]
     return grads
 
 
 # ----------------------------------------------------------------- text path
 
 
-def encode_text_batch(params: TextEncoderParams, id_seqs: list[list[int]]):
-    if any(len(seq) == 0 for seq in id_seqs):
+def _bag(id_seqs: list[list[int]], vocab_size: int) -> np.ndarray:
+    """(B, vocab): row i weighs each token of sequence i by 1/len, so bag @ emb is its mean embedding."""
+    lengths = np.array([len(seq) for seq in id_seqs])
+    if np.any(lengths == 0):
         raise EmptySequence("token id sequences must be non-empty")
-    pooled = np.stack([params.emb[seq].mean(axis=0) for seq in id_seqs])
-    embedding, cache = _head_forward(params, pooled)
-    cache["id_seqs"] = id_seqs
+    ids = np.concatenate(id_seqs)
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise IndexError(f"token ids must lie in [0, {vocab_size})")
+    cells = np.repeat(np.arange(len(id_seqs)) * vocab_size, lengths) + ids
+    weights = np.repeat(1.0 / lengths, lengths)
+    return np.bincount(cells, weights, minlength=len(id_seqs) * vocab_size).reshape(len(id_seqs), vocab_size)
+
+
+def encode_text_batch(params: TextEncoderParams, id_seqs: list[list[int]]):
+    bag = _bag(id_seqs, params.emb.shape[0])
+    embedding, cache = _head_forward(params, bag @ params.emb)
+    cache["bag"] = bag
     return embedding, cache
 
 
 def text_backward(params: TextEncoderParams, cache, d_emb: np.ndarray) -> dict[str, np.ndarray]:
     grads, d_pooled = _head_backward(params, cache, d_emb)
-    d_table = np.zeros_like(params.emb)
-    for row, seq in zip(d_pooled, cache["id_seqs"]):
-        np.add.at(d_table, seq, row / len(seq))
-    grads["emb"] = d_table
+    grads["emb"] = cache["bag"].T @ d_pooled
     return grads

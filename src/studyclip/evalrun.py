@@ -5,9 +5,10 @@ augmented) stands for the study; the evaluation text is the findings section,
 falling back to the impression, falling back to one prompt rendering of the
 label record, seeded from (seed, study id) so every process renders the same.
 Images are resized and encoded ``EVAL_CHUNK`` studies at a time. The encoder
-bounds its own conv temporaries by blocks of a few images, so the chunk bounds
-only what a call holds for the whole chunk: the resized stack and the cached
-patches and slope. Memory stays bounded for any test-set size.
+bounds its own conv temporaries, patches included, by blocks of a few images,
+so the chunk bounds only what a call holds for the whole chunk: the resized
+stack and the encoder's cache (the conv moments and the head activations).
+Memory stays bounded for any test-set size.
 
 ``evaluate_binary`` encodes the test images once for all its calls in one
 evaluation. It keeps one shared entry, (fingerprint, embeddings), with
@@ -46,9 +47,10 @@ from .studies import Study
 from .training import TrainedModel
 
 
-# Studies resized and encoded at a time: bounds the resized stack and the
-# encoder's cached patches and slope (about 45 KB per study at 32 px), which
-# grow with the batch, whatever the size of the test set.
+# Studies resized and encoded at a time: bounds the resized stack (8 KB per
+# study at 32 px) and the encoder's cache (conv moments and head activations,
+# about 2.7 KB per study at the default sizes), which grow with the batch,
+# whatever the size of the test set.
 EVAL_CHUNK = 128
 
 # The test embeddings of the last evaluate_binary call: (fingerprint, read-only array).

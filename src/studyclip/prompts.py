@@ -13,10 +13,12 @@ punctuation) with capitalization kept exactly as written in the templates.
 
 A render runs on a compiled form of the template (``_compile``): each literal
 is normalized once, at compile time, blanks become empty strings, a choice
-becomes a tuple of its options and a concatenation a flat list of its parts,
-with adjacent literals pre-joined. Rendering draws one ``rng.integers`` index
-per choice met, depth first and left to right, as a walk of the tree would,
-then joins the picked pieces with one space between non-empty pieces and none
+becomes a tuple of its options (a choice of one option, that option) and a
+concatenation a flat list of its parts, with adjacent literals pre-joined.
+Rendering draws one ``rng.integers`` index per choice of two or more options
+met, depth first and left to right, as a walk of the tree would (a walk's
+draw for a one-option choice, ``rng.integers(1)``, consumes nothing), then
+joins the picked pieces with one space between non-empty pieces and none
 before a piece that starts with punctuation. That join gives exactly the
 normalization of the space-joined raw text, so no regex runs per render.
 
@@ -234,9 +236,11 @@ def _compile(t: Template, normalized: dict[str, str]) -> Compiled:
     A literal becomes its normalized text and a blank the empty string, a
     choice a tuple of its compiled options, and a concatenation a list of its
     non-empty parts, with nested lists spliced in and adjacent strings
-    pre-joined. ``normalized`` maps each literal text seen so far to its
-    normalized form: the resolved templates of one grammar repeat each class
-    expression, so its literals recur.
+    pre-joined. A choice of one option becomes that option: its draw,
+    ``rng.integers(1)``, would consume nothing from the generator.
+    ``normalized`` maps each literal text seen so far to its normalized form:
+    the resolved templates of one grammar repeat each class expression, so its
+    literals recur.
     """
     if isinstance(t, Literal):
         if t.text not in normalized:
@@ -245,7 +249,8 @@ def _compile(t: Template, normalized: dict[str, str]) -> Compiled:
     if isinstance(t, Blank):
         return ""
     if isinstance(t, Choice):
-        return tuple(_compile(o, normalized) for o in t.options)
+        options = tuple(_compile(o, normalized) for o in t.options)
+        return options if len(options) > 1 else options[0]
     if isinstance(t, Concat):
         parts: list = []
         for part in t.parts:

@@ -20,7 +20,7 @@ from studyclip.encoders import (
     tokenize,
     _rectify,
 )
-from encoder_oracle import reference_encode
+from encoder_oracle import reference_encode, reference_encode_text, reference_text_backward
 from gradcheck import finite_diff_grad, max_relative_error
 from studyclip.evalrun import EVAL_CHUNK, eval_image_embeddings
 from studyclip.losses import EmbeddingBatch, ShapeMismatch, Temperature, paper_table, total_loss
@@ -304,8 +304,56 @@ def test_blocked_forward_matches_one_pass_oracle_bit_for_bit(batch):
     params.conv_b = np.random.default_rng(8).normal(size=DEFAULT.conv_filters)  # exercise the bias
     imgs = np.random.default_rng(batch).uniform(size=(batch, DEFAULT.image_size, DEFAULT.image_size))
     emb, cache = encode_image_batch(params, imgs)
-    ref_emb, ref_cache = reference_encode(params, imgs)
+    ref_emb, ref_cache, cols, slope = reference_encode(params, imgs)
     assert emb.tobytes() == ref_emb.tobytes()
-    for name in ("cols", "slope", "pooled", "h", "feature", "projected"):
+    for name in ("pooled", "h", "feature", "projected"):
         assert cache[name].shape == ref_cache[name].shape, name
         assert cache[name].tobytes() == ref_cache[name].tobytes(), name
+    # moments: per image, the mean over positions of each patch entry (and of 1) times each filter's slope
+    positions = cols.shape[1] // batch
+    want = np.einsum("jbp,bpk->bjk", cols.reshape(10, batch, positions), slope.reshape(batch, positions, -1))
+    want /= positions
+    assert cache["moments"].shape == (batch, 10, DEFAULT.conv_filters)
+    # every term is at most 1 in size, so 1e-14 is about 45 units in the last place of the largest
+    np.testing.assert_allclose(cache["moments"], want, rtol=0, atol=1e-14)
+    mean_slope = slope.reshape(batch, positions, -1).mean(axis=1)
+    np.testing.assert_allclose(cache["moments"][:, 9], mean_slope, rtol=0, atol=1e-14)
+
+
+def test_image_cache_does_not_grow_with_image_size():
+    params = init_image_params(0, DEFAULT)
+    rng = np.random.default_rng(9)
+    sizes = {}
+    for side in (32, 64):
+        _, cache = encode_image_batch(params, rng.uniform(size=(32, side, side)))
+        sizes[side] = sum(a.nbytes for a in cache.values())
+    assert sizes[32] == sizes[64]
+    # the conv stage keeps only the moments: 32 x 10 x 16 floats, 40 KB
+    assert cache["moments"].nbytes < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "seqs",
+    [
+        [[3, 3, 1, 3], [2], [0, 5, 5, 5, 5, 4], [1]],  # repeated ids in a sequence
+        [[1], [4], [4], [0]],  # every sequence of length 1
+    ],
+    ids=["repeats", "length_one"],
+)
+def test_bag_matrix_text_path_matches_row_mean_oracle(seqs):
+    params = init_text_params(2, 6, DEFAULT)
+    d_emb = np.random.default_rng(10).standard_normal((len(seqs), DEFAULT.embed_dim))
+    emb, cache = encode_text_batch(params, seqs)
+    grads = text_backward(params, cache, d_emb)
+    ref_emb, ref_cache = reference_encode_text(params, seqs)
+    ref_grads = reference_text_backward(params, ref_cache, seqs, d_emb)
+    pairs = [(cache[name], ref_cache[name]) for name in ("pooled", "h", "feature", "projected")]
+    pairs += [(emb, ref_emb)] + [(grads[name], g) for name, g in ref_grads.items()]
+    for got, want in pairs:
+        # relative to the array's largest entry: a gradient entry can be a sum that cancels
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(EmptySequence):
+        encode_text_batch(params, seqs + [[]])
+    with pytest.raises(IndexError):  # an id past the table would land in the next row's cells
+        encode_text_batch(params, [[0, 6], [1]])

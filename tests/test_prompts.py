@@ -174,6 +174,12 @@ def test_compiled_form_prejoins_and_normalizes_literals():
     assert _compile(parse_template("( ) + ( )"), {}) == ""
 
 
+def test_one_option_choice_compiles_to_its_option():
+    assert _compile(parse_template("[x] + [y, z]"), {}) == ["x", ("y", "z")]
+    assert _compile(parse_template("a + [b + [c]] + d"), {}) == "a b c d"
+    assert _compile(parse_template("[[p, q]]"), {}) == ("p", "q")
+
+
 # Literals include forms the parser never makes: untrimmed, whitespace only,
 # with runs of spaces and tabs, with leading punctuation.
 LITERALS = st.text(alphabet="ab .,;:!?\t", min_size=1, max_size=6).map(Literal)

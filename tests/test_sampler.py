@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import os
 import stat
 
@@ -35,6 +36,7 @@ from studyclip.studies import (
     save_studies,
     write_pgm,
 )
+from studyclip.synth import SynthSpec, generate_split
 from studyclip.training import TrainConfig
 
 
@@ -418,3 +420,43 @@ def test_study_invariants_enforced():
 def test_missing_dataset_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_studies(tmp_path / "nope.jsonl")
+
+
+# --------------------------------------------------------------- golden batches
+
+# Synthetic 24 px studies (single- and two-image, report-bearing and label-only; every third
+# report keeps only its findings, for the section-augmentation path), assembled at 8 px.
+GUARD_SPEC = SynthSpec(train_studies=30, image_size=24)
+GUARD_CONFIGS = {
+    "pairs": config(augment=True, clahe_probability=1.0),
+    "study_single": config("study_single"),
+    "single": config("single"),
+}
+# SHA-256 over the batches each mode assembles from the guard studies: the images' bytes, the
+# texts and each study's provenance. Assembly is exact work, so a faster path keeps these bits.
+GUARD_DIGESTS = {
+    "pairs": "c1446c39f9ffc184ba286f8387874a2db7572681036ed3063346d2bae5dc00a2",
+    "study_single": "a8de5b1884ac18ebeddce5de210710b2a3c9f4c330d6005963df4201e3061911",
+    "single": "d904343b72c58b3a1ba8df34b54e4bab1e25035c6bbddfac6a034db1bd4ce2bf",
+}
+
+
+@pytest.fixture(scope="module")
+def guard_studies(engine):
+    studies = generate_split(GUARD_SPEC, "train", GUARD_SPEC.train_studies, 5, engine)
+    reports = [s for s in studies if s.findings]
+    assert len(reports) < len(studies) and any(len(s.images) == 1 for s in studies)
+    for study in reports[::3]:
+        study.impression = None
+    return studies
+
+
+@pytest.mark.parametrize("mode", list(GUARD_CONFIGS))
+def test_assembled_batches_keep_their_golden_digest(mode, guard_studies, engine):
+    digest = hashlib.sha256()
+    for seed, start in ((0, 0), (1, 10), (2, 20)):
+        batch = make_batch(guard_studies[start : start + 10], GUARD_CONFIGS[mode], engine, seed)
+        digest.update(batch.x1.tobytes() + batch.x2.tobytes())
+        for pair in batch.pairs:
+            digest.update(f"{pair.t1}\0{pair.t2}\0{pair.text_source}\0{pair.image2_augmented}\0".encode())
+    assert digest.hexdigest() == GUARD_DIGESTS[mode]

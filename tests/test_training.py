@@ -569,12 +569,12 @@ def test_synth_split_is_the_same_in_every_process():
 # these bits; a change meant to alter the numbers updates this table and says why.
 GOLDEN_SPEC = SynthSpec(train_studies=48, valid_studies=20, test_studies=20)
 GOLDEN_DIGESTS = {
-    "clip_only": "4e500f5e5660878c62d570de7b6ccfb0895ca430ee868d926f9433300dd3f5c0",
-    "study_sampling": "2a5b7c878474f5661a44f53f82b331075783053757b5e18016d130dbe2e81edd",
-    "augmentations": "592a20be1d592390dfadea76e6d0c89b67dad1866d0df7c65096748e5d4c29ff",
-    "mvs": "d233ec90e05b4fefa3a9eca60c1e470317a18ead4e650cf56d7b97c2f0521c6c",
-    "mvs_icl": "61a356ff8eb7cbfc08c92d000e13b27e1f615dd6abea9c20c5920e2885a02eb8",
-    "full": "baba190ba1880e0de5d01403a9319247551e44adbefcab03765a20c14f9a3243",
+    "clip_only": "b0a5b8b3142ad1419956561506e6bdaa57168cb2c8c7dce929d25df1b0a98a91",
+    "study_sampling": "cf0ba21dcbcad564cb3339d2863e27437bf7de2f4b486d6fc80996365837f8ce",
+    "augmentations": "959becb7c2f8c867bb426adb254366915b3fc26d9d4e497b5070467690faa4d6",
+    "mvs": "52727e137080d1cd13e3c5c61c209d1107b81f1536c2aeb4a7f675ec386cd49f",
+    "mvs_icl": "57ac416840ff943122fe5aa9cc60f017e61b3663196bb7c18914945db58028a2",
+    "full": "cd7e6870c29073b2bd3793dff96e8554b7fcd48dc005a599013f2acf0f2036ba",
 }
 
 
