@@ -79,10 +79,19 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _clahe_plan(h: int, w: int):
-    """The 2x2 tiles as slices, their pixel counts (4, 1), and the row and column blend weights."""
+    """Each pixel's histogram offset, the tiles' histogram rows, their pixel counts (4, 1) and blend weights.
+
+    The offset is the pixel's tile index times ``CLAHE_BINS``, so one ``np.bincount`` counts
+    every tile. A grid of one row (column) has one tile along it, which both rows (columns)
+    of the 2x2 grid share: the histogram rows pick each tile's counts. The four blend
+    weights are the products of the row and column weights, in tile order.
+    """
     row_splits = [(0, h // 2), (h // 2, h)] if h >= 2 else [(0, h), (0, h)]
     col_splits = [(0, w // 2), (w // 2, w)] if w >= 2 else [(0, w), (0, w)]
-    tiles = [(slice(r0, r1), slice(c0, c1)) for r0, r1 in row_splits for c0, c1 in col_splits]
+    row_tiles, col_tiles = min(h, 2), min(w, 2)
+    row_of, col_of = np.arange(h) >= max(h // 2, 1), np.arange(w) >= max(w // 2, 1)
+    offsets = (row_of[:, None] * col_tiles + col_of[None, :]) * CLAHE_BINS
+    rows = np.array([min(r, row_tiles - 1) * col_tiles + min(c, col_tiles - 1) for r in range(2) for c in range(2)])
     sizes = np.array([[float((r1 - r0) * (c1 - c0))] for r0, r1 in row_splits for c0, c1 in col_splits])
     centers_r = [(r0 + r1 - 1) / 2.0 for r0, r1 in row_splits]
     centers_c = [(c0 + c1 - 1) / 2.0 for c0, c1 in col_splits]
@@ -90,17 +99,20 @@ def _clahe_plan(h: int, w: int):
     span_c = max(centers_c[1] - centers_c[0], 1e-12)
     wr = np.clip((np.arange(h) - centers_r[0]) / span_r, 0.0, 1.0)[:, None]
     wc = np.clip((np.arange(w) - centers_c[0]) / span_c, 0.0, 1.0)[None, :]
-    return tiles, _read_only(sizes, wr, 1 - wr, wc, 1 - wc)
+    vr, vc = 1 - wr, 1 - wc
+    return row_tiles * col_tiles, _read_only(offsets, rows, sizes, vr * vc, vr * wc, wr * vc, wr * wc)
 
 
 def clahe(img: np.ndarray) -> np.ndarray:
-    """Contrast-limited equalization over a 2x2 tile grid with bilinear blending."""
+    """Contrast-limited equalization over a 2x2 tile grid with bilinear blending.
+
+    Intensities below 0 fall in the first histogram bin and those of 1 or more in the last.
+    """
     h, w = img.shape
-    bins = np.minimum((img * CLAHE_BINS).astype(int), CLAHE_BINS - 1)
-    tiles, (n, wr, vr, wc, vc) = _clahe_plan(h, w)
-    hist = np.empty((4, CLAHE_BINS))
-    for t, tile in enumerate(tiles):
-        hist[t] = np.bincount(bins[tile].ravel(), minlength=CLAHE_BINS)
+    bins = np.clip(img * CLAHE_BINS, 0, CLAHE_BINS - 1).astype(int)
+    tiles, (offsets, rows, n, *weights) = _clahe_plan(h, w)
+    counts = np.bincount((bins + offsets).ravel(), minlength=tiles * CLAHE_BINS)
+    hist = counts.reshape(tiles, CLAHE_BINS)[rows].astype(float)
     equalized = np.count_nonzero(hist, axis=1) > 1  # a tile with one occupied bin passes through
     if not equalized.any():
         return img.copy()
@@ -109,7 +121,7 @@ def clahe(img: np.ndarray) -> np.ndarray:
     hist = np.minimum(hist, limit) + excess / CLAHE_BINS
     mappings = (np.cumsum(hist, axis=1) - hist / 2.0) / n  # mid-bin rule
     m = [mappings[t][bins] if equalized[t] else img for t in range(4)]
-    return vr * vc * m[0] + vr * wc * m[1] + wr * vc * m[2] + wr * wc * m[3]
+    return weights[0] * m[0] + weights[1] * m[1] + weights[2] * m[2] + weights[3] * m[3]
 
 
 def _random_resized_crop(img: np.ndarray, rng) -> np.ndarray:

@@ -13,20 +13,27 @@ encoder, and parameter gradients accumulate in the fixed view order v1, v2,
 u1, u2.
 
 Training batches are assembled beside the compute, in one worker process. It
-is forked, not spawned, so it reads the studies and the prompt engine the
-main process already holds, with no pickling and no fresh import. ``train``
-first draws the whole step schedule: each step's study indices from the
-epoch permutations of ``seed + 1``, and its sampling seed
-``seed * 1_000_003 + step``. Every study draws from its own ``study_rng``, so a
-batch depends only on its indices and seed, and the worker's batches are bit
-for bit those the main process would assemble. The worker starts before the
-first validation pass and assembles the steps in order into a ring of
+is forked with ``os.fork``, not spawned, so it reads the studies and the prompt
+engine the main process already holds, with no pickling and no fresh import;
+and it is no ``multiprocessing`` child, so ``train`` also runs inside a
+daemonic process such as a ``multiprocessing`` pool worker. The worker always
+leaves through ``os._exit``. ``train`` first draws the whole step schedule:
+each step's study indices from the epoch permutations of ``seed + 1``, and
+its sampling seed ``seed * 1_000_003 + step``. Every study draws from its own
+``study_rng``, so a batch depends only on its indices and seed, and the
+worker's batches are bit for bit those the main process would assemble. The
+worker starts before the first validation pass and assembles the steps in
+order into a ring of
 ``SLOTS`` slots in one anonymous shared ``mmap``: per slot the images, the
 texts as UTF-8 bytes with their lengths, and each study's provenance (text
 source, augmented second image). The main process reads a batch as read-only
 views of its slot, with no copy and no unpickling, and frees the slot once
 the step's loss and gradients are computed; meanwhile the worker fills the
-other slot.
+other slots, up to ``SLOTS - 1`` steps ahead of the step being scored.
+Assembly time varies from batch to batch (label-only studies render prompts,
+single-image studies augment a second view), so the ring is deeper than the
+two slots a lockstep needs: the worker banks batches during each validation
+pass and on the cheap batches, and spends that lead on the slow ones.
 
 Two semaphores count the filled and the free slots (``_wait_for_batch`` is
 the main side's wait). Taking one whose slot is already filled needs no
@@ -46,9 +53,9 @@ raises ``SamplingError`` naming the step and the study. A worker that dies
 makes ``train`` raise ``AssemblyError`` naming the step. A batch whose
 texts do not fit their slot (``TEXT_BYTES_PER_STUDY``) is assembled again
 in the main process, which gives the same batch. Whenever ``train`` leaves,
-by return, early stop or error, the worker is killed and reaped. A
-daemonic ``multiprocessing`` process cannot fork it, so ``train`` cannot
-run inside one.
+by return, early stop or error, the worker is killed and reaped
+(``os.waitpid``). Where ``os.fork`` does not exist there is no worker: each
+batch is assembled in the main process, with the same bits.
 
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
@@ -462,7 +469,11 @@ def validation_loss(
 
 # ------------------------------------------------------------ assembly worker
 
-SLOTS = 2  # batches in the shared ring: one read by the step, one written by the worker
+# Batches in the shared ring: one read by the step, up to SLOTS - 1 filled ahead by the worker.
+# On paper_full (median train studies/s, seven seeds; three at depth 2) depth 3 gave 3,992,
+# 4 gave 4,148, 6 gave 4,189 and 8 gave 4,168, against 3,649 at 2: 4 is the smallest depth
+# within the run-to-run spread (~130) of the best. Each slot adds about 0.5 MB of touched pages.
+SLOTS = 4
 TEXT_BYTES_PER_STUDY = 1 << 13  # UTF-8 room per study in a slot, for its two texts together
 _POLL_S = 0.1  # a blocked wait checks this often that the other process is alive
 _TEXT_SOURCES = ("sections", "section_aug", "prompts", "single")
@@ -559,21 +570,36 @@ class _BatchRing:
 class _AssemblyWorker:
     """A forked process that assembles the batch of each scheduled step, in order, into a ``_BatchRing``.
 
-    Entering starts the worker; leaving kills it if it still runs, and reaps it.
+    Entering forks the worker; leaving kills it if it still runs, and reaps it. Where
+    ``os.fork`` does not exist there is no worker and no ring: each step's batch is
+    assembled in the calling process.
     """
 
     def __init__(self, dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, chunks: list[np.ndarray]):
         self.dataset, self.cfg, self.engine, self.chunks = dataset, cfg, engine, chunks
-        ctx = multiprocessing.get_context("fork")
-        self.ring = _BatchRing(cfg, min(cfg.batch_studies, len(dataset)), ctx)
-        self.process = ctx.Process(
-            target=self._run, args=(os.getpid(), _current_cpu()), name="studyclip-assembly", daemon=True
-        )
+        self.ring = None
+        if hasattr(os, "fork"):
+            self.ring = _BatchRing(cfg, min(cfg.batch_studies, len(dataset)), multiprocessing.get_context("fork"))
+        self.pid: int | None = None
+        self.exitcode: int | None = None
 
     def batch(self, step: int) -> StudyBatch:
         """The batch of ``step``, assembled in the calling process."""
         studies = [self.dataset[int(i)] for i in self.chunks[step]]
         return _sample_batch(studies, self.cfg, self.engine, seed=self.cfg.seed * 1_000_003 + step)
+
+    def poll(self) -> int | None:
+        """The worker's exit code once it has ended, ``-signum`` if a signal ended it; else None."""
+        if self.exitcode is None and self.pid is not None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.exitcode = os.waitstatus_to_exitcode(status)
+        return self.exitcode
+
+    def release(self) -> None:
+        """Frees the slot of the step just scored, for the worker to fill."""
+        if self.ring is not None:
+            self.ring.free.release()
 
     def _run(self, parent: int, parent_cpu: int | None) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process takes an interrupt and ends the worker
@@ -594,14 +620,24 @@ class _AssemblyWorker:
             ring.filled.release()
 
     def __enter__(self) -> "_AssemblyWorker":
-        self.process.start()
+        if self.ring is not None:
+            parent, parent_cpu = os.getpid(), _current_cpu()
+            self.pid = os.fork()
+            if self.pid == 0:  # the worker: it leaves through os._exit, never into the caller's frames
+                code = 1
+                try:
+                    self._run(parent, parent_cpu)
+                    code = 0
+                except Exception:
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.process.exitcode is None:
-            self.process.kill()
-        self.process.join()
-        self.process.close()
+        if self.pid is not None and self.poll() is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
 def _current_cpu() -> int | None:
@@ -618,11 +654,14 @@ def _current_cpu() -> int | None:
 def _wait_for_batch(worker: _AssemblyWorker, step: int) -> StudyBatch:
     """The batch of ``step``: waits until the worker has filled its slot, then reads it.
 
-    The caller frees the slot (``ring.free``) once it is done with the batch's views.
+    The caller frees the slot (``worker.release``) once it is done with the batch's views.
+    Without a worker the batch is assembled here.
     """
     ring = worker.ring
+    if ring is None:
+        return worker.batch(step)
     while not ring.filled.acquire(timeout=_POLL_S):
-        exitcode = worker.process.exitcode
+        exitcode = worker.poll()
         if exitcode is not None and not ring.filled.acquire(block=False):
             raise AssemblyError(step, exitcode)
     batch = ring.get(step % SLOTS, step)
@@ -678,7 +717,7 @@ def train(
             for _ in range(steps_per_epoch):
                 batch = _wait_for_batch(worker, step)
                 out, grads = _batch_loss(model, batch, table, with_grads=True)
-                worker.ring.free.release()  # the step is done with its slot
+                worker.release()  # the step is done with its slot
                 if not math.isfinite(out.value):
                     raise NumericError(step=step, value=out.value)
                 for name, g in grads.items():

@@ -176,6 +176,40 @@ def test_clahe_checker_matches_direct_histogram_oracle():
     np.testing.assert_allclose(clahe(img), expected, atol=1e-12)
 
 
+def clahe_per_tile(img):
+    """CLAHE with one histogram per tile of the 2x2 grid: the reference for the one-bincount path."""
+    h, w = img.shape
+    rows = [(0, h // 2), (h // 2, h)] if h >= 2 else [(0, h), (0, h)]
+    cols = [(0, w // 2), (w // 2, w)] if w >= 2 else [(0, w), (0, w)]
+    bins = np.clip((img * CLAHE_BINS).astype(int), 0, CLAHE_BINS - 1)  # out-of-range intensities: end bins
+    hist = np.array([np.bincount(bins[r0:r1, c0:c1].ravel(), minlength=CLAHE_BINS) for r0, r1 in rows for c0, c1 in cols])
+    hist = hist.astype(float)
+    n = np.array([[float((r1 - r0) * (c1 - c0))] for r0, r1 in rows for c0, c1 in cols])
+    equalized = np.count_nonzero(hist, axis=1) > 1
+    if not equalized.any():
+        return img.copy()
+    limit = CLAHE_CLIP_FRACTION * n
+    hist = np.minimum(hist, limit) + np.sum(np.maximum(hist - limit, 0.0), axis=1, keepdims=True) / CLAHE_BINS
+    mappings = (np.cumsum(hist, axis=1) - hist / 2.0) / n
+    m = [mappings[t][bins] if equalized[t] else img for t in range(4)]
+    (a0, a1), (b0, b1) = [(r0 + r1 - 1) / 2.0 for r0, r1 in rows], [(c0 + c1 - 1) / 2.0 for c0, c1 in cols]
+    wr = np.clip((np.arange(h) - a0) / max(a1 - a0, 1e-12), 0.0, 1.0)[:, None]
+    wc = np.clip((np.arange(w) - b0) / max(b1 - b0, 1e-12), 0.0, 1.0)[None, :]
+    vr, vc = 1 - wr, 1 - wc
+    return vr * vc * m[0] + vr * wc * m[1] + wr * vc * m[2] + wr * wc * m[3]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (26, 29), (33, 32)])
+def test_clahe_matches_the_per_tile_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    half_flat = rng.uniform(size=shape)
+    half_flat[: shape[0] // 2] = 0.25  # the top tiles, where there are two rows of tiles, pass through
+    levels = np.round(rng.uniform(size=shape) * 3) / 3
+    images = [rng.uniform(size=shape), levels, half_flat, np.ones(shape), levels * 1.5 - 0.25]
+    for img in images:
+        assert clahe(img).tobytes() == clahe_per_tile(img).tobytes()
+
+
 def test_clahe_constant_passthrough():
     np.testing.assert_array_equal(clahe(flat_image(0.37)), flat_image(0.37))
 

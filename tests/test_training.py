@@ -310,7 +310,7 @@ def test_a_killed_worker_raises_assembly_error_naming_the_step(engine, splits, m
     def dying(studies, *args):
         if os.getpid() != main:
             calls.append(len(studies))
-            if len(calls) == 3:  # steps 0 and 1 fill the ring; step 2 never arrives
+            if len(calls) == 3:  # steps 0 and 1 reach the ring; the worker dies assembling step 2
                 os.kill(os.getpid(), signal.SIGKILL)
         return original(studies, *args)
 
@@ -348,6 +348,98 @@ def test_train_leaves_no_worker_and_no_descriptor_behind(engine, splits, monkeyp
     assert open_descriptors() == before
     if ending == "numeric_error":
         assert held.value.step == 0
+
+
+@pytest.mark.parametrize("ending", ["return", "early_stop", "numeric_error"])
+def test_train_reaps_its_worker(engine, splits, monkeypatch, tmp_path, deadline, ending):
+    # the worker is forked with os.fork, so multiprocessing.active_children() does not see it
+    record = tmp_path / "pids.txt"
+    original = training.make_batch
+
+    def recording(studies, *args):
+        with open(record, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return original(studies, *args)
+
+    monkeypatch.setattr(training, "make_batch", recording)
+    if ending == "early_stop":
+        monkeypatch.setattr(training, "validation_loss", lambda *args: 1.0)
+        _, log = train(*splits, tiny_config(early_stop_patience=1), engine)
+        assert len(log.epochs) == 2
+    elif ending == "numeric_error":
+        backward = training.image_backward
+        monkeypatch.setattr(training, "image_backward", lambda *args: {**backward(*args), "conv_w": np.inf})
+        with pytest.raises(NumericError, match="at step 0"):
+            train(*splits, tiny_config(), engine)
+    else:
+        train(*splits, tiny_config(), engine)
+    (pid,) = {int(line) for line in record.read_text().split()} - {os.getpid()}
+    with pytest.raises(ChildProcessError):  # no child of this process has that pid: it was reaped
+        os.waitpid(pid, os.WNOHANG)
+
+
+def test_the_worker_runs_slots_minus_one_batches_ahead_of_a_stalled_step(engine, splits, monkeypatch, tmp_path, deadline):
+    # each step's sampling seed is seed * 1_000_003 + step, so at seed 0 the worker's seed is its step
+    record = tmp_path / "assembled.txt"
+    main = os.getpid()
+    original_make, original_loss = training.make_batch, training._batch_loss
+
+    def recording(studies, cfg, engine, seed):
+        if os.getpid() != main:
+            with open(record, "a") as out:
+                out.write(f"start {seed}\n")
+        batch = original_make(studies, cfg, engine, seed)
+        if os.getpid() != main:
+            with open(record, "a") as out:
+                out.write(f"done {seed}\n")
+        return batch
+
+    def assembled() -> list[tuple[str, int]]:
+        return [(what, int(step)) for what, step in map(str.split, record.read_text().splitlines())]
+
+    seen_while_stalled = []
+
+    def stalling(model, batch, table, with_grads, ids=None):
+        if with_grads and not seen_while_stalled:  # step 0: hold its slot until the worker is SLOTS - 1 ahead
+            while not record.exists() or ("done", training.SLOTS - 1) not in assembled():
+                time.sleep(0.01)
+            time.sleep(0.2)  # room for a worker that wrongly ran further ahead
+            seen_while_stalled.extend(assembled())
+        return original_loss(model, batch, table, with_grads, ids)
+
+    monkeypatch.setattr(training, "make_batch", recording)
+    monkeypatch.setattr(training, "_batch_loss", stalling)
+    cfg = tiny_config(batch_studies=2, early_stop_patience=6)
+    _, log = train(*splits, cfg, engine)
+    assert len(log.steps) == 30 > training.SLOTS
+    assert max(step for _, step in seen_while_stalled) == training.SLOTS - 1
+    # and every step was assembled once, in order
+    assert [step for what, step in assembled() if what == "start"] == list(range(len(log.steps)))
+
+
+def trained_parameter_bytes(splits, cfg) -> dict[str, bytes]:
+    model, _ = train(*splits, cfg)
+    return {name: value.tobytes() for name, value in model.params.items()}
+
+
+def test_train_runs_inside_a_daemonic_pool_worker(splits, deadline):
+    cfg = tiny_config(epochs=2, early_stop_patience=2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:  # its worker is daemonic
+        in_pool = pool.apply(trained_parameter_bytes, (splits, cfg))
+    assert in_pool == trained_parameter_bytes(splits, cfg)
+
+
+def test_without_fork_each_batch_is_assembled_in_process_with_the_same_parameters(engine, splits, monkeypatch):
+    cfg = tiny_config(epochs=2, early_stop_patience=2)
+    reference, _ = train(*splits, cfg, engine)
+    monkeypatch.delattr(os, "fork")
+    received = record_training_batches(monkeypatch)
+    model, _ = train(*splits, cfg, engine)
+    expected = expected_batches(splits[0], cfg, engine)
+    assert [writeable for _, writeable in received] == [True] * len(expected)  # not views of a shared slot
+    assert [contents for contents, _ in received] == [batch_contents(batch) for batch in expected]
+    for name, value in reference.params.items():
+        assert model.params[name].tobytes() == value.tobytes()
 
 
 def test_learns_above_chance_on_a_tiny_spec(engine):
