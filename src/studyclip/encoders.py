@@ -2,8 +2,9 @@
 
 Image path: one 3x3 stride-2 conv stage (k filters, bias, softplus), global
 average pooling, a two-layer perceptron (tanh hidden), then a bias-free
-linear projection and row normalization. Text path: token embedding table,
-mean pool over tokens, the same perceptron/projection/normalization stack.
+linear projection and row normalization. Text path: a batch's ``text_bag``
+times the token embedding table (the mean pool over tokens), then the same
+perceptron/projection/normalization stack.
 
 The conv stage rectifies: pooling an odd activation of zero-mean structure
 would wash out to a constant, while pooled rectifier responses measure how
@@ -28,10 +29,11 @@ blocks of a few images, each block's pre-activations within
 ``CONV_BLOCK_BYTES``, so their temporaries scale with the block, not the
 batch, and stay in cache.
 
-The text mean pool is one product with a (batch, vocab) bag matrix, whose
-row i weighs each token of sequence i by 1/len (a repeated token adds up);
-the text cache holds the bag, and the table gradient is its transpose times
-the pooled-feature gradient.
+The text mean pool is one product with the (batch, vocab) bag matrix of
+``text_bag``, whose row i weighs each token of sequence i by 1/len (a
+repeated token adds up); ``encode_text_batch`` takes the bag, its cache holds
+it, and the table gradient is its transpose times the pooled-feature
+gradient.
 
 Forward passes cache intermediates; backward functions consume the cache and
 return gradients per parameter array. Parameters live in plain dataclasses
@@ -301,7 +303,7 @@ def image_backward(params: ImageEncoderParams, cache, d_emb: np.ndarray) -> dict
 # ----------------------------------------------------------------- text path
 
 
-def _bag(id_seqs: list[list[int]], vocab_size: int) -> np.ndarray:
+def text_bag(id_seqs: list[list[int]], vocab_size: int) -> np.ndarray:
     """(B, vocab): row i weighs each token of sequence i by 1/len, so bag @ emb is its mean embedding."""
     lengths = np.array([len(seq) for seq in id_seqs])
     if np.any(lengths == 0):
@@ -314,8 +316,10 @@ def _bag(id_seqs: list[list[int]], vocab_size: int) -> np.ndarray:
     return np.bincount(cells, weights, minlength=len(id_seqs) * vocab_size).reshape(len(id_seqs), vocab_size)
 
 
-def encode_text_batch(params: TextEncoderParams, id_seqs: list[list[int]]):
-    bag = _bag(id_seqs, params.emb.shape[0])
+def encode_text_batch(params: TextEncoderParams, bag: np.ndarray):
+    """Embeds a (batch, vocab) ``text_bag``."""
+    if bag.ndim != 2 or bag.shape[1] != params.emb.shape[0]:
+        raise ShapeMismatch(f"expected a (batch, {params.emb.shape[0]}) token bag, got {bag.shape}")
     embedding, cache = _head_forward(params, bag @ params.emb)
     cache["bag"] = bag
     return embedding, cache

@@ -3,7 +3,8 @@
 Evaluation is deterministic: the first image of each study (resized, never
 augmented) stands for the study; the evaluation text is the findings section,
 falling back to the impression, falling back to one prompt rendering of the
-label record, seeded from (seed, study id) so every process renders the same.
+label record, seeded from (``EVAL_TEXT_SEED``, study id) so every process
+renders the same.
 Images are resized and encoded ``EVAL_CHUNK`` studies at a time. The encoder
 bounds its own conv temporaries, patches included, by blocks of a few images,
 so the chunk bounds only what a call holds for the whole chunk: the resized
@@ -33,7 +34,7 @@ import hashlib
 import numpy as np
 
 from .augment import resize_bilinear
-from .encoders import encode_image_batch, encode_text_batch, tokenize
+from .encoders import encode_image_batch, encode_text_batch, text_bag, tokenize
 from .metrics import (
     DegenerateLabels,
     class_prompt_embeddings,
@@ -52,6 +53,8 @@ from .training import TrainedModel
 # about 2.7 KB per study at the default sizes), which grow with the batch,
 # whatever the size of the test set.
 EVAL_CHUNK = 128
+
+EVAL_TEXT_SEED = 1234
 
 # The test embeddings of the last evaluate_binary call: (fingerprint, read-only array).
 _shared_embeddings: tuple[bytes, np.ndarray] | None = None
@@ -102,17 +105,17 @@ def _shared_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.nd
     return _shared_embeddings[1]
 
 
-def eval_text(study: Study, engine: PromptEngine, seed: int = 1234) -> str:
+def eval_text(study: Study, engine: PromptEngine) -> str:
     if study.findings:
         return study.findings
     if study.impression:
         return study.impression
-    return engine.build_study_text(study.labels, study_rng(seed, study.id))
+    return engine.build_study_text(study.labels, study_rng(EVAL_TEXT_SEED, study.id))
 
 
 def encode_texts(model: TrainedModel, texts: list[str]) -> np.ndarray:
     ids = [tokenize(t, model.vocab) for t in texts]
-    emb, _ = encode_text_batch(model.text_params(), ids)
+    emb, _ = encode_text_batch(model.text_params(), text_bag(ids, len(model.vocab)))
     return emb
 
 

@@ -153,13 +153,9 @@ def read_pgm(path: str | Path) -> np.ndarray:
 # ----------------------------------------------------------------- JSON lines
 
 
-def study_to_record(study: Study, image_paths: list[str] | None = None) -> dict:
-    images = []
-    for k, img in enumerate(study.images):
-        if image_paths is not None:
-            images.append({"path": image_paths[k], "view": img.view})
-        else:
-            images.append({"pixels": [[round(float(v), 6) for v in row] for row in img.pixels], "view": img.view})
+def study_to_record(study: Study, image_paths: list[str]) -> dict:
+    """The JSON record of a study whose images are stored at ``image_paths``, relative to the record file."""
+    images = [{"path": path, "view": img.view} for path, img in zip(image_paths, study.images, strict=True)]
     record: dict = {"id": study.id, "images": images}
     if study.findings is not None:
         record["findings"] = study.findings

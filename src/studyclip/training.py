@@ -7,10 +7,12 @@ checks every field against its declared type when it is built.
 Each step assembles one batch in the configured sampling mode through the
 sampler's batch loop and scores it with the loss table of
 ``TrainConfig.loss_table``: the paper's six pairings for ``pairs``, the
-single (u1, v1) pairing for the single modes. Each view the table names is
-encoded once; the gradient of each view is propagated back through its
-encoder, and parameter gradients accumulate in the fixed view order v1, v2,
-u1, u2.
+single (u1, v1) pairing for the single modes. A step reads only what its
+encoders take, its ``_step_inputs``: for each view the table names, its
+images, or its texts' (n, V) token bag (``encoders.text_bag``) over the
+vocabulary of V tokens. Each named view is encoded once; the gradient of each
+view is propagated back through its encoder, and parameter gradients
+accumulate in the fixed view order v1, v2, u1, u2.
 
 Training batches are assembled beside the compute, in one worker process. It
 is forked with ``os.fork``, not spawned, so it reads the studies and the prompt
@@ -22,14 +24,18 @@ each step's study indices from the epoch permutations of ``seed + 1``, and
 its sampling seed ``seed * 1_000_003 + step``. Every study draws from its own
 ``study_rng``, so a batch depends only on its indices and seed, and the
 worker's batches are bit for bit those the main process would assemble. The
-worker starts before the first validation pass and assembles the steps in
-order into a ring of
-``SLOTS`` slots in one anonymous shared ``mmap``: per slot the images, the
-texts as UTF-8 bytes with their lengths, and each study's provenance (text
-source, augmented second image). The main process reads a batch as read-only
-views of its slot, with no copy and no unpickling, and frees the slot once
-the step's loss and gradients are computed; meanwhile the worker fills the
-other slots, up to ``SLOTS - 1`` steps ahead of the step being scored.
+worker starts before the first validation pass, after the vocabulary is
+built, and writes the step inputs of each step in order into a ring of
+``SLOTS`` slots in one anonymous shared ``mmap``. A slot holds one fixed-size
+float64 array per named view, tokenized and bagged with the vocabulary the
+worker inherited at the fork: a batch of n studies at image size S fills
+n x S x S of an image view and n x V of a text view. So the ring takes
+``SLOTS`` x batch x 8 bytes times the sum over named views of S x S or V, and
+its text part grows with the vocabulary, as the bags a step builds do. The
+main process reads the inputs as read-only views of their slot, with no copy,
+no unpickling and no tokenizing, and frees the slot once the step's loss and
+gradients are computed; meanwhile the worker fills the other slots, up to
+``SLOTS - 1`` steps ahead of the step being scored.
 Assembly time varies from batch to batch (label-only studies render prompts,
 single-image studies augment a second view), so the ring is deeper than the
 two slots a lockstep needs: the worker banks batches during each validation
@@ -48,23 +54,22 @@ about 5% slower than with assembly in the main process; kept off that CPU,
 it ran about 35% faster. Slots signalled through a pipe had shown the same
 loss.
 
-A study that fails in the worker comes back through its slot: ``train``
-raises ``SamplingError`` naming the step and the study. A worker that dies
-makes ``train`` raise ``AssemblyError`` naming the step. A batch whose
-texts do not fit their slot (``TEXT_BYTES_PER_STUDY``) is assembled again
-in the main process, which gives the same batch. Whenever ``train`` leaves,
-by return, early stop or error, the worker is killed and reaped
-(``os.waitpid``). Where ``os.fork`` does not exist there is no worker: each
-batch is assembled in the main process, with the same bits.
+A study that fails in the worker comes back through its slot, as a message
+and the tail of its traceback: ``train`` raises ``SamplingError`` naming the
+step and the study. A worker that dies makes ``train`` raise
+``AssemblyError`` naming the step. Whenever ``train`` leaves, by return,
+early stop or error, the worker is killed and reaped (``os.waitpid``). Where
+``os.fork`` does not exist there is no worker: each step's inputs are
+assembled in the main process, with the same bits.
 
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
 learnable log-temperature is updated like any other parameter but excluded
 from weight decay and clamped after every step. Validation loss is evaluated
 before the first epoch and after each one, on validation batches assembled
-in the main process and tokenized once per ``train`` call, with a fixed
-sampling seed: each study draws from its own ``study_rng``, so every epoch
-would assemble the same batches. The best-validation parameters are kept and
+in the main process and turned into step inputs once per ``train`` call, with
+a fixed sampling seed: each study draws from its own ``study_rng``, so every
+epoch would assemble the same batches. The best-validation parameters are kept and
 training stops after ``early_stop_patience`` epochs without improvement.
 
 Everything is seeded: identical config and data give bit-identical parameters
@@ -94,12 +99,13 @@ from .encoders import (
     init_image_params,
     init_text_params,
     text_backward,
+    text_bag,
     tokenize,
 )
 from .losses import CLIP_TABLE, EmbeddingBatch, Pairing, ShapeMismatch, Temperature, paper_table, total_loss
 from .prompts import PromptEngine
 from .sampling import SAMPLING_MODES, SamplingError, StudyBatch, assemble_batch, make_batch, sample_single
-from .studies import SampledPair, Study
+from .studies import Study
 
 
 class ConfigError(ValueError):
@@ -252,14 +258,15 @@ def lr_at(step: float, total_steps: int, warmup_steps: int, base_lr: float) -> f
 # ------------------------------------------------------------------ optimizer
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW moment decay rates and denominator guard
+NO_DECAY = ("log_tau",)  # parameters exempt from weight decay
+
+
 @dataclass
 class OptimState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def optim_step(
@@ -268,9 +275,8 @@ def optim_step(
     state: OptimState,
     lr: float,
     weight_decay: float,
-    no_decay: tuple[str, ...] = ("log_tau",),
 ) -> None:
-    """One AdamW update in place: adaptive step plus decoupled decay."""
+    """One AdamW update in place: adaptive step plus decoupled decay, except for ``NO_DECAY``."""
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -285,14 +291,14 @@ def optim_step(
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        if weight_decay > 0.0 and name not in no_decay:
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+        if weight_decay > 0.0 and name not in NO_DECAY:
             p -= lr * weight_decay * p
 
 
@@ -378,33 +384,27 @@ def _combined_params(img_params, txt_params, log_tau: float) -> dict[str, np.nda
 VIEWS = {"v1": ("x1", "img"), "v2": ("x2", "img"), "u1": ("t1", "txt"), "u2": ("t2", "txt")}
 
 
-def _token_ids(batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab) -> dict[str, list[list[int]]]:
-    """The token ids of each text view the table names."""
+def _step_inputs(batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab) -> dict[str, np.ndarray]:
+    """What a step encodes: each view the table names, in ``VIEWS`` order, as its images or its texts' token bag."""
     named = {name for row in table for name in row[:2]}
-    return {
-        name: [tokenize(t, vocab) for t in getattr(batch, attr)]
-        for name, (attr, prefix) in VIEWS.items()
-        if prefix == "txt" and name in named
-    }
-
-
-def _batch_loss(model: TrainedModel, batch, table: tuple[Pairing, ...], with_grads: bool, ids=None):
-    """Forward (and optionally backward) for one batch, encoding each view the table names once.
-
-    ``ids`` are the batch's ``_token_ids``; the texts are tokenized here when they are absent.
-    """
-    img_p, txt_p = model.image_params(), model.text_params()
-    ids = _token_ids(batch, table, model.vocab) if ids is None else ids
-    named = {name for row in table for name in row[:2]}
-    views, caches = {}, {}
+    inputs = {}
     for name, (attr, prefix) in VIEWS.items():
-        if name not in named:
-            continue
-        if prefix == "img":
-            emb, caches[name] = encode_image_batch(img_p, getattr(batch, attr))
+        if name in named:
+            view = getattr(batch, attr)
+            inputs[name] = view if prefix == "img" else text_bag([tokenize(t, vocab) for t in view], len(vocab))
+    return inputs
+
+
+def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple[Pairing, ...], with_grads: bool):
+    """Forward (and optionally backward) for one step's ``_step_inputs``, encoding each view once."""
+    img_p, txt_p = model.image_params(), model.text_params()
+    views, caches = {}, {}
+    for name, x in inputs.items():
+        if VIEWS[name][1] == "img":
+            emb, caches[name] = encode_image_batch(img_p, x)
             views[name] = EmbeddingBatch(emb, "image")
         else:
-            emb, caches[name] = encode_text_batch(txt_p, ids[name])
+            emb, caches[name] = encode_text_batch(txt_p, x)
             views[name] = EmbeddingBatch(emb, "text")
     out = total_loss(views, Temperature(model.log_tau), table)
     if not with_grads:
@@ -448,13 +448,8 @@ def validation_batches(studies, cfg: TrainConfig, engine) -> list[StudyBatch]:
     ]
 
 
-def validation_loss(
-    model: TrainedModel, batches: list[StudyBatch], table: tuple[Pairing, ...], ids: list | None = None
-) -> float:
-    """Mean batch loss over the validation batches.
-
-    ``ids`` are the batches' ``_token_ids``, which ``train`` computes once per
-    call; the texts are tokenized here when they are absent.
+def validation_loss(model: TrainedModel, inputs: list[dict[str, np.ndarray]], table: tuple[Pairing, ...]) -> float:
+    """Mean batch loss over the ``_step_inputs`` of the validation batches.
 
     The mean is over batches, unweighted: a short last batch counts as much as
     a full one. Weighting by batch size would not make them comparable: an
@@ -462,9 +457,7 @@ def validation_loss(
     on n. It would also change which epoch is best, and so the trained
     parameters.
     """
-    ids = [_token_ids(batch, table, model.vocab) for batch in batches] if ids is None else ids
-    values = [_batch_loss(model, batch, table, False, batch_ids)[0].value for batch, batch_ids in zip(batches, ids)]
-    return float(np.mean(values))
+    return float(np.mean([_batch_loss(model, batch, table, False)[0].value for batch in inputs]))
 
 
 # ------------------------------------------------------------ assembly worker
@@ -474,10 +467,9 @@ def validation_loss(
 # 4 gave 4,148, 6 gave 4,189 and 8 gave 4,168, against 3,649 at 2: 4 is the smallest depth
 # within the run-to-run spread (~130) of the best. Each slot adds about 0.5 MB of touched pages.
 SLOTS = 4
-TEXT_BYTES_PER_STUDY = 1 << 13  # UTF-8 room per study in a slot, for its two texts together
+_ERROR_BYTES = 1 << 13  # room in a slot for a failure's message and its traceback's tail, half each
 _POLL_S = 0.1  # a blocked wait checks this often that the other process is alive
-_TEXT_SOURCES = ("sections", "section_aug", "prompts", "single")
-_BATCH, _FAILED, _TEXTS_TOO_LONG = 0, 1, 2  # slot status
+_BATCH, _FAILED = 0, 1  # slot status
 
 
 class _WorkerTraceback(Exception):
@@ -488,105 +480,75 @@ class _WorkerTraceback(Exception):
 
 
 class _BatchRing:
-    """``SLOTS`` batch slots in one anonymous shared mapping, and the semaphores counting them.
+    """``SLOTS`` slots of step inputs in one anonymous shared mapping, and the semaphores counting them.
 
-    A slot holds a header (status, studies, text bytes), the images of both views
-    (one view in the single modes, where x2 is x1), each text's byte length, the
-    per-study provenance codes and the texts' UTF-8 bytes, or an error message and
-    its traceback.
+    A slot holds a header (status, studies, then a failure's message and traceback
+    byte lengths), room for the failure's message and traceback, and one array per
+    view the loss table names: (studies, size, size) images or a (studies, V) token bag.
     """
 
-    def __init__(self, cfg: TrainConfig, studies: int, ctx):
-        size = cfg.image_size
-        self.text_room = studies * TEXT_BYTES_PER_STUDY
+    def __init__(self, cfg: TrainConfig, studies: int, vocab_size: int, ctx):
+        named = {name for row in cfg.loss_table() for name in row[:2]}
+        shapes = {"img": (studies, cfg.image_size, cfg.image_size), "txt": (studies, vocab_size)}
         slot = np.dtype(
-            [
-                ("header", np.int64, (3,)),
-                ("images", np.float64, (2 if cfg.sampling_mode == "pairs" else 1, studies, size, size)),
-                ("lengths", np.int64, (2 * studies,)),
-                ("provenance", np.uint8, (studies, 2)),  # text source code, image2_augmented
-                ("text", np.uint8, (self.text_room,)),
-            ],
+            [("header", np.int64, (4,)), ("error", np.uint8, (_ERROR_BYTES,))]
+            + [(name, np.float64, shapes[prefix]) for name, (_, prefix) in VIEWS.items() if name in named],
             align=True,
         )
-        slots = np.frombuffer(mmap.mmap(-1, SLOTS * slot.itemsize), dtype=slot)
-        self.header, self.images, self.lengths, self.provenance, self.text = (slots[name] for name in slot.names)
+        self.slots = np.frombuffer(mmap.mmap(-1, SLOTS * slot.itemsize), dtype=slot)
+        self.views = slot.names[2:]
         self.filled = ctx.Semaphore(0)
         self.free = ctx.Semaphore(SLOTS)
 
-    def put(self, k: int, batch: StudyBatch) -> None:
-        n = batch.n
-        encoded = [t.encode("utf-8") for t in batch.t1 + batch.t2]
-        total = self._put_texts(k, encoded)
-        if total is None:
-            self.header[k] = (_TEXTS_TOO_LONG, n, 0)
-            return
-        self.images[k, 0, :n] = batch.x1
-        if self.images.shape[1] == 2:
-            self.images[k, 1, :n] = batch.x2
-        self.provenance[k, :n] = [(_TEXT_SOURCES.index(p.text_source), p.image2_augmented) for p in batch.pairs]
-        self.header[k] = (_BATCH, n, total)
+    def put(self, k: int, inputs: dict[str, np.ndarray]) -> None:
+        n = len(inputs[self.views[0]])
+        for name in self.views:
+            self.slots[name][k, :n] = inputs[name]
+        self.slots["header"][k] = (_BATCH, n, 0, 0)
 
     def put_error(self, k: int, err: Exception) -> None:
         message = str(err) if isinstance(err, SamplingError) else f"{type(err).__name__}: {err}"
-        half = self.text_room // 2
-        total = self._put_texts(k, [message.encode("utf-8")[:half], traceback.format_exc().encode("utf-8")[-half:]])
-        self.header[k] = (_FAILED, 0, total)
+        half = _ERROR_BYTES // 2
+        message, tail = message.encode("utf-8")[:half], traceback.format_exc().encode("utf-8")[-half:]
+        self.slots["error"][k, : len(message) + len(tail)] = np.frombuffer(message + tail, dtype=np.uint8)
+        self.slots["header"][k] = (_FAILED, 0, len(message), len(tail))
 
-    def _put_texts(self, k: int, encoded: list[bytes]) -> int | None:
-        """Writes the byte strings into slot k; their total length, or None when they do not fit."""
-        blob = b"".join(encoded)
-        if len(blob) > self.text_room:
-            return None
-        self.lengths[k, : len(encoded)] = [len(e) for e in encoded]
-        self.text[k, : len(blob)] = np.frombuffer(blob, dtype=np.uint8)
-        return len(blob)
-
-    def _texts(self, k: int, count: int, total: int) -> list[str]:
-        blob = self.text[k, :total].tobytes()
-        ends = np.cumsum(self.lengths[k, :count]).tolist()
-        return [blob[a:b].decode("utf-8", "replace") for a, b in zip([0] + ends, ends)]
-
-    def get(self, k: int, step: int) -> StudyBatch | None:
-        """The batch in slot k as views of the slot, or None when its texts did not fit."""
-        status, n, total = (int(v) for v in self.header[k])
+    def get(self, k: int, step: int) -> dict[str, np.ndarray]:
+        """The step inputs in slot k, as read-only views of the slot."""
+        status, n, message_bytes, tail_bytes = self.slots["header"][k].tolist()
         if status == _FAILED:
-            message, worker_traceback = self._texts(k, 2, total)
-            raise SamplingError(f"step {step}: {message}") from _WorkerTraceback(worker_traceback)
-        if status == _TEXTS_TOO_LONG:
-            return None
-        images = self.images[k, :, :n]
-        images.flags.writeable = False
-        x1, x2 = images[0], images[-1]
-        texts = self._texts(k, 2 * n, total)
-        t1, t2 = texts[:n], texts[n:]
-        pairs = [
-            SampledPair(x1[i], x2[i], t1[i], t2[i], image2_augmented=bool(aug), text_source=_TEXT_SOURCES[source])
-            for i, (source, aug) in enumerate(self.provenance[k, :n].tolist())
-        ]
-        return StudyBatch(x1=x1, x2=x2, t1=t1, t2=t2, pairs=pairs)
+            error = self.slots["error"][k, : message_bytes + tail_bytes].tobytes()
+            message, tail = (part.decode("utf-8", "replace") for part in (error[:message_bytes], error[message_bytes:]))
+            raise SamplingError(f"step {step}: {message}") from _WorkerTraceback(tail)
+        inputs = {}
+        for name in self.views:
+            inputs[name] = self.slots[name][k, :n]
+            inputs[name].flags.writeable = False
+        return inputs
 
 
 class _AssemblyWorker:
-    """A forked process that assembles the batch of each scheduled step, in order, into a ``_BatchRing``.
+    """A forked process that writes the step inputs of each scheduled step, in order, into a ``_BatchRing``.
 
     Entering forks the worker; leaving kills it if it still runs, and reaps it. Where
-    ``os.fork`` does not exist there is no worker and no ring: each step's batch is
+    ``os.fork`` does not exist there is no worker and no ring: each step's inputs are
     assembled in the calling process.
     """
 
-    def __init__(self, dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, chunks: list[np.ndarray]):
-        self.dataset, self.cfg, self.engine, self.chunks = dataset, cfg, engine, chunks
+    def __init__(self, dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, vocab: Vocab, chunks: list):
+        self.dataset, self.cfg, self.engine, self.vocab, self.chunks = dataset, cfg, engine, vocab, chunks
         self.ring = None
         if hasattr(os, "fork"):
-            self.ring = _BatchRing(cfg, min(cfg.batch_studies, len(dataset)), multiprocessing.get_context("fork"))
+            studies = min(cfg.batch_studies, len(dataset))
+            self.ring = _BatchRing(cfg, studies, len(vocab), multiprocessing.get_context("fork"))
         self.pid: int | None = None
         self.exitcode: int | None = None
 
-    def batch(self, step: int) -> StudyBatch:
-        """The batch of ``step``, assembled in the calling process."""
+    def inputs(self, step: int) -> dict[str, np.ndarray]:
+        """The ``_step_inputs`` of ``step``, assembled in the calling process."""
         studies = [self.dataset[int(i)] for i in self.chunks[step]]
-        return _sample_batch(studies, self.cfg, self.engine, seed=self.cfg.seed * 1_000_003 + step)
+        batch = _sample_batch(studies, self.cfg, self.engine, seed=self.cfg.seed * 1_000_003 + step)
+        return _step_inputs(batch, self.cfg.loss_table(), self.vocab)
 
     def poll(self) -> int | None:
         """The worker's exit code once it has ended, ``-signum`` if a signal ended it; else None."""
@@ -612,7 +574,7 @@ class _AssemblyWorker:
                 if os.getppid() != parent:
                     return  # the main process is gone
             try:
-                ring.put(step % SLOTS, self.batch(step))
+                ring.put(step % SLOTS, self.inputs(step))
             except Exception as err:
                 ring.put_error(step % SLOTS, err)
                 ring.filled.release()
@@ -651,21 +613,20 @@ def _current_cpu() -> int | None:
         return None
 
 
-def _wait_for_batch(worker: _AssemblyWorker, step: int) -> StudyBatch:
-    """The batch of ``step``: waits until the worker has filled its slot, then reads it.
+def _wait_for_batch(worker: _AssemblyWorker, step: int) -> dict[str, np.ndarray]:
+    """The step inputs of ``step``: waits until the worker has filled their slot, then reads it.
 
-    The caller frees the slot (``worker.release``) once it is done with the batch's views.
-    Without a worker the batch is assembled here.
+    The caller frees the slot (``worker.release``) once it is done with the inputs' views.
+    Without a worker the inputs are assembled here.
     """
     ring = worker.ring
     if ring is None:
-        return worker.batch(step)
+        return worker.inputs(step)
     while not ring.filled.acquire(timeout=_POLL_S):
         exitcode = worker.poll()
         if exitcode is not None and not ring.filled.acquire(block=False):
             raise AssemblyError(step, exitcode)
-    batch = ring.get(step % SLOTS, step)
-    return worker.batch(step) if batch is None else batch
+    return ring.get(step % SLOTS, step)
 
 
 def _step_chunks(studies: int, cfg: TrainConfig) -> list[np.ndarray]:
@@ -704,10 +665,9 @@ def train(
     log = TrainLog()
     table = cfg.loss_table()
 
-    with _AssemblyWorker(dataset, cfg, engine, _step_chunks(len(dataset), cfg)) as worker:
-        val_batches = validation_batches(val_dataset, cfg, engine)
-        val_ids = [_token_ids(batch, table, vocab) for batch in val_batches]
-        best_val = validation_loss(model, val_batches, table, val_ids)
+    with _AssemblyWorker(dataset, cfg, engine, vocab, _step_chunks(len(dataset), cfg)) as worker:
+        val_inputs = [_step_inputs(batch, table, vocab) for batch in validation_batches(val_dataset, cfg, engine)]
+        best_val = validation_loss(model, val_inputs, table)
         best_params = {k: v.copy() for k, v in model.params.items()}
         log.epochs.append(EpochRecord(epoch=0, val_loss=best_val, best=True))
         epochs_since_best = 0
@@ -715,8 +675,8 @@ def train(
         step = 0
         for epoch in range(1, cfg.epochs + 1):
             for _ in range(steps_per_epoch):
-                batch = _wait_for_batch(worker, step)
-                out, grads = _batch_loss(model, batch, table, with_grads=True)
+                inputs = _wait_for_batch(worker, step)
+                out, grads = _batch_loss(model, inputs, table, with_grads=True)
                 worker.release()  # the step is done with its slot
                 if not math.isfinite(out.value):
                     raise NumericError(step=step, value=out.value)
@@ -747,7 +707,7 @@ def train(
                 )
                 step += 1
 
-            val = validation_loss(model, val_batches, table, val_ids)
+            val = validation_loss(model, val_inputs, table)
             improved = val < best_val
             if improved:
                 best_val = val

@@ -17,6 +17,7 @@ from studyclip.encoders import (
     init_image_params,
     init_text_params,
     text_backward,
+    text_bag,
     tokenize,
     _rectify,
 )
@@ -83,10 +84,12 @@ def test_image_shape_checked():
 
 def test_text_embedding_unit_norm_and_empty_rejected(vocab):
     params = init_text_params(0, len(vocab), TINY)
-    emb, _ = encode_text_batch(params, [tokenize("lungs are clear.", vocab)])
+    emb, _ = encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab)))
     assert np.linalg.norm(emb[0]) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(EmptySequence):
-        encode_text_batch(params, [tokenize("lungs are clear.", vocab), []])
+        text_bag([tokenize("lungs are clear.", vocab), []], len(vocab))
+    with pytest.raises(ShapeMismatch):  # a bag over another vocabulary
+        encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab) + 1))
 
 
 def test_projection_dims_match_across_modalities(vocab):
@@ -161,17 +164,17 @@ def test_image_encoder_gradients_match_finite_differences():
 
 def test_text_encoder_gradients_match_finite_differences(vocab):
     params = init_text_params(1, len(vocab), TINY)
-    seqs = [tokenize("heart size is enlarged.", vocab), tokenize("no pneumothorax.", vocab)]
+    bag = text_bag([tokenize("heart size is enlarged.", vocab), tokenize("no pneumothorax.", vocab)], len(vocab))
     target = np.random.default_rng(4).standard_normal((2, TINY.embed_dim))
     loss = quadratic_loss(target)
-    emb, cache = encode_text_batch(params, seqs)
+    emb, cache = encode_text_batch(params, bag)
     _, d_emb = loss(emb)
     grads = text_backward(params, cache, d_emb)
     names = list(params.arrays())
 
     def scalar_fn(*arrays):
         p = TextEncoderParams(**dict(zip(names, arrays)))
-        e, _ = encode_text_batch(p, seqs)
+        e, _ = encode_text_batch(p, bag)
         return loss(e)[0]
 
     fd = finite_diff_grad(scalar_fn, [params.arrays()[n] for n in names])
@@ -195,8 +198,8 @@ def test_full_pipeline_gradients_match_finite_differences(vocab):
     rng = np.random.default_rng(5)
     imgs1 = rng.uniform(size=(2, 8, 8))
     imgs2 = rng.uniform(size=(2, 8, 8))
-    seqs1 = [tokenize("heart size is enlarged.", vocab), tokenize("lungs are clear.", vocab)]
-    seqs2 = [tokenize("no pneumothorax.", vocab), tokenize("clear lungs.", vocab)]
+    bag1 = text_bag([tokenize("heart size is enlarged.", vocab), tokenize("lungs are clear.", vocab)], len(vocab))
+    bag2 = text_bag([tokenize("no pneumothorax.", vocab), tokenize("clear lungs.", vocab)], len(vocab))
     table = paper_table(1.0, 0.5)
     log_tau = np.array(np.log(0.3))
 
@@ -210,14 +213,14 @@ def test_full_pipeline_gradients_match_finite_differences(vocab):
         lt = float(arrays[-1])
         v1, _ = encode_image_batch(ip, imgs1)
         v2, _ = encode_image_batch(ip, imgs2)
-        u1, _ = encode_text_batch(tp, seqs1)
-        u2, _ = encode_text_batch(tp, seqs2)
+        u1, _ = encode_text_batch(tp, bag1)
+        u2, _ = encode_text_batch(tp, bag2)
         return total_loss(views(u1, u2, v1, v2), Temperature(lt), table).value
 
     v1, c_v1 = encode_image_batch(img_params, imgs1)
     v2, c_v2 = encode_image_batch(img_params, imgs2)
-    u1, c_u1 = encode_text_batch(txt_params, seqs1)
-    u2, c_u2 = encode_text_batch(txt_params, seqs2)
+    u1, c_u1 = encode_text_batch(txt_params, bag1)
+    u2, c_u2 = encode_text_batch(txt_params, bag2)
     out = total_loss(views(u1, u2, v1, v2), Temperature(float(log_tau)), table)
     d = out.grad_views
     img_grads = image_backward(img_params, c_v1, d["v1"])
@@ -343,7 +346,7 @@ def test_image_cache_does_not_grow_with_image_size():
 def test_bag_matrix_text_path_matches_row_mean_oracle(seqs):
     params = init_text_params(2, 6, DEFAULT)
     d_emb = np.random.default_rng(10).standard_normal((len(seqs), DEFAULT.embed_dim))
-    emb, cache = encode_text_batch(params, seqs)
+    emb, cache = encode_text_batch(params, text_bag(seqs, 6))
     grads = text_backward(params, cache, d_emb)
     ref_emb, ref_cache = reference_encode_text(params, seqs)
     ref_grads = reference_text_backward(params, ref_cache, seqs, d_emb)
@@ -354,6 +357,6 @@ def test_bag_matrix_text_path_matches_row_mean_oracle(seqs):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     with pytest.raises(EmptySequence):
-        encode_text_batch(params, seqs + [[]])
+        text_bag(seqs + [[]], 6)
     with pytest.raises(IndexError):  # an id past the table would land in the next row's cells
-        encode_text_batch(params, [[0, 6], [1]])
+        text_bag([[0, 6], [1]], 6)

@@ -1,5 +1,7 @@
 import collections
+import dataclasses
 import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from studyclip import sampling, training
+from studyclip.encoders import build_vocab, text_bag, tokenize
 from studyclip.evalrun import evaluate_model
 from studyclip.metrics import DEFAULT_VARIANTS
 from studyclip.prompts import PromptEngine
@@ -50,6 +53,10 @@ def splits(engine):
 def tiny_config(**overrides) -> TrainConfig:
     base = dict(learning_rate=5e-3, epochs=6, batch_studies=8, early_stop_patience=6)
     return TrainConfig(**{**base, **overrides})
+
+
+def validation_inputs(studies, cfg, engine, vocab) -> list[dict]:
+    return [training._step_inputs(batch, cfg.loss_table(), vocab) for batch in validation_batches(studies, cfg, engine)]
 
 
 def test_non_finite_gradient_names_step_and_parameter(splits, monkeypatch):
@@ -89,7 +96,7 @@ def test_validation_loss_is_the_unweighted_mean_of_batch_losses(engine, splits, 
         return out
 
     monkeypatch.setattr(training, "total_loss", recording)
-    loss = validation_loss(model, validation_batches(valid, cfg, engine), cfg.loss_table())
+    loss = validation_loss(model, validation_inputs(valid, cfg, engine, model.vocab), cfg.loss_table())
     (n_a, a), (n_b, b) = batches
     assert (n_a, n_b) == (32, 8)
     assert loss == (a + b) / 2
@@ -121,21 +128,32 @@ def test_train_assembles_the_validation_batches_once(engine, splits, monkeypatch
     assert len(worker) == len(log.steps)
 
 
-def test_train_tokenizes_each_validation_text_once(engine, splits, monkeypatch):
-    calls = collections.Counter()
+def test_train_tokenizes_each_validation_text_once(engine, splits, monkeypatch, tmp_path):
+    # the worker is a forked process: each tokenize call appends its process id and text to a file
+    record = tmp_path / "tokenized.jsonl"
     original = training.tokenize
 
-    def counting(text, vocab):
-        calls[text] += 1
+    def recording(text, vocab):
+        with open(record, "a") as out:
+            out.write(json.dumps([os.getpid(), text]) + "\n")
         return original(text, vocab)
 
-    monkeypatch.setattr(training, "tokenize", counting)
+    monkeypatch.setattr(training, "tokenize", recording)
     cfg = tiny_config()
     _, log = train(*splits, cfg, engine)
+    texts = collections.defaultdict(list)
+    for line in record.read_text().splitlines():
+        pid, text = json.loads(line)
+        texts[pid].append(text)
+    main = texts.pop(os.getpid())
+    (worker,) = texts.values()
     train_set, valid = splits
     assert len(log.epochs) == cfg.epochs + 1
-    # two texts per study: each training study once per epoch, the validation studies once in all
-    assert sum(calls.values()) == 2 * (cfg.epochs * len(train_set) + len(valid))
+    # this process: the two texts of each validation study, once in all
+    assert main == [t for batch in validation_batches(valid, cfg, engine) for t in batch.t1 + batch.t2]
+    # the worker: the two texts of each training study, once per epoch
+    assert worker == [t for batch in expected_batches(train_set, cfg, engine) for t in batch.t1 + batch.t2]
+    assert len(worker) == 2 * cfg.epochs * len(train_set)
 
 
 def test_cached_validation_batches_score_as_batches_assembled_that_epoch(engine, splits, monkeypatch):
@@ -144,9 +162,9 @@ def test_cached_validation_batches_score_as_batches_assembled_that_epoch(engine,
     scored = []
     original = training.validation_loss
 
-    def checking(model, batches, table, *token_ids):
-        loss = original(model, batches, table, *token_ids)
-        scored.append((loss, original(model, validation_batches(valid, cfg, engine), table)))
+    def checking(model, inputs, table):
+        loss = original(model, inputs, table)
+        scored.append((loss, original(model, validation_inputs(valid, cfg, engine, model.vocab), table)))
         return loss
 
     monkeypatch.setattr(training, "validation_loss", checking)
@@ -169,25 +187,43 @@ def expected_batches(train_set, cfg, engine):
     return batches
 
 
-def batch_contents(batch):
-    return (
-        batch.x1.dtype, batch.x1.shape, batch.x1.tobytes(), batch.x2.shape, batch.x2.tobytes(),
-        list(batch.t1), list(batch.t2), [(p.text_source, p.image2_augmented) for p in batch.pairs],
-    )
+def expected_inputs(train_set, cfg, engine, vocab) -> list[dict]:
+    return [training._step_inputs(batch, cfg.loss_table(), vocab) for batch in expected_batches(train_set, cfg, engine)]
 
 
-def record_training_batches(monkeypatch) -> list:
-    """The contents and writeable flag of each batch a training step scores, copied on arrival."""
+def input_contents(inputs) -> list:
+    return [(name, x.dtype, x.shape, x.tobytes()) for name, x in inputs.items()]
+
+
+def record_step_inputs(monkeypatch) -> list:
+    """The contents and writeable flags of the inputs each training step scores, copied on arrival."""
     received = []
     original = training._batch_loss
 
-    def recording(model, batch, table, with_grads, ids=None):
+    def recording(model, inputs, table, with_grads):
         if with_grads:
-            received.append((batch_contents(batch), batch.x1.flags.writeable))
-        return original(model, batch, table, with_grads, ids)
+            received.append((input_contents(inputs), {x.flags.writeable for x in inputs.values()}))
+        return original(model, inputs, table, with_grads)
 
     monkeypatch.setattr(training, "_batch_loss", recording)
     return received
+
+
+@pytest.mark.parametrize("mode", ["pairs", "single"])
+def test_step_inputs_are_the_named_views_images_and_token_bags(engine, splits, mode):
+    lambdas = {} if mode == "pairs" else {"lambda_icl": 0.0, "lambda_tcl": 0.0}
+    cfg = tiny_config(sampling_mode=mode, **lambdas)
+    vocab = build_vocab(training.corpus_texts(splits[0], engine))
+    batch = make_batch(splits[0][:4], cfg, engine, seed=3)
+    inputs = training._step_inputs(batch, cfg.loss_table(), vocab)
+    assert list(inputs) == (["v1", "v2", "u1", "u2"] if mode == "pairs" else ["v1", "u1"])
+    for name, x in inputs.items():
+        attr, prefix = training.VIEWS[name]
+        if prefix == "img":
+            assert x is getattr(batch, attr)
+        else:
+            assert x.shape == (4, len(vocab))
+            np.testing.assert_array_equal(x, text_bag([tokenize(t, vocab) for t in getattr(batch, attr)], len(vocab)))
 
 
 @pytest.mark.parametrize("augment", [True, False], ids=["augment", "plain"])
@@ -195,24 +231,30 @@ def record_training_batches(monkeypatch) -> list:
 def test_worker_batches_equal_in_process_make_batch(engine, splits, monkeypatch, mode, augment):
     lambdas = {} if mode == "pairs" else {"lambda_icl": 0.0, "lambda_tcl": 0.0}
     cfg = tiny_config(epochs=2, early_stop_patience=2, sampling_mode=mode, augment=augment, **lambdas)
-    received = record_training_batches(monkeypatch)
-    train(*splits, cfg, engine)
-    expected = expected_batches(splits[0], cfg, engine)
-    assert len(received) == len(expected) == 4
-    for (contents, writeable), batch in zip(received, expected):
-        assert not writeable  # read-only views of a shared slot: handed over by the worker
-        assert contents == batch_contents(batch)
-
-
-def test_texts_too_long_for_their_slot_are_assembled_in_process(engine, splits, monkeypatch):
-    cfg = tiny_config(epochs=2, early_stop_patience=2)
-    reference, _ = train(*splits, cfg, engine)
-    monkeypatch.setattr(training, "TEXT_BYTES_PER_STUDY", 1)
-    received = record_training_batches(monkeypatch)
+    received = record_step_inputs(monkeypatch)
     model, _ = train(*splits, cfg, engine)
-    expected = expected_batches(splits[0], cfg, engine)
-    assert [writeable for _, writeable in received] == [True] * len(expected)
-    assert [contents for contents, _ in received] == [batch_contents(batch) for batch in expected]
+    expected = expected_inputs(splits[0], cfg, engine, model.vocab)
+    assert len(received) == len(expected) == 4
+    for (contents, writeable), inputs in zip(received, expected):
+        assert writeable == {False}  # read-only views of a shared slot: handed over by the worker
+        assert contents == input_contents(inputs)
+
+
+def test_a_study_with_long_findings_trains_through_the_ring(engine, splits, monkeypatch):
+    # over 24 KiB of findings: a slot holds the texts' token bags, whose size does not grow with the text
+    train_set, valid = splits
+    index = next(i for i, study in enumerate(train_set) if study.findings)
+    long_study = dataclasses.replace(train_set[index], findings="Heart size is normal. " * 1200)
+    assert len(long_study.findings.encode("utf-8")) > 24 * 1024
+    long_splits = (train_set[:index] + [long_study] + train_set[index + 1 :], valid)
+    cfg = tiny_config(epochs=2, early_stop_patience=2)
+    received = record_step_inputs(monkeypatch)
+    model, _ = train(*long_splits, cfg, engine)
+    expected = expected_inputs(long_splits[0], cfg, engine, model.vocab)
+    assert [writeable for _, writeable in received] == [{False}] * len(expected)  # every batch from the ring
+    assert [contents for contents, _ in received] == [input_contents(inputs) for inputs in expected]
+    monkeypatch.delattr(os, "fork")
+    reference, _ = train(*long_splits, cfg, engine)
     for name, value in reference.params.items():
         assert model.params[name].tobytes() == value.tobytes()
 
@@ -230,23 +272,23 @@ def test_a_slot_is_not_rewritten_while_its_step_reads_it(engine, splits, monkeyp
 
     snapshots = []
 
-    def slow_loss(model, batch, table, with_grads, ids=None):
+    def slow_loss(model, inputs, table, with_grads):
         if not with_grads:
-            return original_loss(model, batch, table, with_grads, ids)
-        before = batch_contents(batch)
+            return original_loss(model, inputs, table, with_grads)
+        before = input_contents(inputs)
         time.sleep(delays.uniform(0.0, 0.004))
-        out = original_loss(model, batch, table, with_grads, ids)
-        snapshots.append((before, batch_contents(batch)))
+        out = original_loss(model, inputs, table, with_grads)
+        snapshots.append((before, input_contents(inputs)))
         return out
 
     monkeypatch.setattr(training, "make_batch", slow_make)
     monkeypatch.setattr(training, "_batch_loss", slow_loss)
     cfg = tiny_config(batch_studies=2, epochs=4, early_stop_patience=4)
-    train(*splits, cfg, engine)
-    expected = expected_batches(splits[0], cfg, engine)
+    model, _ = train(*splits, cfg, engine)
+    expected = expected_inputs(splits[0], cfg, engine, model.vocab)
     assert len(snapshots) == len(expected) == 20
-    for (before, after), batch in zip(snapshots, expected):
-        assert before == after == batch_contents(batch)
+    for (before, after), inputs in zip(snapshots, expected):
+        assert before == after == input_contents(inputs)
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 CPUs and affinity")
@@ -399,13 +441,13 @@ def test_the_worker_runs_slots_minus_one_batches_ahead_of_a_stalled_step(engine,
 
     seen_while_stalled = []
 
-    def stalling(model, batch, table, with_grads, ids=None):
+    def stalling(model, inputs, table, with_grads):
         if with_grads and not seen_while_stalled:  # step 0: hold its slot until the worker is SLOTS - 1 ahead
             while not record.exists() or ("done", training.SLOTS - 1) not in assembled():
                 time.sleep(0.01)
             time.sleep(0.2)  # room for a worker that wrongly ran further ahead
             seen_while_stalled.extend(assembled())
-        return original_loss(model, batch, table, with_grads, ids)
+        return original_loss(model, inputs, table, with_grads)
 
     monkeypatch.setattr(training, "make_batch", recording)
     monkeypatch.setattr(training, "_batch_loss", stalling)
@@ -433,11 +475,11 @@ def test_without_fork_each_batch_is_assembled_in_process_with_the_same_parameter
     cfg = tiny_config(epochs=2, early_stop_patience=2)
     reference, _ = train(*splits, cfg, engine)
     monkeypatch.delattr(os, "fork")
-    received = record_training_batches(monkeypatch)
+    received = record_step_inputs(monkeypatch)
     model, _ = train(*splits, cfg, engine)
-    expected = expected_batches(splits[0], cfg, engine)
-    assert [writeable for _, writeable in received] == [True] * len(expected)  # not views of a shared slot
-    assert [contents for contents, _ in received] == [batch_contents(batch) for batch in expected]
+    expected = expected_inputs(splits[0], cfg, engine, model.vocab)
+    assert [writeable for _, writeable in received] == [{True}] * len(expected)  # not views of a shared slot
+    assert [contents for contents, _ in received] == [input_contents(inputs) for inputs in expected]
     for name, value in reference.params.items():
         assert model.params[name].tobytes() == value.tobytes()
 
