@@ -16,18 +16,19 @@ level dominates every pooled feature and embeddings start out collapsed.
 
 The conv stage is one GEMM of (batch x positions, 10) patches by (10, k)
 weights: the nine patch entries, and a constant 1 that carries the bias. The
-rectifier takes one exp per element and gives both the softplus, which is
-pooled straight away, and its slope (a sigmoid). Average pooling is linear,
-so the filter and bias gradients need the slope only through its moments:
-per image, the mean over positions of the slope times each patch entry (and
-times the 1, which gives the mean slope), a (10, k) matrix. The forward pass
-computes them as it goes, and the image cache holds the moments, not the
-patches or the slope: the backward pass weighs each image's moments by its
-pooled-feature gradient and sums over the batch, with no per-position array.
-The patches, the GEMM, the rectifier, the pooling and the moments run over
-blocks of a few images, each block's pre-activations within
-``CONV_BLOCK_BYTES``, so their temporaries scale with the block, not the
-batch, and stay in cache.
+rectifier makes six element-wise passes over a block's pre-activations z,
+with one exp per element: e = exp(min(z, 709)) and d = 1 + e give both the
+softplus max(z, log d), written over z and pooled straight away, and its
+slope e / d (a sigmoid). Average pooling is linear, so the filter and bias
+gradients need the slope only through its moments: per image, the mean over
+positions of the slope times each patch entry (and times the 1, which gives
+the mean slope), a (10, k) matrix. The forward pass computes them as it goes,
+and the image cache holds the moments, not the patches or the slope: the
+backward pass weighs each image's moments by its pooled-feature gradient and
+sums over the batch, with no per-position array. The patches, the GEMM, the
+rectifier, the pooling and the moments run over blocks of a few images, each
+block's pre-activations within ``CONV_BLOCK_BYTES``, so their temporaries
+scale with the block, not the batch, and stay in cache.
 
 The text mean pool is one product with the (batch, vocab) bag matrix of
 ``text_bag``, whose row i weighs each token of sequence i by 1/len (a
@@ -227,23 +228,22 @@ CONV_BLOCK_BYTES = 1 << 17
 def _rectify(z: np.ndarray) -> np.ndarray:
     """In place: z becomes softplus(z); returns the slope sigmoid(z).
 
-    Both come from one exp(-|z|) per element: with a = exp(-|z|) and
-    r = 1/(1+a) = sigmoid(|z|), softplus(z) = max(z, 0) + log(1+a) and
-    sigmoid(z) = 0.5 + sign(z)(r - 0.5). Three arrays of z's size are live;
-    ``encode_image_batch`` passes one block at a time, so that is a block's size.
+    Six element-wise passes, all from one exp per element: with
+    e = exp(min(z, 709)) and d = 1 + e, softplus(z) = max(z, log d) and
+    sigmoid(z) = e / d. The clamp keeps e and d finite (exp(709) is near the
+    largest double), so the slope is exactly 1 above it; the max gives z itself
+    wherever log d rounds below z, which covers every z above 709. At z = ±0,
+    e = 1 and the slope is exactly 0.5. Three arrays of z's size are live (z,
+    e, d); ``encode_image_batch`` passes one block at a time, so that is a
+    block's size.
     """
-    a = np.abs(z)
-    np.negative(a, out=a)
-    np.exp(a, out=a)
-    r = a + 1.0
-    np.log(r, out=a)
-    np.reciprocal(r, out=r)
-    r -= 0.5
-    np.copysign(r, z, out=r)
-    r += 0.5
-    np.maximum(z, 0.0, out=z)
-    z += a
-    return r
+    e = np.minimum(z, 709.0)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.divide(e, d, out=e)
+    np.log(d, out=d)
+    np.maximum(z, d, out=z)
+    return e
 
 
 def _conv_weights(params: ImageEncoderParams) -> np.ndarray:
@@ -305,6 +305,8 @@ def image_backward(params: ImageEncoderParams, cache, d_emb: np.ndarray) -> dict
 
 def text_bag(id_seqs: list[list[int]], vocab_size: int) -> np.ndarray:
     """(B, vocab): row i weighs each token of sequence i by 1/len, so bag @ emb is its mean embedding."""
+    if not id_seqs:
+        raise EmptySequence("cannot bag an empty batch: no token id sequences")
     lengths = np.array([len(seq) for seq in id_seqs])
     if np.any(lengths == 0):
         raise EmptySequence("token id sequences must be non-empty")

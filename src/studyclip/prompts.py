@@ -15,9 +15,11 @@ A render runs on a compiled form of the template (``_compile``): each literal
 is normalized once, at compile time, blanks become empty strings, a choice
 becomes a tuple of its options (a choice of one option, that option) and a
 concatenation a flat list of its parts, with adjacent literals pre-joined.
-Rendering draws one ``rng.integers`` index per choice of two or more options
-met, depth first and left to right, as a walk of the tree would (a walk's
-draw for a one-option choice, ``rng.integers(1)``, consumes nothing), then
+Rendering draws one index per choice of two or more options met, from the
+``integers`` method of whichever generator it is given (a numpy
+``Generator``, or a study's ``sampling.StudyDraws`` in batch assembly), depth
+first and left to right, as a walk of the tree would (a walk's draw for a
+one-option choice, ``integers(1)``, consumes nothing from either), then
 joins the picked pieces with one space between non-empty pieces and none
 before a piece that starts with punctuation. That join gives exactly the
 normalization of the space-joined raw text, so no regex runs per render.

@@ -15,19 +15,34 @@ Every sampler reads the one ``TrainConfig``: its sampling mode, ``augment``,
 image size, CLAHE probability, negative prompt count and back-translation
 command.
 
-``assemble_batch`` is the one batch loop, for every mode: it derives each
-study's sub-seed deterministically from (global seed, study id), so a batch
-depends only on its studies and seed, not on the order or the process that
-assembles it; it tags a per-study failure with the study id. So
-``training.train`` assembles its training batches in a forked worker process,
-beside the compute, bit for bit as the main process would, and its
-validation batches in the main process.
-``make_batch`` picks the per-study sampler for the configured mode.
+``assemble_batch`` is the one batch loop, for every mode: it gives each
+study its own draws, ``study_rng(global seed, study id)``, so a batch depends
+only on its studies and seed, not on the order or the process that assembles
+it; it tags a per-study failure with the study id. So ``training.train``
+assembles its training batches in a forked worker process, beside the
+compute, bit for bit as the main process would, and its validation batches
+in the main process. ``make_batch`` picks the per-study sampler for the
+configured mode.
+
+A study's draws (``StudyDraws``) are uniform doubles from a counter-based
+stream, in the manner of Salmon et al. ("Parallel random numbers: as easy as
+1, 2, 3", SC 2011): block i holds ``DRAW_BLOCK`` doubles made from SHAKE-256
+of the key, the SHA-256 of (global seed, study id), and i. One hash fills a
+block, so a study pays one SHA-256 and, for all but the longest prompt walks,
+one block, where a numpy ``Generator`` costs about 20 µs to build and a few
+µs per method call. The object offers only what the samplers, ``augment``
+and the prompt walk call: ``random``, ``integers(n)`` as int(u * n) (n == 1
+takes no draw, as numpy's does), ``uniform``, and ``permutation`` and
+``choice`` without replacement by Fisher-Yates. Those functions take a numpy
+``Generator`` just as well: the synthetic splits (``synth``) and
+``metrics.class_prompt_embeddings`` keep numpy streams.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -71,10 +86,63 @@ class StudyBatch:
         return len(self.t1)
 
 
-def study_rng(global_seed: int, study_id: str) -> np.random.Generator:
-    """Deterministic per-study generator derived from (global seed, study id)."""
-    digest = hashlib.sha256(f"{global_seed}:{study_id}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+# Uniform doubles per block of a study's draws. A study of the default synthetic
+# data takes a median 6 and a label-only one about 40, so most fit in one block;
+# a study that needs more hashes its next block.
+DRAW_BLOCK = 64
+
+
+def _draw_block(key: bytes, counter: int) -> list[float]:
+    """Block ``counter`` of the stream keyed by ``key``: the top 53 bits of each
+    64-bit word of SHAKE-256(key, counter), scaled to [0, 1)."""
+    stream = hashlib.shake_256(key + counter.to_bytes(8, "little")).digest(8 * DRAW_BLOCK)
+    return ((np.frombuffer(stream, dtype="<u8") >> np.uint64(11)) * 2.0**-53).tolist()
+
+
+class StudyDraws:
+    """One study's random draws, with the methods of ``np.random.Generator`` the samplers call.
+
+    The draws are uniform doubles from a counter-based stream: block i is a
+    function of the key and i alone, so refills are deterministic and no state
+    is shared between two objects. Every method reads draws from the front of
+    the stream, in call order.
+    """
+
+    def __init__(self, key: bytes):
+        blocks = map(functools.partial(_draw_block, key), itertools.count())
+        self.random = itertools.chain.from_iterable(blocks).__next__  # random(): the next draw, in [0, 1)
+
+    def integers(self, n: int) -> int:
+        """Uniform on [0, n) as int(u * n); n == 1 consumes no draw, as numpy's does."""
+        if n == 1:
+            return 0
+        if n < 1:
+            raise ValueError(f"integers needs n >= 1, got {n}")
+        return int(self.random() * n)
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        return low + (high - low) * self.random()
+
+    def permutation(self, n: int) -> list[int]:
+        """A random order of range(n), by Fisher-Yates: n - 1 draws."""
+        return self.choice(n, n)
+
+    def choice(self, n: int, size: int, replace: bool = False) -> list[int]:
+        """``size`` distinct values of range(n): the first ``size`` swaps of a Fisher-Yates shuffle."""
+        if replace:
+            raise ValueError("only draws without replacement are supported")
+        if not 0 <= size <= n:
+            raise ValueError(f"cannot take {size} distinct values of range({n})")
+        pool = list(range(n))
+        for i in range(size):
+            j = i + self.integers(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:size]
+
+
+def study_rng(global_seed: int, study_id: str) -> StudyDraws:
+    """The draws of one study, keyed by the SHA-256 of (global seed, study id)."""
+    return StudyDraws(hashlib.sha256(f"{global_seed}:{study_id}".encode("utf-8")).digest())
 
 
 def sample_images(study: Study, cfg: TrainConfig, rng: np.random.Generator):

@@ -22,20 +22,21 @@ daemonic process such as a ``multiprocessing`` pool worker. The worker always
 leaves through ``os._exit``. ``train`` first draws the whole step schedule:
 each step's study indices from the epoch permutations of ``seed + 1``, and
 its sampling seed ``seed * 1_000_003 + step``. Every study draws from its own
-``study_rng``, so a batch depends only on its indices and seed, and the
-worker's batches are bit for bit those the main process would assemble. The
-worker starts before the first validation pass, after the vocabulary is
-built, and writes the step inputs of each step in order into a ring of
-``SLOTS`` slots in one anonymous shared ``mmap``. A slot holds one fixed-size
-float64 array per named view, tokenized and bagged with the vocabulary the
-worker inherited at the fork: a batch of n studies at image size S fills
-n x S x S of an image view and n x V of a text view. So the ring takes
-``SLOTS`` x batch x 8 bytes times the sum over named views of S x S or V, and
-its text part grows with the vocabulary, as the bags a step builds do. The
-main process reads the inputs as read-only views of their slot, with no copy,
-no unpickling and no tokenizing, and frees the slot once the step's loss and
-gradients are computed; meanwhile the worker fills the other slots, up to
-``SLOTS - 1`` steps ahead of the step being scored.
+``sampling.study_rng``, a counter-based stream keyed by (sampling seed, study
+id) that shares no state with any other study's, so a batch depends only on
+its indices and seed, and the worker's batches are bit for bit those the main
+process would assemble. The worker starts before the first validation pass,
+after the vocabulary is built, and writes the step inputs of each step in
+order into a ring of ``SLOTS`` slots in one anonymous shared ``mmap``. A slot
+holds one fixed-size float64 array per named view, tokenized and bagged with
+the vocabulary the worker inherited at the fork: a batch of n studies at
+image size S fills n x S x S of an image view and n x V of a text view. So
+the ring takes ``SLOTS`` x batch x 8 bytes times the sum over named views of
+S x S or V, and its text part grows with the vocabulary, as the bags a step
+builds do. The main process reads the inputs as read-only views of their
+slot, with no copy, no unpickling and no tokenizing, and frees the slot once
+the step's loss and gradients are computed; meanwhile the worker fills the
+other slots, up to ``SLOTS - 1`` steps ahead of the step being scored.
 Assembly time varies from batch to batch (label-only studies render prompts,
 single-image studies augment a second view), so the ring is deeper than the
 two slots a lockstep needs: the worker banks batches during each validation
@@ -68,9 +69,10 @@ learnable log-temperature is updated like any other parameter but excluded
 from weight decay and clamped after every step. Validation loss is evaluated
 before the first epoch and after each one, on validation batches assembled
 in the main process and turned into step inputs once per ``train`` call, with
-a fixed sampling seed: each study draws from its own ``study_rng``, so every
-epoch would assemble the same batches. The best-validation parameters are kept and
-training stops after ``early_stop_patience`` epochs without improvement.
+a fixed sampling seed: each study's draws depend only on that seed and its
+id, so every epoch would assemble the same batches. The best-validation
+parameters are kept and training stops after ``early_stop_patience`` epochs
+without improvement.
 
 Everything is seeded: identical config and data give bit-identical parameters
 and logs.

@@ -260,10 +260,14 @@ def test_fused_rectifier_matches_reference_formulas():
     x = np.concatenate([
         np.linspace(-4.0, 4.0, 801),
         [0.0, -0.0, 1e-3, -1e-3, 1e3, -1e3, 1e-12, -1e-12, 50.0, -50.0],
+        [100.0, -100.0, 200.0, -200.0],  # |z| far above 709, where exp(z) would overflow
     ])
     z = RECTIFIER_SLOPE * x
     softplus = z.copy()
-    slope = _rectify(softplus)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        slope = _rectify(softplus)
+    assert np.all(softplus >= np.maximum(z, 0.0))
+    assert np.all((slope >= 0.0) & (slope <= 1.0))
     softplus /= RECTIFIER_SLOPE
     ref_softplus = np.logaddexp(0.0, RECTIFIER_SLOPE * x) / RECTIFIER_SLOPE
     e = np.exp(-np.abs(z))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from studyclip import evalrun
+from studyclip.encoders import EmptySequence, text_bag
 from studyclip.evalrun import (
     LabelError,
+    encode_texts,
     evaluate_binary,
     evaluate_model,
     multiclass_labels,
@@ -161,3 +163,11 @@ def test_binary_on_degenerate_class_names_the_class(model_and_test, engine, enco
     with pytest.raises(DegenerateLabels, match=r"'Edema' has no negative"):
         evaluate_binary(model, edema_only, "Edema", engine)
     assert encodings == []  # the labels are checked before any encoding
+
+
+def test_an_empty_text_batch_raises_empty_sequence(model_and_test):
+    model, _ = model_and_test
+    with pytest.raises(EmptySequence, match="empty batch"):
+        text_bag([], len(model.vocab))
+    with pytest.raises(EmptySequence, match="empty batch"):
+        encode_texts(model, [])

@@ -1,7 +1,12 @@
 import collections
+import contextlib
 import hashlib
+import io
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +26,13 @@ from studyclip.augment import (
 from studyclip import sampling
 from studyclip.prompts import PromptEngine
 from studyclip.sampling import (
+    DRAW_BLOCK,
     SamplingError,
     make_batch,
     sample_images,
     sample_pair,
     sample_texts,
+    study_rng,
 )
 from studyclip.studies import (
     DataFormatError,
@@ -258,6 +265,54 @@ def test_backtranslation_without_hook_falls_back_to_swap():
     assert outs <= {"A. B.", "B. A."} and len(outs) == 2
 
 
+# ---------------------------------------------------------------- study draws
+
+
+def test_study_draws_integers_stay_in_range_and_one_option_consumes_nothing():
+    draws = study_rng(0, "s0")
+    for n in range(1, 300):
+        assert all(0 <= draws.integers(n) < n for _ in range(5))
+    counts = collections.Counter(draws.integers(4) for _ in range(4000))
+    assert sorted(counts) == [0, 1, 2, 3] and all(850 < c < 1150 for c in counts.values())
+    top = study_rng(0, "s0")
+    top.random = lambda: 1.0 - 2.0**-53  # the largest draw there is
+    assert all(top.integers(n) == n - 1 for n in range(1, 5000))
+    skipped, reference = study_rng(1, "s1"), study_rng(1, "s1")
+    assert skipped.integers(1) == 0
+    assert skipped.random() == reference.random()
+    with pytest.raises(ValueError):
+        draws.integers(0)
+
+
+def test_study_draws_uniform_permutation_and_choice():
+    draws = study_rng(2, "s2")
+    assert all(0.5 <= draws.uniform(0.5, 1.5) < 1.5 for _ in range(200))
+    for n in range(8):
+        assert sorted(draws.permutation(n)) == list(range(n))
+    assert len({tuple(draws.permutation(4)) for _ in range(200)}) == 24  # every order occurs
+    for n, size in ((5, 2), (5, 5), (9, 3), (1, 1), (3, 0)):
+        picked = draws.choice(n, size=size, replace=False)
+        assert len(picked) == len(set(picked)) == size and set(picked) <= set(range(n))
+    with pytest.raises(ValueError):
+        draws.choice(3, size=4, replace=False)
+    with pytest.raises(ValueError):
+        draws.choice(3, size=2, replace=True)
+
+
+def test_a_study_past_one_block_continues_deterministically():
+    n = 3 * DRAW_BLOCK + 5
+    long_a, long_b, other = study_rng(3, "long"), study_rng(3, "long"), study_rng(3, "other")
+    a = [long_a.random() for _ in range(n)]
+    b = []
+    for _ in range(n):  # interleaved with another study's draws: no state is shared
+        b.append(long_b.random())
+        other.random()
+    assert a == b
+    assert len(set(a)) == n and all(0.0 <= u < 1.0 for u in a)
+    assert a[:DRAW_BLOCK] != a[DRAW_BLOCK : 2 * DRAW_BLOCK]
+    assert [study_rng(4, "long").random() for _ in range(3)] != a[:3]  # the seed keys the stream
+
+
 # ------------------------------------------------------------------ make_batch
 
 
@@ -469,9 +524,9 @@ GUARD_CONFIGS = {
 # SHA-256 over the batches each mode assembles from the guard studies: the images' bytes, the
 # texts and each study's provenance. Assembly is exact work, so a faster path keeps these bits.
 GUARD_DIGESTS = {
-    "pairs": "c1446c39f9ffc184ba286f8387874a2db7572681036ed3063346d2bae5dc00a2",
-    "study_single": "a8de5b1884ac18ebeddce5de210710b2a3c9f4c330d6005963df4201e3061911",
-    "single": "d904343b72c58b3a1ba8df34b54e4bab1e25035c6bbddfac6a034db1bd4ce2bf",
+    "pairs": "e4cd7c7c91fb82eefda97f88997e69941e165ac8573af728c38b92c9aaee10f3",
+    "study_single": "a87a65105792e1087312441dbec8a9e06763633d78a8920fc3b58ab403e0661f",
+    "single": "d72b01f8d2f7776acad0e1bab2837405180f4c715bda9440aa8b76042ccafd0c",
 }
 
 
@@ -494,3 +549,36 @@ def test_assembled_batches_keep_their_golden_digest(mode, guard_studies, engine)
         for pair in batch.pairs:
             digest.update(f"{pair.t1}\0{pair.t2}\0{pair.text_source}\0{pair.image2_augmented}\0".encode())
     assert digest.hexdigest() == GUARD_DIGESTS[mode]
+
+
+# Assembles pairs and study_single batches from synthetic studies (label-only ones render
+# prompts, single-image ones augment a second view) and prints the SHA-256 of their bytes.
+ASSEMBLY_SCRIPT = """
+import hashlib
+from studyclip.prompts import PromptEngine
+from studyclip.sampling import make_batch
+from studyclip.synth import SynthSpec, generate_split
+from studyclip.training import TrainConfig
+engine = PromptEngine.default()
+studies = generate_split(SynthSpec(train_studies=30, image_size=24), "train", 30, 5, engine)
+for cfg in (
+    TrainConfig(sampling_mode="pairs", image_size=8, clahe_probability=1.0),
+    TrainConfig(sampling_mode="study_single", image_size=8, lambda_icl=0.0, lambda_tcl=0.0),
+):
+    digest = hashlib.sha256()
+    for seed, start in ((0, 0), (1, 10), (2, 20)):
+        batch = make_batch(studies[start : start + 10], cfg, engine, seed)
+        digest.update(batch.x1.tobytes() + batch.x2.tobytes() + "\\0".join(batch.t1 + batch.t2).encode())
+    print(cfg.sampling_mode, digest.hexdigest())
+"""
+
+
+def test_batches_are_the_same_bytes_in_a_process_with_random_hash_seed():
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(ASSEMBLY_SCRIPT, {})
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONHASHSEED": "random", "PYTHONPATH": str(src)}
+    there = subprocess.run([sys.executable, "-c", ASSEMBLY_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert [line.split()[0] for line in here.getvalue().splitlines()] == ["pairs", "study_single"]
+    assert there.stdout == here.getvalue()

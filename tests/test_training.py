@@ -703,12 +703,12 @@ def test_synth_split_is_the_same_in_every_process():
 # these bits; a change meant to alter the numbers updates this table and says why.
 GOLDEN_SPEC = SynthSpec(train_studies=48, valid_studies=20, test_studies=20)
 GOLDEN_DIGESTS = {
-    "clip_only": "b0a5b8b3142ad1419956561506e6bdaa57168cb2c8c7dce929d25df1b0a98a91",
-    "study_sampling": "cf0ba21dcbcad564cb3339d2863e27437bf7de2f4b486d6fc80996365837f8ce",
-    "augmentations": "959becb7c2f8c867bb426adb254366915b3fc26d9d4e497b5070467690faa4d6",
-    "mvs": "52727e137080d1cd13e3c5c61c209d1107b81f1536c2aeb4a7f675ec386cd49f",
-    "mvs_icl": "57ac416840ff943122fe5aa9cc60f017e61b3663196bb7c18914945db58028a2",
-    "full": "cd7e6870c29073b2bd3793dff96e8554b7fcd48dc005a599013f2acf0f2036ba",
+    "clip_only": "1f389bbfa5b839ea7a966510ade743ba403f31789d5b7b3611ad60eccca7a5d2",
+    "study_sampling": "6d0dd533dafc91289fcd335a271157f517b17f782d92ccee023f3f623a9016eb",
+    "augmentations": "b4e6254d4ffc4d9b8a6fc174a4c65005d15d4112e0da699bde254c92ecccf9dc",
+    "mvs": "ba1211206a8a33a087594b6e445bbd49b1a65efaba204fceb7972f40b977e053",
+    "mvs_icl": "60418aa8159e61bdf588fa8b718c064209f1fecf8f71de3ff2823ef8a6a0b369",
+    "full": "c61f5a81b48a31931629809229071809bd07ef6fff8b1834842fbdb47d164c87",
 }
 
 
