@@ -1,8 +1,8 @@
 """Image and text augmentations for second-view fallbacks.
 
 Image pipeline, in order: random resized crop with area scale in
-``CROP_SCALE_RANGE`` (scales above 1 pad by edge replication before
-cropping), CLAHE applied with a given probability, brightness multiply in
+``CROP_SCALE_RANGE`` (scales above 1 crop the image as if padded by edge
+replication), CLAHE applied with a given probability, brightness multiply in
 ``BRIGHTNESS_RANGE``, contrast stretch about the mean in ``CONTRAST_RANGE``;
 the result is clipped to [0, 1] and resized to the given output size.
 
@@ -24,8 +24,12 @@ from __future__ import annotations
 import functools
 import re
 import subprocess
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .sampling import Draws
 
 CLAHE_BINS = 256
 CLAHE_CLIP_FRACTION = 0.01
@@ -107,36 +111,50 @@ def clahe(img: np.ndarray) -> np.ndarray:
     """Contrast-limited equalization over a 2x2 tile grid with bilinear blending.
 
     Intensities below 0 fall in the first histogram bin and those of 1 or more in the last.
+    The (4, 256) histogram stage runs in place, a few numpy calls in all: each pays more
+    in call overhead than in arithmetic on 1,024 values.
     """
     h, w = img.shape
     bins = np.clip(img * CLAHE_BINS, 0, CLAHE_BINS - 1).astype(int)
     tiles, (offsets, rows, n, *weights) = _clahe_plan(h, w)
     counts = np.bincount((bins + offsets).ravel(), minlength=tiles * CLAHE_BINS)
     hist = counts.reshape(tiles, CLAHE_BINS)[rows].astype(float)
-    equalized = np.count_nonzero(hist, axis=1) > 1  # a tile with one occupied bin passes through
+    # a tile with one occupied bin, which then holds all its pixels, passes through
+    equalized = np.maximum.reduce(hist, axis=1) < n[:, 0]
     if not equalized.any():
         return img.copy()
     limit = CLAHE_CLIP_FRACTION * n
-    excess = np.sum(np.maximum(hist - limit, 0.0), axis=1, keepdims=True)
-    hist = np.minimum(hist, limit) + excess / CLAHE_BINS
-    mappings = (np.cumsum(hist, axis=1) - hist / 2.0) / n  # mid-bin rule
-    m = [mappings[t][bins] if equalized[t] else img for t in range(4)]
+    over = hist - limit
+    excess = np.add.reduce(np.maximum(over, 0.0, out=over), axis=1, keepdims=True)
+    np.minimum(hist, limit, out=hist)
+    hist += excess / CLAHE_BINS
+    mappings = np.add.accumulate(hist, axis=1)
+    hist /= 2.0
+    mappings -= hist  # mid-bin rule
+    mappings /= n
+    looked_up = mappings.take(bins, axis=1)  # (4, h, w): every tile's mapping at every pixel
+    m = [looked_up[t] if equalized[t] else img for t in range(4)]
     return weights[0] * m[0] + weights[1] * m[1] + weights[2] * m[2] + weights[3] * m[3]
 
 
-def _random_resized_crop(img: np.ndarray, rng) -> np.ndarray:
+def _random_resized_crop(img: np.ndarray, rng: Draws) -> np.ndarray:
     h, w = img.shape
     scale = float(rng.uniform(*CROP_SCALE_RANGE))
     side = np.sqrt(scale)
     crop_h = max(1, int(round(h * side)))
     crop_w = max(1, int(round(w * side)))
     if crop_h > h or crop_w > w:
+        # the crop of the image padded by edge replication, read with clipped indices: a row or
+        # column past an edge repeats the edge, and no padded copy is built
         pad_h = max(0, crop_h - h)
         pad_w = max(0, crop_w - w)
         top = int(rng.integers(pad_h + 1))
         left = int(rng.integers(pad_w + 1))
-        img = np.pad(img, ((top, pad_h - top), (left, pad_w - left)), mode="edge")
-        h, w = img.shape
+        y0 = int(rng.integers(h + pad_h - crop_h + 1)) - top
+        x0 = int(rng.integers(w + pad_w - crop_w + 1)) - left
+        rows = np.clip(np.arange(y0, y0 + crop_h), 0, h - 1)
+        cols = np.clip(np.arange(x0, x0 + crop_w), 0, w - 1)
+        return img.take(rows, axis=0).take(cols, axis=1)
     y0 = int(rng.integers(h - crop_h + 1))
     x0 = int(rng.integers(w - crop_w + 1))
     return img[y0 : y0 + crop_h, x0 : x0 + crop_w]
@@ -145,7 +163,7 @@ def _random_resized_crop(img: np.ndarray, rng) -> np.ndarray:
 # ------------------------------------------------------------------- pipeline
 
 
-def augment_image(img: np.ndarray, size: int, clahe_probability: float, rng: np.random.Generator) -> np.ndarray:
+def augment_image(img: np.ndarray, size: int, clahe_probability: float, rng: Draws) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise BadImage(f"expected non-empty 2-d grid, got shape {img.shape}")
@@ -169,7 +187,7 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_SPLIT.split(text.strip()) if s]
 
 
-def augment_text(text: str, rng: np.random.Generator, backtranslation_command: str | None = None) -> str:
+def augment_text(text: str, rng: Draws, backtranslation_command: str | None = None) -> str:
     if not text:
         raise ValueError("cannot augment empty text")
     if backtranslation_command:

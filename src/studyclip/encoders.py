@@ -30,6 +30,13 @@ rectifier, the pooling and the moments run over blocks of a few images, each
 block's pre-activations within ``CONV_BLOCK_BYTES``, so their temporaries
 scale with the block, not the batch, and stay in cache.
 
+A forward-only encode (``with_grads=False``: validation and evaluation, where
+no backward follows) needs neither the slope nor the moments. Its rectifier
+makes five passes with one array beside z: min(z, 709), exp, 1 + e and log d
+over that array, then the max over z, which give the same softplus bits; it
+skips the moments matmul, and its cache holds no moments, so
+``image_backward`` cannot run on it.
+
 The text mean pool is one product with the (batch, vocab) bag matrix of
 ``text_bag``, whose row i weighs each token of sequence i by 1/len (a
 repeated token adds up); ``encode_text_batch`` takes the bag, its cache holds
@@ -38,7 +45,8 @@ gradient.
 
 Forward passes cache intermediates; backward functions consume the cache and
 return gradients per parameter array. Parameters live in plain dataclasses
-whose ``arrays()`` method exposes named live views for the optimizer.
+whose ``arrays()`` method names them; ``training`` holds them as views of one
+flat vector.
 """
 
 from __future__ import annotations
@@ -225,8 +233,8 @@ IMAGE_SHIFT = 0.5
 CONV_BLOCK_BYTES = 1 << 17
 
 
-def _rectify(z: np.ndarray) -> np.ndarray:
-    """In place: z becomes softplus(z); returns the slope sigmoid(z).
+def _rectify(z: np.ndarray, with_slope: bool = True) -> np.ndarray | None:
+    """In place: z becomes softplus(z); returns the slope sigmoid(z), or None without ``with_slope``.
 
     Six element-wise passes, all from one exp per element: with
     e = exp(min(z, 709)) and d = 1 + e, softplus(z) = max(z, log d) and
@@ -235,10 +243,14 @@ def _rectify(z: np.ndarray) -> np.ndarray:
     wherever log d rounds below z, which covers every z above 709. At z = ±0,
     e = 1 and the slope is exactly 0.5. Three arrays of z's size are live (z,
     e, d); ``encode_image_batch`` passes one block at a time, so that is a
-    block's size.
+    block's size. Without the slope, d is built over e: five passes, two arrays.
     """
     e = np.minimum(z, 709.0)
     np.exp(e, out=e)
+    if not with_slope:
+        e += 1.0
+        np.maximum(z, np.log(e, out=e), out=z)
+        return None
     d = e + 1.0
     np.divide(e, d, out=e)
     np.log(d, out=d)
@@ -258,7 +270,8 @@ def _conv_weights(params: ImageEncoderParams) -> np.ndarray:
     return w
 
 
-def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray):
+def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray, with_grads: bool = True):
+    """Embeds (batch, H, W) images; without ``with_grads`` the cache holds nothing for ``image_backward``."""
     imgs = np.asarray(imgs, dtype=np.float64)
     if imgs.ndim != 3:
         raise ShapeMismatch(f"expected (batch, H, W), got {imgs.shape}")
@@ -269,7 +282,7 @@ def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray):
     w = _conv_weights(params)
     k = w.shape[1]
     ones = np.ones(positions)
-    moments = np.empty((b, 10, k))
+    moments = np.empty((b, 10, k)) if with_grads else None
     pooled = np.empty((b, k))
     block = max(1, CONV_BLOCK_BYTES // (positions * k * 8))
     for start in range(0, b, block):
@@ -277,17 +290,21 @@ def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray):
         n = stop - start
         cols = _conv_patches(imgs[start:stop])
         z = cols.T @ w
-        slope = _rectify(z)
+        slope = _rectify(z, with_grads)
         # average pooling as one vector-matrix product per image: far faster than a mean over axis 1
         pooled[start:stop] = ones @ z.reshape(n, positions, k)
-        # per image, patches (10, positions) @ slope (positions, k)
-        np.matmul(
-            cols.reshape(10, n, positions).transpose(1, 0, 2), slope.reshape(n, positions, k), out=moments[start:stop]
-        )
+        if with_grads:
+            # per image, patches (10, positions) @ slope (positions, k)
+            np.matmul(
+                cols.reshape(10, n, positions).transpose(1, 0, 2),
+                slope.reshape(n, positions, k),
+                out=moments[start:stop],
+            )
     pooled /= RECTIFIER_SLOPE * positions
-    moments /= positions
     embedding, cache = _head_forward(params, pooled)
-    cache["moments"] = moments
+    if with_grads:
+        moments /= positions
+        cache["moments"] = moments
     return embedding, cache
 
 

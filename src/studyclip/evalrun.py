@@ -5,11 +5,13 @@ augmented) stands for the study; the evaluation text is the findings section,
 falling back to the impression, falling back to one prompt rendering of the
 label record, seeded from (``EVAL_TEXT_SEED``, study id) so every process
 renders the same.
-Images are resized and encoded ``EVAL_CHUNK`` studies at a time. The encoder
-bounds its own conv temporaries, patches included, by blocks of a few images,
-so the chunk bounds only what a call holds for the whole chunk: the resized
-stack and the encoder's cache (the conv moments and the head activations).
-Memory stays bounded for any test-set size.
+Images are resized and encoded ``EVAL_CHUNK`` studies at a time. Every encode
+here is forward-only (``with_grads=False``): no backward follows, so the image
+encoder computes neither the rectifier's slope nor the conv moments. The
+encoder bounds its own conv temporaries, patches included, by blocks of a few
+images, so the chunk bounds only what a call holds for the whole chunk: the
+resized stack and the head activations of the encoder's cache. Memory stays
+bounded for any test-set size.
 
 ``evaluate_binary`` encodes the test images once for all its calls in one
 evaluation. It keeps one shared entry, (fingerprint, embeddings), with
@@ -49,9 +51,8 @@ from .training import TrainedModel
 
 
 # Studies resized and encoded at a time: bounds the resized stack (8 KB per
-# study at 32 px) and the encoder's cache (conv moments and head activations,
-# about 2.7 KB per study at the default sizes), which grow with the batch,
-# whatever the size of the test set.
+# study at 32 px) and the encoder's head activations, which grow with the
+# batch, whatever the size of the test set.
 EVAL_CHUNK = 128
 
 EVAL_TEXT_SEED = 1234
@@ -76,7 +77,7 @@ def eval_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarr
         imgs = np.stack(
             [resize_bilinear(s.images[0].pixels, size, size) for s in studies[start : start + EVAL_CHUNK]]
         )
-        chunks.append(encode_image_batch(params, imgs)[0])
+        chunks.append(encode_image_batch(params, imgs, with_grads=False)[0])
     return np.concatenate(chunks)
 
 

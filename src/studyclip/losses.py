@@ -21,6 +21,9 @@ Each component is logged as the mean of its rows' unweighted terms. The 1/4
 weights are a power of two, so the weighted MVS rows sum to exactly the
 mean of the four terms. Gradients with respect to every view and to
 log(tau) are derived by hand and returned alongside the value; no autodiff.
+A value-only call (``with_grads=False``, as validation makes) computes the
+same value and components, bit for bit, from the diagonal of each
+log-softmax, and no gradient.
 
 All arithmetic is float64 with max-subtracted log-sum-exp and row-major
 accumulation, so results are deterministic and gradient checks are tight.
@@ -127,11 +130,12 @@ class LossOutput:
     """Scalar loss with the gradient for each view the table names, plus d/d log(tau).
 
     components maps each component to the mean of its rows' unweighted terms.
+    A value-only ``total_loss`` leaves both gradients None.
     """
 
     value: float
-    grad_views: dict[str, np.ndarray]
-    grad_log_tau: float
+    grad_views: dict[str, np.ndarray] | None
+    grad_log_tau: float | None
     components: dict[str, float]
 
 
@@ -167,44 +171,63 @@ def _require_same_shape(*batches: EmbeddingBatch) -> None:
 
 
 def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
+    out = logits - np.max(logits, axis=axis, keepdims=True)
+    out -= np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
+    return out
+
+
+def _log_softmax_diagonal(logits: np.ndarray, axis: int) -> np.ndarray:
+    """The diagonal of ``_log_softmax(logits, axis)``, with the same bits, computing no other entry."""
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    diagonal = shifted.diagonal().copy()
+    diagonal -= np.log(np.sum(np.exp(shifted, out=shifted), axis=axis))
+    return diagonal
 
 
-def _symmetric_infonce(a: np.ndarray, b: np.ndarray, temp: Temperature):
+def _symmetric_infonce(a: np.ndarray, b: np.ndarray, temp: Temperature, with_grads: bool = True):
     """Value and raw gradients of the symmetric contrastive loss.
 
     Returns (value, grad_a, grad_b, grad_log_tau) for unit-norm row matrices
-    a, b of identical shape, where similarity s_ij = a_i . b_j.
+    a, b of identical shape, where similarity s_ij = a_i . b_j; without
+    ``with_grads``, the value and three Nones.
     """
     n = a.shape[0]
     tau = temp.tau
-    sims = a @ b.T
-    logits = sims / tau
+    logits = a @ b.T
+    logits /= tau
 
-    log_p_rows = _log_softmax(logits, axis=1)  # softmax over b for each a_i
-    log_p_cols = _log_softmax(logits, axis=0)  # softmax over a for each b_j
-    diag = np.arange(n)
-    value = -(np.sum(log_p_rows[diag, diag]) + np.sum(log_p_cols[diag, diag])) / (2.0 * n)
+    if not with_grads:
+        diagonals = np.sum(_log_softmax_diagonal(logits, 1)) + np.sum(_log_softmax_diagonal(logits, 0))
+        return float(-diagonals / (2.0 * n)), None, None, None
 
-    # d value / d logits = (row softmax + column softmax - 2 I) / (2n)
-    grad_logits = np.exp(log_p_rows) + np.exp(log_p_cols)
-    grad_logits[diag, diag] -= 2.0
+    p_rows = _log_softmax(logits, axis=1)  # softmax over b for each a_i
+    p_cols = _log_softmax(logits, axis=0)  # softmax over a for each b_j
+    value = -(np.trace(p_rows) + np.trace(p_cols)) / (2.0 * n)
+
+    # d value / d logits = (row softmax + column softmax - 2 I) / (2n), built over the row softmax
+    grad_logits = np.exp(p_rows, out=p_rows)
+    grad_logits += np.exp(p_cols, out=p_cols)
+    grad_logits.flat[:: n + 1] -= 2.0
     grad_logits /= 2.0 * n
 
-    grad_a = (grad_logits @ b) / tau
-    grad_b = (grad_logits.T @ a) / tau
+    grad_a = grad_logits @ b
+    grad_a /= tau
+    grad_b = grad_logits.T @ a
+    grad_b /= tau
     # logits = sims * exp(-log tau)  =>  d logits / d log tau = -logits
-    grad_log_tau = -float(np.sum(grad_logits * logits))
+    grad_log_tau = -float(np.sum(np.multiply(grad_logits, logits, out=p_cols)))
     return float(value), grad_a, grad_b, grad_log_tau
 
 
-def total_loss(views: dict[str, EmbeddingBatch], temp: Temperature, table: tuple[Pairing, ...]) -> LossOutput:
+def total_loss(
+    views: dict[str, EmbeddingBatch], temp: Temperature, table: tuple[Pairing, ...], with_grads: bool = True
+) -> LossOutput:
     """Weighted sum of symmetric InfoNCE terms over the table's view pairings.
 
     value = sum over rows of weight * L(view_a, view_b), rows in table order.
     Every row is evaluated, zero-weight rows included, so each component's
-    value is available for logging whatever its weight.
+    value is available for logging whatever its weight. Without ``with_grads``
+    only the value and components are computed.
     """
     _require_same_shape(*(views[name] for row in table for name in row[:2]))
     value = 0.0
@@ -212,15 +235,21 @@ def total_loss(views: dict[str, EmbeddingBatch], temp: Temperature, table: tuple
     grads: dict[str, np.ndarray] = {}
     terms: dict[str, list[float]] = {}
     for view_a, view_b, weight, component in table:
-        term, grad_a, grad_b, glt = _symmetric_infonce(views[view_a].rows, views[view_b].rows, temp)
+        term, grad_a, grad_b, glt = _symmetric_infonce(views[view_a].rows, views[view_b].rows, temp, with_grads)
         value += weight * term
+        terms.setdefault(component, []).append(term)
+        if not with_grads:
+            continue
         grad_lt += weight * glt
         for name, grad in ((view_a, grad_a), (view_b, grad_b)):
-            grads[name] = grads[name] + weight * grad if name in grads else weight * grad
-        terms.setdefault(component, []).append(term)
+            grad *= weight
+            if name in grads:
+                grads[name] += grad
+            else:
+                grads[name] = grad
     return LossOutput(
         value=value,
-        grad_views=grads,
-        grad_log_tau=grad_lt,
+        grad_views=grads if with_grads else None,
+        grad_log_tau=grad_lt if with_grads else None,
         components={name: sum(values) / len(values) for name, values in terms.items()},
     )

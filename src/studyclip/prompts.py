@@ -43,8 +43,12 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .sampling import Draws
 
 GRAMMAR_ENV_VAR = "STUDYCLIP_GRAMMAR"
 
@@ -415,7 +419,7 @@ class PromptEngine:
                 raise UnsupportedValue(f"prompts exist only for positive/negative, got {value!r}") from None
             raise NoTemplateError(f"no prompt set for ({class_name!r}, {value!r})") from None
 
-    def render_prompt(self, class_name: str, value: str, rng: np.random.Generator) -> str:
+    def render_prompt(self, class_name: str, value: str, rng: Draws) -> str:
         return _render(self._prompt(self.compiled, class_name, value), rng)
 
     def prompt_set(self, class_name: str, value: str, cap: int = 100_000) -> frozenset[str]:
@@ -424,7 +428,7 @@ class PromptEngine:
     def build_study_text(
         self,
         labels: dict[str, str],
-        rng: np.random.Generator,
+        rng: Draws,
         negative_sample_count: int | None = None,
     ) -> str:
         """One prompt per labeled class, joined in a seeded random order.

@@ -33,8 +33,9 @@ one block, where a numpy ``Generator`` costs about 20 µs to build and a few
 µs per method call. The object offers only what the samplers, ``augment``
 and the prompt walk call: ``random``, ``integers(n)`` as int(u * n) (n == 1
 takes no draw, as numpy's does), ``uniform``, and ``permutation`` and
-``choice`` without replacement by Fisher-Yates. Those functions take a numpy
-``Generator`` just as well: the synthetic splits (``synth``) and
+``choice`` without replacement by Fisher-Yates. The ``Draws`` protocol names
+those five methods: the functions that draw take any ``Draws``, so a numpy
+``Generator`` just as well, and the synthetic splits (``synth``) and
 ``metrics.class_prompt_embeddings`` keep numpy streams.
 """
 
@@ -43,8 +44,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -99,6 +101,20 @@ def _draw_block(key: bytes, counter: int) -> list[float]:
     return ((np.frombuffer(stream, dtype="<u8") >> np.uint64(11)) * 2.0**-53).tolist()
 
 
+class Draws(Protocol):
+    """What the samplers, ``augment`` and the prompt walk draw from: a ``StudyDraws`` or a numpy ``Generator``."""
+
+    def random(self) -> float: ...
+
+    def integers(self, n: int) -> int: ...
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float: ...
+
+    def permutation(self, n: int) -> Sequence[int]: ...
+
+    def choice(self, n: int, size: int, replace: bool = False) -> Sequence[int]: ...
+
+
 class StudyDraws:
     """One study's random draws, with the methods of ``np.random.Generator`` the samplers call.
 
@@ -145,7 +161,7 @@ def study_rng(global_seed: int, study_id: str) -> StudyDraws:
     return StudyDraws(hashlib.sha256(f"{global_seed}:{study_id}".encode("utf-8")).digest())
 
 
-def sample_images(study: Study, cfg: TrainConfig, rng: np.random.Generator):
+def sample_images(study: Study, cfg: TrainConfig, rng: Draws):
     """Pick (x1, x2) per the distinct-view preference; returns (x1, x2, augmented)."""
     if not study.images:
         raise NoImages(f"study {study.id!r} has no images")
@@ -174,7 +190,7 @@ def sample_images(study: Study, cfg: TrainConfig, rng: np.random.Generator):
     return x1, x2, False
 
 
-def sample_texts(study: Study, cfg: TrainConfig, rng: np.random.Generator, engine: PromptEngine):
+def sample_texts(study: Study, cfg: TrainConfig, rng: Draws, engine: PromptEngine):
     """Pick (t1, t2) per the section/prompt rules; returns (t1, t2, source)."""
     sections = study.sections
     if not sections and study.labels is None:

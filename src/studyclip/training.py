@@ -28,9 +28,16 @@ its indices and seed, and the worker's batches are bit for bit those the main
 process would assemble. The worker starts before the first validation pass,
 after the vocabulary is built, and writes the step inputs of each step in
 order into a ring of ``SLOTS`` slots in one anonymous shared ``mmap``. A slot
-holds one fixed-size float64 array per named view, tokenized and bagged with
+holds one fixed-size float64 array per named view, a text view bagged with
 the vocabulary the worker inherited at the fork: a batch of n studies at
-image size S fills n x S x S of an image view and n x V of a text view. So
+image size S fills n x S x S of an image view and n x V of a text view. The
+worker tokenizes and bags each section text of the training set once per
+``train`` call, on its first use, and copies its bag row into every later
+batch that uses it (``_bag_with_sections``); the memo holds at most V x 8
+bytes per distinct section text. A row of ``text_bag`` adds only its own
+text's 1/len weights, so a memoized row equals the row the batch would
+build, bit for bit. Rendered prompts and augmented sections rarely repeat,
+so they are tokenized and bagged per batch. So
 the ring takes ``SLOTS`` x batch x 8 bytes times the sum over named views of
 S x S or V, and its text part grows with the vocabulary, as the bags a step
 builds do. The main process reads the inputs as read-only views of their
@@ -66,7 +73,20 @@ assembled in the main process, with the same bits.
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
 learnable log-temperature is updated like any other parameter but excluded
-from weight decay and clamped after every step. Validation loss is evaluated
+from weight decay and clamped after every step. ``train`` lays every
+parameter out in one contiguous float64 vector, with log(tau) in the last
+slot, and ``model.params`` maps each name to a view of it. A step's backward
+passes write their gradients into views of one vector of the same layout, a
+single ``np.isfinite`` checks it (the failing parameter is looked up only
+when it fails), and ``optim_step`` updates parameters and the flat moments
+in about a dozen whole-vector passes, in place, with the bits of a
+per-parameter update: at this model size a step pays more in per-array call
+overhead than in arithmetic. Gradient clipping still sums the squared norm
+per parameter, in the order the backward passes wrote them. The
+best-validation snapshot is one vector copy, and the returned model's
+``params`` are views of that copy, which no later step writes. Validation
+passes encode forward-only and compute only the loss value (``_batch_loss``
+without ``with_grads``). Validation loss is evaluated
 before the first epoch and after each one, on validation batches assembled
 in the main process and turned into step inputs once per ``train`` call, with
 a fixed sampling seed: each study's draws depend only on that seed and its
@@ -87,6 +107,7 @@ import os
 import signal
 import traceback
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -261,47 +282,48 @@ def lr_at(step: float, total_steps: int, warmup_steps: int, base_lr: float) -> f
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW moment decay rates and denominator guard
-NO_DECAY = ("log_tau",)  # parameters exempt from weight decay
 
 
-@dataclass
 class OptimState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
+    """AdamW state of one flat parameter vector: the moments m and v, the step count and two scratch vectors."""
+
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.step = 0
+        self._scratch = np.empty((2, size))
 
 
-def optim_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: OptimState,
-    lr: float,
-    weight_decay: float,
-) -> None:
-    """One AdamW update in place: adaptive step plus decoupled decay, except for ``NO_DECAY``."""
+def optim_step(params: np.ndarray, grad: np.ndarray, state: OptimState, lr: float, weight_decay: float) -> None:
+    """One AdamW update of the flat ``params`` in place: adaptive step plus decoupled decay.
+
+    The last entry, log(tau), takes no weight decay. Every pass runs over the
+    whole vector, in place or into the state's scratch, and rounds as the
+    per-parameter update did: (1 - beta) * g, lr * m_hat / (sqrt(v_hat) + eps),
+    then p - (lr * weight_decay) * p.
+    """
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != params.shape:
+        raise ShapeMismatch(f"grad shape {grad.shape} != param shape {params.shape}")
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"{name}: grad shape {g.shape} != param shape {p.shape}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
-        if weight_decay > 0.0 and name not in NO_DECAY:
-            p -= lr * weight_decay * p
+    m, v, (a, b) = state.m, state.v, state._scratch
+    m *= BETA1
+    m += np.multiply(grad, 1.0 - BETA1, out=a)
+    v *= BETA2
+    np.multiply(grad, 1.0 - BETA2, out=a)
+    a *= grad
+    v += a
+    np.divide(v, 1.0 - BETA2**t, out=a)  # v_hat
+    np.sqrt(a, out=a)
+    a += EPS
+    np.divide(m, 1.0 - BETA1**t, out=b)  # m_hat
+    b *= lr
+    b /= a
+    params -= b
+    if weight_decay > 0.0:
+        decayed = params[:-1]
+        decayed -= np.multiply(decayed, lr * weight_decay, out=b[:-1])
 
 
 # ------------------------------------------------------------------- logging
@@ -359,7 +381,7 @@ def corpus_texts(studies: list[Study], engine: PromptEngine) -> list[str]:
 class TrainedModel:
     config: TrainConfig
     vocab: Vocab
-    params: dict[str, np.ndarray]  # img.* / txt.* / log_tau
+    params: dict[str, np.ndarray]  # img.* / txt.* / log_tau, views of one flat vector with log_tau last
 
     def image_params(self) -> ImageEncoderParams:
         return ImageEncoderParams(**{k[4:]: v for k, v in self.params.items() if k.startswith("img.")})
@@ -382,36 +404,89 @@ def _combined_params(img_params, txt_params, log_tau: float) -> dict[str, np.nda
     return params
 
 
+def _param_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of consecutive segments of ``flat``, one per entry of ``like``, in order, with its names and shapes."""
+    views, start = {}, 0
+    for name, arr in like.items():
+        views[name] = flat[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return views
+
+
+class _Gradient(NamedTuple):
+    """One step's gradient: a vector laid out as the flat parameters, and its
+    per-parameter views in the order the backward passes first wrote them."""
+
+    flat: np.ndarray
+    named: dict[str, np.ndarray]
+
+
 # view name -> (StudyBatch field, parameter prefix), in gradient accumulation order
 VIEWS = {"v1": ("x1", "img"), "v2": ("x2", "img"), "u1": ("t1", "txt"), "u2": ("t2", "txt")}
 
 
-def _step_inputs(batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab) -> dict[str, np.ndarray]:
-    """What a step encodes: each view the table names, in ``VIEWS`` order, as its images or its texts' token bag."""
+def _step_inputs(
+    batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab, section_bags: dict | None = None
+) -> dict[str, np.ndarray]:
+    """What a step encodes: each view the table names, in ``VIEWS`` order, as its images or its texts' token bag.
+
+    With ``section_bags``, a memo keyed by every section text of the dataset,
+    a section text is tokenized and bagged on first use and its row reused.
+    """
     named = {name for row in table for name in row[:2]}
     inputs = {}
     for name, (attr, prefix) in VIEWS.items():
         if name in named:
             view = getattr(batch, attr)
-            inputs[name] = view if prefix == "img" else text_bag([tokenize(t, vocab) for t in view], len(vocab))
+            if prefix == "img":
+                inputs[name] = view
+            elif section_bags is None:
+                inputs[name] = text_bag([tokenize(t, vocab) for t in view], len(vocab))
+            else:
+                inputs[name] = _bag_with_sections(view, vocab, section_bags)
     return inputs
 
 
+def _bag_with_sections(texts: list[str], vocab: Vocab, section_bags: dict) -> np.ndarray:
+    """``text_bag`` of the texts, taking a section text's row from ``section_bags`` (None until first bagged).
+
+    A bag row adds only its own text's 1/len weights, so a row bagged alone
+    equals that text's row in any batch, bit for bit.
+    """
+    fresh = [i for i, text in enumerate(texts) if text not in section_bags]
+    bag = np.empty((len(texts), len(vocab)))
+    if fresh:
+        bag[fresh] = text_bag([tokenize(texts[i], vocab) for i in fresh], len(vocab))
+    for i, text in enumerate(texts):
+        if text in section_bags:
+            row = section_bags[text]
+            if row is None:
+                row = section_bags[text] = text_bag([tokenize(text, vocab)], len(vocab))[0]
+            bag[i] = row
+    return bag
+
+
 def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple[Pairing, ...], with_grads: bool):
-    """Forward (and optionally backward) for one step's ``_step_inputs``, encoding each view once."""
+    """Forward (and optionally backward) for one step's ``_step_inputs``, encoding each view once.
+
+    Returns the ``LossOutput`` and, with ``with_grads``, a ``_Gradient``; without
+    it, a forward-only encode, a value-only loss and None.
+    """
     img_p, txt_p = model.image_params(), model.text_params()
     views, caches = {}, {}
     for name, x in inputs.items():
         if VIEWS[name][1] == "img":
-            emb, caches[name] = encode_image_batch(img_p, x)
+            emb, caches[name] = encode_image_batch(img_p, x, with_grads)
             views[name] = EmbeddingBatch(emb, "image")
         else:
             emb, caches[name] = encode_text_batch(txt_p, x)
             views[name] = EmbeddingBatch(emb, "text")
-    out = total_loss(views, Temperature(model.log_tau), table)
+    out = total_loss(views, Temperature(model.log_tau), table, with_grads)
     if not with_grads:
         return out, None
-    grads: dict[str, np.ndarray] = {}
+    flat = np.zeros(sum(p.size for p in model.params.values()))  # a parameter no view reaches gets 0
+    slots = _param_views(flat, model.params)
+    named: dict[str, np.ndarray] = {}
     for name in views:
         prefix = VIEWS[name][1]
         if prefix == "img":
@@ -420,9 +495,14 @@ def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple
             view_grads = text_backward(txt_p, caches[name], out.grad_views[name])
         for param, g in view_grads.items():
             key = f"{prefix}.{param}"
-            grads[key] = grads[key] + g if key in grads else g
-    grads["log_tau"] = np.array(out.grad_log_tau)
-    return out, grads
+            if key in named:
+                named[key] += g
+            else:
+                named[key] = slots[key]
+                named[key][...] = g
+    named["log_tau"] = slots["log_tau"]
+    named["log_tau"][...] = out.grad_log_tau
+    return out, _Gradient(flat, named)
 
 
 def _sample_batch(studies, cfg: TrainConfig, engine, seed: int):
@@ -539,6 +619,7 @@ class _AssemblyWorker:
 
     def __init__(self, dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, vocab: Vocab, chunks: list):
         self.dataset, self.cfg, self.engine, self.vocab, self.chunks = dataset, cfg, engine, vocab, chunks
+        self.section_bags = dict.fromkeys(text for study in dataset for text in study.sections)
         self.ring = None
         if hasattr(os, "fork"):
             studies = min(cfg.batch_studies, len(dataset))
@@ -550,7 +631,7 @@ class _AssemblyWorker:
         """The ``_step_inputs`` of ``step``, assembled in the calling process."""
         studies = [self.dataset[int(i)] for i in self.chunks[step]]
         batch = _sample_batch(studies, self.cfg, self.engine, seed=self.cfg.seed * 1_000_003 + step)
-        return _step_inputs(batch, self.cfg.loss_table(), self.vocab)
+        return _step_inputs(batch, self.cfg.loss_table(), self.vocab, self.section_bags)
 
     def poll(self) -> int | None:
         """The worker's exit code once it has ended, ``-signum`` if a signal ended it; else None."""
@@ -654,23 +735,21 @@ def train(
     vocab = build_vocab(corpus_texts(dataset, engine))
     img_params = init_image_params(rng, cfg)
     txt_params = init_text_params(rng, len(vocab), cfg)
-    model = TrainedModel(
-        config=cfg,
-        vocab=vocab,
-        params=_combined_params(img_params, txt_params, math.log(cfg.tau_init)),
-    )
+    params = _combined_params(img_params, txt_params, math.log(cfg.tau_init))
+    flat = np.concatenate([np.ravel(arr) for arr in params.values()])  # log_tau last
+    model = TrainedModel(config=cfg, vocab=vocab, params=_param_views(flat, params))
 
     steps_per_epoch = math.ceil(len(dataset) / cfg.batch_studies)
     total_steps = steps_per_epoch * cfg.epochs
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
-    state = OptimState()
+    state = OptimState(flat.size)
     log = TrainLog()
     table = cfg.loss_table()
 
     with _AssemblyWorker(dataset, cfg, engine, vocab, _step_chunks(len(dataset), cfg)) as worker:
         val_inputs = [_step_inputs(batch, table, vocab) for batch in validation_batches(val_dataset, cfg, engine)]
         best_val = validation_loss(model, val_inputs, table)
-        best_params = {k: v.copy() for k, v in model.params.items()}
+        best_flat = flat.copy()
         log.epochs.append(EpochRecord(epoch=0, val_loss=best_val, best=True))
         epochs_since_best = 0
 
@@ -678,23 +757,20 @@ def train(
         for epoch in range(1, cfg.epochs + 1):
             for _ in range(steps_per_epoch):
                 inputs = _wait_for_batch(worker, step)
-                out, grads = _batch_loss(model, inputs, table, with_grads=True)
+                out, grad = _batch_loss(model, inputs, table, with_grads=True)
                 worker.release()  # the step is done with its slot
                 if not math.isfinite(out.value):
                     raise NumericError(step=step, value=out.value)
-                for name, g in grads.items():
-                    if not np.isfinite(g).all():
-                        raise NumericError(step=step, value=out.value, param=name)
+                if not np.isfinite(grad.flat).all():
+                    name = next(name for name, g in grad.named.items() if not np.isfinite(g).all())
+                    raise NumericError(step=step, value=out.value, param=name)
                 if cfg.grad_clip is not None:
-                    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grad.named.values()))
                     if norm > cfg.grad_clip:
-                        scale = cfg.grad_clip / norm
-                        grads = {k: g * scale for k, g in grads.items()}
+                        np.multiply(grad.flat, cfg.grad_clip / norm, out=grad.flat)
                 lr = lr_at(step, total_steps, warmup_steps, cfg.learning_rate)
-                optim_step(model.params, grads, state, lr, cfg.weight_decay)
-                model.params["log_tau"] = np.array(
-                    Temperature(float(model.params["log_tau"])).clamped().log_tau
-                )
+                optim_step(flat, grad.flat, state, lr, cfg.weight_decay)
+                flat[-1] = Temperature(float(flat[-1])).clamped().log_tau
                 log.steps.append(
                     StepRecord(
                         step=step,
@@ -713,7 +789,7 @@ def train(
             improved = val < best_val
             if improved:
                 best_val = val
-                best_params = {k: v.copy() for k, v in model.params.items()}
+                best_flat[...] = flat
                 epochs_since_best = 0
             else:
                 epochs_since_best += 1
@@ -721,5 +797,5 @@ def train(
             if not improved and epochs_since_best >= cfg.early_stop_patience:
                 break
 
-    model.params = best_params
+    model.params = _param_views(best_flat, model.params)
     return model, log

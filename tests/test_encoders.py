@@ -277,6 +277,18 @@ def test_fused_rectifier_matches_reference_formulas():
     assert np.all(slope[x == 0.0] == 0.5)
 
 
+def test_rectifier_without_the_slope_gives_the_same_softplus_bits():
+    z = RECTIFIER_SLOPE * np.concatenate([
+        np.linspace(-4.0, 4.0, 801),
+        [0.0, -0.0, 1e-12, -1e-12, 50.0, -50.0, 100.0, -100.0, 200.0, -200.0],
+    ])
+    with_slope, without = z.copy(), z.copy()
+    _rectify(with_slope)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert _rectify(without, with_slope=False) is None
+    assert without.tobytes() == with_slope.tobytes()
+
+
 def test_chunked_eval_embeddings_match_one_batch():
     n = 300
     assert n > EVAL_CHUNK and n % EVAL_CHUNK
@@ -325,6 +337,21 @@ def test_blocked_forward_matches_one_pass_oracle_bit_for_bit(batch):
     np.testing.assert_allclose(cache["moments"], want, rtol=0, atol=1e-14)
     mean_slope = slope.reshape(batch, positions, -1).mean(axis=1)
     np.testing.assert_allclose(cache["moments"][:, 9], mean_slope, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("batch", [1, 5, 32, 128])
+def test_forward_only_embedding_matches_the_full_forward_bit_for_bit(batch):
+    # BLOCK images per conv block: 5 ends one image into a block, 32 and 128 on a block edge
+    assert BLOCK == 4
+    params = init_image_params(0, DEFAULT)
+    params.conv_b = np.random.default_rng(8).normal(size=DEFAULT.conv_filters)
+    imgs = np.random.default_rng(batch).uniform(-50.0, 50.0, size=(batch, DEFAULT.image_size, DEFAULT.image_size))
+    emb, cache = encode_image_batch(params, imgs)
+    forward, forward_cache = encode_image_batch(params, imgs, with_grads=False)
+    assert forward.tobytes() == emb.tobytes()
+    assert "moments" in cache and "moments" not in forward_cache
+    for name in ("pooled", "h", "feature", "projected"):
+        assert forward_cache[name].tobytes() == cache[name].tobytes(), name
 
 
 def test_image_cache_does_not_grow_with_image_size():

@@ -260,6 +260,19 @@ def test_total_weighted_arithmetic():
     assert out.components["tcl"] == tcl
 
 
+@pytest.mark.parametrize("table", [paper_table(1.0, 0.5), CLIP_TABLE], ids=["paper_table", "clip_table"])
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_value_only_loss_matches_the_full_call_bit_for_bit(table, n):
+    rng = np.random.default_rng(n)
+    views = {name: random_batch(rng, n, 16, "text" if name[0] == "u" else "image") for name in FOUR_VIEWS}
+    temp = Temperature.from_tau(0.05)
+    full = total_loss(views, temp, table)
+    value_only = total_loss(views, temp, table, with_grads=False)
+    assert value_only.value.hex() == full.value.hex()
+    assert {k: v.hex() for k, v in value_only.components.items()} == {k: v.hex() for k, v in full.components.items()}
+    assert value_only.grad_views is None and value_only.grad_log_tau is None
+
+
 def test_total_zero_weights_equals_mvs():
     rng = np.random.default_rng(9)
     U1, U2 = random_batch(rng, 3, 4, "text"), random_batch(rng, 3, 4, "text")

@@ -74,6 +74,62 @@ def test_non_finite_gradient_names_step_and_parameter(splits, monkeypatch):
     assert err.value.param == "img.conv_w"
 
 
+def test_a_nan_gradient_entry_raises_numeric_error_naming_its_parameter(splits, monkeypatch):
+    original = training.text_backward
+
+    def poisoned(params, cache, d_emb):
+        grads = original(params, cache, d_emb)
+        grads["emb"][3, 1] = np.nan  # one entry of one parameter
+        return grads
+
+    monkeypatch.setattr(training, "text_backward", poisoned)
+    with pytest.raises(NumericError, match=r"gradient for txt\.emb at step 0") as err:
+        train(*splits, tiny_config())
+    assert (err.value.step, err.value.param) == (0, "txt.emb")
+
+
+def test_returned_parameters_are_views_of_one_buffer_no_later_step_writes(engine, splits, monkeypatch):
+    # epoch 1 is the best: epochs 2 and 3 train on, and the model returns epoch 1's parameters
+    losses = iter([2.0, 1.0, 1.5, 1.5])
+    snapshots, live = [], []
+    original_step = training.optim_step
+
+    def scoring(model, inputs, table):
+        snapshots.append({name: value.tobytes() for name, value in model.params.items()})
+        return next(losses)
+
+    def stepping(params, *args):
+        live.append(params)
+        return original_step(params, *args)
+
+    monkeypatch.setattr(training, "validation_loss", scoring)
+    monkeypatch.setattr(training, "optim_step", stepping)
+    model, log = train(*splits, tiny_config(epochs=3, early_stop_patience=3), engine)
+    assert [rec.best for rec in log.epochs] == [True, True, False, False]
+    flat = model.params["log_tau"].base
+    assert flat.ndim == 1 and flat.size == sum(value.size for value in model.params.values())
+    assert all(value.base is flat for value in model.params.values())
+    assert np.shares_memory(model.params["log_tau"], flat[-1:])  # log_tau in the last slot
+    assert {name: value.tobytes() for name, value in model.params.items()} == snapshots[1]
+    (trained,) = {id(params): params for params in live}.values()  # every step updated one vector
+    assert not np.shares_memory(trained, flat) and trained.tobytes() != flat.tobytes()
+
+
+def test_grad_clip_rescales_each_gradient_above_it_to_its_norm(splits, monkeypatch):
+    norms = []
+    original = training.optim_step
+
+    def recording(params, grad, *args):
+        norms.append(math.sqrt(float(np.sum(grad * grad))))
+        return original(params, grad, *args)
+
+    monkeypatch.setattr(training, "optim_step", recording)
+    train(*splits, tiny_config(grad_clip=0.05))
+    assert len(norms) == 12
+    assert all(norm <= 0.05 * (1 + 1e-12) for norm in norms)
+    assert sum(norm == pytest.approx(0.05, rel=1e-12) for norm in norms) >= 6  # most steps were clipped
+
+
 def test_early_stop_after_patience_epochs_without_improvement(splits, monkeypatch):
     monkeypatch.setattr(training, "validation_loss", lambda *args: 1.0)
     _, log = train(*splits, tiny_config(early_stop_patience=2))
@@ -90,8 +146,8 @@ def test_validation_loss_is_the_unweighted_mean_of_batch_losses(engine, splits, 
     batches = []
     original = training.total_loss
 
-    def recording(views, temp, table):
-        out = original(views, temp, table)
+    def recording(views, temp, table, with_grads):
+        out = original(views, temp, table, with_grads)
         batches.append((len(views["u1"].rows), out.value))
         return out
 
@@ -151,9 +207,13 @@ def test_train_tokenizes_each_validation_text_once(engine, splits, monkeypatch, 
     assert len(log.epochs) == cfg.epochs + 1
     # this process: the two texts of each validation study, once in all
     assert main == [t for batch in validation_batches(valid, cfg, engine) for t in batch.t1 + batch.t2]
-    # the worker: the two texts of each training study, once per epoch
-    assert worker == [t for batch in expected_batches(train_set, cfg, engine) for t in batch.t1 + batch.t2]
-    assert len(worker) == 2 * cfg.epochs * len(train_set)
+    # the worker: each section text of the training set once in all, any other text (a rendered
+    # prompt, an augmented section) each time a step uses it
+    sections = {text for study in train_set for text in study.sections}
+    used = collections.Counter(t for batch in expected_batches(train_set, cfg, engine) for t in batch.t1 + batch.t2)
+    assert collections.Counter(worker) == {t: 1 if t in sections else uses for t, uses in used.items()}
+    assert any(uses > 1 for t, uses in used.items() if t in sections)  # a section text recurs
+    assert any(t not in sections for t in used)  # and texts outside the memo occur
 
 
 def test_cached_validation_batches_score_as_batches_assembled_that_epoch(engine, splits, monkeypatch):
@@ -616,16 +676,16 @@ def test_float_fields_accept_ints_and_strings_parse_as_the_declared_type():
 
 def test_adamw_two_steps_match_hand_arithmetic():
     lr, wd, b1, b2, eps = 0.1, 0.5, 0.9, 0.999, 1e-8
-    params = {"w": np.array([1.0, -2.0]), "log_tau": np.array(0.25)}
-    g1 = {"w": np.array([0.2, -0.4]), "log_tau": np.array(0.3)}
-    g2 = {"w": np.array([0.1, 0.3]), "log_tau": np.array(-0.6)}
-    state = OptimState()
+    params = np.array([1.0, -2.0, 0.25])  # w, then log_tau in the last slot
+    g1 = np.array([0.2, -0.4, 0.3])
+    g2 = np.array([0.1, 0.3, -0.6])
+    state = OptimState(params.size)
 
     optim_step(params, g1, state, lr, wd)
     # bias correction makes the first step lr * g / (|g| + eps): a move of lr against the sign of g,
     # then decoupled decay scales w by (1 - lr * wd); log_tau is exempt from decay
-    np.testing.assert_allclose(params["w"], [0.9 * 0.95, -1.9 * 0.95], rtol=1e-7)
-    assert float(params["log_tau"]) == pytest.approx(0.15, rel=1e-7)
+    np.testing.assert_allclose(params[:2], [0.9 * 0.95, -1.9 * 0.95], rtol=1e-7)
+    assert float(params[2]) == pytest.approx(0.15, rel=1e-7)
 
     optim_step(params, g2, state, lr, wd)
 
@@ -639,8 +699,8 @@ def test_adamw_two_steps_match_hand_arithmetic():
         return p
 
     want_w = [by_hand(p, a, b, wd) for p, a, b in zip([1.0, -2.0], [0.2, -0.4], [0.1, 0.3])]
-    np.testing.assert_allclose(params["w"], want_w, rtol=1e-14)
-    assert float(params["log_tau"]) == pytest.approx(by_hand(0.25, 0.3, -0.6, 0.0), rel=1e-14)
+    np.testing.assert_allclose(params[:2], want_w, rtol=1e-14)
+    assert float(params[2]) == pytest.approx(by_hand(0.25, 0.3, -0.6, 0.0), rel=1e-14)
     assert state.step == 2
 
 
