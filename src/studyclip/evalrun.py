@@ -36,7 +36,7 @@ import hashlib
 import numpy as np
 
 from .augment import resize_bilinear
-from .encoders import encode_image_batch, encode_text_batch, text_bag, tokenize
+from .encoders import EmptySequence, encode_image_batch, encode_text_batch, text_bag, tokenize
 from .metrics import (
     DegenerateLabels,
     class_prompt_embeddings,
@@ -56,6 +56,7 @@ from .training import TrainedModel
 EVAL_CHUNK = 128
 
 EVAL_TEXT_SEED = 1234
+CLASS_PROMPT_SEED = 99  # seeds the one prompt rendered per class for multiclass zero-shot
 
 # The test embeddings of the last evaluate_binary call: (fingerprint, read-only array).
 _shared_embeddings: tuple[bytes, np.ndarray] | None = None
@@ -139,29 +140,23 @@ def multiclass_labels(studies: list[Study], class_names: list[str]) -> np.ndarra
     return np.array(labels, dtype=np.int64)
 
 
-def evaluate_model(
-    model: TrainedModel,
-    test_set: list[Study],
-    engine: PromptEngine | None = None,
-    prompt_ensemble: int = 1,
-    prompt_seed: int = 99,
-) -> dict[str, float]:
-    """Zero-shot multiclass accuracy plus image-to-text retrieval metrics."""
+def evaluate_model(model: TrainedModel, test_set: list[Study], engine: PromptEngine | None = None) -> dict[str, float]:
+    """Zero-shot multiclass accuracy plus image-to-text retrieval metrics.
+
+    Each class is represented by one positive prompt, rendered from
+    ``CLASS_PROMPT_SEED``.
+    """
     global _shared_embeddings
+    if not test_set:
+        raise EmptySequence("cannot evaluate an empty test set")
     _shared_embeddings = None  # a new evaluation: evaluate_binary encodes afresh
     engine = engine or PromptEngine.default()
     image_embs = eval_image_embeddings(model, test_set)
 
     class_names = positive_classes(test_set)
     labels = multiclass_labels(test_set, class_names)
-    prompt_rng = np.random.default_rng(prompt_seed)
-    class_embs = class_prompt_embeddings(
-        class_names,
-        engine,
-        lambda text: encode_texts(model, [text])[0],
-        prompt_rng,
-        ensemble_size=prompt_ensemble,
-    )
+    prompt_rng = np.random.default_rng(CLASS_PROMPT_SEED)
+    class_embs = class_prompt_embeddings(class_names, engine, lambda text: encode_texts(model, [text])[0], prompt_rng)
     acc = zero_shot_multiclass(image_embs, class_embs, labels)
 
     texts = [eval_text(s, engine) for s in test_set]
@@ -184,9 +179,8 @@ def evaluate_binary(
     test_set: list[Study],
     class_name: str,
     engine: PromptEngine | None = None,
-    prompt_style: str = "simple",
 ) -> dict[str, float]:
-    """One-vs-rest zero-shot AUC using the fixed evaluation prompt pair.
+    """One-vs-rest zero-shot AUC using the fixed ``"simple"`` evaluation prompt pair.
 
     Scores against the test embeddings an earlier call shared when their
     fingerprint matches, else encodes and shares them.
@@ -200,6 +194,6 @@ def evaluate_binary(
         raise DegenerateLabels(f"class {class_name!r} has no {kind} study among {len(test_set)} test studies")
     engine = engine or PromptEngine.default()
     image_embs = _shared_image_embeddings(model, test_set)
-    pos_text, neg_text = engine.eval_prompt_pair(class_name, prompt_style)
+    pos_text, neg_text = engine.eval_prompt_pair(class_name)
     pos_emb, neg_emb = encode_texts(model, [pos_text, neg_text])
     return {"auc": zero_shot_binary(image_embs, pos_emb, neg_emb, labels), "n_test": float(len(test_set))}

@@ -21,9 +21,9 @@ Each component is logged as the mean of its rows' unweighted terms. The 1/4
 weights are a power of two, so the weighted MVS rows sum to exactly the
 mean of the four terms. Gradients with respect to every view and to
 log(tau) are derived by hand and returned alongside the value; no autodiff.
-A value-only call (``with_grads=False``, as validation makes) computes the
-same value and components, bit for bit, from the diagonal of each
-log-softmax, and no gradient.
+A value-only call (``with_grads=False``, as validation makes) runs the same
+two log-softmaxes and returns before the gradient, so its value and
+components are those of the full call, bit for bit.
 
 All arithmetic is float64 with max-subtracted log-sum-exp and row-major
 accumulation, so results are deterministic and gradient checks are tight.
@@ -176,14 +176,6 @@ def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _log_softmax_diagonal(logits: np.ndarray, axis: int) -> np.ndarray:
-    """The diagonal of ``_log_softmax(logits, axis)``, with the same bits, computing no other entry."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    diagonal = shifted.diagonal().copy()
-    diagonal -= np.log(np.sum(np.exp(shifted, out=shifted), axis=axis))
-    return diagonal
-
-
 def _symmetric_infonce(a: np.ndarray, b: np.ndarray, temp: Temperature, with_grads: bool = True):
     """Value and raw gradients of the symmetric contrastive loss.
 
@@ -196,13 +188,11 @@ def _symmetric_infonce(a: np.ndarray, b: np.ndarray, temp: Temperature, with_gra
     logits = a @ b.T
     logits /= tau
 
-    if not with_grads:
-        diagonals = np.sum(_log_softmax_diagonal(logits, 1)) + np.sum(_log_softmax_diagonal(logits, 0))
-        return float(-diagonals / (2.0 * n)), None, None, None
-
     p_rows = _log_softmax(logits, axis=1)  # softmax over b for each a_i
     p_cols = _log_softmax(logits, axis=0)  # softmax over a for each b_j
     value = -(np.trace(p_rows) + np.trace(p_cols)) / (2.0 * n)
+    if not with_grads:
+        return float(value), None, None, None
 
     # d value / d logits = (row softmax + column softmax - 2 I) / (2n), built over the row softmax
     grad_logits = np.exp(p_rows, out=p_rows)

@@ -116,22 +116,10 @@ def zero_shot_multiclass(
     return float(np.mean(predictions == labels))
 
 
-def class_prompt_embeddings(
-    class_names: list[str],
-    engine,
-    encode_fn,
-    rng: np.random.Generator,
-    ensemble_size: int = 1,
-) -> np.ndarray:
-    """Per-class prompt embedding: mean of m rendered-prompt embeddings, renormalized."""
-    rows = []
-    for name in class_names:
-        embs = []
-        for _ in range(ensemble_size):
-            embs.append(encode_fn(engine.render_prompt(name, "positive", rng)))
-        mean = np.mean(embs, axis=0)
-        rows.append(mean / np.linalg.norm(mean))
-    return np.stack(rows)
+def class_prompt_embeddings(class_names: list[str], engine, encode_fn, rng: np.random.Generator) -> np.ndarray:
+    """One row per class, in order: the embedding of one positive prompt drawn from ``rng``, renormalized."""
+    rows = [encode_fn(engine.render_prompt(name, "positive", rng)) for name in class_names]
+    return np.stack([row / np.linalg.norm(row) for row in rows])
 
 
 # ----------------------------------------------------------------- ablations

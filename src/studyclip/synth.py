@@ -108,9 +108,6 @@ class StudyLatent:
     severity_idx: int
     texture_idx: int
     marker_idx: int
-    label_only: bool
-    n_images: int
-    views: list[str]
 
 
 def render_image(latent: StudyLatent, spec: SynthSpec, view: str, rng: np.random.Generator) -> np.ndarray:
@@ -185,9 +182,6 @@ def generate_split(
                 severity_idx=int(rng.integers(len(SEVERITIES))),
                 texture_idx=int(rng.integers(len(TEXTURES))),
                 marker_idx=int(rng.integers(len(MARKERS))),
-                label_only=label_only,
-                n_images=len(views),
-                views=views,
             )
             images = [StudyImage(render_image(latent, spec, view, rng), view) for view in views]
             findings = impression = None

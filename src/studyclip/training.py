@@ -76,17 +76,15 @@ learnable log-temperature is updated like any other parameter but excluded
 from weight decay and clamped after every step. ``train`` lays every
 parameter out in one contiguous float64 vector, with log(tau) in the last
 slot, and ``model.params`` maps each name to a view of it. A step's backward
-passes write their gradients into views of one vector of the same layout, a
-single ``np.isfinite`` checks it (the failing parameter is looked up only
-when it fails), and ``optim_step`` updates parameters and the flat moments
-in about a dozen whole-vector passes, in place, with the bits of a
+passes add their gradients into views of one zeroed vector of the same
+layout, a single ``np.isfinite`` checks it (the failing parameter is looked
+up only when it fails), and ``optim_step`` updates parameters and the flat
+moments in about a dozen whole-vector passes, in place, with the bits of a
 per-parameter update: at this model size a step pays more in per-array call
-overhead than in arithmetic. Gradient clipping still sums the squared norm
-per parameter, in the order the backward passes wrote them. The
-best-validation snapshot is one vector copy, and the returned model's
-``params`` are views of that copy, which no later step writes. Validation
-passes encode forward-only and compute only the loss value (``_batch_loss``
-without ``with_grads``). Validation loss is evaluated
+overhead than in arithmetic. The best-validation snapshot is one vector copy,
+and the returned model's ``params`` are views of that copy, which no later
+step writes. Validation passes encode forward-only and compute only the loss
+value (``_batch_loss`` without ``with_grads``). Validation loss is evaluated
 before the first epoch and after each one, on validation batches assembled
 in the main process and turned into step inputs once per ``train`` call, with
 a fixed sampling seed: each study's draws depend only on that seed and its
@@ -107,7 +105,6 @@ import os
 import signal
 import traceback
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -157,7 +154,6 @@ class AssemblyError(RuntimeError):
 @dataclass
 class TrainConfig:
     learning_rate: float = 5e-5
-    weight_decay: float = 1e-4
     epochs: int = 15
     warmup_epochs: int = 1
     batch_studies: int = 32
@@ -165,8 +161,6 @@ class TrainConfig:
     lambda_tcl: float = 0.5
     seed: int = 0
     early_stop_patience: int = 3
-    grad_clip: float | None = None
-    tau_init: float = 0.07
     # encoder dims
     image_size: int = 32
     conv_filters: int = 16
@@ -192,24 +186,20 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("learning_rate", "weight_decay", "warmup_epochs", "early_stop_patience", "seed"):
+        for name in ("learning_rate", "warmup_epochs", "early_stop_patience", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        at_least_one = (
-            "epochs", "batch_studies", "image_size", "conv_filters", "hidden_dim",
-            "feature_dim", "token_dim", "embed_dim",
-        )
-        for name in at_least_one:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not self.tau_init > 0:
-            raise ConfigError(f"tau_init must be positive, got {self.tau_init}")
+        smallest = {  # image_size: the conv stage's window is 3 x 3 pixels
+            "epochs": 1, "batch_studies": 1, "image_size": 3, "conv_filters": 1,
+            "hidden_dim": 1, "feature_dim": 1, "token_dim": 1, "embed_dim": 1,
+        }
+        for name, least in smallest.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.warmup_epochs >= self.epochs:
             raise ConfigError("warmup_epochs must be smaller than epochs")
         if self.lambda_icl < 0 or self.lambda_tcl < 0:
             raise ConfigError("loss weights must be non-negative")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ConfigError(f"grad_clip must be positive or None, got {self.grad_clip}")
         if self.sampling_mode not in SAMPLING_MODES:
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
         if self.sampling_mode != "pairs" and (self.lambda_icl > 0 or self.lambda_tcl > 0):
@@ -282,6 +272,8 @@ def lr_at(step: float, total_steps: int, warmup_steps: int, base_lr: float) -> f
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW moment decay rates and denominator guard
+WEIGHT_DECAY = 1e-4
+TAU_INIT = 0.07  # CLIP's initial softmax temperature
 
 
 class OptimState:
@@ -321,9 +313,8 @@ def optim_step(params: np.ndarray, grad: np.ndarray, state: OptimState, lr: floa
     b *= lr
     b /= a
     params -= b
-    if weight_decay > 0.0:
-        decayed = params[:-1]
-        decayed -= np.multiply(decayed, lr * weight_decay, out=b[:-1])
+    decayed = params[:-1]
+    decayed -= np.multiply(decayed, lr * weight_decay, out=b[:-1])
 
 
 # ------------------------------------------------------------------- logging
@@ -413,14 +404,6 @@ def _param_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.
     return views
 
 
-class _Gradient(NamedTuple):
-    """One step's gradient: a vector laid out as the flat parameters, and its
-    per-parameter views in the order the backward passes first wrote them."""
-
-    flat: np.ndarray
-    named: dict[str, np.ndarray]
-
-
 # view name -> (StudyBatch field, parameter prefix), in gradient accumulation order
 VIEWS = {"v1": ("x1", "img"), "v2": ("x2", "img"), "u1": ("t1", "txt"), "u2": ("t2", "txt")}
 
@@ -431,19 +414,15 @@ def _step_inputs(
     """What a step encodes: each view the table names, in ``VIEWS`` order, as its images or its texts' token bag.
 
     With ``section_bags``, a memo keyed by every section text of the dataset,
-    a section text is tokenized and bagged on first use and its row reused.
+    a section text is tokenized and bagged on first use and its row reused;
+    without it (validation), every text is bagged with its batch.
     """
     named = {name for row in table for name in row[:2]}
     inputs = {}
     for name, (attr, prefix) in VIEWS.items():
         if name in named:
             view = getattr(batch, attr)
-            if prefix == "img":
-                inputs[name] = view
-            elif section_bags is None:
-                inputs[name] = text_bag([tokenize(t, vocab) for t in view], len(vocab))
-            else:
-                inputs[name] = _bag_with_sections(view, vocab, section_bags)
+            inputs[name] = view if prefix == "img" else _bag_with_sections(view, vocab, section_bags or {})
     return inputs
 
 
@@ -469,8 +448,9 @@ def _bag_with_sections(texts: list[str], vocab: Vocab, section_bags: dict) -> np
 def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple[Pairing, ...], with_grads: bool):
     """Forward (and optionally backward) for one step's ``_step_inputs``, encoding each view once.
 
-    Returns the ``LossOutput`` and, with ``with_grads``, a ``_Gradient``; without
-    it, a forward-only encode, a value-only loss and None.
+    Returns the ``LossOutput`` and, with ``with_grads``, the gradient: a vector
+    laid out as the flat parameters. Without it, a forward-only encode, a
+    value-only loss and None.
     """
     img_p, txt_p = model.image_params(), model.text_params()
     views, caches = {}, {}
@@ -486,7 +466,6 @@ def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple
         return out, None
     flat = np.zeros(sum(p.size for p in model.params.values()))  # a parameter no view reaches gets 0
     slots = _param_views(flat, model.params)
-    named: dict[str, np.ndarray] = {}
     for name in views:
         prefix = VIEWS[name][1]
         if prefix == "img":
@@ -494,15 +473,9 @@ def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple
         else:
             view_grads = text_backward(txt_p, caches[name], out.grad_views[name])
         for param, g in view_grads.items():
-            key = f"{prefix}.{param}"
-            if key in named:
-                named[key] += g
-            else:
-                named[key] = slots[key]
-                named[key][...] = g
-    named["log_tau"] = slots["log_tau"]
-    named["log_tau"][...] = out.grad_log_tau
-    return out, _Gradient(flat, named)
+            slots[f"{prefix}.{param}"] += g
+    slots["log_tau"][...] = out.grad_log_tau
+    return out, flat
 
 
 def _sample_batch(studies, cfg: TrainConfig, engine, seed: int):
@@ -735,7 +708,7 @@ def train(
     vocab = build_vocab(corpus_texts(dataset, engine))
     img_params = init_image_params(rng, cfg)
     txt_params = init_text_params(rng, len(vocab), cfg)
-    params = _combined_params(img_params, txt_params, math.log(cfg.tau_init))
+    params = _combined_params(img_params, txt_params, math.log(TAU_INIT))
     flat = np.concatenate([np.ravel(arr) for arr in params.values()])  # log_tau last
     model = TrainedModel(config=cfg, vocab=vocab, params=_param_views(flat, params))
 
@@ -761,15 +734,11 @@ def train(
                 worker.release()  # the step is done with its slot
                 if not math.isfinite(out.value):
                     raise NumericError(step=step, value=out.value)
-                if not np.isfinite(grad.flat).all():
-                    name = next(name for name, g in grad.named.items() if not np.isfinite(g).all())
+                if not np.isfinite(grad).all():
+                    name = next(n for n, g in _param_views(grad, model.params).items() if not np.isfinite(g).all())
                     raise NumericError(step=step, value=out.value, param=name)
-                if cfg.grad_clip is not None:
-                    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grad.named.values()))
-                    if norm > cfg.grad_clip:
-                        np.multiply(grad.flat, cfg.grad_clip / norm, out=grad.flat)
                 lr = lr_at(step, total_steps, warmup_steps, cfg.learning_rate)
-                optim_step(flat, grad.flat, state, lr, cfg.weight_decay)
+                optim_step(flat, grad, state, lr, WEIGHT_DECAY)
                 flat[-1] = Temperature(float(flat[-1])).clamped().log_tau
                 log.steps.append(
                     StepRecord(

@@ -171,3 +171,11 @@ def test_an_empty_text_batch_raises_empty_sequence(model_and_test):
         text_bag([], len(model.vocab))
     with pytest.raises(EmptySequence, match="empty batch"):
         encode_texts(model, [])
+
+
+def test_an_empty_test_set_raises_empty_sequence_before_any_encoding(model_and_test, engine, encodings, monkeypatch):
+    model, _ = model_and_test
+    monkeypatch.setattr(evalrun, "encode_texts", lambda *args: pytest.fail("encoded a text"))
+    with pytest.raises(EmptySequence, match="empty test set"):
+        evaluate_model(model, [], engine)
+    assert encodings == []

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from studyclip.losses import ShapeMismatch
-from studyclip.metrics import RANK_BLOCK, auc_exact, recall_at_k, zero_shot_binary, zero_shot_multiclass
+from studyclip.metrics import (
+    RANK_BLOCK,
+    auc_exact,
+    class_prompt_embeddings,
+    recall_at_k,
+    zero_shot_binary,
+    zero_shot_multiclass,
+)
+from studyclip.prompts import PromptEngine
 
 
 def brute_force_ranks(sims: np.ndarray) -> np.ndarray:
@@ -125,3 +133,23 @@ def test_zero_shot_binary_is_the_auc_of_the_prompt_score_difference(seed):
     images, pos, neg = rng.normal(size=(30, 4)), rng.normal(size=4), rng.normal(size=4)
     labels = np.arange(30) % 2
     assert zero_shot_binary(images, pos, neg, labels) == auc_exact(images @ pos - images @ neg, labels)
+
+
+def test_class_prompt_embeddings_are_one_normalized_prompt_per_class_in_order():
+    engine = PromptEngine.default()
+    names = ["Pneumonia", "Edema", "Atelectasis", "Edema"]  # not sorted, one repeated
+    encoded = []
+
+    def encode(text):  # deterministic and far from unit norm
+        encoded.append(text)
+        return np.array([len(text), sum(map(ord, text)) % 101 + 1.0, 3.0 * text.count(" ") + 1.0])
+
+    rows = class_prompt_embeddings(names, engine, encode, np.random.default_rng(5))
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
+    rng = np.random.default_rng(5)
+    prompts = [engine.render_prompt(name, "positive", rng) for name in names]
+    assert encoded == prompts  # one prompt per class, drawn in class order from the one generator
+    assert all(text in engine.prompt_set(name, "positive") for text, name in zip(prompts, names))
+    for row, text in zip(rows, prompts):
+        want = encode(text)
+        np.testing.assert_array_equal(row, want / np.linalg.norm(want))

@@ -44,6 +44,24 @@ def test_every_public_function_class_and_method_is_referenced():
     assert unreferenced == []
 
 
+def test_every_config_field_is_read_outside_its_own_checks():
+    # a setting that only TrainConfig.__post_init__ reads changes nothing the program does
+    read, fields = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        checks = set()
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "TrainConfig":
+                fields = [m.target.id for m in node.body if isinstance(m, ast.AnnAssign)]
+                post_init = [m for m in node.body if isinstance(m, ast.FunctionDef) and m.name == "__post_init__"]
+                checks = {id(n) for m in post_init for n in ast.walk(m)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in checks:
+                read.add(node.attr)
+    assert fields, "no TrainConfig class found"
+    assert [name for name in fields if name not in read] == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
