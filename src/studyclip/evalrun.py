@@ -13,25 +13,26 @@ images, so the chunk bounds only what a call holds for the whole chunk: the
 resized stack and the head activations of the encoder's cache. Memory stays
 bounded for any test-set size.
 
-``evaluate_binary`` encodes the test images once for all its calls in one
-evaluation. It keeps one shared entry, (fingerprint, embeddings), with
-the array marked read-only, scores against it when the fingerprint matches,
-and otherwise encodes and replaces it. The fingerprint is a SHA-256 over
-everything the embeddings depend on: ``config.image_size``, each ``img.*``
-parameter (name, dtype, shape, bytes, in sorted order) and each study's first
-image (dtype, shape, bytes). It does not use ``id()``, since addresses are
-reused once objects are freed, and the entry holds no reference to the model
-or the studies. ``evaluate_model`` neither reads nor fills the entry, so a
-caller that only runs it pays no hashing; it drops the entry, since it starts
-a new evaluation. An evaluation, ``evaluate_model`` then ``evaluate_binary``
-per class, so encodes twice, whether or not the same model and test set were
-evaluated before. ``eval_image_embeddings`` itself shares nothing and returns
-a fresh, writable array.
+An evaluation, ``evaluate_model`` then ``evaluate_binary`` per class, encodes
+the test images once. ``evaluate_model`` always encodes afresh, even for a model
+and test set it has seen, and publishes the array, marked read-only, as the one
+shared entry; it never reuses the entry of an earlier call. ``evaluate_binary``
+scores against the entry when it encodes the same inputs, and otherwise encodes
+and replaces it. The entry's key is exact and needs no hashing:
+``config.image_size``, the layout (name, dtype, shape) and a copy of the values
+of the ``img.*`` parameters, and one weak reference per study to its first
+image's pixel array. A ``StudyImage``'s pixels are immutable, so the same live
+array object always holds the same values: the key matches when the sizes and
+layouts agree, the parameter values are equal, and every reference is alive and
+is that study's ``images[0].pixels``. A dead reference never matches, so a
+reused address cannot alias. The entry holds no strong reference to the model,
+the studies or their pixels. ``eval_image_embeddings`` itself shares nothing and
+returns a fresh, writable array.
 """
 
 from __future__ import annotations
 
-import hashlib
+import weakref
 
 import numpy as np
 
@@ -58,8 +59,9 @@ EVAL_CHUNK = 128
 EVAL_TEXT_SEED = 1234
 CLASS_PROMPT_SEED = 99  # seeds the one prompt rendered per class for multiclass zero-shot
 
-# The test embeddings of the last evaluate_binary call: (fingerprint, read-only array).
-_shared_embeddings: tuple[bytes, np.ndarray] | None = None
+# The test embeddings of the last evaluation and their key: (image size and img.* layout,
+# img.* values, a weak reference per study's first-image pixels, read-only array).
+_shared_embeddings: tuple[tuple, np.ndarray, list[weakref.ref], np.ndarray] | None = None
 
 
 class LabelError(ValueError):
@@ -82,29 +84,35 @@ def eval_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarr
     return np.concatenate(chunks)
 
 
-def _fingerprint(model: TrainedModel, studies: list[Study]) -> bytes:
-    """SHA-256 of every input ``eval_image_embeddings`` reads."""
-    digest = hashlib.sha256(f"image_size:{model.config.image_size};".encode())
-    for name in sorted(k for k in model.params if k.startswith("img.")):
-        arr = np.ascontiguousarray(model.params[name])
-        digest.update(f"{name}:{arr.dtype.str}:{arr.shape};".encode())
-        digest.update(arr)
-    for study in studies:
-        pixels = np.ascontiguousarray(study.images[0].pixels)
-        digest.update(f"{pixels.dtype.str}:{pixels.shape};".encode())
-        digest.update(pixels)
-    return digest.digest()
+def _image_inputs(model: TrainedModel) -> tuple[tuple, np.ndarray]:
+    """What ``eval_image_embeddings`` reads of the model: the image size and ``img.*`` layout, and their values."""
+    params = {k: v for k, v in model.params.items() if k.startswith("img.")}
+    names = sorted(params)
+    layout = (model.config.image_size, tuple((k, params[k].dtype.str, params[k].shape) for k in names))
+    return layout, np.concatenate([params[k].ravel() for k in names])
+
+
+def _share(model: TrainedModel, studies: list[Study], image_embs: np.ndarray) -> np.ndarray:
+    """Marks ``image_embs`` read-only and publishes it as the shared entry for these inputs."""
+    global _shared_embeddings
+    image_embs.flags.writeable = False
+    _shared_embeddings = (*_image_inputs(model), [weakref.ref(s.images[0].pixels) for s in studies], image_embs)
+    return image_embs
 
 
 def _shared_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarray:
-    """The shared test embeddings when their fingerprint matches, else a new encoding that replaces them."""
-    global _shared_embeddings
-    fingerprint = _fingerprint(model, studies)
-    if _shared_embeddings is None or _shared_embeddings[0] != fingerprint:
-        image_embs = eval_image_embeddings(model, studies)
-        image_embs.flags.writeable = False
-        _shared_embeddings = (fingerprint, image_embs)
-    return _shared_embeddings[1]
+    """The shared test embeddings when they encode these inputs, else a new encoding that replaces them."""
+    if _shared_embeddings is not None:
+        layout, values, refs, image_embs = _shared_embeddings
+        new_layout, new_values = _image_inputs(model)
+        if (
+            layout == new_layout
+            and len(refs) == len(studies)
+            and all(ref() is s.images[0].pixels for ref, s in zip(refs, studies))
+            and np.array_equal(values, new_values)
+        ):
+            return image_embs
+    return _share(model, studies, eval_image_embeddings(model, studies))
 
 
 def eval_text(study: Study, engine: PromptEngine) -> str:
@@ -144,14 +152,13 @@ def evaluate_model(model: TrainedModel, test_set: list[Study], engine: PromptEng
     """Zero-shot multiclass accuracy plus image-to-text retrieval metrics.
 
     Each class is represented by one positive prompt, rendered from
-    ``CLASS_PROMPT_SEED``.
+    ``CLASS_PROMPT_SEED``. Encodes the test images and shares them with the
+    ``evaluate_binary`` calls that follow.
     """
-    global _shared_embeddings
     if not test_set:
         raise EmptySequence("cannot evaluate an empty test set")
-    _shared_embeddings = None  # a new evaluation: evaluate_binary encodes afresh
     engine = engine or PromptEngine.default()
-    image_embs = eval_image_embeddings(model, test_set)
+    image_embs = _share(model, test_set, eval_image_embeddings(model, test_set))  # a new evaluation encodes afresh
 
     class_names = positive_classes(test_set)
     labels = multiclass_labels(test_set, class_names)
@@ -182,9 +189,11 @@ def evaluate_binary(
 ) -> dict[str, float]:
     """One-vs-rest zero-shot AUC using the fixed ``"simple"`` evaluation prompt pair.
 
-    Scores against the test embeddings an earlier call shared when their
-    fingerprint matches, else encodes and shares them.
+    Scores against the shared test embeddings when they encode these inputs,
+    else encodes and shares them.
     """
+    if not test_set:
+        raise EmptySequence("cannot evaluate an empty test set")
     labels = np.array(
         [1 if (s.labels or {}).get(class_name) == "positive" else 0 for s in test_set],
         dtype=np.int64,

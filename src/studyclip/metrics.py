@@ -4,7 +4,8 @@ Retrieval ranks every candidate text per image by inner product (ties broken
 toward the lower index) and reports recall at K plus RSUM, defined as
 100 * (R@1 + R@5 + R@10). Images are ranked ``RANK_BLOCK`` rows at a time:
 each block scores its images against every text, so memory grows with n, not
-with n squared. Binary zero-shot scores each image by
+with n squared; a block counts its ties at lower indices only when some row
+has a candidate equal to its own pair. Binary zero-shot scores each image by
 sim(image, positive prompt) - sim(image, negative prompt) and reports the
 exact rank-based AUC with ties counted one half. Multi-class zero-shot
 predicts the argmax over class prompt embeddings (ties toward the lower
@@ -58,9 +59,11 @@ def recall_at_k(image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10)) ->
         diag = sims[np.arange(stop - start), np.arange(start, stop)][:, None]
         # rank = number of strictly better candidates + equal candidates at lower index;
         # the diagonal offset keeps the ties in columns below each row's global index
-        better = np.sum(sims > diag, axis=1)
-        ties_before = np.tril(sims == diag, start - 1).sum(axis=1)
-        ranks[start:stop] = better + ties_before
+        ranks[start:stop] = np.sum(sims > diag, axis=1)
+        eq = sims == diag
+        # each row's own pair is equal unless it is NaN, so only an excess means another tie
+        if np.count_nonzero(eq) > np.count_nonzero(diag == diag):
+            ranks[start:stop] += np.tril(eq, start - 1).sum(axis=1)
     recalls = {int(k): float(np.mean(ranks < k)) for k in ks}
     return RetrievalResult(recalls=recalls, rsum=100.0 * sum(recalls.values()), ranks=ranks)
 

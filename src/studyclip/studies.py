@@ -5,6 +5,11 @@ One study per JSON line with fields ``id``, ``images`` (list of objects with
 nested list), optional ``findings`` / ``impression`` strings, and an optional
 ``labels`` map from class name to one of positive/negative/uncertain/none.
 Image paths are resolved relative to the record file's directory.
+
+A ``StudyImage`` is immutable: it is a frozen dataclass, and it keeps its own
+copy of the pixels in a read-only array that no flag can make writable. So the
+same pixel array object always holds the same values, and evaluation can tell
+that it has already encoded an image by its identity alone.
 """
 
 from __future__ import annotations
@@ -24,21 +29,34 @@ class DataFormatError(ValueError):
     """Malformed study record or pixel file."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyImage:
-    pixels: np.ndarray  # H x W, float64 in [0, 1]
+    """One image of a study, with its view tag.
+
+    The pixels are a private float64 copy over immutable bytes: a later change to
+    the caller's array does not reach them, writing into them raises, and so does
+    setting their ``writeable`` flag or assigning ``pixels``. ``dataclasses.replace``,
+    ``copy`` and ``pickle`` build a new image through the same copy.
+    """
+
+    pixels: np.ndarray  # H x W, float64 in [0, 1], read-only
     view: str = "UNKNOWN"
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 2 or self.pixels.size == 0:
-            raise DataFormatError(f"image must be a non-empty 2-d grid, got {self.pixels.shape}")
-        if not np.all(np.isfinite(self.pixels)):
+        pixels = np.asarray(self.pixels, dtype=np.float64)
+        if pixels.ndim != 2 or pixels.size == 0:
+            raise DataFormatError(f"image must be a non-empty 2-d grid, got {pixels.shape}")
+        pixels = np.frombuffer(pixels.tobytes(), np.float64).reshape(pixels.shape)
+        object.__setattr__(self, "pixels", pixels)
+        if not np.all(np.isfinite(pixels)):
             raise DataFormatError("image intensities must be finite")
-        if np.min(self.pixels) < -1e-9 or np.max(self.pixels) > 1 + 1e-9:
+        if np.min(pixels) < -1e-9 or np.max(pixels) > 1 + 1e-9:
             raise DataFormatError("image intensities must lie in [0, 1]")
         if self.view not in VIEWS:
             raise DataFormatError(f"view must be one of {VIEWS}, got {self.view!r}")
+
+    def __reduce__(self):
+        return StudyImage, (self.pixels, self.view)
 
 
 @dataclass

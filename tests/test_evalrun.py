@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -63,33 +65,32 @@ def test_binary_after_model_matches_fresh_call_bit_for_bit(model_and_test, engin
     assert len(classes) == 5
     evaluate_model(model, test_set, engine)
     shared = [evaluate_binary(model, test_set, c, engine)["auc"] for c in classes]
-    assert encodings == [len(test_set)] * 2
+    assert encodings == [len(test_set)]
     fresh = [fresh_auc(model, test_set, c, engine) for c in classes]
     assert shared == fresh  # exact float equality
     assert all(0.0 <= auc <= 1.0 for auc in shared)
 
 
-def test_two_encodings_per_evaluation(model_and_test, engine, encodings):
+def test_one_encoding_per_evaluation(model_and_test, engine, encodings):
     model, test_set = model_and_test
     for repeat in range(1, 3):
-        evaluate_model(model, test_set, engine)  # encodes, and drops the entry of the last evaluation
+        evaluate_model(model, test_set, engine)  # encodes afresh, even for the same model and test set
         for cls in positive_classes(test_set):
             evaluate_binary(model, test_set, cls, engine)
-        assert len(encodings) == 2 * repeat
+        assert encodings == [len(test_set)] * repeat
 
 
-def test_model_alone_neither_hashes_nor_shares(model_and_test, engine, encodings, monkeypatch):
+def test_model_fills_the_entry(model_and_test, engine, encodings):
     model, test_set = model_and_test
     evaluate_binary(model, test_set, "Edema", engine)
-    assert evalrun._shared_embeddings is not None
-
-    def no_hashing(*args):
-        raise AssertionError("evaluate_model computed a fingerprint")
-
-    monkeypatch.setattr(evalrun, "_fingerprint", no_hashing)
+    before = evalrun._shared_embeddings[-1]
     evaluate_model(model, test_set, engine)
-    assert evalrun._shared_embeddings is None
+    *_, refs, shared = evalrun._shared_embeddings
+    assert shared is not before and not shared.flags.writeable
+    assert len(refs) == len(test_set) and all(ref() is s.images[0].pixels for ref, s in zip(refs, test_set))
     assert encodings == [len(test_set)] * 2
+    evaluate_binary(model, test_set, "Cardiomegaly", engine)
+    assert evalrun._shared_embeddings[-1] is shared and len(encodings) == 2
 
 
 def test_standalone_binary_encodes_once_and_shares(model_and_test, engine, encodings):
@@ -133,14 +134,61 @@ def test_changed_inputs_miss_and_re_encode(model_and_test, engine, encodings, ch
 def test_shared_array_is_read_only_and_direct_calls_are_writable(model_and_test, engine):
     model, test_set = model_and_test
     evaluate_binary(model, test_set, "Edema", engine)
-    fingerprint, shared = evalrun._shared_embeddings
-    assert isinstance(fingerprint, bytes) and len(fingerprint) == 32
+    *_, shared = evalrun._shared_embeddings
     assert shared.shape[0] == len(test_set)
     with pytest.raises(ValueError, match="read-only"):
         shared[0, 0] = 0.0
     direct = evalrun.eval_image_embeddings(model, test_set)
     assert direct is not shared and direct.flags.writeable
     np.testing.assert_array_equal(direct, shared)
+
+
+def rebuilt(test_set):
+    """Equal studies whose first images are new objects with equal pixels."""
+    return [
+        dataclasses.replace(s, images=[StudyImage(s.images[0].pixels, s.images[0].view), *s.images[1:]])
+        for s in test_set
+    ]
+
+
+@pytest.mark.parametrize("other", ["equal_copies", "other_studies"])
+def test_binary_on_another_test_set_misses(model_and_test, engine, encodings, other):
+    model, test_set = model_and_test
+    evaluate_model(model, test_set, engine)
+    if other == "equal_copies":
+        other_set = rebuilt(test_set)
+    else:
+        other_set = generate_split(SynthSpec(test_studies=30), "test", 30, 1, engine)
+    auc = evaluate_binary(model, other_set, "Edema", engine)["auc"]
+    assert encodings == [len(test_set), len(other_set)]
+    assert auc == fresh_auc(model, other_set, "Edema", engine)
+
+
+def test_the_entry_keeps_no_study_pixels_or_model_alive(model_and_test, engine):
+    model, test_set = model_and_test
+    other_model = dataclasses.replace(model, params={k: v.copy() for k, v in model.params.items()})
+    other_set = rebuilt(test_set)
+    model_ref, study_refs = weakref.ref(other_model), [weakref.ref(s) for s in other_set]
+    evaluate_model(other_model, other_set, engine)
+    *_, pixel_refs, _ = evalrun._shared_embeddings
+    assert all(ref() is not None for ref in pixel_refs)
+    del other_model, other_set
+    gc.collect()
+    assert model_ref() is None
+    assert all(ref() is None for ref in study_refs)
+    assert all(ref() is None for ref in pixel_refs)
+
+
+def test_a_callers_writable_pixels_mutated_later_still_give_a_fresh_auc(model_and_test, engine):
+    model, test_set = model_and_test
+    arrays = [s.images[0].pixels.copy() for s in test_set]
+    own = [dataclasses.replace(s, images=[StudyImage(a, s.images[0].view)]) for s, a in zip(test_set, arrays)]
+    evaluate_model(model, own, engine)
+    for a in arrays:
+        a[:] = 1.0 - a
+    shared = evaluate_binary(model, own, "Edema", engine)["auc"]
+    assert shared == fresh_auc(model, own, "Edema", engine)
+    assert shared == fresh_auc(model, test_set, "Edema", engine)
 
 
 def test_multiclass_labels_names_the_study():
@@ -178,4 +226,14 @@ def test_an_empty_test_set_raises_empty_sequence_before_any_encoding(model_and_t
     monkeypatch.setattr(evalrun, "encode_texts", lambda *args: pytest.fail("encoded a text"))
     with pytest.raises(EmptySequence, match="empty test set"):
         evaluate_model(model, [], engine)
+    assert encodings == []
+
+
+def test_an_empty_binary_test_set_raises_empty_sequence_before_any_encoding(
+    model_and_test, engine, encodings, monkeypatch
+):
+    model, _ = model_and_test
+    monkeypatch.setattr(evalrun, "encode_texts", lambda *args: pytest.fail("encoded a text"))
+    with pytest.raises(EmptySequence, match="empty test set"):
+        evaluate_binary(model, [], "Edema", engine)
     assert encodings == []

@@ -75,6 +75,29 @@ def test_blocked_ranks_match_the_full_matrix_on_ties(n):
     assert result.recalls == {k: float(np.mean(expected < k)) for k in (1, 5, 10)}
 
 
+@pytest.mark.parametrize("tied_block", [None, 1])
+def test_blocked_ranks_match_the_full_matrix_without_ties(tied_block):
+    n = 2 * RANK_BLOCK + 5
+    rng = np.random.default_rng(7)
+    images, texts = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
+    if tied_block is not None:  # one tie at a lower index inside the second block; the others have none
+        start = tied_block * RANK_BLOCK
+        texts[start + 9] = texts[start + 2]
+    sims = images @ texts.T
+    ties = np.tril(sims == np.diag(sims)[:, None], -1)
+    assert ties.sum() == (0 if tied_block is None else 1)
+    expected = full_matrix_ranks(images, texts)
+    np.testing.assert_array_equal(recall_at_k(images, texts).ranks, expected)
+
+
+def test_a_nan_pair_does_not_hide_another_rows_tie():
+    images = np.array([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    texts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # row 1 ties with column 0
+    ranks = brute_force_ranks(images @ texts.T)
+    assert ranks[1] == 1
+    np.testing.assert_array_equal(recall_at_k(images, texts, ks=(1,)).ranks, ranks)
+
+
 def test_ranking_memory_is_bounded_by_the_block():
     n = 2000
     rng = np.random.default_rng(0)

@@ -1,8 +1,11 @@
 import collections
 import contextlib
+import copy
+import dataclasses
 import hashlib
 import io
 import os
+import pickle
 import stat
 import subprocess
 import sys
@@ -504,6 +507,50 @@ def test_study_invariants_enforced():
         Study(id="x", images=[StudyImage(grid_image(4), "PA")])
     with pytest.raises(DataFormatError):
         Study(id="x", images=[StudyImage(grid_image(4), "PA")], labels={"Edema": "positve"})
+
+
+def test_image_keeps_its_pixels_when_the_callers_array_changes():
+    pixels = grid_image(4)
+    image = StudyImage(pixels, "PA")
+    before = pixels.copy()
+    pixels[0, 0] = 1.0 - pixels[0, 0]
+    np.testing.assert_array_equal(image.pixels, before)
+
+
+def test_writing_into_image_pixels_raises():
+    image = StudyImage(grid_image(4), "PA")
+    with pytest.raises(ValueError, match="read-only"):
+        image.pixels[0, 0] = 0.5
+
+
+def test_image_pixels_cannot_be_made_writable():
+    image = StudyImage(grid_image(4), "PA")
+    with pytest.raises(ValueError):
+        image.pixels.flags.writeable = True
+
+
+def test_assigning_image_pixels_raises():
+    image = StudyImage(grid_image(4), "PA")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        image.pixels = grid_image(4, seed=1)
+
+
+def test_replace_builds_a_new_read_only_image():
+    image = StudyImage(grid_image(4), "PA")
+    other = dataclasses.replace(image, pixels=grid_image(4, seed=1))
+    np.testing.assert_array_equal(other.pixels, grid_image(4, seed=1))
+    assert other.view == "PA" and not other.pixels.flags.writeable
+    np.testing.assert_array_equal(image.pixels, grid_image(4))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda image: pickle.loads(pickle.dumps(image))])
+def test_copies_of_an_image_are_read_only_too(clone):
+    image = StudyImage(grid_image(4), "LATERAL")
+    other = clone(image)
+    np.testing.assert_array_equal(other.pixels, image.pixels)
+    assert other.view == "LATERAL"
+    with pytest.raises(ValueError):
+        other.pixels.flags.writeable = True
 
 
 def test_missing_dataset_file(tmp_path):
