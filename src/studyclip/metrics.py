@@ -85,6 +85,8 @@ def auc_exact(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC from mid-ranks; ties count one half."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if scores.ndim != 1 or labels.shape != scores.shape:
+        raise ShapeMismatch(f"{scores.shape} scores but labels of shape {labels.shape}")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -70,6 +70,8 @@ class Study:
     labels: dict[str, str] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise DataFormatError(f"study id must be a non-empty str, got {self.id!r}")
         if not self.images:
             raise DataFormatError(f"study {self.id!r} has no images")
         self.findings = self.findings.strip() if self.findings else None
@@ -210,7 +212,17 @@ def record_to_study(record: dict, base_dir: Path) -> Study:
 
 
 def save_studies(path: str | Path, studies: list[Study], image_dir_name: str = "images") -> None:
-    """Write one JSON record per line; pixel grids stored as graymaps next to it."""
+    """Write one JSON record per line; pixel grids stored as graymaps next to it, named after the study id.
+
+    Every id must be unique and a plain file-name component, checked before any file is written.
+    """
+    seen = set()
+    for study in studies:
+        if study.id in seen:
+            raise DataFormatError(f"study id {study.id!r} is repeated: its image files would overwrite each other")
+        if study.id in (".", "..") or any(c in study.id for c in "/\\\0"):
+            raise DataFormatError(f"study id {study.id!r} is not a plain file name")
+        seen.add(study.id)
     path = Path(path)
     image_dir = path.parent / image_dir_name
     image_dir.mkdir(parents=True, exist_ok=True)

@@ -28,22 +28,23 @@ its indices and seed, and the worker's batches are bit for bit those the main
 process would assemble. The worker starts before the first validation pass,
 after the vocabulary is built, and writes the step inputs of each step in
 order into a ring of ``SLOTS`` slots in one anonymous shared ``mmap``. A slot
-holds one fixed-size float64 array per named view, a text view bagged with
-the vocabulary the worker inherited at the fork: a batch of n studies at
-image size S fills n x S x S of an image view and n x V of a text view. The
-worker tokenizes and bags each section text of the training set once per
-``train`` call, on its first use, and copies its bag row into every later
-batch that uses it (``_bag_with_sections``); the memo holds at most V x 8
-bytes per distinct section text. A row of ``text_bag`` adds only its own
-text's 1/len weights, so a memoized row equals the row the batch would
-build, bit for bit. Rendered prompts and augmented sections rarely repeat,
-so they are tokenized and bagged per batch. So
-the ring takes ``SLOTS`` x batch x 8 bytes times the sum over named views of
-S x S or V, and its text part grows with the vocabulary, as the bags a step
-builds do. The main process reads the inputs as read-only views of their
-slot, with no copy, no unpickling and no tokenizing, and frees the slot once
-the step's loss and gradients are computed; meanwhile the worker fills the
-other slots, up to ``SLOTS - 1`` steps ahead of the step being scored.
+holds only one fixed-size float64 array per named view, a text view bagged
+with the vocabulary the worker inherited at the fork: a batch of n studies at
+image size S fills n x S x S of an image view and n x V of a text view, and
+the main process takes n from the schedule it drew. The worker tokenizes
+and bags each section text of the training set once per ``train`` call, on
+its first use, and copies its bag row into every later batch that uses it
+(``_bag_with_sections``); the memo holds at most V x 8 bytes per distinct
+section text. A row of ``text_bag`` adds only its own text's 1/len weights,
+so a memoized row equals the row the batch would build, bit for bit.
+Rendered prompts and augmented sections rarely repeat, so they are tokenized
+and bagged per batch. So the ring takes ``SLOTS`` x batch x 8 bytes times
+the sum over named views of S x S or V, and its text part grows with the
+vocabulary, as the bags a step builds do. The main process reads the inputs
+as read-only views of their slot, with no copy, no unpickling and no
+tokenizing, and frees the slot once the step's loss and gradients are
+computed; meanwhile the worker fills the other slots, up to ``SLOTS - 1``
+steps ahead of the step being scored.
 Assembly time varies from batch to batch (label-only studies render prompts,
 single-image studies augment a second view), so the ring is deeper than the
 two slots a lockstep needs: the worker banks batches during each validation
@@ -62,13 +63,15 @@ about 5% slower than with assembly in the main process; kept off that CPU,
 it ran about 35% faster. Slots signalled through a pipe had shown the same
 loss.
 
-A study that fails in the worker comes back through its slot, as a message
-and the tail of its traceback: ``train`` raises ``SamplingError`` naming the
-step and the study. A worker that dies makes ``train`` raise
-``AssemblyError`` naming the step. Whenever ``train`` leaves, by return,
-early stop or error, the worker is killed and reaped (``os.waitpid``). Where
-``os.fork`` does not exist there is no worker: each step's inputs are
-assembled in the main process, with the same bits.
+The worker hands over batches only: an exception ends it with exit code 1,
+after it prints its traceback. When the worker has ended and the step's slot
+is empty, the main process assembles that step itself, with the same bits. A
+study that fails there raises ``SamplingError`` naming the step and the study,
+caused by the study's own exception, as it does without ``os.fork``; if the
+step assembles, ``train`` raises ``AssemblyError`` naming the step and the exit
+code. Whenever ``train`` leaves, by return, early stop or error, the worker is
+killed and reaped (``os.waitpid``). Where ``os.fork`` does not exist there is
+no worker: each step's inputs are assembled in the main process.
 
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
@@ -189,9 +192,9 @@ class TrainConfig:
         for name in ("learning_rate", "warmup_epochs", "early_stop_patience", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        smallest = {  # image_size: the conv stage's window is 3 x 3 pixels
+        smallest = {  # the conv stage's window is 3 x 3 pixels; a unit-norm embedding of 1 dim is only +-1
             "epochs": 1, "batch_studies": 1, "image_size": 3, "conv_filters": 1,
-            "hidden_dim": 1, "feature_dim": 1, "token_dim": 1, "embed_dim": 1,
+            "hidden_dim": 1, "feature_dim": 1, "token_dim": 1, "embed_dim": 2,
         }
         for name, least in smallest.items():
             if getattr(self, name) < least:
@@ -522,88 +525,40 @@ def validation_loss(model: TrainedModel, inputs: list[dict[str, np.ndarray]], ta
 # 4 gave 4,148, 6 gave 4,189 and 8 gave 4,168, against 3,649 at 2: 4 is the smallest depth
 # within the run-to-run spread (~130) of the best. Each slot adds about 0.5 MB of touched pages.
 SLOTS = 4
-_ERROR_BYTES = 1 << 13  # room in a slot for a failure's message and its traceback's tail, half each
 _POLL_S = 0.1  # a blocked wait checks this often that the other process is alive
-_BATCH, _FAILED = 0, 1  # slot status
-
-
-class _WorkerTraceback(Exception):
-    """The traceback of a failure in the assembly worker, as text."""
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-class _BatchRing:
-    """``SLOTS`` slots of step inputs in one anonymous shared mapping, and the semaphores counting them.
-
-    A slot holds a header (status, studies, then a failure's message and traceback
-    byte lengths), room for the failure's message and traceback, and one array per
-    view the loss table names: (studies, size, size) images or a (studies, V) token bag.
-    """
-
-    def __init__(self, cfg: TrainConfig, studies: int, vocab_size: int, ctx):
-        named = {name for row in cfg.loss_table() for name in row[:2]}
-        shapes = {"img": (studies, cfg.image_size, cfg.image_size), "txt": (studies, vocab_size)}
-        slot = np.dtype(
-            [("header", np.int64, (4,)), ("error", np.uint8, (_ERROR_BYTES,))]
-            + [(name, np.float64, shapes[prefix]) for name, (_, prefix) in VIEWS.items() if name in named],
-            align=True,
-        )
-        self.slots = np.frombuffer(mmap.mmap(-1, SLOTS * slot.itemsize), dtype=slot)
-        self.views = slot.names[2:]
-        self.filled = ctx.Semaphore(0)
-        self.free = ctx.Semaphore(SLOTS)
-
-    def put(self, k: int, inputs: dict[str, np.ndarray]) -> None:
-        n = len(inputs[self.views[0]])
-        for name in self.views:
-            self.slots[name][k, :n] = inputs[name]
-        self.slots["header"][k] = (_BATCH, n, 0, 0)
-
-    def put_error(self, k: int, err: Exception) -> None:
-        message = str(err) if isinstance(err, SamplingError) else f"{type(err).__name__}: {err}"
-        half = _ERROR_BYTES // 2
-        message, tail = message.encode("utf-8")[:half], traceback.format_exc().encode("utf-8")[-half:]
-        self.slots["error"][k, : len(message) + len(tail)] = np.frombuffer(message + tail, dtype=np.uint8)
-        self.slots["header"][k] = (_FAILED, 0, len(message), len(tail))
-
-    def get(self, k: int, step: int) -> dict[str, np.ndarray]:
-        """The step inputs in slot k, as read-only views of the slot."""
-        status, n, message_bytes, tail_bytes = self.slots["header"][k].tolist()
-        if status == _FAILED:
-            error = self.slots["error"][k, : message_bytes + tail_bytes].tobytes()
-            message, tail = (part.decode("utf-8", "replace") for part in (error[:message_bytes], error[message_bytes:]))
-            raise SamplingError(f"step {step}: {message}") from _WorkerTraceback(tail)
-        inputs = {}
-        for name in self.views:
-            inputs[name] = self.slots[name][k, :n]
-            inputs[name].flags.writeable = False
-        return inputs
 
 
 class _AssemblyWorker:
-    """A forked process that writes the step inputs of each scheduled step, in order, into a ``_BatchRing``.
+    """A forked process that writes the step inputs of each scheduled step, in order, into ``SLOTS`` shared slots.
 
-    Entering forks the worker; leaving kills it if it still runs, and reaps it. Where
-    ``os.fork`` does not exist there is no worker and no ring: each step's inputs are
-    assembled in the calling process.
+    A slot holds one array per view the loss table names, (studies, size, size) images or a
+    (studies, V) token bag; ``filled`` and ``free`` count the slots. Entering forks the worker;
+    leaving kills it if it still runs, and reaps it. Without ``os.fork`` there is no worker and
+    no slots: each step's inputs are assembled in the calling process.
     """
 
     def __init__(self, dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, vocab: Vocab, chunks: list):
         self.dataset, self.cfg, self.engine, self.vocab, self.chunks = dataset, cfg, engine, vocab, chunks
         self.section_bags = dict.fromkeys(text for study in dataset for text in study.sections)
-        self.ring = None
+        self.slots = None
         if hasattr(os, "fork"):
-            studies = min(cfg.batch_studies, len(dataset))
-            self.ring = _BatchRing(cfg, studies, len(vocab), multiprocessing.get_context("fork"))
+            named = {name for row in cfg.loss_table() for name in row[:2]}
+            n = min(cfg.batch_studies, len(dataset))
+            shapes = {"img": (n, cfg.image_size, cfg.image_size), "txt": (n, len(vocab))}
+            slot = np.dtype([(name, np.float64, shapes[VIEWS[name][1]]) for name in VIEWS if name in named])
+            self.slots = np.frombuffer(mmap.mmap(-1, SLOTS * slot.itemsize), dtype=slot)
+            ctx = multiprocessing.get_context("fork")
+            self.filled, self.free = ctx.Semaphore(0), ctx.Semaphore(SLOTS)
         self.pid: int | None = None
         self.exitcode: int | None = None
 
     def inputs(self, step: int) -> dict[str, np.ndarray]:
-        """The ``_step_inputs`` of ``step``, assembled in the calling process."""
+        """The ``_step_inputs`` of ``step``, assembled in the calling process; a ``SamplingError`` names the step."""
         studies = [self.dataset[int(i)] for i in self.chunks[step]]
-        batch = _sample_batch(studies, self.cfg, self.engine, seed=self.cfg.seed * 1_000_003 + step)
+        try:
+            batch = _sample_batch(studies, self.cfg, self.engine, seed=self.cfg.seed * 1_000_003 + step)
+        except SamplingError as err:
+            raise SamplingError(f"step {step}: {err}") from err.__cause__
         return _step_inputs(batch, self.cfg.loss_table(), self.vocab, self.section_bags)
 
     def poll(self) -> int | None:
@@ -616,29 +571,24 @@ class _AssemblyWorker:
 
     def release(self) -> None:
         """Frees the slot of the step just scored, for the worker to fill."""
-        if self.ring is not None:
-            self.ring.free.release()
+        if self.slots is not None:
+            self.free.release()
 
     def _run(self, parent: int, parent_cpu: int | None) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process takes an interrupt and ends the worker
         others = set() if parent_cpu is None else os.sched_getaffinity(0) - {parent_cpu}
         if others:
             os.sched_setaffinity(0, others)  # off the main process's CPU: see the module docstring
-        ring = self.ring
         for step in range(len(self.chunks)):
-            while not ring.free.acquire(timeout=_POLL_S):
+            while not self.free.acquire(timeout=_POLL_S):
                 if os.getppid() != parent:
                     return  # the main process is gone
-            try:
-                ring.put(step % SLOTS, self.inputs(step))
-            except Exception as err:
-                ring.put_error(step % SLOTS, err)
-                ring.filled.release()
-                return
-            ring.filled.release()
+            for name, view in self.inputs(step).items():
+                self.slots[name][step % SLOTS, : len(view)] = view
+            self.filled.release()
 
     def __enter__(self) -> "_AssemblyWorker":
-        if self.ring is not None:
+        if self.slots is not None:
             parent, parent_cpu = os.getpid(), _current_cpu()
             self.pid = os.fork()
             if self.pid == 0:  # the worker: it leaves through os._exit, never into the caller's frames
@@ -650,6 +600,7 @@ class _AssemblyWorker:
                     traceback.print_exc()
                 finally:
                     os._exit(code)
+            self.slots.flags.writeable = False  # the main process only reads the slots
         return self
 
     def __exit__(self, *exc) -> None:
@@ -670,19 +621,22 @@ def _current_cpu() -> int | None:
 
 
 def _wait_for_batch(worker: _AssemblyWorker, step: int) -> dict[str, np.ndarray]:
-    """The step inputs of ``step``: waits until the worker has filled their slot, then reads it.
+    """The step inputs of ``step``, as read-only views of the slot the worker filled: waits for it.
 
-    The caller frees the slot (``worker.release``) once it is done with the inputs' views.
-    Without a worker the inputs are assembled here.
+    The caller frees the slot (``worker.release``) once it is done with the views. Without a
+    worker, or when the worker has ended without filling the slot, the inputs are assembled
+    here: a failure of the step's studies raises as it would without a worker, and if they
+    assemble, ``AssemblyError`` names the step.
     """
-    ring = worker.ring
-    if ring is None:
+    if worker.slots is None:
         return worker.inputs(step)
-    while not ring.filled.acquire(timeout=_POLL_S):
+    while not worker.filled.acquire(timeout=_POLL_S):
         exitcode = worker.poll()
-        if exitcode is not None and not ring.filled.acquire(block=False):
+        if exitcode is not None and not worker.filled.acquire(block=False):
+            worker.inputs(step)  # a failure of the step's own studies and seed raises here
             raise AssemblyError(step, exitcode)
-    return ring.get(step % SLOTS, step)
+    n = len(worker.chunks[step])
+    return {name: worker.slots[name][step % SLOTS, :n] for name in worker.slots.dtype.names}
 
 
 def _step_chunks(studies: int, cfg: TrainConfig) -> list[np.ndarray]:

@@ -112,6 +112,20 @@ def test_ranking_memory_is_bounded_by_the_block():
     assert peak < 3 * RANK_BLOCK * n * 8
 
 
+@pytest.mark.parametrize(
+    "images, texts, ks, message",
+    [
+        (np.eye(3), np.eye(3), (1, 4), r"every K must be <= 3"),
+        (np.eye(3), np.eye(4)[:3], (1,), r"aligned embedding matrices required, got \(3, 3\) and \(3, 4\)"),
+        (np.eye(3), np.eye(3)[:2], (1,), r"got \(3, 3\) and \(2, 3\)"),
+        (np.ones(3), np.ones(3), (1,), r"got \(3,\) and \(3,\)"),
+    ],
+)
+def test_recall_rejects_a_k_above_n_and_misaligned_matrices(images, texts, ks, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        recall_at_k(images, texts, ks)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_auc_with_ties_matches_brute_force_pair_count(seed):
     rng = np.random.default_rng(seed)
@@ -156,6 +170,17 @@ def test_zero_shot_binary_is_the_auc_of_the_prompt_score_difference(seed):
     images, pos, neg = rng.normal(size=(30, 4)), rng.normal(size=4), rng.normal(size=4)
     labels = np.arange(30) % 2
     assert zero_shot_binary(images, pos, neg, labels) == auc_exact(images @ pos - images @ neg, labels)
+
+
+@pytest.mark.parametrize("n_labels", [3, 5])
+def test_misaligned_labels_raise_shape_mismatch(n_labels):
+    rng = np.random.default_rng(0)
+    images, pos, neg = rng.normal(size=(4, 3)), rng.normal(size=3), rng.normal(size=3)
+    labels = np.arange(n_labels) % 2
+    with pytest.raises(ShapeMismatch, match=rf"\(4,\) scores but labels of shape \({n_labels},\)"):
+        auc_exact(images @ pos, labels)
+    with pytest.raises(ShapeMismatch, match=rf"\(4,\) scores but labels of shape \({n_labels},\)"):
+        zero_shot_binary(images, pos, neg, labels)
 
 
 def test_class_prompt_embeddings_are_one_normalized_prompt_per_class_in_order():

@@ -430,6 +430,24 @@ def test_jsonl_pgm_round_trip(tmp_path, engine):
         assert a.labels == b.labels
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (["s0", "s1", "s0"], r"study id 's0' is repeated"),
+        (["s0", "../s1"], r"study id '../s1' is not a plain file name"),
+        (["s0", "a/b"], r"study id 'a/b' is not a plain file name"),
+        (["s0", ".."], r"study id '..' is not a plain file name"),
+        (["s0", "a\\b"], r"study id 'a\\\\b' is not a plain file name"),
+    ],
+    ids=["repeated", "parent", "slash", "dot-dot", "backslash"],
+)
+def test_save_studies_rejects_ids_that_would_clash_or_escape_before_writing(tmp_path, ids, message):
+    studies = [make_study(study_id, findings="Lungs are clear.") for study_id in ids]
+    with pytest.raises(DataFormatError, match=message):
+        save_studies(tmp_path / "out" / "train.jsonl", studies)
+    assert list(tmp_path.iterdir()) == []  # no file and no directory written
+
+
 def test_pgm_round_trip_exact_bytes(tmp_path):
     img = np.linspace(0.0, 1.0, 64).reshape(8, 8)
     p = tmp_path / "x.pgm"
@@ -501,6 +519,9 @@ def test_non_finite_pixels_rejected(tmp_path):
 
 
 def test_study_invariants_enforced():
+    for study_id in (None, 5, ""):
+        with pytest.raises(DataFormatError, match=f"study id must be a non-empty str, got {study_id!r}"):
+            Study(id=study_id, images=[StudyImage(grid_image(4), "PA")], findings="F.")
     with pytest.raises(DataFormatError):
         Study(id="x", images=[], findings="F.")
     with pytest.raises(DataFormatError):

@@ -369,11 +369,38 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
+def first_step_of(study: int, studies: int, cfg) -> int:
+    return next(step for step, chunk in enumerate(training._step_chunks(studies, cfg)) if study in chunk)
+
+
 def test_a_study_failing_in_the_worker_raises_sampling_error_naming_it(engine, splits, monkeypatch, deadline):
+    # the study fails wherever it is sampled: the main process re-assembles the dead worker's step and
+    # raises as the no-fork path does, with the study's own exception as the cause
     train_set = splits[0]
     cfg = tiny_config()
     bad = 3
-    first_step = next(step for step, chunk in enumerate(training._step_chunks(len(train_set), cfg)) if bad in chunk)
+    original = sampling.sample_images
+
+    def failing(study, *args):
+        if study.id == train_set[bad].id:
+            raise ValueError("unreadable pixels")
+        return original(study, *args)
+
+    monkeypatch.setattr(sampling, "sample_images", failing)
+    message = rf"^step {first_step_of(bad, len(train_set), cfg)}: study '{train_set[bad].id}': unreadable pixels$"
+    with pytest.raises(SamplingError, match=message) as forked:
+        train(*splits, cfg, engine)
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(SamplingError, match=message) as in_process:
+        train(*splits, cfg, engine)
+    for err in (forked, in_process):
+        assert type(err.value.__cause__) is ValueError and str(err.value.__cause__) == "unreadable pixels"
+
+
+def test_a_failure_only_in_the_worker_raises_assembly_error_naming_the_step(engine, splits, monkeypatch, deadline):
+    train_set = splits[0]
+    cfg = tiny_config()
+    bad = 3
     main = os.getpid()
     original = sampling.sample_images
 
@@ -383,10 +410,10 @@ def test_a_study_failing_in_the_worker_raises_sampling_error_naming_it(engine, s
         return original(study, *args)
 
     monkeypatch.setattr(sampling, "sample_images", failing)
-    message = rf"^step {first_step}: study '{train_set[bad].id}': unreadable pixels$"
-    with pytest.raises(SamplingError, match=message) as err:
+    step = first_step_of(bad, len(train_set), cfg)
+    with pytest.raises(AssemblyError, match=rf"exited with code 1 before step {step}$") as err:
         train(*splits, cfg, engine)
-    assert "ValueError: unreadable pixels" in str(err.value.__cause__)  # the worker's traceback
+    assert (err.value.step, err.value.exitcode) == (step, 1)
 
 
 def test_a_killed_worker_raises_assembly_error_naming_the_step(engine, splits, monkeypatch, deadline):
@@ -570,8 +597,9 @@ def test_non_finite_float_fields_are_rejected(name, value, text):
     "name", ["image_size", "conv_filters", "hidden_dim", "feature_dim", "token_dim", "embed_dim"]
 )
 def test_zero_sizes_are_rejected(name):
-    # the conv stage needs 3 x 3 pixels: a 2-pixel image would fail only in the first encode of train
-    least = 3 if name == "image_size" else 1
+    # the conv stage needs 3 x 3 pixels: a 2-pixel image would fail only in the first encode of train;
+    # a 1-dim embedding would fail there too, as the loss takes unit-norm rows of at least 2 dims
+    least = {"image_size": 3, "embed_dim": 2}.get(name, 1)
     for value in {0, least - 1}:
         with pytest.raises(ConfigError, match=f"{name} must be at least {least}, got {value}"):
             TrainConfig(**{name: value})
@@ -674,6 +702,12 @@ def test_lr_schedule_endpoints():
     assert lr_at(0, total, warmup, base) == 0.0
     assert lr_at(warmup, total, warmup, base) == base
     assert lr_at(total, total, warmup, base) == 0.0
+
+
+@pytest.mark.parametrize("step", [-1, -0.5, 100.5, 101])
+def test_lr_schedule_rejects_a_step_outside_the_schedule(step):
+    with pytest.raises(ValueError, match=rf"step {step} outside \[0, 100\]"):
+        lr_at(step, 100, 10, 0.3)
 
 
 EVAL_TEXT_SCRIPT = """
