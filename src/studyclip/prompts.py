@@ -38,7 +38,6 @@ go in) is a grammar error raised by ``PromptEngine.from_path``.
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -49,8 +48,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .sampling import Draws
-
-GRAMMAR_ENV_VAR = "STUDYCLIP_GRAMMAR"
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -403,10 +400,7 @@ class PromptEngine:
 
     @classmethod
     def default(cls) -> "PromptEngine":
-        override = os.environ.get(GRAMMAR_ENV_VAR)
-        if override:
-            return cls.from_path(override)
-        return cls.from_path(default_grammar_path())
+        return cls.from_path(str(resources.files("studyclip").joinpath("data/prompts.grammar")))
 
     # -- rendering
 
@@ -462,7 +456,3 @@ class PromptEngine:
         if style == "rsna":
             return "Findings suggesting pneumonia.", "No evidence of pneumonia."
         raise ValueError(f"unknown evaluation prompt style {style!r}")
-
-
-def default_grammar_path() -> Path:
-    return Path(str(resources.files("studyclip").joinpath("data/prompts.grammar")))

@@ -74,6 +74,9 @@ class Study:
             raise DataFormatError(f"study id must be a non-empty str, got {self.id!r}")
         if not self.images:
             raise DataFormatError(f"study {self.id!r} has no images")
+        for name, kind in (("findings", str), ("impression", str), ("labels", dict)):
+            if not isinstance(value := getattr(self, name), (kind, type(None))):
+                raise DataFormatError(f"study {self.id!r}: {name} must be {kind.__name__} or None, got {value!r}")
         self.findings = self.findings.strip() if self.findings else None
         self.impression = self.impression.strip() if self.impression else None
         if self.labels is not None:
@@ -187,16 +190,23 @@ def study_to_record(study: Study, image_paths: list[str]) -> dict:
 
 
 def record_to_study(record: dict, base_dir: Path) -> Study:
+    if not isinstance(record, dict):
+        raise DataFormatError(f"study record must be an object, got {type(record).__name__}")
     try:
         study_id = record["id"]
         raw_images = record["images"]
     except KeyError as missing:
         raise DataFormatError(f"study record missing field {missing}") from None
+    if not isinstance(raw_images, list) or not all(isinstance(entry, dict) for entry in raw_images):
+        raise DataFormatError(f"study {study_id!r}: images must be a list of objects, got {raw_images!r}")
     images = []
     for entry in raw_images:
         view = entry.get("view", "UNKNOWN")
         if "pixels" in entry:
-            pixels = np.asarray(entry["pixels"], dtype=np.float64)
+            try:
+                pixels = np.asarray(entry["pixels"], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise DataFormatError(f"study {study_id!r}: pixels must form a 2-d grid of numbers") from None
         elif "path" in entry:
             pixels = read_pgm(base_dir / entry["path"])
         else:
@@ -247,10 +257,11 @@ def load_studies(path: str | Path) -> list[Study]:
         if not line:
             continue
         try:
-            record = json.loads(line)
+            studies.append(record_to_study(json.loads(line), path.parent))
         except json.JSONDecodeError as err:
             raise DataFormatError(f"{path}:{lineno}: invalid JSON ({err})") from None
-        studies.append(record_to_study(record, path.parent))
+        except (ValueError, TypeError, OSError) as err:  # a missing image file too; the failure is the cause
+            raise DataFormatError(f"{path}:{lineno}: {err}") from err
     if not studies:
         raise DataFormatError(f"{path}: no study records")
     return studies

@@ -33,6 +33,7 @@ SEVERITIES = [("minimal", 0.08), ("moderate", 0.22), ("severe", 0.36)]
 TEXTURES = [("smooth", 0.0), ("coarse", 0.55)]  # stripe duty-cycle threshold
 MARKERS = [(False, 0.0), (True, 0.14)]
 VIEW_PHASES = {"PA": 0.0, "AP": math.pi / 3.0, "LATERAL": 2.0 * math.pi / 3.0}
+_SPLITS = {"train": 0, "valid": 1, "test": 2}  # split name -> its stream's key
 
 
 @dataclass
@@ -50,6 +51,9 @@ class SynthSpec:
     def __post_init__(self):
         if len(self.class_names) < 2:
             raise ValueError("need at least two classes")
+        repeated = [name for k, name in enumerate(self.class_names) if name in self.class_names[:k]]
+        if repeated:  # a study's label map would keep only one entry per name
+            raise ValueError(f"class name {repeated[0]!r} is repeated")
         if not 0.0 <= self.label_only_fraction <= 1.0:
             raise ValueError("label_only_fraction must lie in [0, 1]")
         if not 0.0 <= self.multi_image_fraction <= 1.0:
@@ -166,9 +170,9 @@ def _split_counts(total: int, classes: int) -> list[int]:
 def generate_split(
     spec: SynthSpec, split: str, count: int, seed: int, engine: PromptEngine
 ) -> list[Study]:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, {"train": 0, "valid": 1, "test": 2}[split]])
-    )
+    if split not in _SPLITS:
+        raise ValueError(f"split must be one of {list(_SPLITS)}, got {split!r}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _SPLITS[split]]))
     studies = []
     counts = _split_counts(count, spec.class_count)
     index = 0

@@ -14,64 +14,22 @@ vocabulary of V tokens. Each named view is encoded once; the gradient of each
 view is propagated back through its encoder, and parameter gradients
 accumulate in the fixed view order v1, v2, u1, u2.
 
-Training batches are assembled beside the compute, in one worker process. It
-is forked with ``os.fork``, not spawned, so it reads the studies and the prompt
-engine the main process already holds, with no pickling and no fresh import;
-and it is no ``multiprocessing`` child, so ``train`` also runs inside a
-daemonic process such as a ``multiprocessing`` pool worker. The worker always
-leaves through ``os._exit``. ``train`` first draws the whole step schedule:
-each step's study indices from the epoch permutations of ``seed + 1``, and
-its sampling seed ``seed * 1_000_003 + step``. Every study draws from its own
+Training batches are assembled beside the compute, in the forked worker of
+``assembly``. ``train`` first draws the whole step schedule (``_step_chunks``):
+each step's study indices from the epoch permutations of ``seed + 1``, and its
+sampling seed ``seed * 1_000_003 + step``. Every study draws from its own
 ``sampling.study_rng``, a counter-based stream keyed by (sampling seed, study
-id) that shares no state with any other study's, so a batch depends only on
-its indices and seed, and the worker's batches are bit for bit those the main
-process would assemble. The worker starts before the first validation pass,
-after the vocabulary is built, and writes the step inputs of each step in
-order into a ring of ``SLOTS`` slots in one anonymous shared ``mmap``. A slot
-holds only one fixed-size float64 array per named view, a text view bagged
-with the vocabulary the worker inherited at the fork: a batch of n studies at
-image size S fills n x S x S of an image view and n x V of a text view, and
-the main process takes n from the schedule it drew. The worker tokenizes
-and bags each section text of the training set once per ``train`` call, on
-its first use, and copies its bag row into every later batch that uses it
-(``_bag_with_sections``); the memo holds at most V x 8 bytes per distinct
-section text. A row of ``text_bag`` adds only its own text's 1/len weights,
-so a memoized row equals the row the batch would build, bit for bit.
-Rendered prompts and augmented sections rarely repeat, so they are tokenized
-and bagged per batch. So the ring takes ``SLOTS`` x batch x 8 bytes times
-the sum over named views of S x S or V, and its text part grows with the
-vocabulary, as the bags a step builds do. The main process reads the inputs
-as read-only views of their slot, with no copy, no unpickling and no
-tokenizing, and frees the slot once the step's loss and gradients are
-computed; meanwhile the worker fills the other slots, up to ``SLOTS - 1``
-steps ahead of the step being scored.
-Assembly time varies from batch to batch (label-only studies render prompts,
-single-image studies augment a second view), so the ring is deeper than the
-two slots a lockstep needs: the worker banks batches during each validation
-pass and on the cheap batches, and spends that lead on the slow ones.
-
-Two semaphores count the filled and the free slots (``_wait_for_batch`` is
-the main side's wait). Taking one whose slot is already filled needs no
-system call, and the main process never blocks in a pipe read; pickling
-whole batches through a pipe instead made every evaluation after a ``train``
-call page-fault its heap back in. The worker runs on the CPUs the process
-may use other than the one the main process last ran on before the fork
-(where Linux says which). Left to the scheduler on a 2-CPU machine, the
-worker, woken for each short single-view batch, at times shared the main
-process's CPU while the other CPU stayed idle, and single-view training ran
-about 5% slower than with assembly in the main process; kept off that CPU,
-it ran about 35% faster. Slots signalled through a pipe had shown the same
-loss.
-
-The worker hands over batches only: an exception ends it with exit code 1,
-after it prints its traceback. When the worker has ended and the step's slot
-is empty, the main process assembles that step itself, with the same bits. A
-study that fails there raises ``SamplingError`` naming the step and the study,
-caused by the study's own exception, as it does without ``os.fork``; if the
-step assembles, ``train`` raises ``AssemblyError`` naming the step and the exit
-code. Whenever ``train`` leaves, by return, early stop or error, the worker is
-killed and reaped (``os.waitpid``). Where ``os.fork`` does not exist there is
-no worker: each step's inputs are assembled in the main process.
+id), so a batch depends only on its indices and seed, and the worker's batches
+are bit for bit those the main process would assemble. The worker starts
+before the first validation pass and hands over each step's inputs, its text
+views bagged with the vocabulary it inherited at the fork. It tokenizes and
+bags each section text of the training set once per ``train`` call and copies
+that row into every later batch that uses it (``_bag_with_sections``): a row of
+``text_bag`` adds only its own text's 1/len weights, so it equals the row the
+batch would build, bit for bit. Rendered prompts and augmented sections rarely
+repeat, so they are bagged per batch. A study that fails raises
+``SamplingError`` naming the step and the study, caused by the study's own
+exception, with a worker or without one.
 
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
@@ -102,15 +60,11 @@ and logs.
 from __future__ import annotations
 
 import math
-import mmap
-import multiprocessing
-import os
-import signal
-import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .assembly import Worker
 from .encoders import (
     ImageEncoderParams,
     TextEncoderParams,
@@ -143,15 +97,6 @@ class NumericError(FloatingPointError):
         super().__init__(f"non-finite {what} at step {step}")
         self.step = step
         self.param = param
-
-
-class AssemblyError(RuntimeError):
-    """The batch assembly worker ended before it handed over the batch of a step."""
-
-    def __init__(self, step: int, exitcode: int):
-        super().__init__(f"batch assembly worker exited with code {exitcode} before step {step}")
-        self.step = step
-        self.exitcode = exitcode
 
 
 @dataclass
@@ -518,127 +463,6 @@ def validation_loss(model: TrainedModel, inputs: list[dict[str, np.ndarray]], ta
     return float(np.mean([_batch_loss(model, batch, table, False)[0].value for batch in inputs]))
 
 
-# ------------------------------------------------------------ assembly worker
-
-# Batches in the shared ring: one read by the step, up to SLOTS - 1 filled ahead by the worker.
-# On paper_full (median train studies/s, seven seeds; three at depth 2) depth 3 gave 3,992,
-# 4 gave 4,148, 6 gave 4,189 and 8 gave 4,168, against 3,649 at 2: 4 is the smallest depth
-# within the run-to-run spread (~130) of the best. Each slot adds about 0.5 MB of touched pages.
-SLOTS = 4
-_POLL_S = 0.1  # a blocked wait checks this often that the other process is alive
-
-
-class _AssemblyWorker:
-    """A forked process that writes the step inputs of each scheduled step, in order, into ``SLOTS`` shared slots.
-
-    A slot holds one array per view the loss table names, (studies, size, size) images or a
-    (studies, V) token bag; ``filled`` and ``free`` count the slots. Entering forks the worker;
-    leaving kills it if it still runs, and reaps it. Without ``os.fork`` there is no worker and
-    no slots: each step's inputs are assembled in the calling process.
-    """
-
-    def __init__(self, dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, vocab: Vocab, chunks: list):
-        self.dataset, self.cfg, self.engine, self.vocab, self.chunks = dataset, cfg, engine, vocab, chunks
-        self.section_bags = dict.fromkeys(text for study in dataset for text in study.sections)
-        self.slots = None
-        if hasattr(os, "fork"):
-            named = {name for row in cfg.loss_table() for name in row[:2]}
-            n = min(cfg.batch_studies, len(dataset))
-            shapes = {"img": (n, cfg.image_size, cfg.image_size), "txt": (n, len(vocab))}
-            slot = np.dtype([(name, np.float64, shapes[VIEWS[name][1]]) for name in VIEWS if name in named])
-            self.slots = np.frombuffer(mmap.mmap(-1, SLOTS * slot.itemsize), dtype=slot)
-            ctx = multiprocessing.get_context("fork")
-            self.filled, self.free = ctx.Semaphore(0), ctx.Semaphore(SLOTS)
-        self.pid: int | None = None
-        self.exitcode: int | None = None
-
-    def inputs(self, step: int) -> dict[str, np.ndarray]:
-        """The ``_step_inputs`` of ``step``, assembled in the calling process; a ``SamplingError`` names the step."""
-        studies = [self.dataset[int(i)] for i in self.chunks[step]]
-        try:
-            batch = _sample_batch(studies, self.cfg, self.engine, seed=self.cfg.seed * 1_000_003 + step)
-        except SamplingError as err:
-            raise SamplingError(f"step {step}: {err}") from err.__cause__
-        return _step_inputs(batch, self.cfg.loss_table(), self.vocab, self.section_bags)
-
-    def poll(self) -> int | None:
-        """The worker's exit code once it has ended, ``-signum`` if a signal ended it; else None."""
-        if self.exitcode is None and self.pid is not None:
-            pid, status = os.waitpid(self.pid, os.WNOHANG)
-            if pid:
-                self.exitcode = os.waitstatus_to_exitcode(status)
-        return self.exitcode
-
-    def release(self) -> None:
-        """Frees the slot of the step just scored, for the worker to fill."""
-        if self.slots is not None:
-            self.free.release()
-
-    def _run(self, parent: int, parent_cpu: int | None) -> None:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process takes an interrupt and ends the worker
-        others = set() if parent_cpu is None else os.sched_getaffinity(0) - {parent_cpu}
-        if others:
-            os.sched_setaffinity(0, others)  # off the main process's CPU: see the module docstring
-        for step in range(len(self.chunks)):
-            while not self.free.acquire(timeout=_POLL_S):
-                if os.getppid() != parent:
-                    return  # the main process is gone
-            for name, view in self.inputs(step).items():
-                self.slots[name][step % SLOTS, : len(view)] = view
-            self.filled.release()
-
-    def __enter__(self) -> "_AssemblyWorker":
-        if self.slots is not None:
-            parent, parent_cpu = os.getpid(), _current_cpu()
-            self.pid = os.fork()
-            if self.pid == 0:  # the worker: it leaves through os._exit, never into the caller's frames
-                code = 1
-                try:
-                    self._run(parent, parent_cpu)
-                    code = 0
-                except Exception:
-                    traceback.print_exc()
-                finally:
-                    os._exit(code)
-            self.slots.flags.writeable = False  # the main process only reads the slots
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.pid is not None and self.poll() is None:
-            os.kill(self.pid, signal.SIGKILL)
-            self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on, where the system says (Linux), else None."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    try:
-        with open("/proc/self/stat") as stat:
-            return int(stat.read().rsplit(")", 1)[1].split()[36])  # field 39, "processor"
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _wait_for_batch(worker: _AssemblyWorker, step: int) -> dict[str, np.ndarray]:
-    """The step inputs of ``step``, as read-only views of the slot the worker filled: waits for it.
-
-    The caller frees the slot (``worker.release``) once it is done with the views. Without a
-    worker, or when the worker has ended without filling the slot, the inputs are assembled
-    here: a failure of the step's studies raises as it would without a worker, and if they
-    assemble, ``AssemblyError`` names the step.
-    """
-    if worker.slots is None:
-        return worker.inputs(step)
-    while not worker.filled.acquire(timeout=_POLL_S):
-        exitcode = worker.poll()
-        if exitcode is not None and not worker.filled.acquire(block=False):
-            worker.inputs(step)  # a failure of the step's own studies and seed raises here
-            raise AssemblyError(step, exitcode)
-    n = len(worker.chunks[step])
-    return {name: worker.slots[name][step % SLOTS, :n] for name in worker.slots.dtype.names}
-
-
 def _step_chunks(studies: int, cfg: TrainConfig) -> list[np.ndarray]:
     """The study indices of every step: each epoch's permutation, in batches of ``cfg.batch_studies``."""
     order_rng = np.random.default_rng(cfg.seed + 1)
@@ -647,6 +471,29 @@ def _step_chunks(studies: int, cfg: TrainConfig) -> list[np.ndarray]:
         order = order_rng.permutation(studies)
         chunks.extend(order[start : start + cfg.batch_studies] for start in range(0, studies, cfg.batch_studies))
     return chunks
+
+
+def _step_worker(dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, vocab: Vocab) -> Worker:
+    """The assembly worker of a ``train`` call, producing the ``_step_inputs`` of every scheduled step.
+
+    ``produce`` looks ``_sample_batch`` and ``_step_inputs`` up in this module when it runs.
+    """
+    chunks, table = _step_chunks(len(dataset), cfg), cfg.loss_table()
+    section_bags = dict.fromkeys(text for study in dataset for text in study.sections)
+
+    def produce(step: int) -> dict[str, np.ndarray]:
+        studies = [dataset[int(i)] for i in chunks[step]]
+        try:
+            batch = _sample_batch(studies, cfg, engine, seed=cfg.seed * 1_000_003 + step)
+        except SamplingError as err:
+            raise SamplingError(f"step {step}: {err}") from err.__cause__
+        return _step_inputs(batch, table, vocab, section_bags)
+
+    n = min(cfg.batch_studies, len(dataset))
+    shapes = {"img": (n, cfg.image_size, cfg.image_size), "txt": (n, len(vocab))}
+    named = {name for row in table for name in row[:2]}
+    layout = {name: shapes[prefix] for name, (_, prefix) in VIEWS.items() if name in named}
+    return Worker(produce, [len(chunk) for chunk in chunks], layout)
 
 
 def train(
@@ -673,7 +520,7 @@ def train(
     log = TrainLog()
     table = cfg.loss_table()
 
-    with _AssemblyWorker(dataset, cfg, engine, vocab, _step_chunks(len(dataset), cfg)) as worker:
+    with _step_worker(dataset, cfg, engine, vocab) as worker:
         val_inputs = [_step_inputs(batch, table, vocab) for batch in validation_batches(val_dataset, cfg, engine)]
         best_val = validation_loss(model, val_inputs, table)
         best_flat = flat.copy()
@@ -683,7 +530,7 @@ def train(
         step = 0
         for epoch in range(1, cfg.epochs + 1):
             for _ in range(steps_per_epoch):
-                inputs = _wait_for_batch(worker, step)
+                inputs = worker.wait(step)
                 out, grad = _batch_loss(model, inputs, table, with_grads=True)
                 worker.release()  # the step is done with its slot
                 if not math.isfinite(out.value):

@@ -1,9 +1,14 @@
 import ast
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
+
+from studyclip import training
+from studyclip.prompts import PromptEngine
+from studyclip.synth import SynthSpec, generate_split
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -87,3 +92,20 @@ def test_every_call_site_the_benchmark_traces_exists():
     with tracer.Tracer() as active:
         pass
     assert active.absent == set()
+
+
+def test_the_traced_sampler_sees_one_batch_per_training_step_and_validation_batch(monkeypatch):
+    # without os.fork every step is assembled in this process, through the names the tracer patches
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    engine = PromptEngine.default()
+    synth = SynthSpec(image_size=16)
+    train_set, valid = (generate_split(synth, split, count, 0, engine) for split, count in (("train", 10), ("valid", 5)))
+    cfg = training.TrainConfig(epochs=2, batch_studies=4, early_stop_patience=2, image_size=16)
+    monkeypatch.delattr(os, "fork")
+    with tracer.Tracer() as active:
+        _, log = training.train(train_set, valid, cfg, engine)
+    assert len(log.steps) == 6
+    batches = sum(name == "sampling.make_batch" for name, *_ in active.spans)
+    assert batches == len(log.steps) + len(training.validation_batches(valid, cfg, engine)) == 8

@@ -358,7 +358,8 @@ def test_grammar_covers_all_18_expression_classes(engine):
         assert (class_name, "negative") in engine.prompts
 
 
-def test_grammar_loadable_from_env_override(tmp_path, monkeypatch):
+def test_grammar_loadable_from_env_override(tmp_path):
+    # the environment override is gone: another grammar loads through from_path
     grammar = tmp_path / "mini.grammar"
     grammar.write_text(
         "template|default|positive|{E} is here.\n"
@@ -366,8 +367,7 @@ def test_grammar_loadable_from_env_override(tmp_path, monkeypatch):
         "expr|Thing|both|[thing, object]\n",
         encoding="utf-8",
     )
-    monkeypatch.setenv("STUDYCLIP_GRAMMAR", str(grammar))
-    engine = PromptEngine.default()
+    engine = PromptEngine.from_path(grammar)
     assert engine.classes == ["Thing"]
     assert engine.prompt_set("Thing", "positive") == frozenset(
         {"thing is here.", "object is here."}

@@ -6,6 +6,7 @@ import hashlib
 import io
 import os
 import pickle
+import re
 import stat
 import subprocess
 import sys
@@ -516,6 +517,29 @@ def test_non_finite_pixels_rejected(tmp_path):
     )
     with pytest.raises(DataFormatError, match="finite"):
         load_studies(path)
+
+
+@pytest.mark.parametrize(
+    "record, cause",
+    [
+        ("[1, 2]", "study record must be an object, got list"),
+        ('{"id": "b", "images": ["b.pgm"], "findings": "F."}', "images must be a list of objects, got ['b.pgm']"),
+        ('{"id": "b", "images": {"path": "b.pgm"}, "findings": "F."}', "images must be a list of objects, got {'path': 'b.pgm'}"),
+        ('{"id": "b", "images": [{"pixels": [[0.5]]}], "findings": 5}', "findings must be str or None, got 5"),
+        ('{"id": "b", "images": [{"pixels": [[0.5]]}], "labels": ["Edema"]}', "labels must be dict or None"),
+        ('{"id": "b", "images": [{"pixels": [[0.5, 0.5], [0.5]]}], "findings": "F."}', "pixels must form a 2-d grid"),
+        ('{"images": [{"pixels": [[0.5]]}], "findings": "F."}', "study record missing field 'id'"),
+        ('{"id": "b", "images": [{"path": "absent.pgm"}], "findings": "F."}', "absent.pgm"),
+    ],
+    ids=["list_line", "image_str", "images_object", "findings_int", "labels_list", "ragged_pixels", "no_id",
+         "missing_file"],
+)
+def test_a_malformed_record_raises_data_format_error_naming_the_file_and_line(tmp_path, record, cause):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "images": [{"pixels": [[0.5]]}], "findings": "F."}\n' + record + "\n")
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:2: .*{re.escape(cause)}") as err:
+        load_studies(path)
+    assert err.value.__cause__ is not None
 
 
 def test_study_invariants_enforced():

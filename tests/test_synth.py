@@ -74,6 +74,7 @@ def test_views_and_pixel_range(engine, fraction):
         {"label_only_fraction": 1.5},
         {"multi_image_fraction": 1.01},
         {"multi_image_fraction": math.nan},
+        {"class_names": ["Edema", "Edema"]},  # a label map would keep one entry: no study labelled positive
     ],
 )
 def test_spec_rejects_invalid_fields(overrides):
@@ -101,6 +102,11 @@ def test_spec_rejects_bad_numbers_naming_the_field(name, value):
 def test_spec_accepts_zero_noise_and_empty_splits(engine):
     spec = SynthSpec(train_studies=0, noise_level=0.0, image_size=1)
     assert generate_split(spec, "train", spec.train_studies, 0, engine) == []
+
+
+def test_generate_split_rejects_an_unknown_split_naming_the_allowed_ones(engine):
+    with pytest.raises(ValueError, match=r"split must be one of \['train', 'valid', 'test'\], got 'val'"):
+        generate_split(SPEC, "val", 3, 0, engine)
 
 
 def test_generate_dataset_refuses_classes_closer_than_the_minimum(engine, tmp_path):

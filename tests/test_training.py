@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from studyclip import sampling, training
+from studyclip.assembly import SLOTS, AssemblyError
 from studyclip.encoders import build_vocab, text_bag, tokenize
 from studyclip.evalrun import evaluate_model
 from studyclip.metrics import DEFAULT_VARIANTS
@@ -23,7 +24,6 @@ from studyclip.prompts import PromptEngine
 from studyclip.sampling import SamplingError, make_batch
 from studyclip.synth import SynthSpec, generate_split
 from studyclip.training import (
-    AssemblyError,
     ConfigError,
     NumericError,
     OptimState,
@@ -515,7 +515,7 @@ def test_the_worker_runs_slots_minus_one_batches_ahead_of_a_stalled_step(engine,
 
     def stalling(model, inputs, table, with_grads):
         if with_grads and not seen_while_stalled:  # step 0: hold its slot until the worker is SLOTS - 1 ahead
-            while not record.exists() or ("done", training.SLOTS - 1) not in assembled():
+            while not record.exists() or ("done", SLOTS - 1) not in assembled():
                 time.sleep(0.01)
             time.sleep(0.2)  # room for a worker that wrongly ran further ahead
             seen_while_stalled.extend(assembled())
@@ -525,8 +525,8 @@ def test_the_worker_runs_slots_minus_one_batches_ahead_of_a_stalled_step(engine,
     monkeypatch.setattr(training, "_batch_loss", stalling)
     cfg = tiny_config(batch_studies=2, early_stop_patience=6)
     _, log = train(*splits, cfg, engine)
-    assert len(log.steps) == 30 > training.SLOTS
-    assert max(step for _, step in seen_while_stalled) == training.SLOTS - 1
+    assert len(log.steps) == 30 > SLOTS
+    assert max(step for _, step in seen_while_stalled) == SLOTS - 1
     # and every step was assembled once, in order
     assert [step for what, step in assembled() if what == "start"] == list(range(len(log.steps)))
 
