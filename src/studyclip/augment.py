@@ -13,17 +13,13 @@ one histogram bin passes through unchanged, so constant images are exact
 fixpoints.
 
 Text augmentation swaps sentence order (seeded uniform permutation over
-sentences split at ./?/! followed by whitespace or end of string). When a
-back-translation command is given, the command runs instead: an executable
-that reads text on stdin and writes the translation on stdout, invoked twice
-with arguments ``forward`` then ``backward``.
+sentences split at ./?/! followed by whitespace or end of string).
 """
 
 from __future__ import annotations
 
 import functools
 import re
-import subprocess
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -187,24 +183,12 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_SPLIT.split(text.strip()) if s]
 
 
-def augment_text(text: str, rng: Draws, backtranslation_command: str | None = None) -> str:
+def augment_text(text: str, rng: Draws) -> str:
     if not text:
         raise ValueError("cannot augment empty text")
-    if backtranslation_command:
-        intermediate = _run_hook(backtranslation_command, "forward", text)
-        return _run_hook(backtranslation_command, "backward", intermediate)
     sentences = split_sentences(text)
     if len(sentences) <= 1:
         return text
     order = rng.permutation(len(sentences))
     return " ".join(sentences[int(i)] for i in order)
 
-
-def _run_hook(command: str, direction: str, text: str) -> str:
-    proc = subprocess.run(
-        [command, direction],
-        input=text.encode("utf-8"),
-        stdout=subprocess.PIPE,
-        check=True,
-    )
-    return proc.stdout.decode("utf-8").strip()

@@ -76,7 +76,6 @@ def zero_shot_binary(
 ) -> float:
     """AUC of sim(image, pos) - sim(image, neg) via the exact rank statistic."""
     image_embs = np.asarray(image_embs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     scores = image_embs @ np.asarray(pos_prompt_emb) - image_embs @ np.asarray(neg_prompt_emb)
     return auc_exact(scores, labels)
 
@@ -84,11 +83,14 @@ def zero_shot_binary(
 def auc_exact(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC from mid-ranks; ties count one half."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if scores.ndim != 1 or labels.shape != scores.shape:
         raise ShapeMismatch(f"{scores.shape} scores but labels of shape {labels.shape}")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
+    if n_pos + n_neg != labels.size:
+        other = np.unique(labels[(labels != 0) & (labels != 1)])
+        raise ShapeMismatch(f"labels must be 0 or 1, got {other.tolist()}")
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("need at least one positive and one negative label")
     _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)

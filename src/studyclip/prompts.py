@@ -11,10 +11,11 @@ Adjacent atoms inside one alternative concatenate the same way ``+`` does;
 rendered strings are whitespace-normalized (single spaces, no space before
 punctuation) with capitalization kept exactly as written in the templates.
 
-A render runs on a compiled form of the template (``_compile``): each literal
-is normalized once, at compile time, blanks become empty strings, a choice
-becomes a tuple of its options (a choice of one option, that option) and a
-concatenation a flat list of its parts, with adjacent literals pre-joined.
+A render, and the enumeration of a prompt set, run on a compiled form of the
+template (``_compile``): each literal is normalized once, at compile time,
+blanks become empty strings, a choice becomes a tuple of its options (a
+choice of one option, that option) and a concatenation a flat list of its
+parts, with adjacent literals pre-joined.
 Rendering draws one index per choice of two or more options met, from the
 ``integers`` method of whichever generator it is given (a numpy
 ``Generator``, or a study's ``sampling.StudyDraws`` in batch assembly), depth
@@ -23,6 +24,8 @@ one-option choice, ``integers(1)``, consumes nothing from either), then
 joins the picked pieces with one space between non-empty pieces and none
 before a piece that starts with punctuation. That join gives exactly the
 normalization of the space-joined raw text, so no regex runs per render.
+Enumeration takes every option of every choice and joins each path's pieces
+the same way, so a prompt set holds exactly the strings a render can give.
 
 The grammar file carries one entry per line, ``kind|name|polarity|template``,
 where kind is ``template`` or ``expr`` and polarity is ``positive``,
@@ -310,32 +313,30 @@ def expand_template(t: Template, rng: np.random.Generator) -> str:
 
 def enumerate_expansions(t: Template, cap: int = 100_000) -> set[str]:
     """Complete expansion set (normalized, deduplicated); ExplosionError beyond cap."""
+    return _enumerate(_compile(t, {}), cap)
+
+
+def _enumerate(node: Compiled, cap: int) -> set[str]:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     out: set[str] = set()
-    for raw in _enumerate_raw(t):
-        out.add(_normalize(raw))
+    for text in _expansions(node):
+        out.add(text)
         if len(out) > cap:
             raise ExplosionError(f"expansion set exceeds cap {cap}")
     return out
 
 
-def _enumerate_raw(t: Template):
-    if isinstance(t, Literal):
-        yield t.text
-    elif isinstance(t, Blank):
-        yield ""
-    elif isinstance(t, Choice):
-        for option in t.options:
-            yield from _enumerate_raw(option)
-    elif isinstance(t, Concat):
-        part_sets = [list(_enumerate_raw(p)) for p in t.parts]
-        for combo in itertools.product(*part_sets):
-            yield " ".join(combo)
-    elif isinstance(t, ExprSlot):
-        raise UnresolvedSlot("template has an unresolved {E} slot")
+def _expansions(node: Compiled):
+    """Every render of ``node``, one per path through its choices, joined as ``_render`` joins."""
+    if type(node) is str:
+        yield node
+    elif type(node) is tuple:
+        for option in node:
+            yield from _expansions(option)
     else:
-        raise TypeError(f"not a template node: {t!r}")
+        for pieces in itertools.product(*(set(_expansions(part)) for part in node)):
+            yield _join(pieces)
 
 
 # -------------------------------------------------------------- prompt engine
@@ -404,20 +405,20 @@ class PromptEngine:
 
     # -- rendering
 
-    def _prompt(self, table: dict, class_name: str, value: str):
-        """The entry for (class, value) in ``table``: ``prompts`` or ``compiled``."""
+    def _prompt(self, class_name: str, value: str) -> Compiled:
+        """The compiled template of (class, value)."""
         try:
-            return table[(class_name, value)]
+            return self.compiled[(class_name, value)]
         except KeyError:
             if value not in (POSITIVE, NEGATIVE):
                 raise UnsupportedValue(f"prompts exist only for positive/negative, got {value!r}") from None
             raise NoTemplateError(f"no prompt set for ({class_name!r}, {value!r})") from None
 
     def render_prompt(self, class_name: str, value: str, rng: Draws) -> str:
-        return _render(self._prompt(self.compiled, class_name, value), rng)
+        return _render(self._prompt(class_name, value), rng)
 
     def prompt_set(self, class_name: str, value: str, cap: int = 100_000) -> frozenset[str]:
-        return frozenset(enumerate_expansions(self._prompt(self.prompts, class_name, value), cap))
+        return frozenset(_enumerate(self._prompt(class_name, value), cap))
 
     def build_study_text(
         self,

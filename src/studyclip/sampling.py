@@ -12,8 +12,7 @@ With ``augment`` off, augmentation is skipped: a fallback second view of
 and text as they are.
 
 Every sampler reads the one ``TrainConfig``: its sampling mode, ``augment``,
-image size, CLAHE probability, negative prompt count and back-translation
-command.
+image size, CLAHE probability and negative prompt count.
 
 ``assemble_batch`` is the one batch loop, for every mode: it gives each
 study its own draws, ``study_rng(global seed, study id)``, so a batch depends
@@ -202,7 +201,7 @@ def sample_texts(study: Study, cfg: TrainConfig, rng: Draws, engine: PromptEngin
     if len(sections) == 2:
         return sections[0], sections[1], "sections"
     t1 = sections[0]
-    t2 = augment_text(t1, rng, cfg.backtranslation_command) if cfg.augment else t1
+    t2 = augment_text(t1, rng) if cfg.augment else t1
     return t1, t2, "section_aug"
 
 
@@ -234,7 +233,7 @@ def sample_single(study: Study, cfg: TrainConfig, engine: PromptEngine, rng) -> 
     img = resize_bilinear(img, size, size)
     if cfg.augment:
         img = augment_image(img, size, cfg.clahe_probability, rng)
-        text = augment_text(text, rng, cfg.backtranslation_command)
+        text = augment_text(text, rng)
     return SampledPair(x1=img, x2=img, t1=text, t2=text, text_source="single")
 
 

@@ -172,6 +172,8 @@ def generate_split(
 ) -> list[Study]:
     if split not in _SPLITS:
         raise ValueError(f"split must be one of {list(_SPLITS)}, got {split!r}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _SPLITS[split]]))
     studies = []
     counts = _split_counts(count, spec.class_count)

@@ -22,14 +22,9 @@ sampling seed ``seed * 1_000_003 + step``. Every study draws from its own
 id), so a batch depends only on its indices and seed, and the worker's batches
 are bit for bit those the main process would assemble. The worker starts
 before the first validation pass and hands over each step's inputs, its text
-views bagged with the vocabulary it inherited at the fork. It tokenizes and
-bags each section text of the training set once per ``train`` call and copies
-that row into every later batch that uses it (``_bag_with_sections``): a row of
-``text_bag`` adds only its own text's 1/len weights, so it equals the row the
-batch would build, bit for bit. Rendered prompts and augmented sections rarely
-repeat, so they are bagged per batch. A study that fails raises
-``SamplingError`` naming the step and the study, caused by the study's own
-exception, with a worker or without one.
+views bagged with the vocabulary it inherited at the fork. A study that fails
+raises ``SamplingError`` naming the step and the study, caused by the study's
+own exception, with a worker or without one.
 
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
@@ -121,7 +116,6 @@ class TrainConfig:
     augment: bool = True
     clahe_probability: float = 0.5
     negative_sample_count: int | None = None
-    backtranslation_command: str | None = None  # augment_text back-translates through it when set
 
     def __post_init__(self):
         for f in fields(self):
@@ -356,41 +350,15 @@ def _param_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.
 VIEWS = {"v1": ("x1", "img"), "v2": ("x2", "img"), "u1": ("t1", "txt"), "u2": ("t2", "txt")}
 
 
-def _step_inputs(
-    batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab, section_bags: dict | None = None
-) -> dict[str, np.ndarray]:
-    """What a step encodes: each view the table names, in ``VIEWS`` order, as its images or its texts' token bag.
-
-    With ``section_bags``, a memo keyed by every section text of the dataset,
-    a section text is tokenized and bagged on first use and its row reused;
-    without it (validation), every text is bagged with its batch.
-    """
+def _step_inputs(batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab) -> dict[str, np.ndarray]:
+    """What a step encodes: each view the table names, in ``VIEWS`` order, as its images or its texts' token bag."""
     named = {name for row in table for name in row[:2]}
     inputs = {}
     for name, (attr, prefix) in VIEWS.items():
         if name in named:
             view = getattr(batch, attr)
-            inputs[name] = view if prefix == "img" else _bag_with_sections(view, vocab, section_bags or {})
+            inputs[name] = view if prefix == "img" else text_bag([tokenize(t, vocab) for t in view], len(vocab))
     return inputs
-
-
-def _bag_with_sections(texts: list[str], vocab: Vocab, section_bags: dict) -> np.ndarray:
-    """``text_bag`` of the texts, taking a section text's row from ``section_bags`` (None until first bagged).
-
-    A bag row adds only its own text's 1/len weights, so a row bagged alone
-    equals that text's row in any batch, bit for bit.
-    """
-    fresh = [i for i, text in enumerate(texts) if text not in section_bags]
-    bag = np.empty((len(texts), len(vocab)))
-    if fresh:
-        bag[fresh] = text_bag([tokenize(texts[i], vocab) for i in fresh], len(vocab))
-    for i, text in enumerate(texts):
-        if text in section_bags:
-            row = section_bags[text]
-            if row is None:
-                row = section_bags[text] = text_bag([tokenize(text, vocab)], len(vocab))[0]
-            bag[i] = row
-    return bag
 
 
 def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple[Pairing, ...], with_grads: bool):
@@ -479,7 +447,6 @@ def _step_worker(dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, v
     ``produce`` looks ``_sample_batch`` and ``_step_inputs`` up in this module when it runs.
     """
     chunks, table = _step_chunks(len(dataset), cfg), cfg.loss_table()
-    section_bags = dict.fromkeys(text for study in dataset for text in study.sections)
 
     def produce(step: int) -> dict[str, np.ndarray]:
         studies = [dataset[int(i)] for i in chunks[step]]
@@ -487,7 +454,7 @@ def _step_worker(dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, v
             batch = _sample_batch(studies, cfg, engine, seed=cfg.seed * 1_000_003 + step)
         except SamplingError as err:
             raise SamplingError(f"step {step}: {err}") from err.__cause__
-        return _step_inputs(batch, table, vocab, section_bags)
+        return _step_inputs(batch, table, vocab)
 
     n = min(cfg.batch_studies, len(dataset))
     shapes = {"img": (n, cfg.image_size, cfg.image_size), "txt": (n, len(vocab))}

@@ -201,3 +201,14 @@ def test_class_prompt_embeddings_are_one_normalized_prompt_per_class_in_order():
     for row, text in zip(rows, prompts):
         want = encode(text)
         np.testing.assert_array_equal(row, want / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize(
+    "labels, scores, value",
+    [([1, 0, -1], [0.3, 0.2, 0.1], -1), ([2, 1, 0], [0.1, 0.2, 0.3], 2), ([1, 0, 0.5], [0.3, 0.2, 0.1], 0.5)],
+)
+def test_labels_other_than_0_and_1_raise_shape_mismatch_naming_the_allowed_values(labels, scores, value):
+    with pytest.raises(ShapeMismatch, match=rf"labels must be 0 or 1, got \[{value}\]"):
+        auc_exact(np.array(scores), np.array(labels))
+    with pytest.raises(ShapeMismatch, match=r"labels must be 0 or 1"):
+        zero_shot_binary(np.eye(3), np.array(scores), np.zeros(3), np.array(labels))

@@ -83,6 +83,22 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_no_module_imports_subprocess():
+    # the program runs no other program: no setting or record names one to run
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "subprocess" for name in modules):
+                importers.append(path.stem)
+    assert importers == []
+
+
 def test_every_call_site_the_benchmark_traces_exists():
     # the benchmark patches names one module calls in another; a refactor that drops one
     # leaves that name's per-layer metrics out of every run

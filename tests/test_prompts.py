@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from render_oracle import reference_walk
+from render_oracle import reference_expansions, reference_walk
 from studyclip.prompts import (
     Blank,
     Choice,
@@ -203,6 +203,14 @@ def test_compiled_render_matches_normalized_reference_walk(template, seed):
         assert rng.bit_generator.state == reference.bit_generator.state
         assert engine.render_prompt("X", "positive", rng) == _normalize(reference_walk(template, reference))
         assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@given(template=TEMPLATES)
+@settings(max_examples=200, deadline=None)
+def test_enumeration_on_the_compiled_form_matches_the_normalized_reference_product(template):
+    expected = reference_expansions(template)
+    assert enumerate_expansions(template) == expected
+    assert PromptEngine({("X", "positive"): template}).prompt_set("X", "positive") == expected
 
 
 def test_choice_sampling_is_uniform():

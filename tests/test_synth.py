@@ -109,6 +109,12 @@ def test_generate_split_rejects_an_unknown_split_naming_the_allowed_ones(engine)
         generate_split(SPEC, "val", 3, 0, engine)
 
 
+@pytest.mark.parametrize("count", [-3, -7])
+def test_generate_split_rejects_a_negative_count_naming_it(engine, count):
+    with pytest.raises(ValueError, match=rf"count must be non-negative, got {count}"):
+        generate_split(SPEC, "train", count, 0, engine)
+
+
 def test_generate_dataset_refuses_classes_closer_than_the_minimum(engine, tmp_path):
     spec = SynthSpec(min_pattern_distance=pattern_distances(SynthSpec()) + 0.01)
     with pytest.raises(ValueError, match="class signatures too close"):

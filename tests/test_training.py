@@ -192,13 +192,9 @@ def test_train_tokenizes_each_validation_text_once(engine, splits, monkeypatch, 
     assert len(log.epochs) == cfg.epochs + 1
     # this process: the two texts of each validation study, once in all
     assert main == [t for batch in validation_batches(valid, cfg, engine) for t in batch.t1 + batch.t2]
-    # the worker: each section text of the training set once in all, any other text (a rendered
-    # prompt, an augmented section) each time a step uses it
-    sections = {text for study in train_set for text in study.sections}
+    # the worker: each text each time a step uses it
     used = collections.Counter(t for batch in expected_batches(train_set, cfg, engine) for t in batch.t1 + batch.t2)
-    assert collections.Counter(worker) == {t: 1 if t in sections else uses for t, uses in used.items()}
-    assert any(uses > 1 for t, uses in used.items() if t in sections)  # a section text recurs
-    assert any(t not in sections for t in used)  # and texts outside the memo occur
+    assert collections.Counter(worker) == used
 
 
 def test_cached_validation_batches_score_as_batches_assembled_that_epoch(engine, splits, monkeypatch):
@@ -643,7 +639,7 @@ def test_bad_sampler_settings_are_rejected_when_the_config_is_built(name, value,
         ({"augment": "yes"}, "augment must be bool, got 'yes'"),
         ({"augment": 1}, "augment must be bool, got 1"),
         ({"sampling_mode": None}, "sampling_mode must be str, got None"),
-        ({"backtranslation_command": True}, "backtranslation_command must be str | None, got True"),
+        ({"sampling_mode": 3}, "sampling_mode must be str, got 3"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
     ],
 )
@@ -655,12 +651,12 @@ def test_fields_are_checked_against_their_declared_types(overrides, message):
 def test_float_fields_accept_ints_and_strings_parse_as_the_declared_type():
     assert TrainConfig(learning_rate=1, lambda_icl=2).lambda_icl == 2
     cfg = config_from_dict(
-        {"backtranslation_command": "true", "lambda_icl": "1", "negative_sample_count": "3", "seed": "4"}
+        {"sampling_mode": "single", "lambda_icl": "0", "lambda_tcl": "0", "negative_sample_count": "3", "seed": "4"}
     )
-    assert cfg.backtranslation_command == "true"
-    assert cfg.lambda_icl == 1.0 and isinstance(cfg.lambda_icl, float)
+    assert cfg.sampling_mode == "single"
+    assert cfg.lambda_icl == 0.0 and isinstance(cfg.lambda_icl, float)
     assert (cfg.negative_sample_count, cfg.seed) == (3, 4)
-    assert config_from_dict({"backtranslation_command": "none"}).backtranslation_command is None
+    assert config_from_dict({"negative_sample_count": "none"}).negative_sample_count is None
     with pytest.raises(ConfigError, match=re.escape("cannot parse batch_studies='2.5'")):
         config_from_dict({"batch_studies": "2.5"})
     with pytest.raises(ConfigError, match="epochs must be int, got None"):
