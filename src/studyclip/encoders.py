@@ -1,41 +1,33 @@
 """Toy trainable encoders: global feature, linear projection, unit normalization.
 
-Image path: one 3x3 stride-2 conv stage (k filters, bias, softplus), global
+Image path: one 3x3 stride-2 conv stage (k filters, bias, relu), global
 average pooling, a two-layer perceptron (tanh hidden), then a bias-free
 linear projection and row normalization. Text path: a batch's ``text_bag``
 times the token embedding table (the mean pool over tokens), then the same
 perceptron/projection/normalization stack.
 
-The conv stage rectifies: pooling an odd activation of zero-mean structure
-would wash out to a constant, while pooled rectifier responses measure how
-strongly each filter matches, wherever the match occurs. The rectifier is a
-sharpened softplus (slope 8), close to relu at the signal scale yet smooth
-everywhere, so finite-difference gradient checks stay tight. Images are
-shifted by -0.5 on the way in: without that centering the shared background
-level dominates every pooled feature and embeddings start out collapsed.
+The conv stage rectifies before it pools: pooling an odd activation of
+zero-mean structure would wash out to a constant, while pooled rectifier
+responses measure how strongly each filter matches, wherever the match
+occurs. Images are shifted by -0.5 on the way in: without that centering the
+shared background level dominates every pooled feature and embeddings start
+out collapsed.
 
 The conv stage is one GEMM of (batch x positions, 10) patches by (10, k)
-weights: the nine patch entries, and a constant 1 that carries the bias. The
-rectifier makes six element-wise passes over a block's pre-activations z,
-with one exp per element: e = exp(min(z, 709)) and d = 1 + e give both the
-softplus max(z, log d), written over z and pooled straight away, and its
-slope e / d (a sigmoid). Average pooling is linear, so the filter and bias
-gradients need the slope only through its moments: per image, the mean over
-positions of the slope times each patch entry (and times the 1, which gives
-the mean slope), a (10, k) matrix. The forward pass computes them as it goes,
-and the image cache holds the moments, not the patches or the slope: the
-backward pass weighs each image's moments by its pooled-feature gradient and
-sums over the batch, with no per-position array. The patches, the GEMM, the
-rectifier, the pooling and the moments run over blocks of a few images, each
-block's pre-activations within ``CONV_BLOCK_BYTES``, so their temporaries
-scale with the block, not the batch, and stay in cache.
-
-A forward-only encode (``with_grads=False``: validation and evaluation, where
-no backward follows) needs neither the slope nor the moments. Its rectifier
-makes five passes with one array beside z: min(z, 709), exp, 1 + e and log d
-over that array, then the max over z, which give the same softplus bits; it
-skips the moments matmul, and its cache holds no moments, so
-``image_backward`` cannot run on it.
+weights: the nine patch entries, and a constant 1 that carries the bias.
+Average pooling is linear, so the filter and bias gradients need the relu's
+slope, the mask z > 0, only through its moments: per image, the mean over
+positions of the mask times each patch entry (and times the 1, which gives
+the share of active positions), a (10, k) matrix. The forward pass computes
+them as it goes, and the image cache holds the moments, not the patches or
+the mask: the backward pass weighs each image's moments by its pooled-feature
+gradient and sums over the batch, with no per-position array. The patches,
+the GEMM, the relu, the pooling and the moments run over blocks of a few
+images, each block's pre-activations within ``CONV_BLOCK_BYTES``, so their
+temporaries scale with the block, not the batch, and stay in cache. A
+forward-only encode (``with_grads=False``: validation and evaluation) takes
+neither the mask nor the moments, so ``image_backward`` cannot run on its
+cache.
 
 The text mean pool is one product with the (batch, vocab) bag matrix of
 ``text_bag``, whose row i weighs each token of sequence i by 1/len (a
@@ -141,12 +133,12 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 
 
 def init_image_params(seed_or_rng, cfg) -> ImageEncoderParams:
-    """Glorot-uniform weights, zero biases; sizes from ``cfg``, a ``training.TrainConfig``."""
+    """Glorot-uniform weights, conv bias ``CONV_BIAS_INIT``, zero head biases; sizes from ``cfg``, a ``TrainConfig``."""
     rng = np.random.default_rng(seed_or_rng) if isinstance(seed_or_rng, int) else seed_or_rng
     k, h, f, d = cfg.conv_filters, cfg.hidden_dim, cfg.feature_dim, cfg.embed_dim
     return ImageEncoderParams(
         conv_w=_glorot(rng, (k, 3, 3), fan_in=9, fan_out=9 * k),
-        conv_b=np.zeros(k),
+        conv_b=np.full(k, CONV_BIAS_INIT),
         mlp_w1=_glorot(rng, (k, h), k, h),
         mlp_b1=np.zeros(h),
         mlp_w2=_glorot(rng, (h, f), h, f),
@@ -214,7 +206,8 @@ def _conv_patches(imgs: np.ndarray) -> np.ndarray:
     """(10, batch x positions): rows 0-8 the 3x3 stride-2 patches of the shifted images, row 9 ones.
 
     Column b x positions + p is position p of image b. The row of ones carries
-    the bias through the conv GEMM and gives the mean slope with the moments.
+    the bias through the conv GEMM and gives the share of active positions
+    with the moments.
     """
     b, height, width = imgs.shape
     out_h, out_w = (height - 1) // 2, (width - 1) // 2  # 3x3 windows at stride 2
@@ -227,47 +220,18 @@ def _conv_patches(imgs: np.ndarray) -> np.ndarray:
     return cols.reshape(10, -1)
 
 
-RECTIFIER_SLOPE = 8.0
 IMAGE_SHIFT = 0.5
 # Byte budget of one block's pre-activations: 4 images of 15x15 positions x 16 filters.
 CONV_BLOCK_BYTES = 1 << 17
-
-
-def _rectify(z: np.ndarray, with_slope: bool = True) -> np.ndarray | None:
-    """In place: z becomes softplus(z); returns the slope sigmoid(z), or None without ``with_slope``.
-
-    Six element-wise passes, all from one exp per element: with
-    e = exp(min(z, 709)) and d = 1 + e, softplus(z) = max(z, log d) and
-    sigmoid(z) = e / d. The clamp keeps e and d finite (exp(709) is near the
-    largest double), so the slope is exactly 1 above it; the max gives z itself
-    wherever log d rounds below z, which covers every z above 709. At z = ±0,
-    e = 1 and the slope is exactly 0.5. Three arrays of z's size are live (z,
-    e, d); ``encode_image_batch`` passes one block at a time, so that is a
-    block's size. Without the slope, d is built over e: five passes, two arrays.
-    """
-    e = np.minimum(z, 709.0)
-    np.exp(e, out=e)
-    if not with_slope:
-        e += 1.0
-        np.maximum(z, np.log(e, out=e), out=z)
-        return None
-    d = e + 1.0
-    np.divide(e, d, out=e)
-    np.log(d, out=d)
-    np.maximum(z, d, out=z)
-    return e
+# Starting value of the conv bias. A flat mid-gray image shifts to 0, so its pre-activations equal the
+# bias; at a zero bias relu, and with it the whole embedding, would be 0.
+CONV_BIAS_INIT = 0.01
 
 
 def _conv_weights(params: ImageEncoderParams) -> np.ndarray:
-    """(10, k): the filters over the patch rows, then the bias, each times the slope.
-
-    Scaling by the slope (a power of two) is exact, so z is bitwise slope * pre-activation.
-    """
+    """(10, k): the filters over the patch rows, then the bias."""
     k = params.conv_w.shape[0]
-    w = np.empty((10, k))
-    w[:9] = params.conv_w.reshape(k, 9).T * RECTIFIER_SLOPE
-    w[9] = params.conv_b * RECTIFIER_SLOPE
-    return w
+    return np.vstack([params.conv_w.reshape(k, 9).T, params.conv_b])
 
 
 def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray, with_grads: bool = True):
@@ -290,17 +254,18 @@ def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray, with_grads:
         n = stop - start
         cols = _conv_patches(imgs[start:stop])
         z = cols.T @ w
-        slope = _rectify(z, with_grads)
+        mask = (z > 0.0).astype(np.float64) if with_grads else None  # relu's slope: 0 at z == 0
+        np.maximum(z, 0.0, out=z)
         # average pooling as one vector-matrix product per image: far faster than a mean over axis 1
         pooled[start:stop] = ones @ z.reshape(n, positions, k)
         if with_grads:
-            # per image, patches (10, positions) @ slope (positions, k)
+            # per image, patches (10, positions) @ mask (positions, k)
             np.matmul(
                 cols.reshape(10, n, positions).transpose(1, 0, 2),
-                slope.reshape(n, positions, k),
+                mask.reshape(n, positions, k),
                 out=moments[start:stop],
             )
-    pooled /= RECTIFIER_SLOPE * positions
+    pooled /= positions
     embedding, cache = _head_forward(params, pooled)
     if with_grads:
         moments /= positions

@@ -7,7 +7,7 @@ label record, seeded from (``EVAL_TEXT_SEED``, study id) so every process
 renders the same.
 Images are resized and encoded ``EVAL_CHUNK`` studies at a time. Every encode
 here is forward-only (``with_grads=False``): no backward follows, so the image
-encoder computes neither the rectifier's slope nor the conv moments. The
+encoder computes neither the rectifier's mask nor the conv moments. The
 encoder bounds its own conv temporaries, patches included, by blocks of a few
 images, so the chunk bounds only what a call holds for the whole chunk: the
 resized stack and the head activations of the encoder's cache. Memory stays

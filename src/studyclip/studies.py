@@ -138,6 +138,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
     while len(tokens) < 4 and i < len(raw):
         while i < len(raw) and raw[i : i + 1].isspace():
             i += 1
+        if i == len(raw):
+            break
         if raw[i : i + 1] == b"#":
             while i < len(raw) and raw[i : i + 1] != b"\n":
                 i += 1

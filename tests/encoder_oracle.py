@@ -1,10 +1,13 @@
 """Test oracles for the encoders.
 
-Image: ``encode_image_batch`` runs the conv GEMM, the rectifier, the pooling
-and the moments over blocks of a few images. ``reference_encode`` is the same
-forward without blocks: one GEMM over every patch column, one rectifier call
-and one pooling product. It returns the patches and the slope as well, so a
-test can check the encoder's moments against their definition.
+Image: ``encode_image_batch`` runs the conv GEMM, the relu, the pooling and
+the moments over blocks of a few images. ``reference_encode`` is the same
+forward without blocks: one GEMM over every patch column, one relu and one
+pooling product, with the relu and its slope mask written out here. It returns
+the patches and the mask as well, so a test can check the encoder's moments
+against their definition. ``pre_activations`` gives the conv stage's input to
+the relu, so a finite-difference check can assert that no step crosses its
+kink.
 
 Text: the mean pool as a per-row mean of embedding rows, and the table
 gradient as an ``np.add.at`` scatter of each row's share: the formulation that
@@ -13,28 +16,24 @@ the bag-matrix products of ``encode_text_batch`` and ``text_backward`` replace.
 
 import numpy as np
 
-from studyclip.encoders import (
-    RECTIFIER_SLOPE,
-    _conv_patches,
-    _conv_weights,
-    _head_backward,
-    _head_forward,
-    _rectify,
-)
+from studyclip.encoders import _conv_patches, _conv_weights, _head_backward, _head_forward
+
+
+def pre_activations(params, imgs):
+    """(patches (10, batch x positions), pre-activations z (batch x positions, k))."""
+    cols = _conv_patches(np.asarray(imgs, dtype=np.float64))
+    return cols, cols.T @ _conv_weights(params)
 
 
 def reference_encode(params, imgs):
-    """(embedding, head cache, patches (10, batch x positions), slope (batch x positions, k))."""
-    imgs = np.asarray(imgs, dtype=np.float64)
-    cols = _conv_patches(imgs)
-    b = imgs.shape[0]
+    """(embedding, head cache, patches (10, batch x positions), mask z > 0 (batch x positions, k))."""
+    cols, z = pre_activations(params, imgs)
+    b = len(imgs)
     positions = cols.shape[1] // b
-    z = cols.T @ _conv_weights(params)
-    slope = _rectify(z)
-    pooled = np.ones(positions) @ z.reshape(b, positions, -1)
-    pooled /= RECTIFIER_SLOPE * positions
+    pooled = np.ones(positions) @ np.maximum(z, 0.0).reshape(b, positions, -1)
+    pooled /= positions
     embedding, cache = _head_forward(params, pooled)
-    return embedding, cache, cols, slope
+    return embedding, cache, cols, (z > 0.0).astype(np.float64)
 
 
 def reference_encode_text(params, id_seqs):

@@ -5,7 +5,6 @@ import pytest
 
 from studyclip.encoders import (
     CONV_BLOCK_BYTES,
-    RECTIFIER_SLOPE,
     EmptySequence,
     ImageEncoderParams,
     TextEncoderParams,
@@ -19,9 +18,8 @@ from studyclip.encoders import (
     text_backward,
     text_bag,
     tokenize,
-    _rectify,
 )
-from encoder_oracle import reference_encode, reference_encode_text, reference_text_backward
+from encoder_oracle import pre_activations, reference_encode, reference_encode_text, reference_text_backward
 from gradcheck import finite_diff_grad, max_relative_error
 from studyclip.evalrun import EVAL_CHUNK, eval_image_embeddings
 from studyclip.losses import EmbeddingBatch, ShapeMismatch, Temperature, paper_table, total_loss
@@ -92,6 +90,13 @@ def test_text_embedding_unit_norm_and_empty_rejected(vocab):
         encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab) + 1))
 
 
+def test_a_mid_gray_image_encodes_at_initialisation():
+    # 0.5 shifts to 0, so every pre-activation is the conv bias: at a zero bias the relu, the head's
+    # hidden and feature vectors (zero biases) and the projection would all be 0
+    emb, _ = encode_image_batch(init_image_params(0, TrainConfig()), np.full((2, 32, 32), 0.5))
+    np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 def test_projection_dims_match_across_modalities(vocab):
     img = init_image_params(0, TINY)
     txt = init_text_params(1, len(vocab), TINY)
@@ -131,7 +136,19 @@ def params_arrays_roundtrip(params):
     return names, values
 
 
+FD_EPSILON = 1e-5
+
+
+def assert_clear_of_the_kink(params, *image_sets):
+    # A central difference is exact only while no pre-activation crosses relu's kink at 0. A step of
+    # FD_EPSILON in one parameter moves a pre-activation by at most FD_EPSILON (|patch| <= 0.5, bias 1).
+    for imgs in image_sets:
+        _, z = pre_activations(params, imgs)
+        assert np.min(np.abs(z)) > FD_EPSILON
+
+
 def fd_check_image(loss_of_embedding, params, imgs, tol=1e-4):
+    assert_clear_of_the_kink(params, imgs)
     emb, cache = encode_image_batch(params, imgs)
     value, d_emb = loss_of_embedding(emb)
     grads = image_backward(params, cache, d_emb)
@@ -142,7 +159,7 @@ def fd_check_image(loss_of_embedding, params, imgs, tol=1e-4):
         e, _ = encode_image_batch(p, imgs)
         return loss_of_embedding(e)[0]
 
-    fd = finite_diff_grad(scalar_fn, [params.arrays()[n] for n in names])
+    fd = finite_diff_grad(scalar_fn, [params.arrays()[n] for n in names], epsilon=FD_EPSILON)
     for name, fd_grad in zip(names, fd):
         assert max_relative_error(grads[name], fd_grad) <= tol, name
 
@@ -200,6 +217,7 @@ def test_full_pipeline_gradients_match_finite_differences(vocab):
     imgs2 = rng.uniform(size=(2, 8, 8))
     bag1 = text_bag([tokenize("heart size is enlarged.", vocab), tokenize("lungs are clear.", vocab)], len(vocab))
     bag2 = text_bag([tokenize("no pneumothorax.", vocab), tokenize("clear lungs.", vocab)], len(vocab))
+    assert_clear_of_the_kink(img_params, imgs1, imgs2)
     table = paper_table(1.0, 0.5)
     log_tau = np.array(np.log(0.3))
 
@@ -233,7 +251,7 @@ def test_full_pipeline_gradients_match_finite_differences(vocab):
     inputs = [img_params.arrays()[n] for n in img_names] + [
         txt_params.arrays()[n] for n in txt_names
     ] + [log_tau]
-    fd = finite_diff_grad(scalar_fn, inputs)
+    fd = finite_diff_grad(scalar_fn, inputs, epsilon=FD_EPSILON)
     for name, fd_grad in zip(img_names, fd[: len(img_names)]):
         assert max_relative_error(img_grads[name], fd_grad) <= 1e-4, f"img {name}"
     for name, fd_grad in zip(txt_names, fd[len(img_names) : -1]):
@@ -251,42 +269,6 @@ def test_batch_embeddings_unit_norm():
 def test_vocab_requires_unk_slot():
     with pytest.raises(ValueError):
         Vocab(tokens=["word"])
-
-
-# ------------------------------------------------------------------ rectifier
-
-
-def test_fused_rectifier_matches_reference_formulas():
-    x = np.concatenate([
-        np.linspace(-4.0, 4.0, 801),
-        [0.0, -0.0, 1e-3, -1e-3, 1e3, -1e3, 1e-12, -1e-12, 50.0, -50.0],
-        [100.0, -100.0, 200.0, -200.0],  # |z| far above 709, where exp(z) would overflow
-    ])
-    z = RECTIFIER_SLOPE * x
-    softplus = z.copy()
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        slope = _rectify(softplus)
-    assert np.all(softplus >= np.maximum(z, 0.0))
-    assert np.all((slope >= 0.0) & (slope <= 1.0))
-    softplus /= RECTIFIER_SLOPE
-    ref_softplus = np.logaddexp(0.0, RECTIFIER_SLOPE * x) / RECTIFIER_SLOPE
-    e = np.exp(-np.abs(z))
-    ref_slope = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    np.testing.assert_allclose(softplus, ref_softplus, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(slope, ref_slope, rtol=0, atol=1e-15)
-    assert np.all(slope[x == 0.0] == 0.5)
-
-
-def test_rectifier_without_the_slope_gives_the_same_softplus_bits():
-    z = RECTIFIER_SLOPE * np.concatenate([
-        np.linspace(-4.0, 4.0, 801),
-        [0.0, -0.0, 1e-12, -1e-12, 50.0, -50.0, 100.0, -100.0, 200.0, -200.0],
-    ])
-    with_slope, without = z.copy(), z.copy()
-    _rectify(with_slope)
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        assert _rectify(without, with_slope=False) is None
-    assert without.tobytes() == with_slope.tobytes()
 
 
 def test_chunked_eval_embeddings_match_one_batch():
@@ -323,20 +305,20 @@ def test_blocked_forward_matches_one_pass_oracle_bit_for_bit(batch):
     params.conv_b = np.random.default_rng(8).normal(size=DEFAULT.conv_filters)  # exercise the bias
     imgs = np.random.default_rng(batch).uniform(size=(batch, DEFAULT.image_size, DEFAULT.image_size))
     emb, cache = encode_image_batch(params, imgs)
-    ref_emb, ref_cache, cols, slope = reference_encode(params, imgs)
+    ref_emb, ref_cache, cols, mask = reference_encode(params, imgs)
     assert emb.tobytes() == ref_emb.tobytes()
     for name in ("pooled", "h", "feature", "projected"):
         assert cache[name].shape == ref_cache[name].shape, name
         assert cache[name].tobytes() == ref_cache[name].tobytes(), name
-    # moments: per image, the mean over positions of each patch entry (and of 1) times each filter's slope
+    # moments: per image, the mean over positions of each patch entry (and of 1) times each filter's mask
     positions = cols.shape[1] // batch
-    want = np.einsum("jbp,bpk->bjk", cols.reshape(10, batch, positions), slope.reshape(batch, positions, -1))
+    want = np.einsum("jbp,bpk->bjk", cols.reshape(10, batch, positions), mask.reshape(batch, positions, -1))
     want /= positions
     assert cache["moments"].shape == (batch, 10, DEFAULT.conv_filters)
     # every term is at most 1 in size, so 1e-14 is about 45 units in the last place of the largest
     np.testing.assert_allclose(cache["moments"], want, rtol=0, atol=1e-14)
-    mean_slope = slope.reshape(batch, positions, -1).mean(axis=1)
-    np.testing.assert_allclose(cache["moments"][:, 9], mean_slope, rtol=0, atol=1e-14)
+    active_share = mask.reshape(batch, positions, -1).mean(axis=1)
+    np.testing.assert_allclose(cache["moments"][:, 9], active_share, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("batch", [1, 5, 32, 128])

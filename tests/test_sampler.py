@@ -494,6 +494,18 @@ def test_invalid_pgm_header_or_pixel_names_the_file_and_field(tmp_path, header, 
         read_pgm(p)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"", b"P5", b"P5\n4 4\n", b"P2 2 1 # c"],
+    ids=["empty", "magic_only", "trailing_whitespace", "trailing_comment"],
+)
+def test_a_header_that_ends_early_is_truncated(tmp_path, raw):
+    p = tmp_path / "short.pgm"
+    p.write_bytes(raw)
+    with pytest.raises(DataFormatError, match="short.pgm: truncated graymap header"):
+        read_pgm(p)
+
+
 def test_inline_pixel_records(tmp_path):
     path = tmp_path / "inline.jsonl"
     path.write_text(

@@ -758,12 +758,12 @@ def test_synth_split_is_the_same_in_every_process():
 # these bits; a change meant to alter the numbers updates this table and says why.
 GOLDEN_SPEC = SynthSpec(train_studies=48, valid_studies=20, test_studies=20)
 GOLDEN_DIGESTS = {
-    "clip_only": "1f389bbfa5b839ea7a966510ade743ba403f31789d5b7b3611ad60eccca7a5d2",
-    "study_sampling": "6d0dd533dafc91289fcd335a271157f517b17f782d92ccee023f3f623a9016eb",
-    "augmentations": "b4e6254d4ffc4d9b8a6fc174a4c65005d15d4112e0da699bde254c92ecccf9dc",
-    "mvs": "ba1211206a8a33a087594b6e445bbd49b1a65efaba204fceb7972f40b977e053",
-    "mvs_icl": "60418aa8159e61bdf588fa8b718c064209f1fecf8f71de3ff2823ef8a6a0b369",
-    "full": "c61f5a81b48a31931629809229071809bd07ef6fff8b1834842fbdb47d164c87",
+    "clip_only": "93a99260a9a61fbfdc47d90f2acfdc061a5dfac7f035122d3122a10503ecbc2c",
+    "study_sampling": "d983a8ce10556402bcac68d16ba88f05447f036b1edfb4ce2b00a5deafa6b6be",
+    "augmentations": "3af3daa4e713d7a26fcb2814e52771eaf1e317c4308a7746af823ce0622b0f4b",
+    "mvs": "b39a4aa0ded89f904c4607543205f154e8b4bed4370b85f8afda19465ef4acde",
+    "mvs_icl": "3405bc1fef78f58c64b4bdde6271815cdc28dcc66e5bd366713d60dbf631ea39",
+    "full": "fcde478b53c93c9c2f25842245f7aa415fee57a6113454b2b712777c7f79803a",
 }
 
 
