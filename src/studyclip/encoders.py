@@ -6,6 +6,12 @@ linear projection and row normalization. Text path: a batch's ``text_bag``
 times the token embedding table (the mean pool over tokens), then the same
 perceptron/projection/normalization stack.
 
+The shared head owns the unit normalization and its backward pass. The
+forward pass divides each projected row by its norm and raises if a
+projection collapses to zero; the backward pass recomputes those norms from
+the cached projection and takes the gradient through the division there.
+``losses`` takes the embeddings as they come and checks only their shape.
+
 The conv stage rectifies before it pools: pooling an odd activation of
 zero-mean structure would wash out to a constant, while pooled rectifier
 responses measure how strongly each filter matches, wherever the match
@@ -49,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .losses import ShapeMismatch, l2_normalize_vjp
+from .losses import ShapeMismatch
 
 
 class EmptySequence(ValueError):
@@ -180,23 +186,21 @@ def _head_forward(params, pooled: np.ndarray):
 
 def _head_backward(params, cache, d_emb: np.ndarray):
     """Returns (param grad dict for the head, gradient at pooled input)."""
-    d_proj = l2_normalize_vjp(cache["projected"], d_emb)
+    # back through y = x / |x| per row: dx = (g - y (y . g)) / |x|, with the forward pass's norms
+    projected = cache["projected"]
+    norms = np.linalg.norm(projected, axis=1, keepdims=True)
+    y = projected / norms
+    d_proj = (d_emb - y * np.sum(y * d_emb, axis=1, keepdims=True)) / norms
+    d_feature = d_proj @ params.proj.T
+    d_h_pre = (1.0 - cache["h"] ** 2) * (d_feature @ params.mlp_w2.T)
     grads = {
         "proj": cache["feature"].T @ d_proj,
-        "mlp_b2": None,
-        "mlp_w2": None,
-        "mlp_b1": None,
-        "mlp_w1": None,
+        "mlp_w2": cache["h"].T @ d_feature,
+        "mlp_b2": d_feature.sum(axis=0),
+        "mlp_w1": cache["pooled"].T @ d_h_pre,
+        "mlp_b1": d_h_pre.sum(axis=0),
     }
-    d_feature = d_proj @ params.proj.T
-    grads["mlp_w2"] = cache["h"].T @ d_feature
-    grads["mlp_b2"] = d_feature.sum(axis=0)
-    d_h = d_feature @ params.mlp_w2.T
-    d_h_pre = (1.0 - cache["h"] ** 2) * d_h
-    grads["mlp_w1"] = cache["pooled"].T @ d_h_pre
-    grads["mlp_b1"] = d_h_pre.sum(axis=0)
-    d_pooled = d_h_pre @ params.mlp_w1.T
-    return grads, d_pooled
+    return grads, d_h_pre @ params.mlp_w1.T
 
 
 # ---------------------------------------------------------------- image path

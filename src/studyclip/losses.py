@@ -6,10 +6,15 @@ embeddings,
     L(a, b) = -1/(2n) * sum_i [ log softmax_j(s_ij / tau)|_{j=i}      (row direction)
                               + log softmax_j(s_ji / tau)|_{j=i} ]    (column direction)
 
-where s_ij is the inner product between row i of a and row j of b. A batch
-has up to four views: the text views u1, u2 and the image views v1, v2. Every
-objective is a table of rows (view_a, view_b, weight, component), and its
-value is the sum over rows of weight * L(view_a, view_b):
+where s_ij is the inner product between row i of a and row j of b. Views are
+plain (n, d) arrays of unit-norm rows, as the encoders give them: the encoder
+head owns the normalization and its gradient, so the loss checks only that
+the views it pairs are 2-d arrays of one shape. The temperature enters as
+log(tau), the parameter training learns.
+
+A batch has up to four views: the text views u1, u2 and the image views v1,
+v2. Every objective is a table of rows (view_a, view_b, weight, component),
+and its value is the sum over rows of weight * L(view_a, view_b):
 
 - ``paper_table``: the paper's six rows, the four text-image cross pairings
   at 1/4 each (MVS, the multi-view mean), (v1, v2) at lambda_icl (ICL) and
@@ -38,65 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 
-class ZeroRow(ValueError):
-    """A row with (near-)zero Euclidean norm cannot be normalized."""
-
-
 class ShapeMismatch(ValueError):
     """Input batches disagree in batch size or embedding dimension."""
-
-
-ROW_NORM_TOL = 1e-6
-
-
-@dataclass
-class EmbeddingBatch:
-    """n x d matrix of unit-norm row embeddings, tagged image or text.
-
-    Row i of an image batch pairs with row i of the corresponding text batch.
-    """
-
-    rows: np.ndarray
-    role: str = "image"
-
-    def __post_init__(self) -> None:
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2:
-            raise ShapeMismatch(f"expected 2-d matrix, got shape {self.rows.shape}")
-        n, d = self.rows.shape
-        if n < 1 or d < 2:
-            raise ShapeMismatch(f"need n >= 1 and d >= 2, got {self.rows.shape}")
-        if self.role not in ("image", "text"):
-            raise ValueError(f"role must be 'image' or 'text', got {self.role!r}")
-        norms = np.linalg.norm(self.rows, axis=1)
-        if np.any(np.abs(norms - 1.0) > ROW_NORM_TOL):
-            worst = float(np.max(np.abs(norms - 1.0)))
-            raise ValueError(f"rows must be unit-norm within {ROW_NORM_TOL}, off by {worst:g}")
-
-
-@dataclass
-class Temperature:
-    """Learnable softmax temperature, parameterized as log(tau) so tau > 0."""
-
-    log_tau: float
-
-    TAU_MIN = 1e-3
-    TAU_MAX = 10.0
-
-    @classmethod
-    def from_tau(cls, tau: float) -> "Temperature":
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        return cls(log_tau=math.log(tau))
-
-    @property
-    def tau(self) -> float:
-        return math.exp(self.log_tau)
-
-    def clamped(self) -> "Temperature":
-        """Return a copy with tau clamped into [TAU_MIN, TAU_MAX]."""
-        lo, hi = math.log(self.TAU_MIN), math.log(self.TAU_MAX)
-        return Temperature(log_tau=min(max(self.log_tau, lo), hi))
 
 
 class Pairing(NamedTuple):
@@ -139,52 +87,21 @@ class LossOutput:
     components: dict[str, float]
 
 
-def l2_normalize(matrix: np.ndarray, role: str = "image") -> EmbeddingBatch:
-    """Divide each row by its Euclidean norm. Raises ZeroRow on degenerate rows."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ShapeMismatch(f"expected 2-d matrix, got shape {matrix.shape}")
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    if np.any(norms <= 1e-12):
-        raise ZeroRow("cannot normalize a row with norm <= 1e-12")
-    return EmbeddingBatch(rows=matrix / norms, role=role)
-
-
-def l2_normalize_vjp(raw: np.ndarray, grad_normalized: np.ndarray) -> np.ndarray:
-    """Backpropagate a gradient through row-wise normalization.
-
-    For y = x / |x| per row: dx = (g - y * (y . g)) / |x|.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    if np.any(norms <= 1e-12):
-        raise ZeroRow("cannot normalize a row with norm <= 1e-12")
-    y = raw / norms
-    inner = np.sum(y * grad_normalized, axis=1, keepdims=True)
-    return (grad_normalized - y * inner) / norms
-
-
-def _require_same_shape(*batches: EmbeddingBatch) -> None:
-    shapes = {b.rows.shape for b in batches}
-    if len(shapes) != 1:
-        raise ShapeMismatch(f"batches must share n and d, got shapes {sorted(shapes)}")
-
-
 def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
     out = logits - np.max(logits, axis=axis, keepdims=True)
     out -= np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
     return out
 
 
-def _symmetric_infonce(a: np.ndarray, b: np.ndarray, temp: Temperature, with_grads: bool = True):
+def _symmetric_infonce(a: np.ndarray, b: np.ndarray, log_tau: float, with_grads: bool = True):
     """Value and raw gradients of the symmetric contrastive loss.
 
-    Returns (value, grad_a, grad_b, grad_log_tau) for unit-norm row matrices
-    a, b of identical shape, where similarity s_ij = a_i . b_j; without
-    ``with_grads``, the value and three Nones.
+    Returns (value, grad_a, grad_b, grad_log_tau) for row matrices a, b of
+    identical shape, where similarity s_ij = a_i . b_j and tau = exp(log_tau);
+    without ``with_grads``, the value and three Nones.
     """
     n = a.shape[0]
-    tau = temp.tau
+    tau = math.exp(log_tau)
     logits = a @ b.T
     logits /= tau
 
@@ -210,7 +127,7 @@ def _symmetric_infonce(a: np.ndarray, b: np.ndarray, temp: Temperature, with_gra
 
 
 def total_loss(
-    views: dict[str, EmbeddingBatch], temp: Temperature, table: tuple[Pairing, ...], with_grads: bool = True
+    views: dict[str, np.ndarray], log_tau: float, table: tuple[Pairing, ...], with_grads: bool = True
 ) -> LossOutput:
     """Weighted sum of symmetric InfoNCE terms over the table's view pairings.
 
@@ -219,13 +136,15 @@ def total_loss(
     value is available for logging whatever its weight. Without ``with_grads``
     only the value and components are computed.
     """
-    _require_same_shape(*(views[name] for row in table for name in row[:2]))
+    shapes = {views[name].shape for row in table for name in row[:2]}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 2:
+        raise ShapeMismatch(f"views must be 2-d arrays of one shape, got shapes {sorted(shapes)}")
     value = 0.0
     grad_lt = 0.0
     grads: dict[str, np.ndarray] = {}
     terms: dict[str, list[float]] = {}
     for view_a, view_b, weight, component in table:
-        term, grad_a, grad_b, glt = _symmetric_infonce(views[view_a].rows, views[view_b].rows, temp, with_grads)
+        term, grad_a, grad_b, glt = _symmetric_infonce(views[view_a], views[view_b], log_tau, with_grads)
         value += weight * term
         terms.setdefault(component, []).append(term)
         if not with_grads:

@@ -77,8 +77,8 @@ class Study:
         for name, kind in (("findings", str), ("impression", str), ("labels", dict)):
             if not isinstance(value := getattr(self, name), (kind, type(None))):
                 raise DataFormatError(f"study {self.id!r}: {name} must be {kind.__name__} or None, got {value!r}")
-        self.findings = self.findings.strip() if self.findings else None
-        self.impression = self.impression.strip() if self.impression else None
+        self.findings = (self.findings or "").strip() or None  # a blank section is no section
+        self.impression = (self.impression or "").strip() or None
         if self.labels is not None:
             for cls, value in self.labels.items():
                 if value not in LABEL_VALUES:

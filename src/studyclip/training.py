@@ -74,7 +74,7 @@ from .encoders import (
     text_bag,
     tokenize,
 )
-from .losses import CLIP_TABLE, EmbeddingBatch, Pairing, ShapeMismatch, Temperature, paper_table, total_loss
+from .losses import CLIP_TABLE, Pairing, ShapeMismatch, paper_table, total_loss
 from .prompts import PromptEngine
 from .sampling import SAMPLING_MODES, SamplingError, StudyBatch, assemble_batch, make_batch, sample_single
 from .studies import Study
@@ -216,6 +216,7 @@ def lr_at(step: float, total_steps: int, warmup_steps: int, base_lr: float) -> f
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW moment decay rates and denominator guard
 WEIGHT_DECAY = 1e-4
 TAU_INIT = 0.07  # CLIP's initial softmax temperature
+LOG_TAU_RANGE = (math.log(1e-3), math.log(10.0))  # log(tau) is clamped into this after every step
 
 
 class OptimState:
@@ -372,12 +373,10 @@ def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple
     views, caches = {}, {}
     for name, x in inputs.items():
         if VIEWS[name][1] == "img":
-            emb, caches[name] = encode_image_batch(img_p, x, with_grads)
-            views[name] = EmbeddingBatch(emb, "image")
+            views[name], caches[name] = encode_image_batch(img_p, x, with_grads)
         else:
-            emb, caches[name] = encode_text_batch(txt_p, x)
-            views[name] = EmbeddingBatch(emb, "text")
-    out = total_loss(views, Temperature(model.log_tau), table, with_grads)
+            views[name], caches[name] = encode_text_batch(txt_p, x)
+    out = total_loss(views, model.log_tau, table, with_grads)
     if not with_grads:
         return out, None
     flat = np.zeros(sum(p.size for p in model.params.values()))  # a parameter no view reaches gets 0
@@ -507,7 +506,7 @@ def train(
                     raise NumericError(step=step, value=out.value, param=name)
                 lr = lr_at(step, total_steps, warmup_steps, cfg.learning_rate)
                 optim_step(flat, grad, state, lr, WEIGHT_DECAY)
-                flat[-1] = Temperature(float(flat[-1])).clamped().log_tau
+                flat[-1] = min(max(flat[-1], LOG_TAU_RANGE[0]), LOG_TAU_RANGE[1])
                 log.steps.append(
                     StepRecord(
                         step=step,

@@ -6,8 +6,9 @@ import numpy as np
 def finite_diff_grad(loss_fn, inputs: list[np.ndarray], epsilon: float = 1e-5) -> list[np.ndarray]:
     """Central-difference gradient of a scalar function of ndarray inputs.
 
-    Perturbs every scalar entry of every input by +/- epsilon. Inputs are raw
-    (pre-normalization) parameters; any normalization belongs inside loss_fn.
+    Perturbs every scalar entry of every input by +/- epsilon, so a perturbed
+    input leaves any constraint, such as unit-norm rows: loss_fn must be smooth
+    off it too, or apply the constraint itself.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")

@@ -22,7 +22,7 @@ from studyclip.encoders import (
 from encoder_oracle import pre_activations, reference_encode, reference_encode_text, reference_text_backward
 from gradcheck import finite_diff_grad, max_relative_error
 from studyclip.evalrun import EVAL_CHUNK, eval_image_embeddings
-from studyclip.losses import EmbeddingBatch, ShapeMismatch, Temperature, paper_table, total_loss
+from studyclip.losses import ShapeMismatch, paper_table, total_loss
 from studyclip.studies import Study, StudyImage
 from studyclip.training import TrainConfig, TrainedModel, _combined_params
 
@@ -95,6 +95,13 @@ def test_a_mid_gray_image_encodes_at_initialisation():
     # hidden and feature vectors (zero biases) and the projection would all be 0
     emb, _ = encode_image_batch(init_image_params(0, TrainConfig()), np.full((2, 32, 32), 0.5))
     np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_a_collapsed_projection_raises(vocab):
+    params = init_text_params(0, len(vocab), TINY)
+    params.mlp_w2[...] = 0.0  # with the zero bias, every feature and projection is 0
+    with pytest.raises(FloatingPointError, match="projection collapsed"):
+        encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab)))
 
 
 def test_projection_dims_match_across_modalities(vocab):
@@ -200,12 +207,7 @@ def test_text_encoder_gradients_match_finite_differences(vocab):
 
 
 def views(u1, u2, v1, v2):
-    return {
-        "u1": EmbeddingBatch(u1, "text"),
-        "u2": EmbeddingBatch(u2, "text"),
-        "v1": EmbeddingBatch(v1, "image"),
-        "v2": EmbeddingBatch(v2, "image"),
-    }
+    return {"u1": u1, "u2": u2, "v1": v1, "v2": v2}
 
 
 def test_full_pipeline_gradients_match_finite_differences(vocab):
@@ -233,13 +235,13 @@ def test_full_pipeline_gradients_match_finite_differences(vocab):
         v2, _ = encode_image_batch(ip, imgs2)
         u1, _ = encode_text_batch(tp, bag1)
         u2, _ = encode_text_batch(tp, bag2)
-        return total_loss(views(u1, u2, v1, v2), Temperature(lt), table).value
+        return total_loss(views(u1, u2, v1, v2), lt, table).value
 
     v1, c_v1 = encode_image_batch(img_params, imgs1)
     v2, c_v2 = encode_image_batch(img_params, imgs2)
     u1, c_u1 = encode_text_batch(txt_params, bag1)
     u2, c_u2 = encode_text_batch(txt_params, bag2)
-    out = total_loss(views(u1, u2, v1, v2), Temperature(float(log_tau)), table)
+    out = total_loss(views(u1, u2, v1, v2), float(log_tau), table)
     d = out.grad_views
     img_grads = image_backward(img_params, c_v1, d["v1"])
     for name, g in image_backward(img_params, c_v2, d["v2"]).items():

@@ -560,6 +560,12 @@ def test_study_invariants_enforced():
         Study(id="x", images=[StudyImage(grid_image(4), "PA")])
     with pytest.raises(DataFormatError):
         Study(id="x", images=[StudyImage(grid_image(4), "PA")], labels={"Edema": "positve"})
+    for blank in ("   ", "\n\t"):
+        for section in ("findings", "impression"):
+            with pytest.raises(DataFormatError, match="neither text sections nor labels"):
+                Study(id="x", images=[StudyImage(grid_image(4), "PA")], **{section: blank})
+    labelled = Study(id="x", images=[StudyImage(grid_image(4), "PA")], findings="   ", labels={"Edema": "positive"})
+    assert labelled.findings is None and labelled.sections == []
 
 
 def test_image_keeps_its_pixels_when_the_callers_array_changes():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,18 @@ import pytest
 
 from studyclip.prompts import PromptEngine
 from studyclip.studies import load_studies
-from studyclip.synth import SynthSpec, _split_counts, generate_dataset, generate_split, pattern_distances
+from studyclip.synth import (
+    MARKERS,
+    SEVERITIES,
+    TEXTURES,
+    StudyLatent,
+    SynthSpec,
+    _split_counts,
+    attribute_sentences,
+    generate_dataset,
+    generate_split,
+    pattern_distances,
+)
 
 SPEC = SynthSpec(train_studies=13, valid_studies=7, test_studies=11, image_size=16)
 
@@ -40,6 +52,25 @@ def test_every_class_is_labelled_with_exactly_one_positive(engine, split):
     for study in generate_split(SPEC, split, 10, 1, engine):
         assert sorted(study.labels) == sorted(SPEC.class_names)
         assert sorted(study.labels.values()) == ["negative"] * (SPEC.class_count - 1) + ["positive"]
+
+
+def test_report_texts_are_class_renders_followed_by_the_attribute_sentences(engine):
+    studies = [s for s in generate_split(SPEC, "train", 40, 3, engine) if s.findings is not None]
+    assert len(studies) >= 10
+    tails = {
+        " ".join(attribute_sentences(StudyLatent(0, *attrs)))
+        for attrs in itertools.product(range(len(SEVERITIES)), range(len(TEXTURES)), range(len(MARKERS)))
+    }
+    for study in studies:
+        cls = positive_class(study)
+        (tail,) = [t for t in tails if study.findings.endswith(" " + t)]
+        assert study.impression.endswith(" " + tail)
+        positives = engine.prompt_set(cls, "positive")
+        assert study.findings[: -len(tail) - 1] in positives
+        # the impression: a positive render of the class, then a negative render of another class
+        head = study.impression[: -len(tail) - 1]
+        others = set().union(*(engine.prompt_set(o, "negative") for o in SPEC.class_names if o != cls))
+        assert any(head.startswith(p + " ") and head[len(p) + 1 :] in others for p in positives), study.id
 
 
 def test_test_split_is_never_label_only(engine):

@@ -131,9 +131,9 @@ def test_validation_loss_is_the_unweighted_mean_of_batch_losses(engine, splits, 
     batches = []
     original = training.total_loss
 
-    def recording(views, temp, table, with_grads):
-        out = original(views, temp, table, with_grads)
-        batches.append((len(views["u1"].rows), out.value))
+    def recording(views, log_tau, table, with_grads):
+        out = original(views, log_tau, table, with_grads)
+        batches.append((len(views["u1"]), out.value))
         return out
 
     monkeypatch.setattr(training, "total_loss", recording)
@@ -594,7 +594,7 @@ def test_non_finite_float_fields_are_rejected(name, value, text):
 )
 def test_zero_sizes_are_rejected(name):
     # the conv stage needs 3 x 3 pixels: a 2-pixel image would fail only in the first encode of train;
-    # a 1-dim embedding would fail there too, as the loss takes unit-norm rows of at least 2 dims
+    # an embedding needs 2 dims, as TrainConfig says: a unit-norm embedding of 1 dim is only +-1
     least = {"image_size": 3, "embed_dim": 2}.get(name, 1)
     for value in {0, least - 1}:
         with pytest.raises(ConfigError, match=f"{name} must be at least {least}, got {value}"):
@@ -691,6 +691,33 @@ def test_adamw_two_steps_match_hand_arithmetic():
     np.testing.assert_allclose(params[:2], want_w, rtol=1e-14)
     assert float(params[2]) == pytest.approx(by_hand(0.25, 0.3, -0.6, 0.0), rel=1e-14)
     assert state.step == 2
+
+
+def test_log_tau_is_clamped_after_every_step(splits, monkeypatch):
+    cfg = tiny_config(epochs=2, warmup_epochs=0)  # 2 steps per epoch
+    # log(tau) stays in range without a push, and the clamp then leaves every parameter bit as it was
+    in_range, _ = train(*splits, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(training, "LOG_TAU_RANGE", (-math.inf, math.inf))
+        unclamped, _ = train(*splits, cfg)
+    assert np.concatenate([np.ravel(p) for p in in_range.params.values()]).tobytes() == (
+        np.concatenate([np.ravel(p) for p in unclamped.params.values()]).tobytes()
+    )
+
+    original, pushes, seen = training.optim_step, [50.0, -50.0], []
+
+    def pushing(params, grad, state, lr, weight_decay):
+        seen.append(float(params[-1]))  # log(tau) as the clamp left the previous step
+        original(params, grad, state, lr, weight_decay)
+        if state.step <= len(pushes):
+            params[-1] = pushes[state.step - 1]
+
+    monkeypatch.setattr(training, "optim_step", pushing)
+    _, log = train(*splits, cfg)
+    assert seen[1:3] == [math.log(10.0), math.log(1e-3)]
+    taus = [rec.tau for rec in log.steps]
+    assert len(taus) == 4 and taus[:2] == [pytest.approx(10.0), pytest.approx(1e-3)]
+    assert all(1e-3 * (1 - 1e-12) <= tau <= 10.0 * (1 + 1e-12) for tau in taus)
 
 
 def test_lr_schedule_endpoints():
