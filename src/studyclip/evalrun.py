@@ -73,6 +73,8 @@ class LabelError(ValueError):
 
 
 def eval_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarray:
+    if not studies:
+        raise EmptySequence("cannot embed an empty list of studies")
     size = model.config.image_size
     params = model.image_params()
     chunks = []

@@ -14,6 +14,7 @@ class index) and reports accuracy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,11 @@ def recall_at_k(image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10)) ->
             f"aligned embedding matrices required, got {image_embs.shape} and {text_embs.shape}"
         )
     n = image_embs.shape[0]
-    if any(k > n for k in ks):
-        raise ShapeMismatch(f"every K must be <= {n}")
+    for k in ks:
+        if not isinstance(k, numbers.Integral) or k < 1:
+            raise ShapeMismatch(f"every K must be an integer >= 1, got K={k!r}")
+        if k > n:
+            raise ShapeMismatch(f"every K must be <= {n}, got K={k}")
     ranks = np.empty(n, dtype=np.int64)
     for start in range(0, n, RANK_BLOCK):
         stop = min(start + RANK_BLOCK, n)
@@ -76,7 +80,11 @@ def zero_shot_binary(
 ) -> float:
     """AUC of sim(image, pos) - sim(image, neg) via the exact rank statistic."""
     image_embs = np.asarray(image_embs, dtype=np.float64)
-    scores = image_embs @ np.asarray(pos_prompt_emb) - image_embs @ np.asarray(neg_prompt_emb)
+    pos_prompt_emb, neg_prompt_emb = np.asarray(pos_prompt_emb), np.asarray(neg_prompt_emb)
+    for kind, emb in (("positive", pos_prompt_emb), ("negative", neg_prompt_emb)):
+        if image_embs.ndim != 2 or emb.shape != image_embs.shape[1:]:
+            raise ShapeMismatch(f"embedding dims differ: images {image_embs.shape} vs {kind} prompt {emb.shape}")
+    scores = image_embs @ pos_prompt_emb - image_embs @ neg_prompt_emb
     return auc_exact(scores, labels)
 
 

@@ -2,13 +2,21 @@
 
 Each study carries one latent class plus three latent attributes (severity,
 texture, marker). The image is a binary oriented stripe pattern whose
-orientation encodes the class, amplitude encodes severity, and stripe duty
-cycle encodes texture (thin versus even stripes, same orientation), with an
-optional checkerboard marker and Gaussian noise on top; the noise level is
-the difficulty knob. Views of the same study differ by a phase offset. Texts
-mention the class (through the prompt grammar) and the attributes (through
-fixed sentence patterns), so exact-study retrieval is learnable while
-within-class confusion remains.
+orientation encodes the class and amplitude encodes severity; a coarse texture
+adds binary concentric rings, a marker a checkerboard, and Gaussian noise goes
+on top; the noise level is the difficulty knob. Views of the same study differ
+by a phase offset. Texts mention the class (through the prompt grammar) and the
+attributes (through fixed sentence patterns), so exact-study retrieval is
+learnable while within-class confusion remains.
+
+One ``generate_split`` call builds each unit pattern (the ±1 class stripes of
+one view phase, the radial texture of one phase, the checkerboard marker) at
+most once, in a table it drops when it returns, and every image of the split
+adds scaled copies of them into its own fresh array. The table holds unit
+patterns only: ``render_image`` reads the amplitudes from ``SEVERITIES``,
+``TEXTURES`` and ``MARKERS`` as it renders, so a caller that patches those
+tables (to vary one attribute's salience, say) changes the pixels, and the
+table's size does not grow with the number of amplitudes.
 
 The default five classes mirror a 5-way evaluation subset; label-only studies
 stand in for image-label data, report-bearing studies for image-text data.
@@ -18,6 +26,7 @@ others negative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +39,7 @@ from .studies import Study, StudyImage, save_studies
 DEFAULT_CLASSES = ["Atelectasis", "Cardiomegaly", "Consolidation", "Edema", "Pleural Effusion"]
 
 SEVERITIES = [("minimal", 0.08), ("moderate", 0.22), ("severe", 0.36)]
-TEXTURES = [("smooth", 0.0), ("coarse", 0.55)]  # stripe duty-cycle threshold
+TEXTURES = [("smooth", 0.0), ("coarse", 0.55)]  # ring amplitude
 MARKERS = [(False, 0.0), (True, 0.14)]
 VIEW_PHASES = {"PA": 0.0, "AP": math.pi / 3.0, "LATERAL": 2.0 * math.pi / 3.0}
 _SPLITS = {"train": 0, "valid": 1, "test": 2}  # split name -> its stream's key
@@ -114,19 +123,34 @@ class StudyLatent:
     marker_idx: int
 
 
-def render_image(latent: StudyLatent, spec: SynthSpec, view: str, rng: np.random.Generator) -> np.ndarray:
+def pattern_memo():
+    """A table of unit patterns: ``memo(build, *args)`` returns ``build(*args)``, built on the first call
+    with those arguments and read-only, since every later call shares it. ``build`` is
+    ``class_pattern``, ``texture_pattern`` or ``marker_pattern``."""
+
+    @functools.cache
+    def memo(build, *args):
+        pattern = build(*args)
+        pattern.flags.writeable = False
+        return pattern
+
+    return memo
+
+
+def render_image(latent: StudyLatent, spec: SynthSpec, view: str, rng: np.random.Generator, patterns) -> np.ndarray:
+    """A fresh image, built from the unit patterns in ``patterns``, a ``pattern_memo()``."""
     size = spec.image_size
     phase = VIEW_PHASES[view]
     _, amplitude = SEVERITIES[latent.severity_idx]
     _, tex_amp = TEXTURES[latent.texture_idx]
     _, marker_amp = MARKERS[latent.marker_idx]
-    img = 0.5 + amplitude * class_pattern(latent.class_idx, spec.class_count, size, phase)
+    img = 0.5 + amplitude * patterns(class_pattern, latent.class_idx, spec.class_count, size, phase)
     if tex_amp:
-        img = img + tex_amp * texture_pattern(size, phase)
+        img += tex_amp * patterns(texture_pattern, size, phase)
     if marker_amp:
-        img = img + marker_amp * marker_pattern(size)
-    img = img + rng.normal(0.0, spec.noise_level, size=(size, size))
-    return np.clip(img, 0.0, 1.0)
+        img += marker_amp * patterns(marker_pattern, size)
+    img += rng.normal(0.0, spec.noise_level, size=(size, size))
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def attribute_sentences(latent: StudyLatent) -> list[str]:
@@ -175,6 +199,7 @@ def generate_split(
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _SPLITS[split]]))
+    patterns = pattern_memo()
     studies = []
     counts = _split_counts(count, spec.class_count)
     index = 0
@@ -189,7 +214,7 @@ def generate_split(
                 texture_idx=int(rng.integers(len(TEXTURES))),
                 marker_idx=int(rng.integers(len(MARKERS))),
             )
-            images = [StudyImage(render_image(latent, spec, view, rng), view) for view in views]
+            images = [StudyImage(render_image(latent, spec, view, rng, patterns), view) for view in views]
             findings = impression = None
             labels = study_labels(latent, spec)
             if not label_only:

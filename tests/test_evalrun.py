@@ -229,6 +229,12 @@ def test_an_empty_test_set_raises_empty_sequence_before_any_encoding(model_and_t
     assert encodings == []
 
 
+def test_embedding_no_studies_raises_empty_sequence(model_and_test):
+    model, _ = model_and_test
+    with pytest.raises(EmptySequence, match="cannot embed an empty list of studies"):
+        evalrun.eval_image_embeddings(model, [])
+
+
 def test_an_empty_binary_test_set_raises_empty_sequence_before_any_encoding(
     model_and_test, engine, encodings, monkeypatch
 ):

@@ -126,6 +126,16 @@ def test_recall_rejects_a_k_above_n_and_misaligned_matrices(images, texts, ks, m
         recall_at_k(images, texts, ks)
 
 
+@pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, "1"])
+def test_recall_rejects_a_k_that_is_not_an_integer_from_1_naming_it(k):
+    with pytest.raises(ShapeMismatch, match=rf"every K must be an integer >= 1, got K={k!r}"):
+        recall_at_k(np.eye(3), np.eye(3), (1, k))
+
+
+def test_recall_accepts_numpy_integer_ks():
+    assert recall_at_k(np.eye(3), np.eye(3), (np.int64(1), np.int32(3))).recalls == {1: 1.0, 3: 1.0}
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_auc_with_ties_matches_brute_force_pair_count(seed):
     rng = np.random.default_rng(seed)
@@ -181,6 +191,18 @@ def test_misaligned_labels_raise_shape_mismatch(n_labels):
         auc_exact(images @ pos, labels)
     with pytest.raises(ShapeMismatch, match=rf"\(4,\) scores but labels of shape \({n_labels},\)"):
         zero_shot_binary(images, pos, neg, labels)
+
+
+@pytest.mark.parametrize(
+    "pos_dim, neg_dim, message",
+    [
+        (4, 3, r"embedding dims differ: images \(2, 3\) vs positive prompt \(4,\)"),
+        (3, 2, r"embedding dims differ: images \(2, 3\) vs negative prompt \(2,\)"),
+    ],
+)
+def test_zero_shot_binary_rejects_a_prompt_of_another_dimension_naming_both(pos_dim, neg_dim, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        zero_shot_binary(np.ones((2, 3)), np.ones(pos_dim), np.ones(neg_dim), np.array([0, 1]))
 
 
 def test_class_prompt_embeddings_are_one_normalized_prompt_per_class_in_order():

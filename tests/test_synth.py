@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from studyclip import synth
 from studyclip.prompts import PromptEngine
 from studyclip.studies import load_studies
 from studyclip.synth import (
@@ -17,6 +19,8 @@ from studyclip.synth import (
     generate_dataset,
     generate_split,
     pattern_distances,
+    pattern_memo,
+    render_image,
 )
 
 SPEC = SynthSpec(train_studies=13, valid_studies=7, test_studies=11, image_size=16)
@@ -165,3 +169,52 @@ def test_generate_dataset_writes_the_three_splits(engine, tmp_path):
         # graymap files quantize the pixels
         for a, b in zip(got.images, made.images):
             assert np.abs(a.pixels - b.pixels).max() <= 0.5 / 255 + 1e-12
+
+
+# SHA-256 over every id, view, pixel byte, section and label of the three splits
+# of a small spec, at seeds 0 and 7 and image sizes 16 and 32. A change to the
+# generator's rng stream or arithmetic moves it.
+SPLITS_DIGEST = "8e1e4662b11823c0c2248d26068c38c769e2994e76f805ffcf441a6f6ab94e75"
+
+
+def test_generated_splits_keep_their_golden_digest(engine):
+    digest = hashlib.sha256()
+    for size in (16, 32):
+        spec = SynthSpec(train_studies=9, valid_studies=4, test_studies=6, image_size=size)
+        for seed in (0, 7):
+            for split, count in (("train", 9), ("valid", 4), ("test", 6)):
+                for s in generate_split(spec, split, count, seed, engine):
+                    views = [image.view for image in s.images]
+                    digest.update(repr((s.id, views, s.findings, s.impression, sorted(s.labels.items()))).encode())
+                    for image in s.images:
+                        digest.update(image.pixels.tobytes())
+    assert digest.hexdigest() == SPLITS_DIGEST
+
+
+def test_rendered_images_share_no_memory_with_the_pattern_memo():
+    spec = SynthSpec(image_size=16, noise_level=0.0)
+    latent = StudyLatent(class_idx=2, severity_idx=1, texture_idx=1, marker_idx=1)
+    patterns, rng = pattern_memo(), np.random.default_rng(0)
+    first = render_image(latent, spec, "AP", rng, patterns)
+    second = render_image(latent, spec, "AP", rng, patterns)
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.flags.writeable and second.flags.writeable
+    np.testing.assert_array_equal(first, second)
+    assert not patterns(synth.class_pattern, 2, spec.class_count, 16, synth.VIEW_PHASES["AP"]).flags.writeable
+    want = second.copy()
+    first[...] = -7.0  # a write into one render reaches neither the memo nor later renders
+    np.testing.assert_array_equal(render_image(latent, spec, "AP", rng, patterns), want)
+
+
+@pytest.mark.parametrize("table, index", [("SEVERITIES", 2), ("TEXTURES", 1), ("MARKERS", 1)])
+def test_patched_amplitudes_reach_renders_from_a_used_memo(monkeypatch, table, index):
+    spec = SynthSpec(image_size=16, noise_level=0.0)
+    latent = StudyLatent(class_idx=0, severity_idx=2, texture_idx=1, marker_idx=1)
+    patterns, rng = pattern_memo(), np.random.default_rng(0)
+    before = render_image(latent, spec, "PA", rng, patterns)
+    rows = list(getattr(synth, table))
+    rows[index] = (rows[index][0], rows[index][1] / 2)
+    monkeypatch.setattr(synth, table, rows)
+    after = render_image(latent, spec, "PA", rng, patterns)
+    assert not np.array_equal(before, after)
+    np.testing.assert_array_equal(after, render_image(latent, spec, "PA", rng, pattern_memo()))
