@@ -41,10 +41,12 @@ repeated token adds up); ``encode_text_batch`` takes the bag, its cache holds
 it, and the table gradient is its transpose times the pooled-feature
 gradient.
 
-Forward passes cache intermediates; backward functions consume the cache and
-return gradients per parameter array. Parameters live in plain dataclasses
-whose ``arrays()`` method names them; ``training`` holds them as views of one
-flat vector.
+The encoders own the parameter names: ``img.*`` for the image path, ``txt.*``
+for the text path. The init functions return those arrays as a dict, the
+forward passes read them by name from any map that holds them (a trained
+model's ``params``, ``log_tau`` and the other path's arrays included), and
+the backward passes consume the forward cache and return one gradient per
+name, keyed the same.
 """
 
 from __future__ import annotations
@@ -106,76 +108,47 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
 # ---------------------------------------------------------------- parameters
 
 
-@dataclass
-class ImageEncoderParams:
-    conv_w: np.ndarray  # (k, 3, 3)
-    conv_b: np.ndarray  # (k,)
-    mlp_w1: np.ndarray  # (k, h)
-    mlp_b1: np.ndarray  # (h,)
-    mlp_w2: np.ndarray  # (h, f)
-    mlp_b2: np.ndarray  # (f,)
-    proj: np.ndarray  # (f, d), bias-free
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-
-@dataclass
-class TextEncoderParams:
-    emb: np.ndarray  # (vocab, e)
-    mlp_w1: np.ndarray  # (e, h)
-    mlp_b1: np.ndarray
-    mlp_w2: np.ndarray  # (h, f)
-    mlp_b2: np.ndarray
-    proj: np.ndarray  # (f, d), bias-free
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_image_params(seed_or_rng, cfg) -> ImageEncoderParams:
-    """Glorot-uniform weights, conv bias ``CONV_BIAS_INIT``, zero head biases; sizes from ``cfg``, a ``TrainConfig``."""
-    rng = np.random.default_rng(seed_or_rng) if isinstance(seed_or_rng, int) else seed_or_rng
-    k, h, f, d = cfg.conv_filters, cfg.hidden_dim, cfg.feature_dim, cfg.embed_dim
-    return ImageEncoderParams(
-        conv_w=_glorot(rng, (k, 3, 3), fan_in=9, fan_out=9 * k),
-        conv_b=np.full(k, CONV_BIAS_INIT),
-        mlp_w1=_glorot(rng, (k, h), k, h),
-        mlp_b1=np.zeros(h),
-        mlp_w2=_glorot(rng, (h, f), h, f),
-        mlp_b2=np.zeros(f),
-        proj=_glorot(rng, (f, d), f, d),
-    )
+def _init_head(rng: np.random.Generator, prefix: str, pooled_dim: int, cfg) -> dict[str, np.ndarray]:
+    """The shared perceptron and projection of one path: Glorot-uniform weights, zero biases."""
+    h, f, d = cfg.hidden_dim, cfg.feature_dim, cfg.embed_dim
+    return {
+        f"{prefix}.mlp_w1": _glorot(rng, (pooled_dim, h), pooled_dim, h),
+        f"{prefix}.mlp_b1": np.zeros(h),
+        f"{prefix}.mlp_w2": _glorot(rng, (h, f), h, f),
+        f"{prefix}.mlp_b2": np.zeros(f),
+        f"{prefix}.proj": _glorot(rng, (f, d), f, d),  # bias-free
+    }
 
 
-def init_text_params(seed_or_rng, vocab_size: int, cfg) -> TextEncoderParams:
-    """Glorot-uniform weights, zero biases; sizes from ``cfg``, a ``training.TrainConfig``."""
-    rng = np.random.default_rng(seed_or_rng) if isinstance(seed_or_rng, int) else seed_or_rng
-    e, h, f, d = cfg.token_dim, cfg.hidden_dim, cfg.feature_dim, cfg.embed_dim
-    return TextEncoderParams(
-        emb=_glorot(rng, (vocab_size, e), vocab_size, e),
-        mlp_w1=_glorot(rng, (e, h), e, h),
-        mlp_b1=np.zeros(h),
-        mlp_w2=_glorot(rng, (h, f), h, f),
-        mlp_b2=np.zeros(f),
-        proj=_glorot(rng, (f, d), f, d),
-    )
+def init_image_params(seed_or_rng, cfg) -> dict[str, np.ndarray]:
+    """The ``img.*`` arrays: Glorot-uniform filters, bias ``CONV_BIAS_INIT``, the head; sizes from a ``TrainConfig``."""
+    rng = np.random.default_rng(seed_or_rng)  # a Generator comes back unchanged
+    k = cfg.conv_filters
+    conv = {"img.conv_w": _glorot(rng, (k, 3, 3), fan_in=9, fan_out=9 * k), "img.conv_b": np.full(k, CONV_BIAS_INIT)}
+    return {**conv, **_init_head(rng, "img", k, cfg)}
+
+
+def init_text_params(seed_or_rng, vocab_size: int, cfg) -> dict[str, np.ndarray]:
+    """The ``txt.*`` arrays: a Glorot-uniform (vocab, token_dim) table, the head; sizes from a ``TrainConfig``."""
+    rng = np.random.default_rng(seed_or_rng)
+    e = cfg.token_dim
+    return {"txt.emb": _glorot(rng, (vocab_size, e), vocab_size, e), **_init_head(rng, "txt", e, cfg)}
 
 
 # -------------------------------------------------------------- shared stages
 
 
-def _head_forward(params, pooled: np.ndarray):
-    """pooled (B, in) -> perceptron -> projection -> normalized embedding."""
-    h_pre = pooled @ params.mlp_w1 + params.mlp_b1
+def _head_forward(params, prefix: str, pooled: np.ndarray):
+    """pooled (B, in) -> perceptron -> projection -> normalized embedding, with the ``prefix`` path's head."""
+    h_pre = pooled @ params[f"{prefix}.mlp_w1"] + params[f"{prefix}.mlp_b1"]
     h = np.tanh(h_pre)
-    feature = h @ params.mlp_w2 + params.mlp_b2
-    projected = feature @ params.proj
+    feature = h @ params[f"{prefix}.mlp_w2"] + params[f"{prefix}.mlp_b2"]
+    projected = feature @ params[f"{prefix}.proj"]
     norms = np.linalg.norm(projected, axis=1, keepdims=True)
     if np.any(norms <= 1e-12):
         raise FloatingPointError("projection collapsed to a zero vector")
@@ -184,23 +157,23 @@ def _head_forward(params, pooled: np.ndarray):
     return embedding, cache
 
 
-def _head_backward(params, cache, d_emb: np.ndarray):
-    """Returns (param grad dict for the head, gradient at pooled input)."""
+def _head_backward(params, prefix: str, cache, d_emb: np.ndarray):
+    """Returns (the head's gradients by name, gradient at pooled input)."""
     # back through y = x / |x| per row: dx = (g - y (y . g)) / |x|, with the forward pass's norms
     projected = cache["projected"]
     norms = np.linalg.norm(projected, axis=1, keepdims=True)
     y = projected / norms
     d_proj = (d_emb - y * np.sum(y * d_emb, axis=1, keepdims=True)) / norms
-    d_feature = d_proj @ params.proj.T
-    d_h_pre = (1.0 - cache["h"] ** 2) * (d_feature @ params.mlp_w2.T)
+    d_feature = d_proj @ params[f"{prefix}.proj"].T
+    d_h_pre = (1.0 - cache["h"] ** 2) * (d_feature @ params[f"{prefix}.mlp_w2"].T)
     grads = {
-        "proj": cache["feature"].T @ d_proj,
-        "mlp_w2": cache["h"].T @ d_feature,
-        "mlp_b2": d_feature.sum(axis=0),
-        "mlp_w1": cache["pooled"].T @ d_h_pre,
-        "mlp_b1": d_h_pre.sum(axis=0),
+        f"{prefix}.proj": cache["feature"].T @ d_proj,
+        f"{prefix}.mlp_w2": cache["h"].T @ d_feature,
+        f"{prefix}.mlp_b2": d_feature.sum(axis=0),
+        f"{prefix}.mlp_w1": cache["pooled"].T @ d_h_pre,
+        f"{prefix}.mlp_b1": d_h_pre.sum(axis=0),
     }
-    return grads, d_h_pre @ params.mlp_w1.T
+    return grads, d_h_pre @ params[f"{prefix}.mlp_w1"].T
 
 
 # ---------------------------------------------------------------- image path
@@ -232,13 +205,13 @@ CONV_BLOCK_BYTES = 1 << 17
 CONV_BIAS_INIT = 0.01
 
 
-def _conv_weights(params: ImageEncoderParams) -> np.ndarray:
+def _conv_weights(params) -> np.ndarray:
     """(10, k): the filters over the patch rows, then the bias."""
-    k = params.conv_w.shape[0]
-    return np.vstack([params.conv_w.reshape(k, 9).T, params.conv_b])
+    conv_w = params["img.conv_w"]
+    return np.vstack([conv_w.reshape(len(conv_w), 9).T, params["img.conv_b"]])
 
 
-def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray, with_grads: bool = True):
+def encode_image_batch(params, imgs: np.ndarray, with_grads: bool = True):
     """Embeds (batch, H, W) images; without ``with_grads`` the cache holds nothing for ``image_backward``."""
     imgs = np.asarray(imgs, dtype=np.float64)
     if imgs.ndim != 3:
@@ -270,19 +243,19 @@ def encode_image_batch(params: ImageEncoderParams, imgs: np.ndarray, with_grads:
                 out=moments[start:stop],
             )
     pooled /= positions
-    embedding, cache = _head_forward(params, pooled)
+    embedding, cache = _head_forward(params, "img", pooled)
     if with_grads:
         moments /= positions
         cache["moments"] = moments
     return embedding, cache
 
 
-def image_backward(params: ImageEncoderParams, cache, d_emb: np.ndarray) -> dict[str, np.ndarray]:
+def image_backward(params, cache, d_emb: np.ndarray) -> dict[str, np.ndarray]:
     """Pooling is linear: each image's filter and bias gradient is its moments scaled by dL/dpooled."""
-    grads, d_pooled = _head_backward(params, cache, d_emb)
+    grads, d_pooled = _head_backward(params, "img", cache, d_emb)
     d_w = np.einsum("bjk,bk->jk", cache["moments"], d_pooled)
-    grads["conv_w"] = d_w[:9].T.reshape(-1, 3, 3)
-    grads["conv_b"] = d_w[9]
+    grads["img.conv_w"] = d_w[:9].T.reshape(-1, 3, 3)
+    grads["img.conv_b"] = d_w[9]
     return grads
 
 
@@ -304,16 +277,17 @@ def text_bag(id_seqs: list[list[int]], vocab_size: int) -> np.ndarray:
     return np.bincount(cells, weights, minlength=len(id_seqs) * vocab_size).reshape(len(id_seqs), vocab_size)
 
 
-def encode_text_batch(params: TextEncoderParams, bag: np.ndarray):
+def encode_text_batch(params, bag: np.ndarray):
     """Embeds a (batch, vocab) ``text_bag``."""
-    if bag.ndim != 2 or bag.shape[1] != params.emb.shape[0]:
-        raise ShapeMismatch(f"expected a (batch, {params.emb.shape[0]}) token bag, got {bag.shape}")
-    embedding, cache = _head_forward(params, bag @ params.emb)
+    emb = params["txt.emb"]
+    if bag.ndim != 2 or bag.shape[1] != emb.shape[0]:
+        raise ShapeMismatch(f"expected a (batch, {emb.shape[0]}) token bag, got {bag.shape}")
+    embedding, cache = _head_forward(params, "txt", bag @ emb)
     cache["bag"] = bag
     return embedding, cache
 
 
-def text_backward(params: TextEncoderParams, cache, d_emb: np.ndarray) -> dict[str, np.ndarray]:
-    grads, d_pooled = _head_backward(params, cache, d_emb)
-    grads["emb"] = cache["bag"].T @ d_pooled
+def text_backward(params, cache, d_emb: np.ndarray) -> dict[str, np.ndarray]:
+    grads, d_pooled = _head_backward(params, "txt", cache, d_emb)
+    grads["txt.emb"] = cache["bag"].T @ d_pooled
     return grads

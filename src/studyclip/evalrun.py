@@ -76,13 +76,12 @@ def eval_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarr
     if not studies:
         raise EmptySequence("cannot embed an empty list of studies")
     size = model.config.image_size
-    params = model.image_params()
     chunks = []
     for start in range(0, len(studies), EVAL_CHUNK):
         imgs = np.stack(
             [resize_bilinear(s.images[0].pixels, size, size) for s in studies[start : start + EVAL_CHUNK]]
         )
-        chunks.append(encode_image_batch(params, imgs, with_grads=False)[0])
+        chunks.append(encode_image_batch(model.params, imgs, with_grads=False)[0])
     return np.concatenate(chunks)
 
 
@@ -127,7 +126,7 @@ def eval_text(study: Study, engine: PromptEngine) -> str:
 
 def encode_texts(model: TrainedModel, texts: list[str]) -> np.ndarray:
     ids = [tokenize(t, model.vocab) for t in texts]
-    emb, _ = encode_text_batch(model.text_params(), text_bag(ids, len(model.vocab)))
+    emb, _ = encode_text_batch(model.params, text_bag(ids, len(model.vocab)))
     return emb
 
 

@@ -115,7 +115,11 @@ def zero_shot_multiclass(
     """Accuracy of the argmax over class prompt similarities."""
     image_embs = np.asarray(image_embs, dtype=np.float64)
     class_prompt_embs = np.asarray(class_prompt_embs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if image_embs.ndim != 2 or class_prompt_embs.ndim != 2:
+        raise ShapeMismatch(f"embedding matrices required, got {image_embs.shape} and {class_prompt_embs.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ShapeMismatch(f"labels must be integer class indices, got dtype {labels.dtype}")
     k = class_prompt_embs.shape[0]
     if k < 2:
         raise ShapeMismatch("need at least two classes")

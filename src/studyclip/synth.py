@@ -69,11 +69,12 @@ class SynthSpec:
             raise ValueError("multi_image_fraction must lie in [0, 1]")
         if not (math.isfinite(self.noise_level) and self.noise_level >= 0.0):
             raise ValueError(f"noise_level must be finite and non-negative, got {self.noise_level}")
-        if self.image_size < 1:
-            raise ValueError(f"image_size must be at least 1, got {self.image_size}")
-        for name in ("train_studies", "valid_studies", "test_studies"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name, least in (("train_studies", 0), ("valid_studies", 0), ("test_studies", 0), ("image_size", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     @property
     def class_count(self) -> int:

@@ -31,20 +31,22 @@ to the parameters) with a linear-warmup cosine-annealed learning rate. The
 learnable log-temperature is updated like any other parameter but excluded
 from weight decay and clamped after every step. ``train`` lays every
 parameter out in one contiguous float64 vector, with log(tau) in the last
-slot, and ``model.params`` maps each name to a view of it. A step's backward
-passes add their gradients into views of one zeroed vector of the same
-layout, a single ``np.isfinite`` checks it (the failing parameter is looked
-up only when it fails), and ``optim_step`` updates parameters and the flat
-moments in about a dozen whole-vector passes, in place, with the bits of a
-per-parameter update: at this model size a step pays more in per-array call
+slot, and ``model.params`` maps each name to a view of it. That map is the
+only form of the parameters: the encoders read their ``img.*`` and ``txt.*``
+arrays from it by name, and their backward passes return gradients under the
+same names, which a step adds into views of one zeroed vector of the same
+layout. A single ``np.isfinite`` checks that vector (the failing parameter is
+looked up only when it fails), and ``optim_step`` updates parameters and the
+flat moments in about a dozen whole-vector passes, in place, with the bits of
+a per-parameter update: at this model size a step pays more in per-array call
 overhead than in arithmetic. The best-validation snapshot is one vector copy,
 and the returned model's ``params`` are views of that copy, which no later
 step writes. Validation passes encode forward-only and compute only the loss
 value (``_batch_loss`` without ``with_grads``). Validation loss is evaluated
-before the first epoch and after each one, on validation batches assembled
-in the main process and turned into step inputs once per ``train`` call, with
-a fixed sampling seed: each study's draws depend only on that seed and its
-id, so every epoch would assemble the same batches. The best-validation
+before the first epoch and after each one, on validation batches assembled in
+the main process and turned into step inputs once per ``train`` call, with a
+fixed sampling seed: each study's draws depend only on that seed and its id,
+so every epoch would assemble the same batches. The best-validation
 parameters are kept and training stops after ``early_stop_patience`` epochs
 without improvement.
 
@@ -61,8 +63,6 @@ import numpy as np
 
 from .assembly import Worker
 from .encoders import (
-    ImageEncoderParams,
-    TextEncoderParams,
     Vocab,
     build_vocab,
     encode_image_batch,
@@ -317,25 +317,9 @@ class TrainedModel:
     vocab: Vocab
     params: dict[str, np.ndarray]  # img.* / txt.* / log_tau, views of one flat vector with log_tau last
 
-    def image_params(self) -> ImageEncoderParams:
-        return ImageEncoderParams(**{k[4:]: v for k, v in self.params.items() if k.startswith("img.")})
-
-    def text_params(self) -> TextEncoderParams:
-        return TextEncoderParams(**{k[4:]: v for k, v in self.params.items() if k.startswith("txt.")})
-
     @property
     def log_tau(self) -> float:
         return float(self.params["log_tau"])
-
-
-def _combined_params(img_params, txt_params, log_tau: float) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    for name, arr in img_params.arrays().items():
-        params[f"img.{name}"] = arr
-    for name, arr in txt_params.arrays().items():
-        params[f"txt.{name}"] = arr
-    params["log_tau"] = np.array(log_tau, dtype=np.float64)
-    return params
 
 
 def _param_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -369,26 +353,21 @@ def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple
     laid out as the flat parameters. Without it, a forward-only encode, a
     value-only loss and None.
     """
-    img_p, txt_p = model.image_params(), model.text_params()
     views, caches = {}, {}
     for name, x in inputs.items():
         if VIEWS[name][1] == "img":
-            views[name], caches[name] = encode_image_batch(img_p, x, with_grads)
+            views[name], caches[name] = encode_image_batch(model.params, x, with_grads)
         else:
-            views[name], caches[name] = encode_text_batch(txt_p, x)
+            views[name], caches[name] = encode_text_batch(model.params, x)
     out = total_loss(views, model.log_tau, table, with_grads)
     if not with_grads:
         return out, None
     flat = np.zeros(sum(p.size for p in model.params.values()))  # a parameter no view reaches gets 0
     slots = _param_views(flat, model.params)
     for name in views:
-        prefix = VIEWS[name][1]
-        if prefix == "img":
-            view_grads = image_backward(img_p, caches[name], out.grad_views[name])
-        else:
-            view_grads = text_backward(txt_p, caches[name], out.grad_views[name])
-        for param, g in view_grads.items():
-            slots[f"{prefix}.{param}"] += g
+        backward = image_backward if VIEWS[name][1] == "img" else text_backward
+        for param, g in backward(model.params, caches[name], out.grad_views[name]).items():
+            slots[param] += g
     slots["log_tau"][...] = out.grad_log_tau
     return out, flat
 
@@ -473,9 +452,11 @@ def train(
     engine = engine or PromptEngine.default()
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(corpus_texts(dataset, engine))
-    img_params = init_image_params(rng, cfg)
-    txt_params = init_text_params(rng, len(vocab), cfg)
-    params = _combined_params(img_params, txt_params, math.log(TAU_INIT))
+    params = {
+        **init_image_params(rng, cfg),  # draws from rng before the text arrays do
+        **init_text_params(rng, len(vocab), cfg),
+        "log_tau": np.array(math.log(TAU_INIT)),
+    }
     flat = np.concatenate([np.ravel(arr) for arr in params.values()])  # log_tau last
     model = TrainedModel(config=cfg, vocab=vocab, params=_param_views(flat, params))
 

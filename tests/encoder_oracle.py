@@ -32,19 +32,19 @@ def reference_encode(params, imgs):
     positions = cols.shape[1] // b
     pooled = np.ones(positions) @ np.maximum(z, 0.0).reshape(b, positions, -1)
     pooled /= positions
-    embedding, cache = _head_forward(params, pooled)
+    embedding, cache = _head_forward(params, "img", pooled)
     return embedding, cache, cols, (z > 0.0).astype(np.float64)
 
 
 def reference_encode_text(params, id_seqs):
-    pooled = np.stack([params.emb[seq].mean(axis=0) for seq in id_seqs])
-    return _head_forward(params, pooled)
+    pooled = np.stack([params["txt.emb"][seq].mean(axis=0) for seq in id_seqs])
+    return _head_forward(params, "txt", pooled)
 
 
 def reference_text_backward(params, cache, id_seqs, d_emb):
-    grads, d_pooled = _head_backward(params, cache, d_emb)
-    d_table = np.zeros_like(params.emb)
+    grads, d_pooled = _head_backward(params, "txt", cache, d_emb)
+    d_table = np.zeros_like(params["txt.emb"])
     for row, seq in zip(d_pooled, id_seqs):
         np.add.at(d_table, seq, row / len(seq))
-    grads["emb"] = d_table
+    grads["txt.emb"] = d_table
     return grads

@@ -6,8 +6,6 @@ import pytest
 from studyclip.encoders import (
     CONV_BLOCK_BYTES,
     EmptySequence,
-    ImageEncoderParams,
-    TextEncoderParams,
     Vocab,
     build_vocab,
     encode_image_batch,
@@ -24,7 +22,7 @@ from gradcheck import finite_diff_grad, max_relative_error
 from studyclip.evalrun import EVAL_CHUNK, eval_image_embeddings
 from studyclip.losses import ShapeMismatch, paper_table, total_loss
 from studyclip.studies import Study, StudyImage
-from studyclip.training import TrainConfig, TrainedModel, _combined_params
+from studyclip.training import TrainConfig, TrainedModel
 
 TINY = TrainConfig(conv_filters=2, hidden_dim=3, feature_dim=4, token_dim=3, embed_dim=4)
 
@@ -99,7 +97,7 @@ def test_a_mid_gray_image_encodes_at_initialisation():
 
 def test_a_collapsed_projection_raises(vocab):
     params = init_text_params(0, len(vocab), TINY)
-    params.mlp_w2[...] = 0.0  # with the zero bias, every feature and projection is 0
+    params["txt.mlp_w2"][...] = 0.0  # with the zero bias, every feature and projection is 0
     with pytest.raises(FloatingPointError, match="projection collapsed"):
         encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab)))
 
@@ -107,7 +105,7 @@ def test_a_collapsed_projection_raises(vocab):
 def test_projection_dims_match_across_modalities(vocab):
     img = init_image_params(0, TINY)
     txt = init_text_params(1, len(vocab), TINY)
-    assert img.proj.shape[1] == txt.proj.shape[1] == TINY.embed_dim
+    assert img["img.proj"].shape[1] == txt["txt.proj"].shape[1] == TINY.embed_dim
 
 
 # ----------------------------------------------------------------------- init
@@ -117,14 +115,22 @@ def test_init_deterministic_and_seed_sensitive():
     a = init_image_params(7, TINY)
     b = init_image_params(7, TINY)
     c = init_image_params(8, TINY)
-    np.testing.assert_array_equal(a.conv_w, b.conv_w)
-    assert not np.array_equal(a.conv_w, c.conv_w)
+    np.testing.assert_array_equal(a["img.conv_w"], b["img.conv_w"])
+    assert not np.array_equal(a["img.conv_w"], c["img.conv_w"])
+
+
+def test_a_numpy_integer_seed_gives_the_arrays_of_the_equal_int_seed():
+    for init in (lambda seed: init_image_params(seed, TINY), lambda seed: init_text_params(seed, 5, TINY)):
+        by_int, by_numpy = init(7), init(np.int64(7))
+        assert list(by_int) == list(by_numpy)
+        for name, arr in by_int.items():
+            assert arr.tobytes() == by_numpy[name].tobytes(), name
 
 
 def test_init_scale_matches_glorot_variance():
     cfg = TrainConfig(conv_filters=2, hidden_dim=200, feature_dim=300, token_dim=3, embed_dim=4)
     params = init_image_params(3, cfg)
-    w = params.mlp_w2  # 200 x 300
+    w = params["img.mlp_w2"]  # 200 x 300
     fan_in, fan_out = w.shape
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     target = bound**2 / 3.0  # variance of U(-bound, bound)
@@ -135,12 +141,6 @@ def test_init_scale_matches_glorot_variance():
 
 
 # ------------------------------------------------------------- gradient checks
-
-
-def params_arrays_roundtrip(params):
-    names = list(params.arrays())
-    values = [params.arrays()[n] for n in names]
-    return names, values
 
 
 FD_EPSILON = 1e-5
@@ -159,14 +159,13 @@ def fd_check_image(loss_of_embedding, params, imgs, tol=1e-4):
     emb, cache = encode_image_batch(params, imgs)
     value, d_emb = loss_of_embedding(emb)
     grads = image_backward(params, cache, d_emb)
-    names, _ = params_arrays_roundtrip(params)
+    names = list(params)
 
     def scalar_fn(*arrays):
-        p = ImageEncoderParams(**dict(zip(names, arrays)))
-        e, _ = encode_image_batch(p, imgs)
+        e, _ = encode_image_batch(dict(zip(names, arrays)), imgs)
         return loss_of_embedding(e)[0]
 
-    fd = finite_diff_grad(scalar_fn, [params.arrays()[n] for n in names], epsilon=FD_EPSILON)
+    fd = finite_diff_grad(scalar_fn, list(params.values()), epsilon=FD_EPSILON)
     for name, fd_grad in zip(names, fd):
         assert max_relative_error(grads[name], fd_grad) <= tol, name
 
@@ -194,14 +193,13 @@ def test_text_encoder_gradients_match_finite_differences(vocab):
     emb, cache = encode_text_batch(params, bag)
     _, d_emb = loss(emb)
     grads = text_backward(params, cache, d_emb)
-    names = list(params.arrays())
+    names = list(params)
 
     def scalar_fn(*arrays):
-        p = TextEncoderParams(**dict(zip(names, arrays)))
-        e, _ = encode_text_batch(p, bag)
+        e, _ = encode_text_batch(dict(zip(names, arrays)), bag)
         return loss(e)[0]
 
-    fd = finite_diff_grad(scalar_fn, [params.arrays()[n] for n in names])
+    fd = finite_diff_grad(scalar_fn, list(params.values()))
     for name, fd_grad in zip(names, fd):
         assert max_relative_error(grads[name], fd_grad) <= 1e-4, name
 
@@ -223,13 +221,13 @@ def test_full_pipeline_gradients_match_finite_differences(vocab):
     table = paper_table(1.0, 0.5)
     log_tau = np.array(np.log(0.3))
 
-    img_names = list(img_params.arrays())
-    txt_names = list(txt_params.arrays())
+    img_names = list(img_params)
+    txt_names = list(txt_params)
 
     def scalar_fn(*arrays):
         n_img = len(img_names)
-        ip = ImageEncoderParams(**dict(zip(img_names, arrays[:n_img])))
-        tp = TextEncoderParams(**dict(zip(txt_names, arrays[n_img:-1])))
+        ip = dict(zip(img_names, arrays[:n_img]))
+        tp = dict(zip(txt_names, arrays[n_img:-1]))
         lt = float(arrays[-1])
         v1, _ = encode_image_batch(ip, imgs1)
         v2, _ = encode_image_batch(ip, imgs2)
@@ -250,15 +248,28 @@ def test_full_pipeline_gradients_match_finite_differences(vocab):
     for name, g in text_backward(txt_params, c_u2, d["u2"]).items():
         txt_grads[name] = txt_grads[name] + g
 
-    inputs = [img_params.arrays()[n] for n in img_names] + [
-        txt_params.arrays()[n] for n in txt_names
-    ] + [log_tau]
+    inputs = [*img_params.values(), *txt_params.values(), log_tau]
     fd = finite_diff_grad(scalar_fn, inputs, epsilon=FD_EPSILON)
     for name, fd_grad in zip(img_names, fd[: len(img_names)]):
-        assert max_relative_error(img_grads[name], fd_grad) <= 1e-4, f"img {name}"
+        assert max_relative_error(img_grads[name], fd_grad) <= 1e-4, name
     for name, fd_grad in zip(txt_names, fd[len(img_names) : -1]):
-        assert max_relative_error(txt_grads[name], fd_grad) <= 1e-4, f"txt {name}"
+        assert max_relative_error(txt_grads[name], fd_grad) <= 1e-4, name
     assert max_relative_error(np.array(out.grad_log_tau), fd[-1]) <= 1e-4
+
+
+def test_backward_passes_return_exactly_the_names_and_shapes_of_their_init(vocab):
+    img = init_image_params(0, TINY)
+    txt = init_text_params(1, len(vocab), TINY)
+    params = {**img, **txt, "log_tau": np.array(0.0)}  # each path reads its own names from the whole map
+    _, img_cache = encode_image_batch(params, np.random.default_rng(2).uniform(size=(3, 8, 8)))
+    _, txt_cache = encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab)))
+    d_emb = np.random.default_rng(3).standard_normal((3, TINY.embed_dim))
+    img_grads = image_backward(params, img_cache, d_emb)
+    txt_grads = text_backward(params, txt_cache, d_emb[:1])
+    for grads, init in ((img_grads, img), (txt_grads, txt)):
+        assert sorted(grads) == sorted(init)
+        assert {name: g.shape for name, g in grads.items()} == {name: a.shape for name, a in init.items()}
+    assert all(name.startswith("img.") for name in img) and all(name.startswith("txt.") for name in txt)
 
 
 def test_batch_embeddings_unit_norm():
@@ -280,7 +291,7 @@ def test_chunked_eval_embeddings_match_one_batch():
     model = TrainedModel(
         config=cfg,
         vocab=Vocab(tokens=["<unk>"]),
-        params=_combined_params(init_image_params(0, cfg), init_text_params(1, 1, cfg), math.log(0.07)),
+        params={**init_image_params(0, cfg), **init_text_params(1, 1, cfg), "log_tau": np.array(math.log(0.07))},
     )
     rng = np.random.default_rng(7)
     studies = [
@@ -288,7 +299,7 @@ def test_chunked_eval_embeddings_match_one_batch():
         for i in range(n)
     ]
     chunked = eval_image_embeddings(model, studies)
-    whole, _ = encode_image_batch(model.image_params(), np.stack([s.images[0].pixels for s in studies]))
+    whole, _ = encode_image_batch(model.params, np.stack([s.images[0].pixels for s in studies]))
     assert chunked.shape == whole.shape
     np.testing.assert_array_equal(chunked, whole)
 
@@ -304,7 +315,7 @@ BLOCK = CONV_BLOCK_BYTES // (15 * 15 * DEFAULT.conv_filters * 8)
 def test_blocked_forward_matches_one_pass_oracle_bit_for_bit(batch):
     assert BLOCK >= 2  # so block - 1 is a batch and the cases differ
     params = init_image_params(0, DEFAULT)
-    params.conv_b = np.random.default_rng(8).normal(size=DEFAULT.conv_filters)  # exercise the bias
+    params["img.conv_b"] = np.random.default_rng(8).normal(size=DEFAULT.conv_filters)  # exercise the bias
     imgs = np.random.default_rng(batch).uniform(size=(batch, DEFAULT.image_size, DEFAULT.image_size))
     emb, cache = encode_image_batch(params, imgs)
     ref_emb, ref_cache, cols, mask = reference_encode(params, imgs)
@@ -328,7 +339,7 @@ def test_forward_only_embedding_matches_the_full_forward_bit_for_bit(batch):
     # BLOCK images per conv block: 5 ends one image into a block, 32 and 128 on a block edge
     assert BLOCK == 4
     params = init_image_params(0, DEFAULT)
-    params.conv_b = np.random.default_rng(8).normal(size=DEFAULT.conv_filters)
+    params["img.conv_b"] = np.random.default_rng(8).normal(size=DEFAULT.conv_filters)
     imgs = np.random.default_rng(batch).uniform(-50.0, 50.0, size=(batch, DEFAULT.image_size, DEFAULT.image_size))
     emb, cache = encode_image_batch(params, imgs)
     forward, forward_cache = encode_image_batch(params, imgs, with_grads=False)

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,7 +77,8 @@ def naive_clip_value(u, v, tau):
 
 
 def head_params(w1, b1, w2, b2, proj):
-    return SimpleNamespace(mlp_w1=w1, mlp_b1=b1, mlp_w2=w2, mlp_b2=np.asarray(b2, dtype=float), proj=proj)
+    arrays = {"mlp_w1": w1, "mlp_b1": b1, "mlp_w2": w2, "mlp_b2": np.asarray(b2, dtype=float), "proj": proj}
+    return {f"txt.{name}": arr for name, arr in arrays.items()}
 
 
 def random_head_params(rng, sizes=(5, 6, 7, 4)):
@@ -95,20 +95,21 @@ def random_head_params(rng, sizes=(5, 6, 7, 4)):
 def test_l2_normalize_345_triangle():
     # zero perceptron weights: the projected row is the feature bias, (3, 4)
     params = head_params(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 2)), [3.0, 4.0], np.eye(2))
-    emb, _ = _head_forward(params, np.ones((1, 1)))
+    emb, _ = _head_forward(params, "txt", np.ones((1, 1)))
     np.testing.assert_allclose(emb, [[0.6, 0.8]], atol=1e-15)
 
 
 def test_l2_normalize_axis_vectors():
     # identity weights: the projected rows are (tanh 1, 0) and (0, tanh 2)
     eye = np.eye(2)
-    emb, _ = _head_forward(head_params(eye, np.zeros(2), eye, np.zeros(2), eye), np.array([[1.0, 0.0], [0.0, 2.0]]))
+    params = head_params(eye, np.zeros(2), eye, np.zeros(2), eye)
+    emb, _ = _head_forward(params, "txt", np.array([[1.0, 0.0], [0.0, 2.0]]))
     np.testing.assert_allclose(emb, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
 
 def test_l2_normalize_random_rows_unit():
     rng = np.random.default_rng(7)
-    emb, cache = _head_forward(random_head_params(rng), rng.standard_normal((4, 5)))
+    emb, cache = _head_forward(random_head_params(rng), "txt", rng.standard_normal((4, 5)))
     np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-10)
     # each row divided by its own norm
     np.testing.assert_allclose(emb * np.linalg.norm(cache["projected"], axis=1, keepdims=True), cache["projected"])
@@ -122,13 +123,13 @@ def test_l2_normalize_vjp_matches_finite_differences():
     g = rng.standard_normal((3, 4))
 
     def f(proj):
-        emb, _ = _head_forward(SimpleNamespace(**{**vars(params), "proj": proj}), pooled)
+        emb, _ = _head_forward({**params, "txt.proj": proj}, "txt", pooled)
         return float(np.sum(emb * g))
 
-    (fd,) = finite_diff_grad(f, [params.proj])
-    _, cache = _head_forward(params, pooled)
-    grads, _ = _head_backward(params, cache, g)
-    assert max_relative_error(grads["proj"], fd) < 1e-6
+    (fd,) = finite_diff_grad(f, [params["txt.proj"]])
+    _, cache = _head_forward(params, "txt", pooled)
+    grads, _ = _head_backward(params, "txt", cache, g)
+    assert max_relative_error(grads["txt.proj"], fd) < 1e-6
 
 
 # ------------------------------------------------------------------- clip_loss

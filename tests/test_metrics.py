@@ -174,6 +174,26 @@ def test_zero_shot_multiclass_rejects_inconsistent_shapes(images, classes, label
         zero_shot_multiclass(images, classes, np.array(labels))
 
 
+@pytest.mark.parametrize(
+    "images, classes",
+    [
+        (np.ones(3), np.eye(3)),  # one image without its batch axis
+        (np.ones((2, 3)), np.ones(3)),  # one class prompt without its class axis
+        (np.ones((2, 3, 4)), np.eye(3)),  # a stack of image batches
+    ],
+    ids=["1d_images", "1d_classes", "3d_images"],
+)
+def test_zero_shot_multiclass_rejects_embeddings_that_are_not_matrices(images, classes):
+    with pytest.raises(ShapeMismatch, match="embedding matrices required"):
+        zero_shot_multiclass(images, classes, np.array([0, 1]))
+
+
+def test_zero_shot_multiclass_rejects_labels_that_are_not_integers():
+    # cast to int, [0.7, 1.2] would read as [0, 1] and score every prediction correct
+    with pytest.raises(ShapeMismatch, match="labels must be integer class indices"):
+        zero_shot_multiclass(np.eye(2), np.eye(2), np.array([0.7, 1.2]))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_zero_shot_binary_is_the_auc_of_the_prompt_score_difference(seed):
     rng = np.random.default_rng(seed)

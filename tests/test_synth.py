@@ -134,6 +134,14 @@ def test_spec_rejects_bad_numbers_naming_the_field(name, value):
         SynthSpec(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["train_studies", "valid_studies", "test_studies", "image_size"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_spec_rejects_a_count_or_size_that_is_not_an_int_naming_the_field(name, value):
+    # a float fails later, inside generate_split, without naming the field; True would count as 1
+    with pytest.raises(ValueError, match=rf"{name} must be an int, got {value!r}"):
+        SynthSpec(**{name: value})
+
+
 def test_spec_accepts_zero_noise_and_empty_splits(engine):
     spec = SynthSpec(train_studies=0, noise_level=0.0, image_size=1)
     assert generate_split(spec, "train", spec.train_studies, 0, engine) == []

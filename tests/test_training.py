@@ -17,7 +17,7 @@ import pytest
 
 from studyclip import sampling, training
 from studyclip.assembly import SLOTS, AssemblyError
-from studyclip.encoders import build_vocab, text_bag, tokenize
+from studyclip.encoders import build_vocab, init_image_params, init_text_params, text_bag, tokenize
 from studyclip.evalrun import evaluate_model
 from studyclip.metrics import DEFAULT_VARIANTS
 from studyclip.prompts import PromptEngine
@@ -64,7 +64,7 @@ def test_non_finite_gradient_names_step_and_parameter(splits, monkeypatch):
 
     def poisoned(params, cache, d_emb):
         grads = original(params, cache, d_emb)
-        grads["conv_w"] = np.full_like(grads["conv_w"], np.inf)
+        grads["img.conv_w"] = np.full_like(grads["img.conv_w"], np.inf)
         return grads
 
     monkeypatch.setattr(training, "image_backward", poisoned)
@@ -79,7 +79,7 @@ def test_a_nan_gradient_entry_raises_numeric_error_naming_its_parameter(splits, 
 
     def poisoned(params, cache, d_emb):
         grads = original(params, cache, d_emb)
-        grads["emb"][3, 1] = np.nan  # one entry of one parameter
+        grads["txt.emb"][3, 1] = np.nan  # one entry of one parameter
         return grads
 
     monkeypatch.setattr(training, "text_backward", poisoned)
@@ -113,6 +113,14 @@ def test_returned_parameters_are_views_of_one_buffer_no_later_step_writes(engine
     assert {name: value.tobytes() for name, value in model.params.items()} == snapshots[1]
     (trained,) = {id(params): params for params in live}.values()  # every step updated one vector
     assert not np.shares_memory(trained, flat) and trained.tobytes() != flat.tobytes()
+
+
+def test_model_parameters_are_the_image_then_the_text_names_then_log_tau(engine, splits):
+    cfg = tiny_config(epochs=2, early_stop_patience=2)
+    model, _ = train(*splits, cfg, engine)
+    image, text = init_image_params(0, cfg), init_text_params(0, len(model.vocab), cfg)
+    assert list(model.params) == [*image, *text, "log_tau"]
+    assert all(model.params[name].shape == arr.shape for name, arr in {**image, **text}.items())
 
 
 def test_early_stop_after_patience_epochs_without_improvement(splits, monkeypatch):
@@ -448,7 +456,7 @@ def test_train_leaves_no_worker_and_no_descriptor_behind(engine, splits, monkeyp
         assert len(log.epochs) == 2
     elif ending == "numeric_error":
         original = training.image_backward
-        monkeypatch.setattr(training, "image_backward", lambda *args: {**original(*args), "conv_w": np.inf})
+        monkeypatch.setattr(training, "image_backward", lambda *args: {**original(*args), "img.conv_w": np.inf})
         # the caller holds the error, its traceback and so train's frame: the worker is closed all the same
         with pytest.raises(NumericError, match="at step 0") as held:
             train(*splits, cfg, engine)
@@ -478,7 +486,7 @@ def test_train_reaps_its_worker(engine, splits, monkeypatch, tmp_path, deadline,
         assert len(log.epochs) == 2
     elif ending == "numeric_error":
         backward = training.image_backward
-        monkeypatch.setattr(training, "image_backward", lambda *args: {**backward(*args), "conv_w": np.inf})
+        monkeypatch.setattr(training, "image_backward", lambda *args: {**backward(*args), "img.conv_w": np.inf})
         with pytest.raises(NumericError, match="at step 0"):
             train(*splits, tiny_config(), engine)
     else:
@@ -809,3 +817,27 @@ def test_variant_parameters_keep_their_golden_digest(variant, golden_splits, eng
         digest.update(f"{name}:{arr.dtype.str}:{arr.shape};".encode())
         digest.update(arr.tobytes())
     assert digest.hexdigest() == GOLDEN_DIGESTS[variant.name]
+
+
+# What ``perfbench/run.py --verify --seed 0`` reports for each gated workload: the parameter SHA-256
+# and the evaluation results, so that evaluation is pinned too. Like GOLDEN_DIGESTS, a refactor keeps
+# these bits; a change meant to alter the numbers updates this table and says why.
+BENCH_OUTCOMES = {
+    "paper_full": ("38a21a0f361328f8f6ebc32c2a7b0d3e117c8afa9f44ba4883e77124bb35843f", 0.6, 164.0, 0.549625),
+    "clip_single": ("699d777af942f42d9069dd5bda8c764dc6329af66e78fd22b02e6d2b14133768", 0.29, 117.0, 0.533),
+    "eval_2k": (
+        "caaa95773621f11dbdc11d0bfab96a49909679bd3502d4068ecdd7d10087054d", 0.278, 2.9499999999999997, 0.5127534375
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_OUTCOMES))
+def test_benchmark_workload_keeps_its_recorded_outcome(workload):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--verify", "--workload", workload, "--seed", "0"],
+        cwd=SRC.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    outcome = json.loads(done.stdout.strip().splitlines()[-1])
+    got = tuple(outcome[key] for key in ("param_sha256", "acc", "rsum", "auc_mean"))
+    assert got == BENCH_OUTCOMES[workload]
