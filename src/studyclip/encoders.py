@@ -150,8 +150,8 @@ def _head_forward(params, prefix: str, pooled: np.ndarray):
     feature = h @ params[f"{prefix}.mlp_w2"] + params[f"{prefix}.mlp_b2"]
     projected = feature @ params[f"{prefix}.proj"]
     norms = np.linalg.norm(projected, axis=1, keepdims=True)
-    if np.any(norms <= 1e-12):
-        raise FloatingPointError("projection collapsed to a zero vector")
+    if not np.all(np.isfinite(norms) & (norms > 1e-12)):
+        raise FloatingPointError("projection collapsed to a zero vector or is not finite")
     embedding = projected / norms
     cache = {"pooled": pooled, "h": h, "feature": feature, "projected": projected}
     return embedding, cache

@@ -50,6 +50,8 @@ def recall_at_k(image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10)) ->
         raise ShapeMismatch(
             f"aligned embedding matrices required, got {image_embs.shape} and {text_embs.shape}"
         )
+    if not (np.isfinite(image_embs).all() and np.isfinite(text_embs).all()):
+        raise ValueError("embeddings must be finite")
     n = image_embs.shape[0]
     for k in ks:
         if not isinstance(k, numbers.Integral) or k < 1:

@@ -1,7 +1,10 @@
-"""Test oracle for prompt rendering: the plain walk of a template tree.
+"""Test oracle for prompt rendering: the plain walk of a template's source tree.
 
-The renderer and the enumeration run on a compiled form of the template; these
-walks are the definitions they must match. ``reference_walk`` returns the raw
+The tests build a grammar source string together with the tree it spells, so
+this oracle never reads the parser's output. A tree is a ``str`` (a literal as
+written; a blank is ``""``), ``("choice", options)`` or ``("concat", parts)``,
+with any {E} slot already replaced by the expression's tree. These walks are
+the definitions the parsed form must match. ``reference_walk`` returns the raw
 text (literals as written, blanks empty, concatenation parts joined by one
 space) and draws one ``rng.integers(len(options))`` per choice it meets, depth
 first, left to right. ``_normalize`` of that text is the rendered string.
@@ -11,39 +14,30 @@ product of the parts' raw texts, each normalized.
 
 import itertools
 
-from studyclip.prompts import Blank, Choice, Concat, ExprSlot, Literal, UnresolvedSlot, _normalize
+from studyclip.prompts import _normalize
 
 
-def reference_walk(t, rng) -> str:
-    if isinstance(t, Literal):
-        return t.text
-    if isinstance(t, Blank):
-        return ""
-    if isinstance(t, Choice):
-        return reference_walk(t.options[int(rng.integers(len(t.options)))], rng)
-    if isinstance(t, Concat):
-        return " ".join(reference_walk(p, rng) for p in t.parts)
-    if isinstance(t, ExprSlot):
-        raise UnresolvedSlot("template has an unresolved {E} slot")
-    raise TypeError(f"not a template node: {t!r}")
+def reference_walk(tree, rng) -> str:
+    if isinstance(tree, str):
+        return tree
+    kind, children = tree
+    if kind == "choice":
+        return reference_walk(children[int(rng.integers(len(children)))], rng)
+    return " ".join(reference_walk(part, rng) for part in children)
 
 
-def reference_expansions(t) -> set[str]:
-    return {_normalize(raw) for raw in _raw_expansions(t)}
+def reference_expansions(tree) -> set[str]:
+    return {_normalize(raw) for raw in _raw_expansions(tree)}
 
 
-def _raw_expansions(t):
-    if isinstance(t, Literal):
-        yield t.text
-    elif isinstance(t, Blank):
-        yield ""
-    elif isinstance(t, Choice):
-        for option in t.options:
+def _raw_expansions(tree):
+    if isinstance(tree, str):
+        yield tree
+        return
+    kind, children = tree
+    if kind == "choice":
+        for option in children:
             yield from _raw_expansions(option)
-    elif isinstance(t, Concat):
-        for combo in itertools.product(*(list(_raw_expansions(p)) for p in t.parts)):
-            yield " ".join(combo)
-    elif isinstance(t, ExprSlot):
-        raise UnresolvedSlot("template has an unresolved {E} slot")
     else:
-        raise TypeError(f"not a template node: {t!r}")
+        for combo in itertools.product(*(list(_raw_expansions(part)) for part in children)):
+            yield " ".join(combo)

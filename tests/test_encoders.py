@@ -102,6 +102,21 @@ def test_a_collapsed_projection_raises(vocab):
         encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab)))
 
 
+@pytest.mark.parametrize("prefix", ["img", "txt"])
+def test_a_non_finite_projection_raises(vocab, prefix):
+    # a NaN norm passes a check for norms <= 1e-12 alone, and a NaN embedding is never outranked
+    if prefix == "img":
+        params = init_image_params(0, TINY)
+        params["img.conv_w"][0, 0, 0] = np.nan
+        encode = lambda: encode_image_batch(params, np.random.default_rng(1).uniform(size=(2, 8, 8)))
+    else:
+        params = init_text_params(0, len(vocab), TINY)
+        params["txt.emb"][...] = np.nan
+        encode = lambda: encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab)))
+    with pytest.raises(FloatingPointError, match="not finite"):
+        encode()
+
+
 def test_projection_dims_match_across_modalities(vocab):
     img = init_image_params(0, TINY)
     txt = init_text_params(1, len(vocab), TINY)

@@ -191,6 +191,18 @@ def test_a_callers_writable_pixels_mutated_later_still_give_a_fresh_auc(model_an
     assert shared == fresh_auc(model, test_set, "Edema", engine)
 
 
+def test_a_non_finite_parameter_raises_instead_of_scoring(model_and_test, engine):
+    # NaN embeddings were never outranked: evaluate_model read RSUM 300 and evaluate_binary AUC 0.5
+    model, test_set = model_and_test
+    conv_w = model.params["img.conv_w"].copy()
+    conv_w[0, 0, 0] = np.nan
+    poisoned = dataclasses.replace(model, params={**model.params, "img.conv_w": conv_w})
+    with pytest.raises(FloatingPointError, match="not finite"):
+        evaluate_model(poisoned, test_set, engine)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        evaluate_binary(poisoned, test_set, "Edema", engine)
+
+
 def test_multiclass_labels_names_the_study():
     studies = [
         Study(id="one", images=[StudyImage([[0.5]])], labels={"Edema": "positive"}),

@@ -91,11 +91,29 @@ def test_blocked_ranks_match_the_full_matrix_without_ties(tied_block):
 
 
 def test_a_nan_pair_does_not_hide_another_rows_tie():
-    images = np.array([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    texts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # row 1 ties with column 0
-    ranks = brute_force_ranks(images @ texts.T)
-    assert ranks[1] == 1
-    np.testing.assert_array_equal(recall_at_k(images, texts, ks=(1,)).ranks, ranks)
+    # finite embeddings whose similarity overflows: row 0's own pair sums +inf and -inf
+    # products, which gives NaN where the matrix product adds partial sums (32 dims here)
+    d = 32
+    images, texts = np.zeros((3, d)), np.zeros((3, d))
+    images[0] = 1e200
+    texts[0] = np.where(np.arange(d) % 2 == 0, 1e200, -1e200)
+    images[1, 0], texts[1, 0] = 1.0, 1e200  # row 1 ties with column 0
+    images[2, 1], texts[2, 1] = 1.0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sims = images @ texts.T
+        assert np.isnan(sims[0, 0])
+        ranks = brute_force_ranks(sims)
+        assert ranks[1] == 1
+        np.testing.assert_array_equal(recall_at_k(images, texts, ks=(1,)).ranks, ranks)
+
+
+@pytest.mark.parametrize("side", ["images", "texts"])
+def test_recall_rejects_non_finite_embeddings(side):
+    # a NaN pair is never outranked (``sims > diag`` is false), so every rank would read 0
+    images, texts = np.eye(3), np.eye(3)
+    (images if side == "images" else texts)[1, 0] = np.nan
+    with pytest.raises(ValueError, match="embeddings must be finite"):
+        recall_at_k(images, texts, ks=(1,))
 
 
 def test_ranking_memory_is_bounded_by_the_block():

@@ -27,16 +27,21 @@ def test_every_declared_entry_point_imports_and_is_callable():
         assert callable(getattr(importlib.import_module(module_name), attr)), name
 
 
-def test_every_public_function_class_and_method_is_referenced():
-    # a name counts as used when code names it; its definition and an import of it do not count
+def referenced_names() -> set[str]:
+    """Every name the code reads; a definition of a name, an assignment to it and an import of it do not count."""
     referenced = set()
     for folder in ("src", "tests", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             for node in ast.walk(parse(path)):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     referenced.add(node.attr)
+    return referenced
+
+
+def test_every_public_function_class_and_method_is_referenced():
+    referenced = referenced_names()
     unreferenced = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in parse(path).body:
@@ -46,6 +51,27 @@ def test_every_public_function_class_and_method_is_referenced():
             for definition in [node, *members]:
                 if not definition.name.startswith("_") and definition.name not in referenced:
                     unreferenced.append(f"{path.stem}.{definition.name}")
+    assert unreferenced == []
+
+
+def test_every_public_module_constant_and_type_alias_is_referenced():
+    # a constant or alias that nothing reads is left over from code that is gone
+    type_alias = getattr(ast, "TypeAlias", ())  # the ``type X = ...`` statement, from Python 3.12
+    referenced = referenced_names()
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            elif isinstance(node, type_alias):
+                targets = [node.name]
+            else:
+                continue
+            for name in (n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)):
+                if not name.startswith("_") and name not in referenced:
+                    unreferenced.append(f"{path.stem}.{name}")
     assert unreferenced == []
 
 

@@ -2,30 +2,22 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from render_oracle import reference_expansions, reference_walk
 from studyclip.prompts import (
-    Blank,
-    Choice,
-    Concat,
     EmptyLabelSet,
     ExplosionError,
-    ExprSlot,
-    Literal,
     NoTemplateError,
     PromptEngine,
     TemplateSyntaxError,
     UnresolvedSlot,
     UnsupportedValue,
-    _compile,
     _normalize,
     enumerate_expansions,
     expand_template,
     parse_template,
-    resolve_slots,
-    serialize_template,
 )
 
 # Classes that render through the default templates via an expression entry.
@@ -60,37 +52,21 @@ def engine():
 
 
 def test_parse_two_way_choice():
-    assert parse_template("[A, B]") == Choice((Literal("A"), Literal("B")))
+    assert parse_template("[A, B]") == ("A", "B")
 
 
 def test_parse_concat_with_blank_branch():
-    assert parse_template("X + [Y, ( )]") == Concat(
-        (Literal("X"), Choice((Literal("Y"), Blank())))
-    )
+    assert parse_template("X + [Y, ( )]") == ["X", ("Y", "")]
 
 
 def test_parse_slot_inline():
-    assert parse_template("no {E}.") == Concat((Literal("no"), ExprSlot(), Literal(".")))
+    assert parse_template("no {E}.", "[x, y]") == ["no", ("x", "y"), "."]
+    assert parse_template("no {E}.", "lung") == "no lung."
 
 
 def test_default_negative_enumeration_includes_there_is_no(engine):
     expansions = enumerate_expansions(engine.prompts[("Pneumonia", "negative")])
     assert "There is no Pneumonia." in expansions
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        "[A, B]",
-        "X + [Y, ( )]",
-        "no {E}.",
-        "[[a, b] c, d] + e.",
-        "[( ), pulmonary] + [scar, scarring]",
-    ],
-)
-def test_serializer_round_trip(source):
-    tree = parse_template(source)
-    assert parse_template(serialize_template(tree)) == tree
 
 
 @pytest.mark.parametrize("bad", ["[A, B", "a ] b", "{X}", "[]", "[a, ]", "a + ", "+ a"])
@@ -111,24 +87,21 @@ def test_expand_deterministic_under_seed(engine):
 
 
 def test_expand_unresolved_slot():
+    # a slot with nothing to fill it fails when parsed, whichever branch a draw would take
+    for source in ("no {E}.", "[a, no {E}.]"):
+        with pytest.raises(UnresolvedSlot):
+            parse_template(source)
     with pytest.raises(UnresolvedSlot):
-        expand_template(parse_template("no {E}."), np.random.default_rng(0))
-    # the slot is found when the template compiles, whichever branch a draw would take
-    with pytest.raises(UnresolvedSlot):
-        expand_template(parse_template("[a, no {E}.]"), np.random.default_rng(0))
-    with pytest.raises(UnresolvedSlot):
-        enumerate_expansions(parse_template("[a, no {E}.]"))
+        parse_template("no {E}.", "[a, {E}]")
 
 
 def test_resolve_slots_substitutes_expression_tree():
-    expr = parse_template("[x, y]")
-    resolved = resolve_slots(parse_template("[no {E}., {E} seen.]"), expr)
-    assert resolved == parse_template("[no [x, y]., [x, y] seen.]")
-    assert enumerate_expansions(resolved) == {"no x.", "no y.", "x seen.", "y seen."}
-    with pytest.raises(UnresolvedSlot):
-        resolve_slots(parse_template("no {E}."), None)
-    with pytest.raises(UnresolvedSlot):
-        resolve_slots(parse_template("no {E}."), parse_template("[a, {E}]"))
+    filled = parse_template("[no {E}., {E} seen.]", "[x, y]")
+    assert filled == parse_template("[no [x, y]., [x, y] seen.]")
+    assert filled == (["no", ("x", "y"), "."], [("x", "y"), "seen."])
+    assert enumerate_expansions(filled) == {"no x.", "no y.", "x seen.", "y seen."}
+    # an expression without a slot to go in changes nothing
+    assert parse_template("[a, b]", "[x, y]") == ("a", "b")
 
 
 def test_enumerate_product_count():
@@ -168,49 +141,84 @@ def test_whitespace_normalized(engine, seed):
 
 
 def test_compiled_form_prejoins_and_normalizes_literals():
-    tree = parse_template("There is + ( ) + no + [a, b  c, ( )] + seen .")
-    assert _compile(tree, {}) == ["There is no", ("a", "b c", ""), "seen."]
-    assert _compile(parse_template("[x, y]"), {}) == ("x", "y")
-    assert _compile(parse_template("( ) + ( )"), {}) == ""
+    form = parse_template("There is + ( ) + no + [a, b  c, ( )] + seen .")
+    assert form == ["There is no", ("a", "b c", ""), "seen."]
+    assert parse_template("[x, y]") == ("x", "y")
+    assert parse_template("( ) + ( )") == ""
 
 
 def test_one_option_choice_compiles_to_its_option():
-    assert _compile(parse_template("[x] + [y, z]"), {}) == ["x", ("y", "z")]
-    assert _compile(parse_template("a + [b + [c]] + d"), {}) == "a b c d"
-    assert _compile(parse_template("[[p, q]]"), {}) == ("p", "q")
+    assert parse_template("[x] + [y, z]") == ["x", ("y", "z")]
+    assert parse_template("a + [b + [c]] + d") == "a b c d"
+    assert parse_template("[[p, q]]") == ("p", "q")
+    # a filled slot joins its neighbours as a literal would
+    assert parse_template("a + {E} + d", "[b + [c]]") == "a b c d"
 
 
-# Literals include forms the parser never makes: untrimmed, whitespace only,
-# with runs of spaces and tabs, with leading punctuation.
-LITERALS = st.text(alphabet="ab .,;:!?\t", min_size=1, max_size=6).map(Literal)
-TEMPLATES = st.recursive(
-    LITERALS | st.just(Blank()),
-    lambda children: (
-        st.lists(children, min_size=1, max_size=4).map(lambda xs: Choice(tuple(xs)))
-        | st.lists(children, min_size=2, max_size=4).map(lambda xs: Concat(tuple(xs)))
-    ),
-    max_leaves=24,
-)
+# Each case is a grammar source and the tree it spells (see render_oracle). The
+# source is built, not printed from a parsed form, so the parser is checked
+# against the tree. Literals are untrimmed, with runs of spaces and tabs and
+# leading punctuation, but hold none of the characters the grammar reserves
+# ("[ ] , + { } (") and are not whitespace only, which would leave a "+" or a
+# choice option with no atom.
+LITERALS = st.text(alphabet="ab .;:!?\t", min_size=1, max_size=6).filter(str.strip)
+LEAVES = LITERALS.map(lambda text: (text, text)) | st.just(("( )", ""))
 
 
-@given(template=TEMPLATES, seed=st.integers(0, 2**32 - 1))
+def sources(leaves, max_leaves):
+    return st.recursive(
+        leaves,
+        lambda children: (
+            st.lists(children, min_size=1, max_size=4).map(
+                lambda xs: ("[" + ", ".join(s for s, _ in xs) + "]", ("choice", tuple(t for _, t in xs)))
+            )
+            | st.lists(children, min_size=2, max_size=4).map(
+                lambda xs: (" + ".join(s for s, _ in xs), ("concat", tuple(t for _, t in xs)))
+            )
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+def paths(tree):
+    if isinstance(tree, str):
+        return 1
+    counts = [paths(child) for child in tree[1]]
+    return sum(counts) if tree[0] == "choice" else int(np.prod(counts))
+
+
+@st.composite
+def templates(draw):
+    """(template source, expression source, tree): each {E} slot of the template
+    spells the expression's tree."""
+    expr_source, expr_tree = draw(sources(LEAVES, max_leaves=6))
+    source, tree = draw(sources(LEAVES | st.just(("{E}", expr_tree)), max_leaves=24))
+    assume(paths(tree) <= 10_000)
+    return source, expr_source, tree
+
+
+@given(case=templates(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_compiled_render_matches_normalized_reference_walk(template, seed):
-    engine = PromptEngine({("X", "positive"): template})
+def test_compiled_render_matches_normalized_reference_walk(case, seed):
+    source, expr_source, tree = case
+    form = parse_template(source, expr_source)
+    engine = PromptEngine({("X", "positive"): form})
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(4):
-        assert expand_template(template, rng) == _normalize(reference_walk(template, reference))
+        assert expand_template(form, rng) == _normalize(reference_walk(tree, reference))
         assert rng.bit_generator.state == reference.bit_generator.state
-        assert engine.render_prompt("X", "positive", rng) == _normalize(reference_walk(template, reference))
+        assert engine.render_prompt("X", "positive", rng) == _normalize(reference_walk(tree, reference))
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
-@given(template=TEMPLATES)
+@given(case=templates())
 @settings(max_examples=200, deadline=None)
-def test_enumeration_on_the_compiled_form_matches_the_normalized_reference_product(template):
-    expected = reference_expansions(template)
-    assert enumerate_expansions(template) == expected
-    assert PromptEngine({("X", "positive"): template}).prompt_set("X", "positive") == expected
+def test_enumeration_on_the_compiled_form_matches_the_normalized_reference_product(case):
+    source, expr_source, tree = case
+    form = parse_template(source, expr_source)
+    expected = reference_expansions(tree)
+    assert enumerate_expansions(form) == expected
+    assert PromptEngine({("X", "positive"): form}).prompt_set("X", "positive") == expected
 
 
 def test_choice_sampling_is_uniform():
@@ -382,6 +390,15 @@ def test_grammar_loadable_from_env_override(tmp_path):
     )
 
 
+def test_grammar_syntax_error_names_file_and_line(tmp_path):
+    grammar = tmp_path / "bad.grammar"
+    grammar.write_text("# entries\n\ntemplate|default|positive|[{E}., There is {E}.\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        PromptEngine.from_path(grammar)
+    assert str(err.value) == f"{grammar}:3: unterminated choice (at position 20)"
+    assert isinstance(err.value.__cause__, TemplateSyntaxError)
+
+
 @pytest.mark.parametrize(
     "entries, class_name, polarity",
     [
@@ -437,3 +454,18 @@ def test_render_stream_matches_golden_digest(engine):
         text = engine.build_study_text(GOLDEN_LABELS, np.random.default_rng(seed), count)
         digest.update(f"{seed}:{text}\n".encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# SHA-256 over the sorted prompt set of every shipped (class, value): the token
+# vocabulary (training.corpus_texts) is built from these sets, so a refactor of
+# the grammar or the enumeration must keep every string.
+PROMPT_SET_SHA256 = "f59fe92c1c2df3f8363fe931963b76ea07247a49c0da9592ea38f90a1005a9ae"
+
+
+def test_shipped_prompt_sets_match_golden_digest(engine):
+    assert len(engine.prompts) == 41
+    digest = hashlib.sha256()
+    for class_name, value in sorted(engine.prompts):
+        sentences = sorted(engine.prompt_set(class_name, value))
+        digest.update("\n".join([class_name, value, *sentences, ""]).encode())
+    assert digest.hexdigest() == PROMPT_SET_SHA256
