@@ -66,10 +66,13 @@ def _resize_plan(h: int, w: int, out_h: int, out_w: int):
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Center-aligned bilinear resize; preserves constant images exactly."""
+    """Center-aligned bilinear resize; preserves constant images exactly.
+
+    Returns ``img`` itself, not a copy, when it already has the output size: every caller only reads the result.
+    """
     h, w = img.shape
     if (h, w) == (out_h, out_w):
-        return img.copy()
+        return img
     i00, i01, i10, i11, wy, wx, vy, vx = _resize_plan(h, w, out_h, out_w)
     flat = img.ravel()
     top = flat[i00] * vx + flat[i01] * wx

@@ -4,7 +4,8 @@ Evaluation is deterministic: the first image of each study (resized, never
 augmented) stands for the study; the evaluation text is the findings section,
 falling back to the impression, falling back to one prompt rendering of the
 label record, seeded from (``EVAL_TEXT_SEED``, study id) so every process
-renders the same.
+renders the same. Each distinct text is tokenized and encoded once, however
+many studies share it: a test set repeats its findings and impressions.
 Images are resized and encoded ``EVAL_CHUNK`` studies at a time. Every encode
 here is forward-only (``with_grads=False``): no backward follows, so the image
 encoder computes neither the rectifier's mask nor the conv moments. The
@@ -125,9 +126,11 @@ def eval_text(study: Study, engine: PromptEngine) -> str:
 
 
 def encode_texts(model: TrainedModel, texts: list[str]) -> np.ndarray:
-    ids = [tokenize(t, model.vocab) for t in texts]
+    """One embedding row per text; each distinct text is tokenized and encoded once."""
+    row = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    ids = [tokenize(text, model.vocab) for text in row]
     emb, _ = encode_text_batch(model.params, text_bag(ids, len(model.vocab)))
-    return emb
+    return emb if len(row) == len(texts) else emb[[row[text] for text in texts]]
 
 
 def positive_classes(studies: list[Study]) -> list[str]:

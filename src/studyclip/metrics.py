@@ -4,16 +4,19 @@ Retrieval ranks every candidate text per image by inner product (ties broken
 toward the lower index) and reports recall at K plus RSUM, defined as
 100 * (R@1 + R@5 + R@10). Images are ranked ``RANK_BLOCK`` rows at a time:
 each block scores its images against every text, so memory grows with n, not
-with n squared; a block counts its ties at lower indices only when some row
-has a candidate equal to its own pair. Binary zero-shot scores each image by
-sim(image, positive prompt) - sim(image, negative prompt) and reports the
-exact rank-based AUC with ties counted one half. Multi-class zero-shot
-predicts the argmax over class prompt embeddings (ties toward the lower
-class index) and reports accuracy.
+with n squared. Image i's rank counts the candidates j < i that score >= its
+own pair and the candidates j > i that score > it. The inputs must be finite
+and small enough that no similarity can overflow, so no NaN reaches the
+ranking. Binary zero-shot scores each image by sim(image, positive prompt) -
+sim(image, negative prompt) and reports the exact rank-based AUC with ties
+counted one half. Multi-class zero-shot predicts the argmax over class prompt
+embeddings (ties toward the lower class index) and reports accuracy. Every
+score and embedding must be finite: a NaN would read as a tie or a maximum.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -52,24 +55,31 @@ def recall_at_k(image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10)) ->
         )
     if not (np.isfinite(image_embs).all() and np.isfinite(text_embs).all()):
         raise ValueError("embeddings must be finite")
-    n = image_embs.shape[0]
+    n, d = image_embs.shape
+    # every partial sum of a similarity is at most d * max|image| * max|text|, the 2 covers rounding;
+    # Python floats overflow to inf without a warning
+    image_max, text_max = (max(float(x.max(initial=0.0)), -float(x.min(initial=0.0))) for x in (image_embs, text_embs))
+    if not math.isfinite(image_max * text_max * (2.0 * d)):
+        raise ValueError("similarities can overflow: embeddings too large")
     for k in ks:
         if not isinstance(k, numbers.Integral) or k < 1:
             raise ShapeMismatch(f"every K must be an integer >= 1, got K={k!r}")
         if k > n:
             raise ShapeMismatch(f"every K must be <= {n}, got K={k}")
     ranks = np.empty(n, dtype=np.int64)
+    below = np.tri(min(RANK_BLOCK, n), k=-1, dtype=bool)  # a block's own square: the candidates at a lower index
     for start in range(0, n, RANK_BLOCK):
         stop = min(start + RANK_BLOCK, n)
         sims = image_embs[start:stop] @ text_embs.T
-        diag = sims[np.arange(stop - start), np.arange(start, stop)][:, None]
-        # rank = number of strictly better candidates + equal candidates at lower index;
-        # the diagonal offset keeps the ties in columns below each row's global index
-        ranks[start:stop] = np.sum(sims > diag, axis=1)
-        eq = sims == diag
-        # each row's own pair is equal unless it is NaN, so only an excess means another tie
-        if np.count_nonzero(eq) > np.count_nonzero(diag == diag):
-            ranks[start:stop] += np.tril(eq, start - 1).sum(axis=1)
+        own = sims[:, start:stop]
+        diag = own.diagonal()[:, None]
+        lower = below[: stop - start, : stop - start]
+        # rank = candidates at a lower index scoring >= the pair + those at a higher index scoring >
+        ranks[start:stop] = (
+            np.count_nonzero(sims[:, :start] >= diag, axis=1)
+            + np.count_nonzero((own > diag) | (lower & (own == diag)), axis=1)
+            + np.count_nonzero(sims[:, stop:] > diag, axis=1)
+        )
     recalls = {int(k): float(np.mean(ranks < k)) for k in ks}
     return RetrievalResult(recalls=recalls, rsum=100.0 * sum(recalls.values()), ranks=ranks)
 
@@ -96,6 +106,8 @@ def auc_exact(scores: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.shape != scores.shape:
         raise ShapeMismatch(f"{scores.shape} scores but labels of shape {labels.shape}")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos + n_neg != labels.size:
@@ -133,6 +145,8 @@ def zero_shot_multiclass(
         raise ShapeMismatch(f"{image_embs.shape[0]} images but labels of shape {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= k):
         raise ShapeMismatch(f"labels must lie in [0, {k})")
+    if not (np.isfinite(image_embs).all() and np.isfinite(class_prompt_embs).all()):
+        raise ValueError("embeddings must be finite")
     predictions = np.argmax(image_embs @ class_prompt_embs.T, axis=1)  # first max wins: lowest class index
     return float(np.mean(predictions == labels))
 

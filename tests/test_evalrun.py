@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from studyclip import evalrun
-from studyclip.encoders import EmptySequence, text_bag
+from studyclip.encoders import EmptySequence, encode_text_batch, text_bag, tokenize
 from studyclip.evalrun import (
     LabelError,
     encode_texts,
+    eval_text,
     evaluate_binary,
     evaluate_model,
     multiclass_labels,
@@ -223,6 +224,35 @@ def test_binary_on_degenerate_class_names_the_class(model_and_test, engine, enco
     with pytest.raises(DegenerateLabels, match=r"'Edema' has no negative"):
         evaluate_binary(model, edema_only, "Edema", engine)
     assert encodings == []  # the labels are checked before any encoding
+
+
+def encode_every_text(model, texts):
+    """One row per text, every text tokenized and encoded in one batch, repeats included."""
+    return encode_text_batch(model.params, text_bag([tokenize(t, model.vocab) for t in texts], len(model.vocab)))[0]
+
+
+def test_encoding_each_distinct_text_once_keeps_every_row_bit_for_bit(model_and_test, engine, monkeypatch):
+    model, test_set = model_and_test
+    texts = [eval_text(s, engine) for s in test_set]
+    texts += texts[:7]  # whatever the test set holds, some texts repeat
+    tokenized = []
+
+    def counting(text, vocab):
+        tokenized.append(text)
+        return tokenize(text, vocab)
+
+    monkeypatch.setattr(evalrun, "tokenize", counting)
+    for batch in (texts, texts[:1]):
+        tokenized.clear()
+        assert encode_texts(model, batch).tobytes() == encode_every_text(model, batch).tobytes()
+        assert tokenized == list(dict.fromkeys(batch))  # once per distinct text, in first-seen order
+
+
+def test_one_text_repeated_encodes_as_that_text_alone(model_and_test, engine):
+    # one distinct text is a one-row batch, which numpy multiplies as a matrix-vector product
+    model, test_set = model_and_test
+    text = eval_text(test_set[0], engine)
+    assert encode_texts(model, [text] * 3).tobytes() == encode_texts(model, [text]).tobytes() * 3
 
 
 def test_an_empty_text_batch_raises_empty_sequence(model_and_test):

@@ -15,11 +15,11 @@ from studyclip.metrics import (
 from studyclip.prompts import PromptEngine
 
 
-def brute_force_ranks(sims: np.ndarray) -> np.ndarray:
-    """Rank of the paired text: strictly better candidates plus equal ones at a lower index."""
+def brute_force_ranks(sims: np.ndarray, rows=None) -> np.ndarray:
+    """Rank of the paired text: strictly better candidates plus equal ones at a lower index; all rows by default."""
     n = sims.shape[0]
     ranks = []
-    for i in range(n):
+    for i in range(n) if rows is None else rows:
         better = sum(1 for j in range(n) if sims[i, j] > sims[i, i])
         ties_before = sum(1 for j in range(i) if sims[i, j] == sims[i, i])
         ranks.append(better + ties_before)
@@ -75,6 +75,23 @@ def test_blocked_ranks_match_the_full_matrix_on_ties(n):
     assert result.recalls == {k: float(np.mean(expected < k)) for k in (1, 5, 10)}
 
 
+def test_blocked_ranks_match_the_full_matrix_with_repeated_texts_in_every_block():
+    # a test set's size, its texts drawn from 556 distinct rows: ties at lower and higher indices everywhere
+    n, distinct = 2000, 556
+    rng = np.random.default_rng(3)
+    images = np.round(2.0 * rng.normal(size=(n, 8))) / 2.0
+    rows = np.concatenate([np.arange(distinct), rng.integers(distinct, size=n - distinct)])
+    texts = (np.round(2.0 * rng.normal(size=(distinct, 8))) / 2.0)[rng.permutation(rows)]
+    sims = images @ texts.T
+    ties = np.tril(sims == np.diag(sims)[:, None], -1)
+    for start in range(0, n, RANK_BLOCK):
+        assert ties[start : start + RANK_BLOCK].any()  # a tie at a lower index in every block
+    ranks = recall_at_k(images, texts).ranks
+    np.testing.assert_array_equal(ranks, full_matrix_ranks(images, texts))
+    subset = np.concatenate([[0, RANK_BLOCK - 1, RANK_BLOCK, n - 1], rng.choice(n, size=60, replace=False)])
+    np.testing.assert_array_equal(ranks[subset], brute_force_ranks(sims, subset))
+
+
 @pytest.mark.parametrize("tied_block", [None, 1])
 def test_blocked_ranks_match_the_full_matrix_without_ties(tied_block):
     n = 2 * RANK_BLOCK + 5
@@ -90,21 +107,20 @@ def test_blocked_ranks_match_the_full_matrix_without_ties(tied_block):
     np.testing.assert_array_equal(recall_at_k(images, texts).ranks, expected)
 
 
-def test_a_nan_pair_does_not_hide_another_rows_tie():
+def test_recall_rejects_embeddings_whose_similarities_can_overflow():
     # finite embeddings whose similarity overflows: row 0's own pair sums +inf and -inf
-    # products, which gives NaN where the matrix product adds partial sums (32 dims here)
+    # products, which gives NaN or +inf depending on how the matrix product adds partial sums
     d = 32
     images, texts = np.zeros((3, d)), np.zeros((3, d))
     images[0] = 1e200
     texts[0] = np.where(np.arange(d) % 2 == 0, 1e200, -1e200)
-    images[1, 0], texts[1, 0] = 1.0, 1e200  # row 1 ties with column 0
-    images[2, 1], texts[2, 1] = 1.0, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        sims = images @ texts.T
-        assert np.isnan(sims[0, 0])
-        ranks = brute_force_ranks(sims)
-        assert ranks[1] == 1
-        np.testing.assert_array_equal(recall_at_k(images, texts, ks=(1,)).ranks, ranks)
+        assert not np.isfinite((images @ texts.T)[0, 0])
+    with pytest.raises(ValueError, match="similarities can overflow"):
+        recall_at_k(images, texts, ks=(1,))
+    # the largest that cannot overflow still ranks, with every similarity finite
+    scale = np.sqrt(np.finfo(float).max / (2 * d))
+    np.testing.assert_array_equal(recall_at_k(scale * np.eye(d), scale * np.eye(d), ks=(1,)).ranks, np.zeros(d))
 
 
 @pytest.mark.parametrize("side", ["images", "texts"])
@@ -162,6 +178,21 @@ def test_auc_with_ties_matches_brute_force_pair_count(seed):
     labels = rng.integers(0, 2, size=n)
     labels[:2] = (0, 1)
     assert auc_exact(scores, labels) == brute_force_auc(scores, labels)
+
+
+def test_auc_rejects_non_finite_scores():
+    # unique() sorts the NaN last, so it would score as the highest rank: AUC 0.5 here
+    with pytest.raises(ValueError, match="scores must be finite"):
+        auc_exact(np.array([np.nan, 0.2, 0.1, 0.3]), np.array([1, 0, 1, 0]))
+
+
+@pytest.mark.parametrize("side", ["images", "classes"])
+def test_zero_shot_multiclass_rejects_non_finite_embeddings(side):
+    # argmax takes a NaN for the maximum: on the diagonal it reads as a correct prediction, ACC 1.0
+    images, classes = np.eye(3), np.eye(3)
+    (images if side == "images" else classes)[1, 1] = np.nan
+    with pytest.raises(ValueError, match="embeddings must be finite"):
+        zero_shot_multiclass(images, classes, np.array([0, 1, 2]))
 
 
 def test_zero_shot_multiclass_is_the_share_of_correct_predictions():

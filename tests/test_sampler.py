@@ -230,6 +230,12 @@ def test_resize_bilinear_constant_and_identity():
     np.testing.assert_allclose(resize_bilinear(flat_image(0.25, 6), 11, 4), 0.25)
 
 
+def test_resize_bilinear_returns_its_input_at_the_same_size():
+    img = grid_image(8, seed=3)
+    assert resize_bilinear(img, 8, 8) is img
+    assert resize_bilinear(img, 8, 9) is not img
+
+
 # --------------------------------------------------------------- augment_text
 
 
