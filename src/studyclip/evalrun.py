@@ -41,7 +41,6 @@ from .augment import resize_bilinear
 from .encoders import EmptySequence, encode_image_batch, encode_text_batch, text_bag, tokenize
 from .metrics import (
     DegenerateLabels,
-    class_prompt_embeddings,
     recall_at_k,
     zero_shot_binary,
     zero_shot_multiclass,
@@ -155,8 +154,9 @@ def multiclass_labels(studies: list[Study], class_names: list[str]) -> np.ndarra
 def evaluate_model(model: TrainedModel, test_set: list[Study], engine: PromptEngine | None = None) -> dict[str, float]:
     """Zero-shot multiclass accuracy plus image-to-text retrieval metrics.
 
-    Each class is represented by one positive prompt, rendered from
-    ``CLASS_PROMPT_SEED``. Encodes the test images and shares them with the
+    Each class is represented by one positive prompt, rendered in class order
+    from ``CLASS_PROMPT_SEED``; the prompts are encoded as one batch, like the
+    retrieval texts. Encodes the test images and shares them with the
     ``evaluate_binary`` calls that follow.
     """
     if not test_set:
@@ -167,7 +167,7 @@ def evaluate_model(model: TrainedModel, test_set: list[Study], engine: PromptEng
     class_names = positive_classes(test_set)
     labels = multiclass_labels(test_set, class_names)
     prompt_rng = np.random.default_rng(CLASS_PROMPT_SEED)
-    class_embs = class_prompt_embeddings(class_names, engine, lambda text: encode_texts(model, [text])[0], prompt_rng)
+    class_embs = encode_texts(model, [engine.render_prompt(name, "positive", prompt_rng) for name in class_names])
     acc = zero_shot_multiclass(image_embs, class_embs, labels)
 
     texts = [eval_text(s, engine) for s in test_set]

@@ -11,7 +11,8 @@ ranking. Binary zero-shot scores each image by sim(image, positive prompt) -
 sim(image, negative prompt) and reports the exact rank-based AUC with ties
 counted one half. Multi-class zero-shot predicts the argmax over class prompt
 embeddings (ties toward the lower class index) and reports accuracy. Every
-score and embedding must be finite: a NaN would read as a tie or a maximum.
+score, embedding and multiclass similarity must be finite: a NaN would read as
+a tie or a maximum.
 """
 
 from __future__ import annotations
@@ -145,16 +146,12 @@ def zero_shot_multiclass(
         raise ShapeMismatch(f"{image_embs.shape[0]} images but labels of shape {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= k):
         raise ShapeMismatch(f"labels must lie in [0, {k})")
-    if not (np.isfinite(image_embs).all() and np.isfinite(class_prompt_embs).all()):
-        raise ValueError("embeddings must be finite")
-    predictions = np.argmax(image_embs @ class_prompt_embs.T, axis=1)  # first max wins: lowest class index
+    with np.errstate(over="ignore", invalid="ignore"):
+        sims = image_embs @ class_prompt_embs.T
+    if not np.isfinite(sims).all():  # a non-finite entry, or an overflow, makes some similarity non-finite
+        raise ValueError("embeddings must be finite, with similarities that do not overflow")
+    predictions = np.argmax(sims, axis=1)  # first max wins: lowest class index
     return float(np.mean(predictions == labels))
-
-
-def class_prompt_embeddings(class_names: list[str], engine, encode_fn, rng: np.random.Generator) -> np.ndarray:
-    """One row per class, in order: the embedding of one positive prompt drawn from ``rng``, renormalized."""
-    rows = [encode_fn(engine.render_prompt(name, "positive", rng)) for name in class_names]
-    return np.stack([row / np.linalg.norm(row) for row in rows])
 
 
 # ----------------------------------------------------------------- ablations

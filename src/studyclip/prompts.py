@@ -351,27 +351,16 @@ class PromptEngine:
     def prompt_set(self, class_name: str, value: str, cap: int = 100_000) -> frozenset[str]:
         return frozenset(enumerate_expansions(self._prompt(class_name, value), cap))
 
-    def build_study_text(
-        self,
-        labels: dict[str, str],
-        rng: Draws,
-        negative_sample_count: int | None = None,
-    ) -> str:
+    def build_study_text(self, labels: dict[str, str], rng: Draws) -> str:
         """One prompt per labeled class, joined in a seeded random order.
 
         Classes valued uncertain/none are skipped, as are negatives without a
-        negative prompt form. With negative_sample_count set (binary-label
-        mode) all positives are kept and that many negatives are sampled.
+        negative prompt form.
         """
         positives = sorted(c for c, v in labels.items() if v == POSITIVE)
         negatives = sorted(
             c for c, v in labels.items() if v == NEGATIVE and (c, NEGATIVE) in self.prompts
         )
-        if negative_sample_count is not None:
-            k = min(negative_sample_count, len(negatives))
-            if k < len(negatives):
-                chosen = rng.choice(len(negatives), size=k, replace=False)
-                negatives = [negatives[i] for i in sorted(int(j) for j in chosen)]
         included = [(c, POSITIVE) for c in positives] + [(c, NEGATIVE) for c in negatives]
         if not included:
             raise EmptyLabelSet("no class in the label record produced a prompt")

@@ -12,7 +12,7 @@ With ``augment`` off, augmentation is skipped: a fallback second view of
 and text as they are.
 
 Every sampler reads the one ``TrainConfig``: its sampling mode, ``augment``,
-image size, CLAHE probability and negative prompt count.
+image size and CLAHE probability.
 
 ``assemble_batch`` is the one batch loop, for every mode: it gives each
 study its own draws, ``study_rng(global seed, study id)``, so a batch depends
@@ -34,8 +34,8 @@ and the prompt walk call: ``random``, ``integers(n)`` as int(u * n) (n == 1
 takes no draw, as numpy's does), ``uniform``, and ``permutation`` and
 ``choice`` without replacement by Fisher-Yates. The ``Draws`` protocol names
 those five methods: the functions that draw take any ``Draws``, so a numpy
-``Generator`` just as well, and the synthetic splits (``synth``) and
-``metrics.class_prompt_embeddings`` keep numpy streams.
+``Generator`` just as well, and the synthetic splits (``synth``) and the
+evaluation's class prompts (``evalrun``) keep numpy streams.
 """
 
 from __future__ import annotations
@@ -195,8 +195,8 @@ def sample_texts(study: Study, cfg: TrainConfig, rng: Draws, engine: PromptEngin
     if not sections and study.labels is None:
         raise NoText(f"study {study.id!r} has neither text sections nor labels")
     if not sections:
-        t1 = engine.build_study_text(study.labels, rng, cfg.negative_sample_count)
-        t2 = engine.build_study_text(study.labels, rng, cfg.negative_sample_count)
+        t1 = engine.build_study_text(study.labels, rng)
+        t2 = engine.build_study_text(study.labels, rng)
         return t1, t2, "prompts"
     if len(sections) == 2:
         return sections[0], sections[1], "sections"
@@ -220,15 +220,13 @@ def sample_single(study: Study, cfg: TrainConfig, engine: PromptEngine, rng) -> 
     """
     if cfg.sampling_mode == "single":
         img = study.images[0].pixels
-        text = study.sections[0] if study.sections else engine.build_study_text(
-            study.labels, rng, cfg.negative_sample_count
-        )
+        text = study.sections[0] if study.sections else engine.build_study_text(study.labels, rng)
     else:
         img = study.images[int(rng.integers(len(study.images)))].pixels
         if study.sections:
             text = study.sections[int(rng.integers(len(study.sections)))]
         else:
-            text = engine.build_study_text(study.labels, rng, cfg.negative_sample_count)
+            text = engine.build_study_text(study.labels, rng)
     size = cfg.image_size
     img = resize_bilinear(img, size, size)
     if cfg.augment:

@@ -115,13 +115,10 @@ class TrainConfig:
     sampling_mode: str = "pairs"  # pairs | study_single | single
     augment: bool = True
     clahe_probability: float = 0.5
-    negative_sample_count: int | None = None
 
     def __post_init__(self):
         for f in fields(self):
-            value, kind = getattr(self, f.name), _field_kind(f)
-            if value is None and f.type.endswith("| None"):
-                continue
+            value, kind = getattr(self, f.name), {"int": int, "float": float, "bool": bool, "str": str}[f.type]
             allowed = (int, float) if kind is float else kind
             # bool is an int subclass: an int field takes no bool, and a bool field only a bool
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
@@ -151,10 +148,6 @@ class TrainConfig:
             )
         if not 0.0 <= self.clahe_probability <= 1.0:
             raise ConfigError(f"clahe_probability must lie in [0, 1], got {self.clahe_probability}")
-        if self.negative_sample_count is not None and self.negative_sample_count < 0:
-            raise ConfigError(
-                f"negative_sample_count must be non-negative or None, got {self.negative_sample_count}"
-            )
 
     def loss_table(self) -> tuple[Pairing, ...]:
         """The weighted view pairings of the objective for this sampling mode."""
@@ -163,37 +156,13 @@ class TrainConfig:
         return CLIP_TABLE
 
 
-def _field_kind(f) -> type:
-    """The type a ``TrainConfig`` field declares, ``None`` aside."""
-    return {"int": int, "float": float, "bool": bool, "str": str}[f.type.partition(" | ")[0]]
-
-
 def config_from_dict(raw: dict) -> TrainConfig:
-    known = {f.name: f for f in fields(TrainConfig)}
-    kwargs = {}
-    for key, value in raw.items():
+    """A ``TrainConfig`` from typed values: a string for a non-str field fails its type check."""
+    known = {f.name for f in fields(TrainConfig)}
+    for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(known[key], value)
-    return TrainConfig(**kwargs)
-
-
-def _coerce(f, value):
-    """A string parsed as the field's declared type; "none" and "null" read as None."""
-    if not isinstance(value, str):
-        return value
-    text = value.strip()
-    if text.lower() in ("none", "null"):
-        return None
-    kind = _field_kind(f)
-    if kind is bool:
-        if text.lower() not in ("true", "false"):
-            raise ConfigError(f"{f.name} expects true/false, got {text!r}")
-        return text.lower() == "true"
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse {f.name}={text!r}") from None
+    return TrainConfig(**raw)
 
 
 # ------------------------------------------------------------------- schedule

@@ -255,6 +255,24 @@ def test_one_text_repeated_encodes_as_that_text_alone(model_and_test, engine):
     assert encode_texts(model, [text] * 3).tobytes() == encode_texts(model, [text]).tobytes() * 3
 
 
+def test_class_rows_are_one_positive_prompt_per_class_encoded_in_one_batch(model_and_test, engine, monkeypatch):
+    # ACC scores the batched bits retrieval reads, not those of each prompt encoded alone
+    model, test_set = model_and_test
+    scored = []
+    original = evalrun.zero_shot_multiclass
+
+    def capturing(image_embs, class_embs, labels):
+        scored.append(class_embs)
+        return original(image_embs, class_embs, labels)
+
+    monkeypatch.setattr(evalrun, "zero_shot_multiclass", capturing)
+    evaluate_model(model, test_set, engine)
+    rng = np.random.default_rng(evalrun.CLASS_PROMPT_SEED)
+    prompts = [engine.render_prompt(name, "positive", rng) for name in positive_classes(test_set)]
+    assert len(scored) == 1 and len(prompts) == 5
+    assert scored[0].tobytes() == encode_texts(model, prompts).tobytes()
+
+
 def test_an_empty_text_batch_raises_empty_sequence(model_and_test):
     model, _ = model_and_test
     with pytest.raises(EmptySequence, match="empty batch"):

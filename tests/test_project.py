@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,23 @@ def test_every_public_module_constant_and_type_alias_is_referenced():
                 if not name.startswith("_") and name not in referenced:
                     unreferenced.append(f"{path.stem}.{name}")
     assert unreferenced == []
+
+
+def test_every_module_reference_in_the_package_text_resolves():
+    # a double-backticked ``module.attr`` left naming a deleted function misleads every reader
+    modules = {path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
+    data_files = {path.name for path in (PACKAGE / "data").iterdir()}
+    unresolved = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for module, attrs in re.findall(r"``(\w+)\.([\w.]+)``", path.read_text(encoding="utf-8")):
+            if module not in modules or f"{module}.{attrs}" in data_files:
+                continue
+            target = importlib.import_module(f"studyclip.{module}")
+            for attr in attrs.split("."):
+                target = getattr(target, attr, None)
+            if target is None:
+                unresolved.append(f"{path.stem}: {module}.{attrs}")
+    assert unresolved == []
 
 
 def test_every_config_field_is_read_outside_its_own_checks():

@@ -128,14 +128,6 @@ def test_single_section_single_sentence_swap_is_identity(engine):
     assert t1 == t2 == "Only one sentence."
 
 
-def test_negative_sample_count_forwarded(engine):
-    labels = {"Pneumonia": "positive"}
-    labels.update({c: "negative" for c in ("Edema", "Fracture", "Mass", "Hernia", "Nodule")})
-    study = make_study(labels=labels)
-    t1, _, _ = sample_texts(study, TrainConfig(negative_sample_count=3), np.random.default_rng(5), engine)
-    assert sum(t1.count(p) for p in ".!?") == 4
-
-
 # -------------------------------------------------------------- augment_image
 
 

@@ -575,9 +575,10 @@ def test_learns_above_chance_on_a_tiny_spec(engine):
 
 
 def test_bool_config_rejects_non_bool_text():
-    with pytest.raises(ConfigError, match="expects true/false"):
-        config_from_dict({"augment": "yes"})
-    assert config_from_dict({"augment": "false"}).augment is False
+    for text in ("yes", "false"):  # a string is never parsed, not even a bool's own spelling
+        with pytest.raises(ConfigError, match=re.escape(f"augment must be bool, got {text!r}")):
+            config_from_dict({"augment": text})
+    assert config_from_dict({"augment": False}).augment is False
 
 
 @pytest.mark.parametrize(
@@ -594,6 +595,8 @@ def test_non_finite_float_fields_are_rejected(name, value, text):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         TrainConfig(**{name: value})
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        config_from_dict({name: value})
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be float, got {text!r}")):
         config_from_dict({name: text})
 
 
@@ -608,8 +611,10 @@ def test_zero_sizes_are_rejected(name):
         with pytest.raises(ConfigError, match=f"{name} must be at least {least}, got {value}"):
             TrainConfig(**{name: value})
     with pytest.raises(ConfigError, match=f"{name} must be at least {least}"):
-        config_from_dict({name: "0"})
-    assert getattr(config_from_dict({name: str(least)}), name) == least
+        config_from_dict({name: 0})
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be int, got '{least}'")):
+        config_from_dict({name: str(least)})
+    assert getattr(config_from_dict({name: least}), name) == least
 
 
 @pytest.mark.parametrize("mode", ["single", "study_single"])
@@ -625,16 +630,17 @@ def test_single_modes_reject_icl_and_tcl_weights(mode):
     [
         ("clahe_probability", 1.5, "1.5", "clahe_probability must lie in [0, 1], got 1.5"),
         ("text_aug_mode", "bogus", "bogus", "unknown config key 'text_aug_mode'"),
-        ("negative_sample_count", -2, "-2", "negative_sample_count must be non-negative or None, got -2"),
     ],
 )
 def test_bad_sampler_settings_are_rejected_when_the_config_is_built(name, value, text, message):
-    # a non-string value passes straight to the constructor
     with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict({name: value})
+    # a string is never parsed: an unknown key fails as unknown, a known non-str field names its type
+    declared = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    if name in declared:
+        message = f"{name} must be {declared[name]}, got {text!r}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict({name: text})
-    assert config_from_dict({"negative_sample_count": "0"}).negative_sample_count == 0
 
 
 @pytest.mark.parametrize(
@@ -642,7 +648,7 @@ def test_bad_sampler_settings_are_rejected_when_the_config_is_built(name, value,
     [
         ({"batch_studies": 2.5}, "batch_studies must be int, got 2.5"),
         ({"epochs": True}, "epochs must be int, got True"),
-        ({"negative_sample_count": 1.0}, "negative_sample_count must be int | None, got 1.0"),
+        ({"embed_dim": 2.0}, "embed_dim must be int, got 2.0"),
         ({"learning_rate": False}, "learning_rate must be float, got False"),
         ({"augment": "yes"}, "augment must be bool, got 'yes'"),
         ({"augment": 1}, "augment must be bool, got 1"),
@@ -656,19 +662,18 @@ def test_fields_are_checked_against_their_declared_types(overrides, message):
         TrainConfig(**overrides)
 
 
-def test_float_fields_accept_ints_and_strings_parse_as_the_declared_type():
+def test_float_fields_accept_ints_and_strings_are_never_parsed():
     assert TrainConfig(learning_rate=1, lambda_icl=2).lambda_icl == 2
-    cfg = config_from_dict(
-        {"sampling_mode": "single", "lambda_icl": "0", "lambda_tcl": "0", "negative_sample_count": "3", "seed": "4"}
-    )
+    cfg = config_from_dict({"sampling_mode": "single", "lambda_icl": 0.0, "lambda_tcl": 0, "seed": 4})
     assert cfg.sampling_mode == "single"
-    assert cfg.lambda_icl == 0.0 and isinstance(cfg.lambda_icl, float)
-    assert (cfg.negative_sample_count, cfg.seed) == (3, 4)
-    assert config_from_dict({"negative_sample_count": "none"}).negative_sample_count is None
-    with pytest.raises(ConfigError, match=re.escape("cannot parse batch_studies='2.5'")):
-        config_from_dict({"batch_studies": "2.5"})
-    with pytest.raises(ConfigError, match="epochs must be int, got None"):
-        config_from_dict({"epochs": "null"})
+    assert (cfg.lambda_icl, cfg.lambda_tcl, cfg.seed) == (0.0, 0, 4)
+    for raw, message in (
+        ({"lambda_icl": "0"}, "lambda_icl must be float, got '0'"),
+        ({"batch_studies": "2.5"}, "batch_studies must be int, got '2.5'"),
+        ({"epochs": "null"}, "epochs must be int, got 'null'"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(raw)
 
 
 def test_adamw_two_steps_match_hand_arithmetic():
