@@ -23,17 +23,19 @@ The conv stage is one GEMM of (batch x positions, 10) patches by (10, k)
 weights: the nine patch entries, and a constant 1 that carries the bias.
 Average pooling is linear, so the filter and bias gradients need the relu's
 slope, the mask z > 0, only through its moments: per image, the mean over
-positions of the mask times each patch entry (and times the 1, which gives
-the share of active positions), a (10, k) matrix. The forward pass computes
-them as it goes, and the image cache holds the moments, not the patches or
-the mask: the backward pass weighs each image's moments by its pooled-feature
-gradient and sums over the batch, with no per-position array. The patches,
-the GEMM, the relu, the pooling and the moments run over blocks of a few
-images, each block's pre-activations within ``CONV_BLOCK_BYTES``, so their
-temporaries scale with the block, not the batch, and stay in cache. A
-forward-only encode (``with_grads=False``: validation and evaluation) takes
-neither the mask nor the moments, so ``image_backward`` cannot run on its
-cache.
+positions of the mask times each patch entry (and times the 1, which gives the
+share of active positions), a (10, k) matrix. The forward pass computes them
+as it goes, and the image cache holds the moments, not the patches or the
+mask: the backward pass weighs each image's moments by its pooled-feature
+gradient and sums over the batch, with no per-position array. The patches, the
+GEMM, the relu, the pooling and the moments run over blocks of a few images,
+each block's pre-activations within ``CONV_BLOCK_BYTES``, so their temporaries
+scale with the block, not the batch, and stay in cache. A call makes the
+strided view of the batch's windows and the block's patch buffer once, the
+buffer's row of ones written once; each block writes its shifted windows into
+the buffer. A forward-only encode (``with_grads=False``: validation and
+evaluation) takes neither the mask nor the moments, so ``image_backward``
+cannot run on its cache.
 
 The text mean pool is one product with the (batch, vocab) bag matrix of
 ``text_bag``, whose row i weighs each token of sequence i by 1/len (a
@@ -179,24 +181,6 @@ def _head_backward(params, prefix: str, cache, d_emb: np.ndarray):
 # ---------------------------------------------------------------- image path
 
 
-def _conv_patches(imgs: np.ndarray) -> np.ndarray:
-    """(10, batch x positions): rows 0-8 the 3x3 stride-2 patches of the shifted images, row 9 ones.
-
-    Column b x positions + p is position p of image b. The row of ones carries
-    the bias through the conv GEMM and gives the share of active positions
-    with the moments.
-    """
-    b, height, width = imgs.shape
-    out_h, out_w = (height - 1) // 2, (width - 1) // 2  # 3x3 windows at stride 2
-    s_b, s_h, s_w = imgs.strides
-    # a view, (di, dj, image, i, j) -> imgs[image, 2i + di, 2j + dj]: one subtract writes every patch row
-    windows = as_strided(imgs, (3, 3, b, out_h, out_w), (s_h, s_w, s_b, 2 * s_h, 2 * s_w), writeable=False)
-    cols = np.empty((10, b, out_h, out_w))
-    np.subtract(windows, IMAGE_SHIFT, out=cols[:9].reshape(windows.shape))
-    cols[9] = 1.0
-    return cols.reshape(10, -1)
-
-
 IMAGE_SHIFT = 0.5
 # Byte budget of one block's pre-activations: 4 images of 15x15 positions x 16 filters.
 CONV_BLOCK_BYTES = 1 << 17
@@ -219,17 +203,27 @@ def encode_image_batch(params, imgs: np.ndarray, with_grads: bool = True):
     b, height, width = imgs.shape
     if height < 3 or width < 3:
         raise ShapeMismatch(f"images of shape {imgs.shape[1:]} too small for the conv stage")
-    positions = ((height - 1) // 2) * ((width - 1) // 2)
+    out_h, out_w = (height - 1) // 2, (width - 1) // 2  # 3x3 windows at stride 2
+    positions = out_h * out_w
+    s_b, s_h, s_w = imgs.strides
+    # a view, (di, dj, image, i, j) -> imgs[image, 2i + di, 2j + dj]: one subtract writes a block's patch rows
+    windows = as_strided(imgs, (3, 3, b, out_h, out_w), (s_h, s_w, s_b, 2 * s_h, 2 * s_w), writeable=False)
     w = _conv_weights(params)
     k = w.shape[1]
     ones = np.ones(positions)
     moments = np.empty((b, 10, k)) if with_grads else None
     pooled = np.empty((b, k))
-    block = max(1, CONV_BLOCK_BYTES // (positions * k * 8))
+    block = max(1, min(b, CONV_BLOCK_BYTES // (positions * k * 8)))
+    # one block's patches, (10, block x positions), reused by every block: rows 0-8 the shifted windows,
+    # row 9 ones, which carry the bias through the GEMM and give the share of active positions in the moments
+    buffer = np.empty((10, block * positions))
+    buffer[9] = 1.0
+    patches = buffer[:9].reshape(3, 3, block, out_h, out_w)
     for start in range(0, b, block):
         stop = min(start + block, b)
         n = stop - start
-        cols = _conv_patches(imgs[start:stop])
+        np.subtract(windows[:, :, start:stop], IMAGE_SHIFT, out=patches[:, :, :n])
+        cols = buffer[:, : n * positions]  # column i x positions + p is position p of image start + i
         z = cols.T @ w
         mask = (z > 0.0).astype(np.float64) if with_grads else None  # relu's slope: 0 at z == 0
         np.maximum(z, 0.0, out=z)

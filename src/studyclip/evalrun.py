@@ -4,15 +4,18 @@ Evaluation is deterministic: the first image of each study (resized, never
 augmented) stands for the study; the evaluation text is the findings section,
 falling back to the impression, falling back to one prompt rendering of the
 label record, seeded from (``EVAL_TEXT_SEED``, study id) so every process
-renders the same. Each distinct text is tokenized and encoded once, however
-many studies share it: a test set repeats its findings and impressions.
-Images are resized and encoded ``EVAL_CHUNK`` studies at a time. Every encode
-here is forward-only (``with_grads=False``): no backward follows, so the image
-encoder computes neither the rectifier's mask nor the conv moments. The
-encoder bounds its own conv temporaries, patches included, by blocks of a few
-images, so the chunk bounds only what a call holds for the whole chunk: the
-resized stack and the head activations of the encoder's cache. Memory stays
-bounded for any test-set size.
+renders the same. Each distinct text is tokenized, encoded and ranked once,
+however many studies share it: a test set repeats its findings and
+impressions. ``encode_texts`` returns the distinct rows and each text's row
+index, and retrieval ranks the rows counted by that index. Images are resized
+and encoded ``EVAL_CHUNK`` studies at a time, each chunk stacked into one
+buffer that every chunk of the call reuses. Every encode here is forward-only
+(``with_grads=False``): no backward follows, so the image encoder computes
+neither the rectifier's mask nor the conv moments. The encoder bounds its own
+conv temporaries, patches included, by blocks of a few images, so the chunk
+bounds only what a call holds for the whole chunk: the resized stack and the
+head activations of the encoder's cache. Memory stays bounded for any test-set
+size.
 
 An evaluation, ``evaluate_model`` then ``evaluate_binary`` per class, encodes
 the test images once. ``evaluate_model`` always encodes afresh, even for a model
@@ -76,12 +79,12 @@ def eval_image_embeddings(model: TrainedModel, studies: list[Study]) -> np.ndarr
     if not studies:
         raise EmptySequence("cannot embed an empty list of studies")
     size = model.config.image_size
+    imgs = np.empty((min(EVAL_CHUNK, len(studies)), size, size))  # every chunk is stacked here
     chunks = []
     for start in range(0, len(studies), EVAL_CHUNK):
-        imgs = np.stack(
-            [resize_bilinear(s.images[0].pixels, size, size) for s in studies[start : start + EVAL_CHUNK]]
-        )
-        chunks.append(encode_image_batch(model.params, imgs, with_grads=False)[0])
+        chunk = studies[start : start + EVAL_CHUNK]
+        np.stack([resize_bilinear(s.images[0].pixels, size, size) for s in chunk], out=imgs[: len(chunk)])
+        chunks.append(encode_image_batch(model.params, imgs[: len(chunk)], with_grads=False)[0])
     return np.concatenate(chunks)
 
 
@@ -124,12 +127,15 @@ def eval_text(study: Study, engine: PromptEngine) -> str:
     return engine.build_study_text(study.labels, study_rng(EVAL_TEXT_SEED, study.id))
 
 
-def encode_texts(model: TrainedModel, texts: list[str]) -> np.ndarray:
-    """One embedding row per text; each distinct text is tokenized and encoded once."""
+def encode_texts(model: TrainedModel, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct texts' embeddings, in first-seen order, and each text's row in them.
+
+    Each distinct text is tokenized and encoded once.
+    """
     row = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     ids = [tokenize(text, model.vocab) for text in row]
     emb, _ = encode_text_batch(model.params, text_bag(ids, len(model.vocab)))
-    return emb if len(row) == len(texts) else emb[[row[text] for text in texts]]
+    return emb, np.array([row[text] for text in texts], dtype=np.intp)
 
 
 def positive_classes(studies: list[Study]) -> list[str]:
@@ -167,13 +173,14 @@ def evaluate_model(model: TrainedModel, test_set: list[Study], engine: PromptEng
     class_names = positive_classes(test_set)
     labels = multiclass_labels(test_set, class_names)
     prompt_rng = np.random.default_rng(CLASS_PROMPT_SEED)
-    class_embs = encode_texts(model, [engine.render_prompt(name, "positive", prompt_rng) for name in class_names])
-    acc = zero_shot_multiclass(image_embs, class_embs, labels)
+    class_embs, class_rows = encode_texts(
+        model, [engine.render_prompt(name, "positive", prompt_rng) for name in class_names]
+    )
+    acc = zero_shot_multiclass(image_embs, class_embs[class_rows], labels)
 
-    texts = [eval_text(s, engine) for s in test_set]
-    text_embs = encode_texts(model, texts)
+    text_embs, text_rows = encode_texts(model, [eval_text(s, engine) for s in test_set])
     ks = tuple(k for k in (1, 5, 10) if k <= len(test_set))
-    retrieval = recall_at_k(image_embs, text_embs, ks=ks)
+    retrieval = recall_at_k(image_embs, text_embs, ks=ks, text_rows=text_rows)
 
     out = {
         "acc": acc,
@@ -208,5 +215,6 @@ def evaluate_binary(
     engine = engine or PromptEngine.default()
     image_embs = _shared_image_embeddings(model, test_set)
     pos_text, neg_text = engine.eval_prompt_pair(class_name)
-    pos_emb, neg_emb = encode_texts(model, [pos_text, neg_text])
+    emb, rows = encode_texts(model, [pos_text, neg_text])
+    pos_emb, neg_emb = emb[rows]
     return {"auc": zero_shot_binary(image_embs, pos_emb, neg_emb, labels), "n_test": float(len(test_set))}

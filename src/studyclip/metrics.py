@@ -2,17 +2,22 @@
 
 Retrieval ranks every candidate text per image by inner product (ties broken
 toward the lower index) and reports recall at K plus RSUM, defined as
-100 * (R@1 + R@5 + R@10). Images are ranked ``RANK_BLOCK`` rows at a time:
-each block scores its images against every text, so memory grows with n, not
-with n squared. Image i's rank counts the candidates j < i that score >= its
-own pair and the candidates j > i that score > it. The inputs must be finite
-and small enough that no similarity can overflow, so no NaN reaches the
-ranking. Binary zero-shot scores each image by sim(image, positive prompt) -
-sim(image, negative prompt) and reports the exact rank-based AUC with ties
-counted one half. Multi-class zero-shot predicts the argmax over class prompt
-embeddings (ties toward the lower class index) and reports accuracy. Every
-score, embedding and multiclass similarity must be finite: a NaN would read as
-a tie or a maximum.
+100 * (R@1 + R@5 + R@10). The candidates are one text per image, text j
+paired with image j. Image i's rank counts the candidates j < i that score >=
+its own pair and the candidates j > i that score > it. A test set repeats its
+texts, so the texts may come as distinct rows plus each text's row index: each
+image is scored once against each distinct row, and a row counts once for
+every text that names it. Exact ties between different rows follow the same
+rule: the tied row counts once for each of its texts at a lower index than i.
+Images are ranked ``RANK_BLOCK`` rows at a time: each block scores its images
+against every distinct row, so memory grows with n, not with n squared. The
+inputs must be finite and small enough that no similarity can overflow, so no
+NaN reaches the ranking. Binary zero-shot scores each image by sim(image,
+positive prompt) - sim(image, negative prompt) and reports the exact
+rank-based AUC with ties counted one half. Multi-class zero-shot predicts the
+argmax over class prompt embeddings (ties toward the lower class index) and
+reports accuracy. Every score, embedding and multiclass similarity must be
+finite: a NaN would read as a tie or a maximum.
 """
 
 from __future__ import annotations
@@ -46,17 +51,39 @@ class RetrievalResult:
             assert self.recalls[lo] <= self.recalls[hi] + 1e-12
 
 
-def recall_at_k(image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10)) -> RetrievalResult:
-    """Recall of the paired text among the top K candidates for each image."""
+def recall_at_k(
+    image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10), text_rows: np.ndarray | None = None
+) -> RetrievalResult:
+    """Recall of the paired text among the top K candidates for each image.
+
+    The candidates are one text per image: image i's text is row ``text_rows[i]``
+    of ``text_embs`` (row i without ``text_rows``), so a row stands for every
+    image that names it.
+    """
     image_embs = np.asarray(image_embs, dtype=np.float64)
     text_embs = np.asarray(text_embs, dtype=np.float64)
-    if image_embs.ndim != 2 or text_embs.ndim != 2 or image_embs.shape != text_embs.shape:
+    aligned = image_embs.shape[1:] == text_embs.shape[1:] and (
+        text_rows is not None or len(image_embs) == len(text_embs)
+    )
+    if image_embs.ndim != 2 or text_embs.ndim != 2 or not aligned:
         raise ShapeMismatch(
             f"aligned embedding matrices required, got {image_embs.shape} and {text_embs.shape}"
         )
+    n, d = image_embs.shape
+    m = len(text_embs)
+    if text_rows is None:
+        text_rows = np.arange(n)
+    text_rows = np.asarray(text_rows)
+    if text_rows.shape != (n,) or not np.issubdtype(text_rows.dtype, np.integer):
+        raise ShapeMismatch(
+            f"text_rows must be one integer row index per image, {n} in all, "
+            f"got {text_rows.dtype} {text_rows.shape}"
+        )
+    if n and (text_rows.min() < 0 or text_rows.max() >= m):
+        raise ShapeMismatch(f"text_rows must lie in [0, {m}), got {text_rows.min()} to {text_rows.max()}")
+    text_rows = text_rows.astype(np.intp, copy=False)  # bincount takes no uint64
     if not (np.isfinite(image_embs).all() and np.isfinite(text_embs).all()):
         raise ValueError("embeddings must be finite")
-    n, d = image_embs.shape
     # every partial sum of a similarity is at most d * max|image| * max|text|, the 2 covers rounding;
     # Python floats overflow to inf without a warning
     image_max, text_max = (max(float(x.max(initial=0.0)), -float(x.min(initial=0.0))) for x in (image_embs, text_embs))
@@ -67,20 +94,52 @@ def recall_at_k(image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10)) ->
             raise ShapeMismatch(f"every K must be an integer >= 1, got K={k!r}")
         if k > n:
             raise ShapeMismatch(f"every K must be <= {n}, got K={k}")
+    counts = np.bincount(text_rows, minlength=m)
+    # The columns: rows named once, in the order of the image that names them, then the other named rows by
+    # count. Each run of equal counts is one column range, counted in one pass and weighted by its count.
+    single = np.flatnonzero(counts[text_rows] == 1)  # the images whose row no other image names
+    repeated = np.flatnonzero(counts > 1)
+    order = np.concatenate([text_rows[single], repeated[np.argsort(counts[repeated], kind="stable")]])
+    column = np.empty(m, dtype=np.intp)
+    column[order] = np.arange(len(order))
+    own = column[text_rows]  # each image's own column
+    weights = counts[order]
+    starts = np.flatnonzero(np.diff(weights, prepend=0))
+    split = len(single)  # the first column of a row named more than once
+    namings = np.sort(text_rows * n + np.arange(n))  # one (row, image) key per image, sorted
+
+    def named_before(rows, images):
+        """How many images before each of ``images`` name the matching row of ``rows``."""
+        return np.searchsorted(namings, rows * n + images) - np.searchsorted(namings, rows * n)
+
+    earlier = named_before(text_rows, np.arange(n))  # the ties with its own row that each image counts
+    texts = text_embs[order]
+    count_type = np.min_scalar_type(m)
     ranks = np.empty(n, dtype=np.int64)
-    below = np.tri(min(RANK_BLOCK, n), k=-1, dtype=bool)  # a block's own square: the candidates at a lower index
+    block = min(RANK_BLOCK, n)
+    scores = np.empty((block, len(order)))  # a block's similarities
+    counted = np.empty((block, len(order)), dtype=bool)  # which of them count toward the rank
+    staircase = np.tri(block + 1, block, k=-1, dtype=bool)  # row j: True in its first j columns
     for start in range(0, n, RANK_BLOCK):
         stop = min(start + RANK_BLOCK, n)
-        sims = image_embs[start:stop] @ text_embs.T
-        own = sims[:, start:stop]
-        diag = own.diagonal()[:, None]
-        lower = below[: stop - start, : stop - start]
-        # rank = candidates at a lower index scoring >= the pair + those at a higher index scoring >
-        ranks[start:stop] = (
-            np.count_nonzero(sims[:, :start] >= diag, axis=1)
-            + np.count_nonzero((own > diag) | (lower & (own == diag)), axis=1)
-            + np.count_nonzero(sims[:, stop:] > diag, axis=1)
-        )
+        sims = np.matmul(image_embs[start:stop], texts.T, out=scores[: stop - start])
+        diag = sims[np.arange(stop - start), own[start:stop]][:, None]
+        mask = counted[: stop - start]
+        # a row named once counts when it scores > the pair, or == when an earlier image names it
+        lo, hi = np.searchsorted(single, (start, stop))  # rows named before the block, within it, after it
+        np.greater_equal(sims[:, :lo], diag, out=mask[:, :lo])
+        np.greater(sims[:, lo:], diag, out=mask[:, lo:])
+        named_earlier = staircase[np.searchsorted(single[lo:hi], np.arange(start, stop)), : hi - lo]
+        mask[:, lo:hi] |= named_earlier & (sims[:, lo:hi] == diag)
+        # each range's count, summed as uint8 (several times faster than count_nonzero), times its weight
+        ranks[start:stop] = np.add.reduceat(mask.view(np.uint8), starts, axis=1, dtype=count_type) @ weights[starts]
+        # a row named more than once that ties the pair counts once per earlier image naming it
+        ties = sims[:, split:] == diag
+        if np.count_nonzero(ties) == np.count_nonzero(own[start:stop] >= split):  # only the own rows tie
+            ranks[start:stop] += earlier[start:stop]
+        else:
+            image, col = np.nonzero(ties)
+            np.add.at(ranks, start + image, named_before(order[split + col], start + image))
     recalls = {int(k): float(np.mean(ranks < k)) for k in ks}
     return RetrievalResult(recalls=recalls, rsum=100.0 * sum(recalls.values()), ranks=ranks)
 

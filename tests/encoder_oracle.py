@@ -3,7 +3,9 @@
 Image: ``encode_image_batch`` runs the conv GEMM, the relu, the pooling and
 the moments over blocks of a few images. ``reference_encode`` is the same
 forward without blocks: one GEMM over every patch column, one relu and one
-pooling product, with the relu and its slope mask written out here. It returns
+pooling product, with the relu and its slope mask written out here. Its
+patches are nine strided slices of the batch, not the encoder's window view
+and buffer. It returns
 the patches and the mask as well, so a test can check the encoder's moments
 against their definition. ``pre_activations`` gives the conv stage's input to
 the relu, so a finite-difference check can assert that no step crosses its
@@ -16,12 +18,23 @@ the bag-matrix products of ``encode_text_batch`` and ``text_backward`` replace.
 
 import numpy as np
 
-from studyclip.encoders import _conv_patches, _conv_weights, _head_backward, _head_forward
+from studyclip.encoders import IMAGE_SHIFT, _conv_weights, _head_backward, _head_forward
+
+
+def conv_patches(imgs):
+    """(10, batch x positions): per 3x3 window entry, a strided slice of the shifted images; then ones.
+
+    Column b x positions + p is position p of image b.
+    """
+    b, height, width = imgs.shape
+    out_h, out_w = (height - 1) // 2, (width - 1) // 2
+    rows = [imgs[:, di : di + 2 * out_h : 2, dj : dj + 2 * out_w : 2] - IMAGE_SHIFT for di in range(3) for dj in range(3)]
+    return np.vstack([row.reshape(1, -1) for row in rows] + [np.ones((1, b * out_h * out_w))])
 
 
 def pre_activations(params, imgs):
     """(patches (10, batch x positions), pre-activations z (batch x positions, k))."""
-    cols = _conv_patches(np.asarray(imgs, dtype=np.float64))
+    cols = conv_patches(np.asarray(imgs, dtype=np.float64))
     return cols, cols.T @ _conv_weights(params)
 
 

@@ -364,6 +364,28 @@ def test_forward_only_embedding_matches_the_full_forward_bit_for_bit(batch):
         assert forward_cache[name].tobytes() == cache[name].tobytes(), name
 
 
+@pytest.mark.parametrize("with_grads", [True, False])
+def test_strided_and_read_only_batches_encode_as_their_contiguous_copy(with_grads):
+    # the window view reads the batch's strides once per call; every block, the last short one too, must use them
+    batch, size = 2 * BLOCK + 1, DEFAULT.image_size
+    params = init_image_params(0, DEFAULT)
+    params["img.conv_b"] = np.random.default_rng(8).normal(size=DEFAULT.conv_filters)
+    rng = np.random.default_rng(11)
+    strided = rng.uniform(size=(2 * batch, size + 3, 2 * size + 1))[::2, 3:, 1::2]  # no axis contiguous
+    assert not strided.flags.c_contiguous and strided.strides[2] != 8
+    copy = np.ascontiguousarray(strided)
+    read_only, strided_read_only = copy.copy(), strided.view()
+    for view in (read_only, strided_read_only):
+        view.flags.writeable = False  # as the training worker's slot views are
+    emb, cache = encode_image_batch(params, copy, with_grads)
+    for imgs in (strided, read_only, strided_read_only):
+        got, got_cache = encode_image_batch(params, imgs, with_grads)
+        assert got.tobytes() == emb.tobytes()
+        assert sorted(got_cache) == sorted(cache)
+        for name in cache:
+            assert got_cache[name].tobytes() == cache[name].tobytes(), name
+
+
 def test_image_cache_does_not_grow_with_image_size():
     params = init_image_params(0, DEFAULT)
     rng = np.random.default_rng(9)

@@ -231,6 +231,12 @@ def encode_every_text(model, texts):
     return encode_text_batch(model.params, text_bag([tokenize(t, model.vocab) for t in texts], len(model.vocab)))[0]
 
 
+def gathered(model, texts):
+    """``encode_texts`` as one row per text: each text's distinct row."""
+    emb, rows = encode_texts(model, texts)
+    return emb[rows]
+
+
 def test_encoding_each_distinct_text_once_keeps_every_row_bit_for_bit(model_and_test, engine, monkeypatch):
     model, test_set = model_and_test
     texts = [eval_text(s, engine) for s in test_set]
@@ -244,15 +250,19 @@ def test_encoding_each_distinct_text_once_keeps_every_row_bit_for_bit(model_and_
     monkeypatch.setattr(evalrun, "tokenize", counting)
     for batch in (texts, texts[:1]):
         tokenized.clear()
-        assert encode_texts(model, batch).tobytes() == encode_every_text(model, batch).tobytes()
+        emb, rows = encode_texts(model, batch)
         assert tokenized == list(dict.fromkeys(batch))  # once per distinct text, in first-seen order
+        assert len(emb) == len(tokenized) and [tokenized[r] for r in rows] == batch
+        assert emb[rows].tobytes() == encode_every_text(model, batch).tobytes()
 
 
 def test_one_text_repeated_encodes_as_that_text_alone(model_and_test, engine):
     # one distinct text is a one-row batch, which numpy multiplies as a matrix-vector product
     model, test_set = model_and_test
     text = eval_text(test_set[0], engine)
-    assert encode_texts(model, [text] * 3).tobytes() == encode_texts(model, [text]).tobytes() * 3
+    emb, rows = encode_texts(model, [text] * 3)
+    assert emb.tobytes() == encode_texts(model, [text])[0].tobytes() and rows.tolist() == [0, 0, 0]
+    assert gathered(model, [text] * 3).tobytes() == encode_every_text(model, [text]).tobytes() * 3
 
 
 def test_class_rows_are_one_positive_prompt_per_class_encoded_in_one_batch(model_and_test, engine, monkeypatch):
@@ -270,7 +280,29 @@ def test_class_rows_are_one_positive_prompt_per_class_encoded_in_one_batch(model
     rng = np.random.default_rng(evalrun.CLASS_PROMPT_SEED)
     prompts = [engine.render_prompt(name, "positive", rng) for name in positive_classes(test_set)]
     assert len(scored) == 1 and len(prompts) == 5
-    assert scored[0].tobytes() == encode_texts(model, prompts).tobytes()
+    assert scored[0].tobytes() == gathered(model, prompts).tobytes()
+
+
+def test_retrieval_ranks_the_distinct_rows_as_it_would_the_gathered_rows(model_and_test, engine, monkeypatch):
+    # each distinct text is ranked once, counted as often as it occurs: the ranks of one row per text, bit for bit
+    model, test_set = model_and_test
+    test_set = test_set + test_set[:12]  # texts that repeat, whatever the test set holds
+    scored = []
+    original = evalrun.recall_at_k
+
+    def capturing(image_embs, text_embs, ks, text_rows):
+        scored.append((image_embs, text_embs, text_rows))
+        return original(image_embs, text_embs, ks, text_rows)
+
+    monkeypatch.setattr(evalrun, "recall_at_k", capturing)
+    out = evaluate_model(model, test_set, engine)
+    (image_embs, text_embs, text_rows), = scored
+    texts = [eval_text(s, engine) for s in test_set]
+    assert len(text_embs) == len(set(texts)) < len(texts)
+    assert text_embs[text_rows].tobytes() == encode_every_text(model, texts).tobytes()
+    whole = original(image_embs, text_embs[text_rows])
+    assert original(image_embs, text_embs, text_rows=text_rows).ranks.tobytes() == whole.ranks.tobytes()
+    assert out["rsum"] == whole.rsum
 
 
 def test_an_empty_text_batch_raises_empty_sequence(model_and_test):

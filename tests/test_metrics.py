@@ -42,12 +42,23 @@ def test_recall_with_tied_similarities_matches_brute_force(seed):
     result = recall_at_k(images, texts)
     np.testing.assert_array_equal(result.ranks, ranks)
     assert result.recalls == {k: float(np.mean(ranks < k)) for k in (1, 5, 10)}
+    assert_distinct_rows_rank_as_gathered(images, *np.unique(texts, axis=0, return_inverse=True))
 
 
 def test_recall_all_tied_ranks_by_index():
     result = recall_at_k(np.ones((12, 2)), np.ones((12, 2)))
     np.testing.assert_array_equal(result.ranks, np.arange(12))
     assert result.recalls == {1: 1 / 12, 5: 5 / 12, 10: 10 / 12}
+
+
+def assert_distinct_rows_rank_as_gathered(images: np.ndarray, distinct: np.ndarray, rows: np.ndarray) -> None:
+    """Distinct text rows plus each text's row index rank byte for byte as one gathered row per text does."""
+    rows = rows.reshape(-1)
+    gathered = recall_at_k(images, distinct[rows])
+    for index in (rows, rows.astype(np.uint64)):
+        from_rows = recall_at_k(images, distinct, text_rows=index)
+        assert from_rows.ranks.dtype == gathered.ranks.dtype
+        assert from_rows.ranks.tobytes() == gathered.ranks.tobytes() and from_rows.recalls == gathered.recalls
 
 
 def full_matrix_ranks(images: np.ndarray, texts: np.ndarray) -> np.ndarray:
@@ -71,6 +82,7 @@ def test_blocked_ranks_match_the_full_matrix_on_ties(n):
     result = recall_at_k(images, texts)
     np.testing.assert_array_equal(result.ranks, expected)
     assert result.recalls == {k: float(np.mean(expected < k)) for k in (1, 5, 10)}
+    assert_distinct_rows_rank_as_gathered(images, *np.unique(texts, axis=0, return_inverse=True))
 
 
 def test_blocked_ranks_match_the_full_matrix_with_repeated_texts_in_every_block():
@@ -88,6 +100,29 @@ def test_blocked_ranks_match_the_full_matrix_with_repeated_texts_in_every_block(
     np.testing.assert_array_equal(ranks, full_matrix_ranks(images, texts))
     subset = np.concatenate([[0, RANK_BLOCK - 1, RANK_BLOCK, n - 1], rng.choice(n, size=60, replace=False)])
     np.testing.assert_array_equal(ranks[subset], brute_force_ranks(sims, subset))
+    assert_distinct_rows_rank_as_gathered(images, *np.unique(texts, axis=0, return_inverse=True))
+
+
+@pytest.mark.parametrize("n", [RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1, 2000])
+def test_distinct_rows_with_a_row_index_rank_as_the_gathered_rows(n):
+    # a test set's share of distinct texts (556 of 2,000), each named at least twice, in random order
+    rng = np.random.default_rng(n)
+    distinct = n * 556 // 2000
+    rows = rng.permutation(np.arange(n) % distinct)
+    rows[::RANK_BLOCK] = 1  # in every block, an image names row 1 ...
+    texts = np.round(2.0 * rng.normal(size=(distinct, 4))) / 2.0
+    texts[1] = texts[0]  # ... which embeds as row 0 does: the same sentences in another order
+    images = np.round(2.0 * rng.normal(size=(n, 4))) / 2.0  # halves: exact similarities, many ties
+    sims = images @ texts.T
+    other_ties = np.count_nonzero(sims == sims[np.arange(n), rows][:, None], axis=1) > 1
+    assert other_ties[::RANK_BLOCK].all() and np.bincount(rows).min() >= 2
+    assert_distinct_rows_rank_as_gathered(images, texts, rows)
+    # the same namings with no tie but each pair's own: no block searches for ties. Steps of 2^-16 keep every
+    # similarity exact: a matrix product may round a column at its edge in another order than the others.
+    images, texts = (np.round(65536.0 * rng.normal(size=x.shape)) / 65536.0 for x in (images, texts))
+    sims = images @ texts.T
+    assert np.count_nonzero(sims == sims[np.arange(n), rows][:, None]) == n
+    assert_distinct_rows_rank_as_gathered(images, texts, rows)
 
 
 @pytest.mark.parametrize("tied_block", [None, 1])
@@ -130,13 +165,16 @@ def test_recall_rejects_non_finite_embeddings(side):
         recall_at_k(images, texts, ks=(1,))
 
 
-def test_ranking_memory_is_bounded_by_the_block():
+@pytest.mark.parametrize("distinct", [2000, 556])
+def test_ranking_memory_is_bounded_by_the_block(distinct):
     n = 2000
     rng = np.random.default_rng(0)
-    images, texts = rng.normal(size=(n, 64)), rng.normal(size=(n, 64))
+    images, texts = rng.normal(size=(n, 64)), rng.normal(size=(distinct, 64))
+    # every text once, or a test set's repeats: 2,000 texts naming 556 distinct rows
+    text_rows = None if distinct == n else rng.permutation(np.arange(n) % distinct)
     tracemalloc.start()
     try:
-        recall_at_k(images, texts)
+        recall_at_k(images, texts, text_rows=text_rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -156,6 +194,21 @@ def test_ranking_memory_is_bounded_by_the_block():
 def test_recall_rejects_a_k_above_n_and_misaligned_matrices(images, texts, ks, message):
     with pytest.raises(ShapeMismatch, match=message):
         recall_at_k(images, texts, ks)
+
+
+@pytest.mark.parametrize(
+    "text_rows, message",
+    [
+        ([0, 1], r"text_rows must be one integer row index per image, 3 in all, got int\d+ \(2,\)"),
+        ([[0, 1, 2]], r"text_rows must be one integer row index per image, 3 in all, got int\d+ \(1, 3\)"),
+        ([0.0, 1.0, 1.0], r"text_rows must be one integer row index per image, 3 in all, got float64 \(3,\)"),
+        ([0, 1, 2], r"text_rows must lie in \[0, 2\), got 0 to 2"),
+        ([1, -1, 0], r"text_rows must lie in \[0, 2\), got -1 to 1"),
+    ],
+)
+def test_recall_rejects_text_rows_of_the_wrong_length_or_out_of_range_naming_them(text_rows, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        recall_at_k(np.eye(3), np.eye(3)[:2], (1,), text_rows=np.array(text_rows))
 
 
 @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, "1"])
