@@ -112,7 +112,6 @@ def recall_at_k(
         """How many images before each of ``images`` name the matching row of ``rows``."""
         return np.searchsorted(namings, rows * n + images) - np.searchsorted(namings, rows * n)
 
-    earlier = named_before(text_rows, np.arange(n))  # the ties with its own row that each image counts
     texts = text_embs[order]
     count_type = np.min_scalar_type(m)
     ranks = np.empty(n, dtype=np.int64)
@@ -133,13 +132,10 @@ def recall_at_k(
         mask[:, lo:hi] |= named_earlier & (sims[:, lo:hi] == diag)
         # each range's count, summed as uint8 (several times faster than count_nonzero), times its weight
         ranks[start:stop] = np.add.reduceat(mask.view(np.uint8), starts, axis=1, dtype=count_type) @ weights[starts]
-        # a row named more than once that ties the pair counts once per earlier image naming it
-        ties = sims[:, split:] == diag
-        if np.count_nonzero(ties) == np.count_nonzero(own[start:stop] >= split):  # only the own rows tie
-            ranks[start:stop] += earlier[start:stop]
-        else:
-            image, col = np.nonzero(ties)
-            np.add.at(ranks, start + image, named_before(order[split + col], start + image))
+        # a row named more than once that ties the pair (its own row included) counts once per earlier image
+        # naming it; a 2-D np.nonzero is ~10x slower than the flat one
+        image, col = np.divmod(np.flatnonzero(sims[:, split:] == diag), len(order) - split)
+        np.add.at(ranks, start + image, named_before(order[split + col], start + image))
     recalls = {int(k): float(np.mean(ranks < k)) for k in ks}
     return RetrievalResult(recalls=recalls, rsum=100.0 * sum(recalls.values()), ranks=ranks)
 

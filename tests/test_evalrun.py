@@ -283,8 +283,10 @@ def test_class_rows_are_one_positive_prompt_per_class_encoded_in_one_batch(model
     assert scored[0].tobytes() == gathered(model, prompts).tobytes()
 
 
-def test_retrieval_ranks_the_distinct_rows_as_it_would_the_gathered_rows(model_and_test, engine, monkeypatch):
-    # each distinct text is ranked once, counted as often as it occurs: the ranks of one row per text, bit for bit
+def test_retrieval_ranks_the_distinct_rows_with_each_texts_row_index(model_and_test, engine, monkeypatch):
+    # each distinct text is encoded and ranked once, and each text names its row. That these ranks equal those
+    # of one row per text is checked in test_metrics with exact similarities: a second matrix product over the
+    # gathered rows may round differently.
     model, test_set = model_and_test
     test_set = test_set + test_set[:12]  # texts that repeat, whatever the test set holds
     scored = []
@@ -300,9 +302,7 @@ def test_retrieval_ranks_the_distinct_rows_as_it_would_the_gathered_rows(model_a
     texts = [eval_text(s, engine) for s in test_set]
     assert len(text_embs) == len(set(texts)) < len(texts)
     assert text_embs[text_rows].tobytes() == encode_every_text(model, texts).tobytes()
-    whole = original(image_embs, text_embs[text_rows])
-    assert original(image_embs, text_embs, text_rows=text_rows).ranks.tobytes() == whole.ranks.tobytes()
-    assert out["rsum"] == whole.rsum
+    assert out["rsum"] == original(image_embs, text_embs, text_rows=text_rows).rsum
 
 
 def test_an_empty_text_batch_raises_empty_sequence(model_and_test):

@@ -117,8 +117,8 @@ def test_distinct_rows_with_a_row_index_rank_as_the_gathered_rows(n):
     other_ties = np.count_nonzero(sims == sims[np.arange(n), rows][:, None], axis=1) > 1
     assert other_ties[::RANK_BLOCK].all() and np.bincount(rows).min() >= 2
     assert_distinct_rows_rank_as_gathered(images, texts, rows)
-    # the same namings with no tie but each pair's own: no block searches for ties. Steps of 2^-16 keep every
-    # similarity exact: a matrix product may round a column at its edge in another order than the others.
+    # the same namings with no tie but each pair's own. Steps of 2^-16 keep every similarity exact: a matrix
+    # product may round a column at its edge in another order than the others.
     images, texts = (np.round(65536.0 * rng.normal(size=x.shape)) / 65536.0 for x in (images, texts))
     sims = images @ texts.T
     assert np.count_nonzero(sims == sims[np.arange(n), rows][:, None]) == n
