@@ -1,18 +1,18 @@
 """Evaluation protocols: image-to-text retrieval, zero-shot classification.
 
-Retrieval ranks every candidate text per image by inner product (ties broken
-toward the lower index) and reports recall at K plus RSUM, defined as
-100 * (R@1 + R@5 + R@10). The candidates are one text per image, text j
-paired with image j. Image i's rank counts the candidates j < i that score >=
-its own pair and the candidates j > i that score > it. A test set repeats its
-texts, so the texts may come as distinct rows plus each text's row index: each
-image is scored once against each distinct row, and a row counts once for
-every text that names it. Exact ties between different rows follow the same
-rule: the tied row counts once for each of its texts at a lower index than i.
-Images are ranked ``RANK_BLOCK`` rows at a time: each block scores its images
-against every distinct row, so memory grows with n, not with n squared. The
-inputs must be finite and small enough that no similarity can overflow, so no
-NaN reaches the ranking. Binary zero-shot scores each image by sim(image,
+Retrieval ranks every candidate text per image by inner product and reports
+recall at K plus RSUM, defined as 100 * (R@1 + R@5 + R@10). The candidates
+are one text per image, text j paired with image j, and one rule ranks them:
+image i's rank is the number of texts that score higher than its pair, plus
+the texts before i that score the same. A test set repeats its texts, so the
+texts may come as distinct rows plus each text's row index: each image is
+scored once against each distinct row, a row that scores higher counts once
+for every text that names it, and a row that scores the same, the pair's own
+row included, counts once for each of its texts before i. Images are ranked
+``RANK_BLOCK`` rows at a time: each block scores its images against every
+distinct row, so memory grows with n, not with n squared. The inputs must be
+finite and small enough that no similarity can overflow, so no NaN
+reaches the ranking. Binary zero-shot scores each image by sim(image,
 positive prompt) - sim(image, negative prompt) and reports the exact
 rank-based AUC with ties counted one half. Multi-class zero-shot predicts the
 argmax over class prompt embeddings (ties toward the lower class index) and
@@ -58,7 +58,8 @@ def recall_at_k(
 
     The candidates are one text per image: image i's text is row ``text_rows[i]``
     of ``text_embs`` (row i without ``text_rows``), so a row stands for every
-    image that names it.
+    image that names it. Image i's rank counts the texts that score higher than
+    its pair and the texts before i that score the same.
     """
     image_embs = np.asarray(image_embs, dtype=np.float64)
     text_embs = np.asarray(text_embs, dtype=np.float64)
@@ -95,47 +96,34 @@ def recall_at_k(
         if k > n:
             raise ShapeMismatch(f"every K must be <= {n}, got K={k}")
     counts = np.bincount(text_rows, minlength=m)
-    # The columns: rows named once, in the order of the image that names them, then the other named rows by
-    # count. Each run of equal counts is one column range, counted in one pass and weighted by its count.
-    single = np.flatnonzero(counts[text_rows] == 1)  # the images whose row no other image names
-    repeated = np.flatnonzero(counts > 1)
-    order = np.concatenate([text_rows[single], repeated[np.argsort(counts[repeated], kind="stable")]])
+    # The columns, ordered by how many images name their row: each run of equal counts is one column range,
+    # counted in one pass and weighted by its count. Unnamed rows, weight 0, come first and before every range.
+    order = np.argsort(counts, kind="stable")
     column = np.empty(m, dtype=np.intp)
-    column[order] = np.arange(len(order))
+    column[order] = np.arange(m)
     own = column[text_rows]  # each image's own column
     weights = counts[order]
     starts = np.flatnonzero(np.diff(weights, prepend=0))
-    split = len(single)  # the first column of a row named more than once
     namings = np.sort(text_rows * n + np.arange(n))  # one (row, image) key per image, sorted
-
-    def named_before(rows, images):
-        """How many images before each of ``images`` name the matching row of ``rows``."""
-        return np.searchsorted(namings, rows * n + images) - np.searchsorted(namings, rows * n)
-
     texts = text_embs[order]
     count_type = np.min_scalar_type(m)
     ranks = np.empty(n, dtype=np.int64)
     block = min(RANK_BLOCK, n)
-    scores = np.empty((block, len(order)))  # a block's similarities
-    counted = np.empty((block, len(order)), dtype=bool)  # which of them count toward the rank
-    staircase = np.tri(block + 1, block, k=-1, dtype=bool)  # row j: True in its first j columns
+    scores = np.empty((block, m))  # a block's similarities
+    higher = np.empty((block, m), dtype=bool)  # which of them score higher than the pair
     for start in range(0, n, RANK_BLOCK):
         stop = min(start + RANK_BLOCK, n)
         sims = np.matmul(image_embs[start:stop], texts.T, out=scores[: stop - start])
         diag = sims[np.arange(stop - start), own[start:stop]][:, None]
-        mask = counted[: stop - start]
-        # a row named once counts when it scores > the pair, or == when an earlier image names it
-        lo, hi = np.searchsorted(single, (start, stop))  # rows named before the block, within it, after it
-        np.greater_equal(sims[:, :lo], diag, out=mask[:, :lo])
-        np.greater(sims[:, lo:], diag, out=mask[:, lo:])
-        named_earlier = staircase[np.searchsorted(single[lo:hi], np.arange(start, stop)), : hi - lo]
-        mask[:, lo:hi] |= named_earlier & (sims[:, lo:hi] == diag)
+        mask = np.greater(sims, diag, out=higher[: stop - start])
         # each range's count, summed as uint8 (several times faster than count_nonzero), times its weight
         ranks[start:stop] = np.add.reduceat(mask.view(np.uint8), starts, axis=1, dtype=count_type) @ weights[starts]
-        # a row named more than once that ties the pair (its own row included) counts once per earlier image
-        # naming it; a 2-D np.nonzero is ~10x slower than the flat one
-        image, col = np.divmod(np.flatnonzero(sims[:, split:] == diag), len(order) - split)
-        np.add.at(ranks, start + image, named_before(order[split + col], start + image))
+        # a row that ties the pair, its own included, counts once per image before this one that names it;
+        # a 2-D np.nonzero is ~10x slower than the flat one
+        image, col = np.divmod(np.flatnonzero(sims == diag), m)
+        image += start
+        keys = order[col] * n
+        np.add.at(ranks, image, np.searchsorted(namings, keys + image) - np.searchsorted(namings, keys))
     recalls = {int(k): float(np.mean(ranks < k)) for k in ks}
     return RetrievalResult(recalls=recalls, rsum=100.0 * sum(recalls.values()), ranks=ranks)
 

@@ -1,9 +1,10 @@
 """Study records, line-delimited ingestion format, and graymap pixel files.
 
-One study per JSON line with fields ``id``, ``images`` (list of objects with
-``view`` plus either ``path`` to a portable graymap or inline ``pixels`` as a
-nested list), optional ``findings`` / ``impression`` strings, and an optional
-``labels`` map from class name to one of positive/negative/uncertain/none.
+One study per JSON line with fields ``id`` (unique in the file), ``images``
+(list of objects with ``view`` plus either ``path`` to a portable graymap or
+inline ``pixels`` as a nested list), optional ``findings`` / ``impression``
+strings, and an optional ``labels`` map from class name to one of
+positive/negative/uncertain/none.
 Image paths are resolved relative to the record file's directory.
 
 A ``StudyImage`` is immutable: it is a frozen dataclass, and it keeps its own
@@ -74,6 +75,9 @@ class Study:
             raise DataFormatError(f"study id must be a non-empty str, got {self.id!r}")
         if not self.images:
             raise DataFormatError(f"study {self.id!r} has no images")
+        for image in self.images:  # evaluation caches an image's encoding by its immutable pixels
+            if not isinstance(image, StudyImage):
+                raise DataFormatError(f"study {self.id!r}: images must be StudyImage, got {type(image).__name__}")
         for name, kind in (("findings", str), ("impression", str), ("labels", dict)):
             if not isinstance(value := getattr(self, name), (kind, type(None))):
                 raise DataFormatError(f"study {self.id!r}: {name} must be {kind.__name__} or None, got {value!r}")
@@ -254,16 +258,21 @@ def load_studies(path: str | Path) -> list[Study]:
     if not path.exists():
         raise FileNotFoundError(path)
     studies = []
+    first_line: dict[str, int] = {}  # each id's line: a repeated id would share its image files and its rng stream
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            studies.append(record_to_study(json.loads(line), path.parent))
+            study = record_to_study(json.loads(line), path.parent)
         except json.JSONDecodeError as err:
             raise DataFormatError(f"{path}:{lineno}: invalid JSON ({err})") from None
         except (ValueError, TypeError, OSError) as err:  # a missing image file too; the failure is the cause
             raise DataFormatError(f"{path}:{lineno}: {err}") from err
+        first = first_line.setdefault(study.id, lineno)
+        if first != lineno:
+            raise DataFormatError(f"{path}:{lineno}: study id {study.id!r} is repeated, first on line {first}")
+        studies.append(study)
     if not studies:
         raise DataFormatError(f"{path}: no study records")
     return studies

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from studyclip.losses import ShapeMismatch
 from studyclip.metrics import (
@@ -101,6 +104,20 @@ def test_blocked_ranks_match_the_full_matrix_with_repeated_texts_in_every_block(
     subset = np.concatenate([[0, RANK_BLOCK - 1, RANK_BLOCK, n - 1], rng.choice(n, size=60, replace=False)])
     np.testing.assert_array_equal(ranks[subset], brute_force_ranks(sims, subset))
     assert_distinct_rows_rank_as_gathered(images, *np.unique(texts, axis=0, return_inverse=True))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_distinct_rows_rank_as_brute_force_with_rows_that_no_image_names(data):
+    # small integer embeddings make exact similarities with many ties; one row, and maybe others, is named by none
+    n, m, d = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+    images = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-2, 2))).astype(np.float64)
+    texts = data.draw(hnp.arrays(np.int64, (m + 1, d), elements=st.integers(-2, 2))).astype(np.float64)
+    unnamed = data.draw(st.integers(0, m))
+    rows = data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, m - 1)))
+    rows += rows >= unnamed
+    expected = brute_force_ranks(images @ texts[rows].T)
+    np.testing.assert_array_equal(recall_at_k(images, texts, ks=(1,), text_rows=rows).ranks, expected)
 
 
 @pytest.mark.parametrize("n", [RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1, 2000])

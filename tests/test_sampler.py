@@ -566,6 +566,23 @@ def test_study_invariants_enforced():
     assert labelled.findings is None and labelled.sections == []
 
 
+def test_study_rejects_an_image_that_is_not_a_study_image_naming_the_study():
+    # a bare pixel array would build, then fail in evaluation on its missing ``pixels`` attribute
+    with pytest.raises(DataFormatError, match="study 'a': images must be StudyImage, got ndarray"):
+        Study("a", [np.full((4, 4), 0.5)], findings="x")
+    with pytest.raises(DataFormatError, match="study 'a': images must be StudyImage, got list"):
+        Study("a", [StudyImage(grid_image(4), "PA"), [[0.5]]], findings="x")
+
+
+def test_load_studies_rejects_a_repeated_id_naming_both_lines(tmp_path):
+    # two studies with one id would share their image files and draw the same per-study random stream
+    path = tmp_path / "repeat.jsonl"
+    record = '{{"id": "{}", "images": [{{"pixels": [[0.5]]}}], "findings": "F."}}\n'
+    path.write_text(record.format("s1") + record.format("s2") + "\n" + record.format("s1"), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:4: study id 's1' is repeated, first on line 1$"):
+        load_studies(path)
+
+
 def test_image_keeps_its_pixels_when_the_callers_array_changes():
     pixels = grid_image(4)
     image = StudyImage(pixels, "PA")
