@@ -4,7 +4,9 @@ Image pipeline, in order: random resized crop with area scale in
 ``CROP_SCALE_RANGE`` (scales above 1 crop the image as if padded by edge
 replication), CLAHE applied with a given probability, brightness multiply in
 ``BRIGHTNESS_RANGE``, contrast stretch about the mean in ``CONTRAST_RANGE``;
-the result is clipped to [0, 1] and resized to the given output size.
+the result is clipped to [0, 1] and resized to the given output size. The
+steps after the brightness multiply, and the resize's blend, run in place,
+on arrays the pipeline allocated: it never writes the image it was given.
 
 CLAHE here is desk-scale: histogram equalization over a 2x2 tile grid with
 the histogram clipped at 1% of the tile mass (excess redistributed uniformly)
@@ -48,11 +50,13 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-# A plan holds four index arrays of the output's shape (32 KB at 32x32): 64 plans cover
-# the crop sizes of a few input sizes.
 @functools.lru_cache(maxsize=64)
 def _resize_plan(h: int, w: int, out_h: int, out_w: int):
-    """Flat source indices of the four neighbours of each output pixel, and the blend weights."""
+    """Flat source indices of the four neighbours of each output pixel, and the four blend weights.
+
+    All eight arrays have the output's shape, so the blend runs in place with no broadcast:
+    64 KB a plan at 32x32, and at most 64 plans, which cover the crop sizes of a few input sizes.
+    """
     ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(int)
@@ -62,22 +66,35 @@ def _resize_plan(h: int, w: int, out_h: int, out_w: int):
     wy = (ys - y0)[:, None]
     wx = (xs - x0)[None, :]
     rows0, rows1 = y0[:, None] * w, y1[:, None] * w
-    return _read_only(rows0 + x0, rows0 + x1, rows1 + x0, rows1 + x1, wy, wx, 1 - wy, 1 - wx)
+    weights = [np.broadcast_to(weight, (out_h, out_w)).copy() for weight in (wy, wx, 1 - wy, 1 - wx)]
+    return _read_only(rows0 + x0, rows0 + x1, rows1 + x0, rows1 + x1, *weights)
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Center-aligned bilinear resize; preserves constant images exactly.
+    """Center-aligned bilinear resize to a new float64 array; preserves constant images exactly.
 
-    Returns ``img`` itself, not a copy, when it already has the output size: every caller only reads the result.
+    The blend, (top * (1 - wy) + bottom * wy) with each of top and bottom blended across by wx,
+    runs in place on the gathered neighbours. Returns ``img`` itself, not a copy, when it already
+    has the output size: every caller only reads the result.
     """
     h, w = img.shape
     if (h, w) == (out_h, out_w):
         return img
     i00, i01, i10, i11, wy, wx, vy, vx = _resize_plan(h, w, out_h, out_w)
-    flat = img.ravel()
-    top = flat[i00] * vx + flat[i01] * wx
-    bot = flat[i10] * vx + flat[i11] * wx
-    return top * vy + bot * wy
+    flat = np.asarray(img, dtype=np.float64).ravel()  # gathers of an int or bool grid could not blend in place
+    # top and bot start as the left neighbours; right holds the top, then the bottom right neighbours
+    top, bot, right = flat[i00], flat[i10], flat[i01]
+    top *= vx
+    right *= wx
+    top += right
+    bot *= vx
+    right = flat.take(i11, out=right)
+    right *= wx
+    bot += right
+    top *= vy
+    bot *= wy
+    top += bot
+    return top
 
 
 @functools.lru_cache(maxsize=64)
@@ -163,19 +180,27 @@ def _random_resized_crop(img: np.ndarray, rng: Draws) -> np.ndarray:
 
 
 def augment_image(img: np.ndarray, size: int, clahe_probability: float, rng: Draws) -> np.ndarray:
+    """The pipeline of the module docstring, to a new (size, size) float64 array; ``img`` is only read.
+
+    The brightness multiply allocates the array that the contrast stretch and the clip then
+    write in place: the tail writes only arrays this function allocated.
+    """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise BadImage(f"expected non-empty 2-d grid, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
+    if not np.isfinite(img).all():
         raise BadImage("image contains non-finite values")
 
     out = _random_resized_crop(img, rng)
     if rng.uniform() < clahe_probability:
         out = clahe(out)
     out = out * float(rng.uniform(*BRIGHTNESS_RANGE))
-    mean = float(np.mean(out))
-    out = mean + float(rng.uniform(*CONTRAST_RANGE)) * (out - mean)
-    out = np.clip(out, 0.0, 1.0)
+    mean = np.add.reduce(out, axis=None) / out.size  # np.mean's bits
+    out -= mean
+    out *= float(rng.uniform(*CONTRAST_RANGE))
+    out += mean
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
     return resize_bilinear(out, size, size)
 
 

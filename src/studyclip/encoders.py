@@ -8,8 +8,9 @@ perceptron/projection/normalization stack.
 
 The shared head owns the unit normalization and its backward pass. The
 forward pass divides each projected row by its norm and raises if a
-projection collapses to zero; the backward pass recomputes those norms from
-the cached projection and takes the gradient through the division there.
+projection collapses to zero; its cache holds the ``norms`` and the
+``embedding`` it returned, and the backward pass takes the gradient through
+the division with those, computing neither again.
 ``losses`` takes the embeddings as they come and checks only their shape.
 
 The conv stage rectifies before it pools: pooling an odd activation of
@@ -151,20 +152,19 @@ def _head_forward(params, prefix: str, pooled: np.ndarray):
     h = np.tanh(h_pre)
     feature = h @ params[f"{prefix}.mlp_w2"] + params[f"{prefix}.mlp_b2"]
     projected = feature @ params[f"{prefix}.proj"]
-    norms = np.linalg.norm(projected, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(projected * projected, axis=1, keepdims=True))  # np.linalg.norm's bits
     if not np.all(np.isfinite(norms) & (norms > 1e-12)):
         raise FloatingPointError("projection collapsed to a zero vector or is not finite")
     embedding = projected / norms
     cache = {"pooled": pooled, "h": h, "feature": feature, "projected": projected}
+    cache.update(norms=norms, embedding=embedding)  # what the backward pass divides by, and its y
     return embedding, cache
 
 
 def _head_backward(params, prefix: str, cache, d_emb: np.ndarray):
     """Returns (the head's gradients by name, gradient at pooled input)."""
-    # back through y = x / |x| per row: dx = (g - y (y . g)) / |x|, with the forward pass's norms
-    projected = cache["projected"]
-    norms = np.linalg.norm(projected, axis=1, keepdims=True)
-    y = projected / norms
+    # back through y = x / |x| per row: dx = (g - y (y . g)) / |x|, with the forward pass's y and norms
+    y, norms = cache["embedding"], cache["norms"]
     d_proj = (d_emb - y * np.sum(y * d_emb, axis=1, keepdims=True)) / norms
     d_feature = d_proj @ params[f"{prefix}.proj"].T
     d_h_pre = (1.0 - cache["h"] ** 2) * (d_feature @ params[f"{prefix}.mlp_w2"].T)

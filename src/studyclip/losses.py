@@ -30,6 +30,15 @@ A value-only call (``with_grads=False``, as validation makes) runs the same
 two log-softmaxes and returns before the gradient, so its value and
 components are those of the full call, bit for bit.
 
+The table is scored as one stacked batch: each row's two views, stacked to
+(rows, n, d), give one batched matmul for the (rows, n, n) logits, one
+log-softmax per direction, one trace per direction and one batched gradient
+pass, where a row at a time would pay numpy's call overhead six times over on
+these small arrays. Each slice runs the per-row arithmetic, so every row's
+term and gradients match the row scored alone bit for bit; the weighting, the
+component means and the order in which gradients accumulate stay per row. A
+one-row table stacks its views without a copy.
+
 All arithmetic is float64 with max-subtracted log-sum-exp and row-major
 accumulation, so results are deterministic and gradient checks are tight.
 """
@@ -93,37 +102,9 @@ def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _symmetric_infonce(a: np.ndarray, b: np.ndarray, log_tau: float, with_grads: bool = True):
-    """Value and raw gradients of the symmetric contrastive loss.
-
-    Returns (value, grad_a, grad_b, grad_log_tau) for row matrices a, b of
-    identical shape, where similarity s_ij = a_i . b_j and tau = exp(log_tau);
-    without ``with_grads``, the value and three Nones.
-    """
-    n = a.shape[0]
-    tau = math.exp(log_tau)
-    logits = a @ b.T
-    logits /= tau
-
-    p_rows = _log_softmax(logits, axis=1)  # softmax over b for each a_i
-    p_cols = _log_softmax(logits, axis=0)  # softmax over a for each b_j
-    value = -(np.trace(p_rows) + np.trace(p_cols)) / (2.0 * n)
-    if not with_grads:
-        return float(value), None, None, None
-
-    # d value / d logits = (row softmax + column softmax - 2 I) / (2n), built over the row softmax
-    grad_logits = np.exp(p_rows, out=p_rows)
-    grad_logits += np.exp(p_cols, out=p_cols)
-    grad_logits.flat[:: n + 1] -= 2.0
-    grad_logits /= 2.0 * n
-
-    grad_a = grad_logits @ b
-    grad_a /= tau
-    grad_b = grad_logits.T @ a
-    grad_b /= tau
-    # logits = sims * exp(-log tau)  =>  d logits / d log tau = -logits
-    grad_log_tau = -float(np.sum(np.multiply(grad_logits, logits, out=p_cols)))
-    return float(value), grad_a, grad_b, grad_log_tau
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The (rows, n, d) stack of one view per row; a single row is its view with a leading axis, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def total_loss(
@@ -139,26 +120,48 @@ def total_loss(
     shapes = {views[name].shape for row in table for name in row[:2]}
     if len(shapes) != 1 or len(next(iter(shapes))) != 2:
         raise ShapeMismatch(f"views must be 2-d arrays of one shape, got shapes {sorted(shapes)}")
+    a = _stacked([views[row.view_a] for row in table])
+    b = _stacked([views[row.view_b] for row in table])
+    rows, n = a.shape[:2]
+    tau = math.exp(log_tau)
+    logits = a @ b.transpose(0, 2, 1)  # logits[r, i, j] = s_ij of row r
+    logits /= tau
+
+    p_rows = _log_softmax(logits, axis=2)  # softmax over b for each a_i
+    p_cols = _log_softmax(logits, axis=1)  # softmax over a for each b_j
+    terms = (-(np.trace(p_rows, axis1=1, axis2=2) + np.trace(p_cols, axis1=1, axis2=2)) / (2.0 * n)).tolist()
     value = 0.0
-    grad_lt = 0.0
-    grads: dict[str, np.ndarray] = {}
-    terms: dict[str, list[float]] = {}
-    for view_a, view_b, weight, component in table:
-        term, grad_a, grad_b, glt = _symmetric_infonce(views[view_a], views[view_b], log_tau, with_grads)
+    by_component: dict[str, list[float]] = {}
+    for (_, _, weight, component), term in zip(table, terms):
         value += weight * term
-        terms.setdefault(component, []).append(term)
-        if not with_grads:
-            continue
-        grad_lt += weight * glt
-        for name, grad in ((view_a, grad_a), (view_b, grad_b)):
-            grad *= weight
+        by_component.setdefault(component, []).append(term)
+    components = {name: sum(values) / len(values) for name, values in by_component.items()}
+    if not with_grads:
+        return LossOutput(value=value, grad_views=None, grad_log_tau=None, components=components)
+
+    # d term / d logits = (row softmax + column softmax - 2 I) / (2n), built over the row softmax
+    grad_logits = np.exp(p_rows, out=p_rows)
+    grad_logits += np.exp(p_cols, out=p_cols)
+    grad_logits.reshape(rows, n * n)[:, :: n + 1] -= 2.0
+    grad_logits /= 2.0 * n
+
+    weights = np.array([row.weight for row in table])[:, None, None]
+    grad_a = grad_logits @ b
+    grad_a /= tau
+    grad_a *= weights
+    grad_b = grad_logits.transpose(0, 2, 1) @ a
+    grad_b /= tau
+    grad_b *= weights
+    # logits = sims * exp(-log tau)  =>  d logits / d log tau = -logits
+    np.multiply(grad_logits, logits, out=p_cols)
+    grad_lt = 0.0
+    for (_, _, weight, _), total in zip(table, np.add.reduce(p_cols.reshape(rows, n * n), axis=1).tolist()):
+        grad_lt += weight * -total
+    grads: dict[str, np.ndarray] = {}
+    for r, (view_a, view_b, _, _) in enumerate(table):
+        for name, grad in ((view_a, grad_a[r]), (view_b, grad_b[r])):
             if name in grads:
                 grads[name] += grad
             else:
                 grads[name] = grad
-    return LossOutput(
-        value=value,
-        grad_views=grads if with_grads else None,
-        grad_log_tau=grad_lt if with_grads else None,
-        components={name: sum(values) / len(values) for name, values in terms.items()},
-    )
+    return LossOutput(value=value, grad_views=grads, grad_log_tau=grad_lt, components=components)

@@ -22,9 +22,12 @@ sampling seed ``seed * 1_000_003 + step``. Every study draws from its own
 id), so a batch depends only on its indices and seed, and the worker's batches
 are bit for bit those the main process would assemble. The worker starts
 before the first validation pass and hands over each step's inputs, its text
-views bagged with the vocabulary it inherited at the fork. A study that fails
-raises ``SamplingError`` naming the step and the study, caused by the study's
-own exception, with a worker or without one.
+views bagged with the vocabulary it inherited at the fork. On its first step
+it tokenizes each distinct section text of the training set once, into a
+table of token ids that every step looks its section texts up in; prompt
+renderings and swapped sections are tokenized each time they are used. A
+study that fails raises ``SamplingError`` naming the step and the study,
+caused by the study's own exception, with a worker or without one.
 
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters) with a linear-warmup cosine-annealed learning rate. The
@@ -304,14 +307,22 @@ def _param_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.
 VIEWS = {"v1": ("x1", "img"), "v2": ("x2", "img"), "u1": ("t1", "txt"), "u2": ("t2", "txt")}
 
 
-def _step_inputs(batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab) -> dict[str, np.ndarray]:
-    """What a step encodes: each view the table names, in ``VIEWS`` order, as its images or its texts' token bag."""
+def _step_inputs(
+    batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab, known: dict[str, list[int]] | None = None
+) -> dict[str, np.ndarray]:
+    """What a step encodes: each view the table names, in ``VIEWS`` order, as its images or its texts' token bag.
+
+    A text in ``known``, a map of texts to their ``tokenize`` ids, takes its ids from there.
+    """
+    known = known or {}
     named = {name for row in table for name in row[:2]}
     inputs = {}
     for name, (attr, prefix) in VIEWS.items():
         if name in named:
             view = getattr(batch, attr)
-            inputs[name] = view if prefix == "img" else text_bag([tokenize(t, vocab) for t in view], len(vocab))
+            if prefix == "txt":
+                view = text_bag([known.get(t) or tokenize(t, vocab) for t in view], len(vocab))
+            inputs[name] = view
     return inputs
 
 
@@ -391,17 +402,24 @@ def _step_chunks(studies: int, cfg: TrainConfig) -> list[np.ndarray]:
 def _step_worker(dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, vocab: Vocab) -> Worker:
     """The assembly worker of a ``train`` call, producing the ``_step_inputs`` of every scheduled step.
 
-    ``produce`` looks ``_sample_batch`` and ``_step_inputs`` up in this module when it runs.
+    The first step it produces builds the section token table, ``tokenize`` ids by distinct
+    section text: in the worker, so the main process pays nothing for it. ``produce`` looks
+    ``_sample_batch``, ``_step_inputs`` and ``tokenize`` up in this module when it runs.
     """
     chunks, table = _step_chunks(len(dataset), cfg), cfg.loss_table()
+    sections: dict[str, list[int]] | None = None
 
     def produce(step: int) -> dict[str, np.ndarray]:
+        nonlocal sections
+        if sections is None:
+            texts = dict.fromkeys(text for study in dataset for text in study.sections)
+            sections = {text: tokenize(text, vocab) for text in texts}
         studies = [dataset[int(i)] for i in chunks[step]]
         try:
             batch = _sample_batch(studies, cfg, engine, seed=cfg.seed * 1_000_003 + step)
         except SamplingError as err:
             raise SamplingError(f"step {step}: {err}") from err.__cause__
-        return _step_inputs(batch, table, vocab)
+        return _step_inputs(batch, table, vocab, sections)
 
     n = min(cfg.batch_studies, len(dataset))
     shapes = {"img": (n, cfg.image_size, cfg.image_size), "txt": (n, len(vocab))}

@@ -290,6 +290,59 @@ def test_value_only_loss_matches_the_full_call_bit_for_bit(table, n):
     assert value_only.grad_views is None and value_only.grad_log_tau is None
 
 
+def per_row_loss(views, log_tau, table, with_grads):
+    """The table scored one row at a time, each row its own (n, n) logits: the reference for the stacked form."""
+    tau = math.exp(log_tau)
+    value, grad_log_tau, grads, terms = 0.0, 0.0, {}, {}
+
+    def log_softmax(logits, axis):
+        out = logits - np.max(logits, axis=axis, keepdims=True)
+        return out - np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
+
+    for view_a, view_b, weight, component in table:
+        a, b = views[view_a], views[view_b]
+        n = a.shape[0]
+        logits = a @ b.T / tau
+        p_rows, p_cols = log_softmax(logits, 1), log_softmax(logits, 0)
+        term = float(-(np.trace(p_rows) + np.trace(p_cols)) / (2.0 * n))
+        value += weight * term
+        terms.setdefault(component, []).append(term)
+        if not with_grads:
+            continue
+        grad_logits = np.exp(p_rows) + np.exp(p_cols)
+        grad_logits.flat[:: n + 1] -= 2.0
+        grad_logits /= 2.0 * n
+        grad_log_tau += weight * -float(np.sum(grad_logits * logits))
+        for name, grad in ((view_a, grad_logits @ b / tau * weight), (view_b, grad_logits.T @ a / tau * weight)):
+            grads[name] = grads[name] + grad if name in grads else grad
+    components = {name: sum(values) / len(values) for name, values in terms.items()}
+    return value, components, (grads, grad_log_tau) if with_grads else None
+
+
+@pytest.mark.parametrize("with_grads", [True, False], ids=["grads", "value_only"])
+@pytest.mark.parametrize(
+    "table", [paper_table(1.0, 0.5), paper_table(0.0, 0.0), CLIP_TABLE], ids=["paper_table", "zero_lambdas", "clip_table"]
+)
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+def test_stacked_loss_matches_the_per_row_reference_bit_for_bit(table, n, with_grads):
+    rng = np.random.default_rng(n)
+    views = {name: random_batch(rng, n, 24) for name in FOUR_VIEWS}
+    log_tau = math.log(0.07)
+    out = total_loss(views, log_tau, table, with_grads)
+    value, components, grads = per_row_loss(views, log_tau, table, with_grads)
+    assert out.value.hex() == value.hex()
+    assert {k: v.hex() for k, v in out.components.items()} == {k: v.hex() for k, v in components.items()}
+    if not with_grads:
+        assert out.grad_views is None and out.grad_log_tau is None
+        return
+    grad_views, grad_log_tau = grads
+    assert out.grad_log_tau.hex() == grad_log_tau.hex()
+    assert sorted(out.grad_views) == sorted(grad_views)
+    for name, grad in grad_views.items():
+        assert out.grad_views[name].shape == grad.shape
+        assert out.grad_views[name].tobytes() == grad.tobytes(), name
+
+
 def test_total_zero_weights_equals_mvs():
     rng = np.random.default_rng(9)
     U1, U2 = random_batch(rng, 3, 4), random_batch(rng, 3, 4)

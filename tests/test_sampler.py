@@ -17,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from studyclip.augment import (
+    BRIGHTNESS_RANGE,
+    CONTRAST_RANGE,
+    CROP_SCALE_RANGE,
     BadImage,
     CLAHE_BINS,
     CLAHE_CLIP_FRACTION,
@@ -228,6 +231,81 @@ def test_resize_bilinear_returns_its_input_at_the_same_size():
     assert resize_bilinear(img, 8, 9) is not img
 
 
+def resize_broadcast(img, out_h, out_w):
+    """Bilinear resize by the broadcast formula over gathered rows and columns: the reference for the plan."""
+    h, w = img.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    wy, wx = (ys - y0)[:, None], (xs - x0)[None, :]
+    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
+    bot = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
+    return top * (1 - wy) + bot * wy
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
+@pytest.mark.parametrize(
+    "shape,out",
+    [((1, 9), (4, 5)), ((9, 1), (5, 4)), ((1, 1), (3, 2)), ((5, 7), (32, 32)), ((128, 128), (32, 32)), ((40, 37), (32, 32))],
+)
+def test_resize_bilinear_matches_the_broadcast_formula_bit_for_bit(shape, out, dtype):
+    img = (np.random.default_rng(shape[0] * 1000 + shape[1]).uniform(-1.0, 2.0, size=shape) * 100).astype(dtype)
+    before = img.copy()
+    got = resize_bilinear(img, *out)
+    assert got.dtype == np.float64 and got.shape == out
+    assert got.tobytes() == resize_broadcast(img, *out).tobytes()
+    assert img.tobytes() == before.tobytes()  # the input is only read
+
+
+def test_resize_bilinear_of_a_crop_view_matches_the_broadcast_formula():
+    img = np.random.default_rng(4).uniform(size=(128, 128))
+    before = img.copy()
+    for view in (img[10:90, 5:70], img[3:120:3, ::-2], img[7:107, 20:120].T):
+        assert not view.flags.c_contiguous
+        assert resize_bilinear(view, 32, 32).tobytes() == resize_broadcast(view, 32, 32).tobytes()
+    assert img.tobytes() == before.tobytes()
+
+
+def augment_reference(img, size, clahe_probability, rng):
+    """The augmentation pipeline, every step out of place, the padded crop through np.pad: the oracle."""
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    side = np.sqrt(float(rng.uniform(*CROP_SCALE_RANGE)))
+    crop_h, crop_w = max(1, int(round(h * side))), max(1, int(round(w * side)))
+    if crop_h > h or crop_w > w:
+        pad_h, pad_w = max(0, crop_h - h), max(0, crop_w - w)
+        top, left = int(rng.integers(pad_h + 1)), int(rng.integers(pad_w + 1))
+        padded = np.pad(img, ((top, pad_h - top), (left, pad_w - left)), mode="edge")
+        y0, x0 = int(rng.integers(h + pad_h - crop_h + 1)), int(rng.integers(w + pad_w - crop_w + 1))
+        out = padded[y0 : y0 + crop_h, x0 : x0 + crop_w]
+    else:
+        y0, x0 = int(rng.integers(h - crop_h + 1)), int(rng.integers(w - crop_w + 1))
+        out = img[y0 : y0 + crop_h, x0 : x0 + crop_w]
+    if rng.uniform() < clahe_probability:
+        out = clahe(out)
+    out = out * float(rng.uniform(*BRIGHTNESS_RANGE))
+    mean = float(np.mean(out))
+    out = np.clip(mean + float(rng.uniform(*CONTRAST_RANGE)) * (out - mean), 0.0, 1.0)
+    return resize_broadcast(out, size, size)
+
+
+@pytest.mark.parametrize("clahe_probability", [0.0, 1.0])
+def test_augment_image_matches_the_reference_pipeline_bit_for_bit(clahe_probability):
+    padded = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        img = rng.uniform(-0.1, 1.1, size=(24 + seed % 9, 20 + seed % 13))
+        before = img.copy()
+        got = augment_image(img, 16, clahe_probability, study_rng(seed, "augment"))
+        want = augment_reference(img, 16, clahe_probability, study_rng(seed, "augment"))
+        assert got.tobytes() == want.tobytes(), seed
+        assert img.tobytes() == before.tobytes()  # the input is only read
+        side = np.sqrt(study_rng(seed, "augment").uniform(*CROP_SCALE_RANGE))
+        padded += round(img.shape[0] * side) > img.shape[0] or round(img.shape[1] * side) > img.shape[1]
+    assert 20 < padded < 180  # both crop paths ran
+
+
 # --------------------------------------------------------------- augment_text
 
 
@@ -236,9 +314,9 @@ def test_sentence_swap_two_sentences():
     assert outs == {"A. B.", "B. A."}
 
 
-def test_backtranslation_without_hook_falls_back_to_swap():
-    # With no back-translation hook, text augmentation is the sentence swap:
-    # each output is the sentence order of one permutation draw.
+def test_sentence_swap_follows_one_permutation_draw():
+    # Text augmentation is the sentence swap: each output is the sentences
+    # in the order of one permutation draw from the given rng.
     for s in range(10):
         order = np.random.default_rng(s).permutation(2)
         expected = " ".join(["A.", "B."][int(i)] for i in order)

@@ -189,6 +189,7 @@ def test_train_tokenizes_each_validation_text_once(engine, splits, monkeypatch, 
 
     monkeypatch.setattr(training, "tokenize", recording)
     cfg = tiny_config()
+    splits = mixed_text_splits(splits, cfg)  # two studies share a section text
     _, log = train(*splits, cfg, engine)
     texts = collections.defaultdict(list)
     for line in record.read_text().splitlines():
@@ -200,9 +201,13 @@ def test_train_tokenizes_each_validation_text_once(engine, splits, monkeypatch, 
     assert len(log.epochs) == cfg.epochs + 1
     # this process: the two texts of each validation study, once in all
     assert main == [t for batch in validation_batches(valid, cfg, engine) for t in batch.t1 + batch.t2]
-    # the worker: each text each time a step uses it
-    used = collections.Counter(t for batch in expected_batches(train_set, cfg, engine) for t in batch.t1 + batch.t2)
-    assert collections.Counter(worker) == used
+    # the worker: each distinct section text of the training set once, into its table, first of all;
+    # then each other text (a prompt rendering or a swapped section) each time a step uses it
+    sections = list(dict.fromkeys(text for study in train_set for text in study.sections))
+    assert worker[: len(sections)] == sections
+    used = [t for batch in expected_batches(train_set, cfg, engine) for t in batch.t1 + batch.t2]
+    assert collections.Counter(worker[len(sections) :]) == collections.Counter(t for t in used if t not in sections)
+    assert any(t not in sections for t in used)  # the run tokenized texts outside the table too
 
 
 def test_cached_validation_batches_score_as_batches_assembled_that_epoch(engine, splits, monkeypatch):
@@ -275,11 +280,32 @@ def test_step_inputs_are_the_named_views_images_and_token_bags(engine, splits, m
             np.testing.assert_array_equal(x, text_bag([tokenize(t, vocab) for t in getattr(batch, attr)], len(vocab)))
 
 
+def mixed_text_splits(splits, cfg):
+    """The splits, edited so that the first step of ``train`` holds a study with a single section,
+    two studies that share a section text, and a label-only study."""
+    train_set, valid = splits
+    first = [int(i) for i in training._step_chunks(len(train_set), cfg)[0]]
+    both = [i for i in first if train_set[i].findings and train_set[i].impression]
+    single, shared, sharing = both[:3]
+    studies = list(train_set)
+    studies[single] = dataclasses.replace(studies[single], impression=None)
+    studies[sharing] = dataclasses.replace(studies[sharing], impression=studies[shared].impression)
+    assert any(not studies[i].sections and studies[i].labels for i in first)  # the label-only study
+    return studies, valid
+
+
 @pytest.mark.parametrize("augment", [True, False], ids=["augment", "plain"])
 @pytest.mark.parametrize("mode", ["pairs", "study_single", "single"])
 def test_worker_batches_equal_in_process_make_batch(engine, splits, monkeypatch, mode, augment):
+    # the worker looks section texts up in its token table: a swapped section, a section text two
+    # studies share and a label-only study's prompt renderings all go through the first step
     lambdas = {} if mode == "pairs" else {"lambda_icl": 0.0, "lambda_tcl": 0.0}
     cfg = tiny_config(epochs=2, early_stop_patience=2, sampling_mode=mode, augment=augment, **lambdas)
+    splits = mixed_text_splits(splits, cfg)
+    if mode == "pairs" and augment:
+        first = expected_batches(splits[0], cfg, engine)[0]
+        (swapped,) = [pair.t2 for pair in first.pairs if pair.text_source == "section_aug"]
+        assert swapped not in {text for study in splits[0] for text in study.sections}
     received = record_step_inputs(monkeypatch)
     model, _ = train(*splits, cfg, engine)
     expected = expected_inputs(splits[0], cfg, engine, model.vocab)
