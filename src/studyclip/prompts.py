@@ -232,13 +232,20 @@ def _join(pieces) -> str:
 
 
 def _pick(node: Form, rng, out: list[str]) -> None:
-    """Append the pieces of one expansion, drawing one index per choice, depth first."""
+    """Append the pieces of one expansion, drawing one index per choice, depth first.
+
+    A choice is indexed in the frame that meets it and a literal part appended
+    without a call; only a concatenation reached through a choice recurses.
+    """
+    while type(node) is tuple:
+        node = node[int(rng.integers(len(node)))]
     if type(node) is str:
         out.append(node)
-    elif type(node) is tuple:
-        _pick(node[int(rng.integers(len(node)))], rng, out)
-    else:
-        for part in node:
+        return
+    for part in node:
+        if type(part) is str:
+            out.append(part)
+        else:
             _pick(part, rng, out)
 
 

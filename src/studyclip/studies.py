@@ -11,11 +11,20 @@ A ``StudyImage`` is immutable: it is a frozen dataclass, and it keeps its own
 copy of the pixels in a read-only array that no flag can make writable. So the
 same pixel array object always holds the same values, and evaluation can tell
 that it has already encoded an image by its identity alone.
+
+``StudyImage`` checks what it is given itself and raises ``DataFormatError``:
+the pixels must be a non-empty 2-d grid of numbers (bool, int or float values,
+or objects that convert to float; strings, complex values and ragged lists
+are refused). Its copy is then checked with one ``np.minimum.reduce`` and one
+``np.maximum.reduce``: a NaN or an infinity reaches the minimum or the
+maximum, so finiteness is read from those two values first, and the range
+[0, 1], with a 1e-9 tolerance, after.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,14 +53,21 @@ class StudyImage:
     view: str = "UNKNOWN"
 
     def __post_init__(self):
-        pixels = np.asarray(self.pixels, dtype=np.float64)
+        try:
+            pixels = np.asarray(self.pixels)
+            if pixels.dtype.kind not in "biufO":  # strings parse as floats, complex values lose their imaginary part
+                raise TypeError(f"got {pixels.dtype} values")
+            pixels = pixels.astype(np.float64, copy=False)  # an object grid converts element by element
+        except (TypeError, ValueError) as err:  # a ragged list too
+            raise DataFormatError(f"image must be a non-empty 2-d grid of numbers: {err}") from None
         if pixels.ndim != 2 or pixels.size == 0:
-            raise DataFormatError(f"image must be a non-empty 2-d grid, got {pixels.shape}")
+            raise DataFormatError(f"image must be a non-empty 2-d grid of numbers, got shape {pixels.shape}")
         pixels = np.frombuffer(pixels.tobytes(), np.float64).reshape(pixels.shape)
         object.__setattr__(self, "pixels", pixels)
-        if not np.all(np.isfinite(pixels)):
+        lowest, highest = np.minimum.reduce(pixels, axis=None), np.maximum.reduce(pixels, axis=None)
+        if not (math.isfinite(lowest) and math.isfinite(highest)):  # NaN and infinities reach one or the other
             raise DataFormatError("image intensities must be finite")
-        if np.min(pixels) < -1e-9 or np.max(pixels) > 1 + 1e-9:
+        if lowest < -1e-9 or highest > 1 + 1e-9:
             raise DataFormatError("image intensities must lie in [0, 1]")
         if self.view not in VIEWS:
             raise DataFormatError(f"view must be one of {VIEWS}, got {self.view!r}")
@@ -209,10 +225,7 @@ def record_to_study(record: dict, base_dir: Path) -> Study:
     for entry in raw_images:
         view = entry.get("view", "UNKNOWN")
         if "pixels" in entry:
-            try:
-                pixels = np.asarray(entry["pixels"], dtype=np.float64)
-            except (TypeError, ValueError):
-                raise DataFormatError(f"study {study_id!r}: pixels must form a 2-d grid of numbers") from None
+            pixels = entry["pixels"]
         elif "path" in entry:
             pixels = read_pgm(base_dir / entry["path"])
         else:

@@ -11,12 +11,22 @@ learnable while within-class confusion remains.
 
 One ``generate_split`` call builds each unit pattern (the ±1 class stripes of
 one view phase, the radial texture of one phase, the checkerboard marker) at
-most once, in a table it drops when it returns, and every image of the split
-adds scaled copies of them into its own fresh array. The table holds unit
-patterns only: ``render_image`` reads the amplitudes from ``SEVERITIES``,
-``TEXTURES`` and ``MARKERS`` as it renders, so a caller that patches those
-tables (to vary one attribute's salience, say) changes the pixels, and the
-table's size does not grow with the number of amplitudes.
+most once, in a table it drops when it returns. The table holds unit patterns
+only: ``render_image`` reads the amplitudes from ``SEVERITIES``, ``TEXTURES``
+and ``MARKERS`` as it renders, so a caller that patches those tables (to vary
+one attribute's salience, say) changes the pixels, and the table's size does
+not grow with the number of amplitudes. Each image is its own noise draw, to
+which ``render_image`` adds the base ``0.5 + a*P (+ t*T) (+ m*M)`` built from
+the table, then clips, both in place. Finished bases are not kept: a split of
+the default spec meets most of its up to 180 (class, view, amplitudes) bases
+once or twice, so a table of them saves little time, and at 128 px it would
+hold up to 24 MB.
+
+Per study, the generator draws in a fixed order: the label-only flag (train
+and valid only) and the multi-view flag, one ``rng.random()`` each; the view
+of a single-view study; the three attributes; each image's noise; then the
+report texts. Each class's label map is built once per split and every study
+gets its own copy.
 
 The default five classes mirror a 5-way evaluation subset; label-only studies
 stand in for image-label data, report-bearing studies for image-text data.
@@ -81,6 +91,12 @@ class SynthSpec:
         return len(self.class_names)
 
 
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices as a column and a row; they broadcast to the ``size`` x ``size`` grid."""
+    index = np.arange(size)
+    return index[:, None], index
+
+
 def class_pattern(class_idx: int, class_count: int, size: int, phase: float = 0.0) -> np.ndarray:
     """Binary oriented stripes; orientation is the class signature.
 
@@ -89,19 +105,19 @@ def class_pattern(class_idx: int, class_count: int, size: int, phase: float = 0.
     """
     theta = math.pi * class_idx / class_count
     freq = 6.0
-    i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    i, j = _grid(size)
     axis = math.cos(theta) * i + math.sin(theta) * j
     return np.sign(np.sin(2.0 * math.pi * freq * axis / size + phase) + 1e-12)
 
 
 def texture_pattern(size: int, phase: float = 0.0) -> np.ndarray:
-    i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    i, j = _grid(size)
     r = np.sqrt((i - size / 2.0) ** 2 + (j - size / 2.0) ** 2)
     return np.sign(np.sin(2.0 * math.pi * 10.0 * r / size + phase) + 1e-12)
 
 
 def marker_pattern(size: int) -> np.ndarray:
-    i, j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    i, j = _grid(size)
     return np.where((i + j) % 2 == 0, 1.0, -1.0)
 
 
@@ -139,19 +155,25 @@ def pattern_memo():
 
 
 def render_image(latent: StudyLatent, spec: SynthSpec, view: str, rng: np.random.Generator, patterns) -> np.ndarray:
-    """A fresh image, built from the unit patterns in ``patterns``, a ``pattern_memo()``."""
+    """A fresh image: a noise draw from ``rng`` plus the base ``0.5 + a*P (+ t*T) (+ m*M)``, clipped to [0, 1].
+
+    ``P``, ``T`` and ``M`` are the unit patterns in ``patterns``, a ``pattern_memo()``; a zero texture or
+    marker amplitude skips its term. The base is added to the noise draw and the sum clipped, both in place.
+    """
     size = spec.image_size
     phase = VIEW_PHASES[view]
     _, amplitude = SEVERITIES[latent.severity_idx]
     _, tex_amp = TEXTURES[latent.texture_idx]
     _, marker_amp = MARKERS[latent.marker_idx]
-    img = 0.5 + amplitude * patterns(class_pattern, latent.class_idx, spec.class_count, size, phase)
+    base = 0.5 + amplitude * patterns(class_pattern, latent.class_idx, spec.class_count, size, phase)
     if tex_amp:
-        img += tex_amp * patterns(texture_pattern, size, phase)
+        base += tex_amp * patterns(texture_pattern, size, phase)
     if marker_amp:
-        img += marker_amp * patterns(marker_pattern, size)
-    img += rng.normal(0.0, spec.noise_level, size=(size, size))
-    return np.clip(img, 0.0, 1.0, out=img)
+        base += marker_amp * patterns(marker_pattern, size)
+    img = rng.normal(0.0, spec.noise_level, size=(size, size))
+    img += base
+    np.maximum(img, 0.0, out=img)
+    return np.minimum(img, 1.0, out=img)
 
 
 def attribute_sentences(latent: StudyLatent) -> list[str]:
@@ -180,13 +202,6 @@ def study_texts(latent: StudyLatent, spec: SynthSpec, engine: PromptEngine, rng)
     return findings, impression
 
 
-def study_labels(latent: StudyLatent, spec: SynthSpec) -> dict[str, str]:
-    return {
-        name: ("positive" if idx == latent.class_idx else "negative")
-        for idx, name in enumerate(spec.class_names)
-    }
-
-
 def _split_counts(total: int, classes: int) -> list[int]:
     base, extra = divmod(total, classes)
     return [base + (1 if c < extra else 0) for c in range(classes)]
@@ -197,17 +212,19 @@ def generate_split(
 ) -> list[Study]:
     if split not in _SPLITS:
         raise ValueError(f"split must be one of {list(_SPLITS)}, got {split!r}")
+    if isinstance(count, bool) or not isinstance(count, int):  # True would build one study, a float fail in range
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _SPLITS[split]]))
     patterns = pattern_memo()
     studies = []
-    counts = _split_counts(count, spec.class_count)
-    index = 0
-    for class_idx, n_class in enumerate(counts):
+    for class_idx, n_class in enumerate(_split_counts(count, spec.class_count)):
+        labels = {name: ("positive" if idx == class_idx else "negative") for idx, name in enumerate(spec.class_names)}
         for _ in range(n_class):
-            label_only = split != "test" and rng.uniform() < spec.label_only_fraction
-            multi = rng.uniform() < spec.multi_image_fraction
+            # rng.uniform() with its defaults returns this same draw
+            label_only = split != "test" and rng.random() < spec.label_only_fraction
+            multi = rng.random() < spec.multi_image_fraction
             views = ["PA", "LATERAL"] if multi else [("PA", "AP")[int(rng.integers(2))]]
             latent = StudyLatent(
                 class_idx=class_idx,
@@ -217,19 +234,17 @@ def generate_split(
             )
             images = [StudyImage(render_image(latent, spec, view, rng, patterns), view) for view in views]
             findings = impression = None
-            labels = study_labels(latent, spec)
             if not label_only:
                 findings, impression = study_texts(latent, spec, engine, rng)
             studies.append(
                 Study(
-                    id=f"{split}-{index:05d}",
+                    id=f"{split}-{len(studies):05d}",
                     images=images,
                     findings=findings,
                     impression=impression,
-                    labels=labels,
+                    labels=dict(labels),  # Study.labels is mutable: every study owns its map
                 )
             )
-            index += 1
     return studies
 
 

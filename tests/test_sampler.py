@@ -611,7 +611,7 @@ def test_non_finite_pixels_rejected(tmp_path):
         ('{"id": "b", "images": {"path": "b.pgm"}, "findings": "F."}', "images must be a list of objects, got {'path': 'b.pgm'}"),
         ('{"id": "b", "images": [{"pixels": [[0.5]]}], "findings": 5}', "findings must be str or None, got 5"),
         ('{"id": "b", "images": [{"pixels": [[0.5]]}], "labels": ["Edema"]}', "labels must be dict or None"),
-        ('{"id": "b", "images": [{"pixels": [[0.5, 0.5], [0.5]]}], "findings": "F."}', "pixels must form a 2-d grid"),
+        ('{"id": "b", "images": [{"pixels": [[0.5, 0.5], [0.5]]}], "findings": "F."}', "image must be a non-empty 2-d grid of numbers"),
         ('{"images": [{"pixels": [[0.5]]}], "findings": "F."}', "study record missing field 'id'"),
         ('{"id": "b", "images": [{"path": "absent.pgm"}], "findings": "F."}', "absent.pgm"),
     ],
@@ -703,6 +703,47 @@ def test_copies_of_an_image_are_read_only_too(clone):
     assert other.view == "LATERAL"
     with pytest.raises(ValueError):
         other.pixels.flags.writeable = True
+
+
+@pytest.mark.parametrize(
+    "pixels, cause",
+    [
+        ([["a", "b"]], "<U1 values"),
+        (np.array([[0.5 + 1j, 0.5]]), "complex128 values"),  # the cast would drop the imaginary part
+        ([[0.5, 0.5], [0.5]], "inhomogeneous"),
+        ([0.5, 0.5], "shape (2,)"),
+        ([[]], "shape (1, 0)"),
+    ],
+    ids=["strings", "complex", "ragged", "one_d", "empty"],
+)
+def test_image_rejects_a_grid_that_is_not_numbers_naming_the_cause(pixels, cause):
+    with pytest.raises(DataFormatError, match=rf"^image must be a non-empty 2-d grid of numbers.*{re.escape(cause)}"):
+        StudyImage(pixels, "PA")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (-1, -1), (1, 2)], ids=["first", "last", "inside"])
+def test_image_rejects_a_non_finite_pixel_anywhere(bad, where):
+    pixels = grid_image(4)
+    pixels[1, 1], pixels[1, 3] = 0.0, 1.0  # in-range extremes next to the bad pixel
+    pixels[where] = bad
+    with pytest.raises(DataFormatError, match="^image intensities must be finite$"):
+        StudyImage(pixels, "PA")
+
+
+@pytest.mark.parametrize("value", [-1e-8, 1 + 1e-8, -0.5, 2.0])
+@pytest.mark.parametrize("where", [(0, 0), (-1, -1)], ids=["first", "last"])
+def test_image_rejects_a_pixel_outside_the_unit_range(value, where):
+    pixels = grid_image(4)
+    pixels[where] = value
+    with pytest.raises(DataFormatError, match=r"^image intensities must lie in \[0, 1\]$"):
+        StudyImage(pixels, "PA")
+
+
+def test_image_accepts_the_unit_range_within_its_tolerance():
+    pixels = np.array([[0.0, 1.0], [-1e-10, 1 + 1e-10]])
+    np.testing.assert_array_equal(StudyImage(pixels, "PA").pixels, pixels)
+    assert StudyImage([[True, False]], "PA").pixels.dtype == np.float64
 
 
 def test_missing_dataset_file(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ def test_every_class_is_labelled_with_exactly_one_positive(engine, split):
     for study in generate_split(SPEC, split, 10, 1, engine):
         assert sorted(study.labels) == sorted(SPEC.class_names)
         assert sorted(study.labels.values()) == ["negative"] * (SPEC.class_count - 1) + ["positive"]
+
+
+def test_every_study_owns_its_label_map(engine):
+    # studies of one class share a label map's contents, but Study.labels is mutable
+    first, second = generate_split(SPEC, "train", SPEC.class_count * 2, 0, engine)[:2]
+    assert positive_class(first) == positive_class(second) and first.labels is not second.labels
+    first.labels[positive_class(first)] = "uncertain"
+    assert sorted(second.labels.values()) == ["negative"] * (SPEC.class_count - 1) + ["positive"]
 
 
 def test_report_texts_are_class_renders_followed_by_the_attribute_sentences(engine):
@@ -158,6 +167,32 @@ def test_generate_split_rejects_a_negative_count_naming_it(engine, count):
         generate_split(SPEC, "train", count, 0, engine)
 
 
+@pytest.mark.parametrize("count", [True, False, 3.0, "3", None, np.int64(3)])
+def test_generate_split_rejects_a_count_that_is_not_an_int_naming_it(engine, count):
+    # True would build one study and a float fail inside range, naming neither
+    with pytest.raises(ValueError, match=rf"count must be an int, got {re.escape(repr(count))}$"):
+        generate_split(SPEC, "train", count, 0, engine)
+
+
+@pytest.mark.parametrize("split, count", [("val", 3), ("train", -1), ("train", 2.0), ("test", True)])
+def test_every_split_check_raises_before_any_study_is_built(engine, monkeypatch, split, count):
+    class Rendered(Exception):
+        pass
+
+    def render(*args):
+        calls.append(args)
+        raise Rendered
+
+    calls = []
+    monkeypatch.setattr(synth, "render_image", render)
+    with pytest.raises(ValueError):
+        generate_split(SPEC, split, count, 0, engine)
+    assert calls == []
+    with pytest.raises(Rendered):  # the same patch does reach a valid call's first render
+        generate_split(SPEC, "train", 1, 0, engine)
+    assert len(calls) == 1
+
+
 def test_generate_dataset_refuses_classes_closer_than_the_minimum(engine, tmp_path):
     spec = SynthSpec(min_pattern_distance=pattern_distances(SynthSpec()) + 0.01)
     with pytest.raises(ValueError, match="class signatures too close"):
@@ -197,6 +232,47 @@ def test_generated_splits_keep_their_golden_digest(engine):
                     for image in s.images:
                         digest.update(image.pixels.tobytes())
     assert digest.hexdigest() == SPLITS_DIGEST
+
+
+# SHA-256 over the unit patterns (every class stripe, texture and view phase, and the
+# marker) at sizes 1 to 128 and class counts 2, 5 and 7. SPLITS_DIGEST reaches only
+# sizes 16 and 32 and the default five classes.
+PATTERNS_DIGEST = "4e155b3f615f44048f9977cac9c0f7109be41816b348db0797b244d9970133f7"
+
+
+def test_unit_patterns_keep_their_golden_digest():
+    digest = hashlib.sha256()
+    for size in (1, 7, 16, 32, 128):
+        for count in (2, 5, 7):
+            for class_idx in range(count):
+                for phase in synth.VIEW_PHASES.values():
+                    digest.update(synth.class_pattern(class_idx, count, size, phase).tobytes())
+        for phase in synth.VIEW_PHASES.values():
+            digest.update(synth.texture_pattern(size, phase).tobytes())
+        digest.update(synth.marker_pattern(size).tobytes())
+    assert digest.hexdigest() == PATTERNS_DIGEST
+
+
+@pytest.mark.parametrize("noise_level", [0.0, 0.03])
+@pytest.mark.parametrize("size", [16, 32, 128])
+def test_render_image_matches_the_written_out_reference_bit_for_bit(size, noise_level):
+    spec = SynthSpec(image_size=size, noise_level=noise_level)
+    patterns, rng, reference_rng = pattern_memo(), np.random.default_rng(3), np.random.default_rng(3)
+    marker = synth.marker_pattern(size)
+    for class_idx, (view, phase) in itertools.product(range(spec.class_count), synth.VIEW_PHASES.items()):
+        stripes = synth.class_pattern(class_idx, spec.class_count, size, phase)
+        rings = synth.texture_pattern(size, phase)
+        for s, t, m in itertools.product(range(len(SEVERITIES)), range(len(TEXTURES)), range(len(MARKERS))):
+            (_, a), (_, tex), (_, mark) = SEVERITIES[s], TEXTURES[t], MARKERS[m]
+            want = 0.5 + a * stripes
+            if tex:
+                want = want + tex * rings
+            if mark:
+                want = want + mark * marker
+            want = np.clip(want + reference_rng.normal(0.0, noise_level, (size, size)), 0.0, 1.0)
+            got = render_image(StudyLatent(class_idx, s, t, m), spec, view, rng, patterns)
+            assert got.dtype == np.float64 and got.shape == (size, size)
+            assert got.tobytes() == want.tobytes(), (class_idx, view, s, t, m)
 
 
 def test_rendered_images_share_no_memory_with_the_pattern_memo():
