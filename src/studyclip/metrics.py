@@ -1,23 +1,20 @@
 """Evaluation protocols: image-to-text retrieval, zero-shot classification.
 
-Retrieval ranks every candidate text per image by inner product and reports
-recall at K plus RSUM, defined as 100 * (R@1 + R@5 + R@10). The candidates
-are one text per image, text j paired with image j, and one rule ranks them:
-image i's rank is the number of texts that score higher than its pair, plus
-the texts before i that score the same. A test set repeats its texts, so the
-texts may come as distinct rows plus each text's row index: each image is
-scored once against each distinct row, a row that scores higher counts once
-for every text that names it, and a row that scores the same, the pair's own
-row included, counts once for each of its texts before i. Images are ranked
-``RANK_BLOCK`` rows at a time: each block scores its images against every
-distinct row, so memory grows with n, not with n squared. The inputs must be
-finite and small enough that no similarity can overflow, so no NaN
-reaches the ranking. Binary zero-shot scores each image by sim(image,
-positive prompt) - sim(image, negative prompt) and reports the exact
-rank-based AUC with ties counted one half. Multi-class zero-shot predicts the
-argmax over class prompt embeddings (ties toward the lower class index) and
-reports accuracy. Every score, embedding and multiclass similarity must be
-finite: a NaN would read as a tie or a maximum.
+Retrieval ranks the candidate texts per image by inner product and reports
+recall at K plus RSUM, 100 * (R@1 + R@5 + R@10). A test set repeats its texts,
+so they come as distinct rows plus each image's row index. Images are ranked
+``RANK_BLOCK`` at a time over ``image_embs[block] @ text_embs.T``, rows in the
+caller's order (BLAS may round a block's product unlike the same rows of the
+whole one): image i's rank counts each row that scores higher than its pair
+once per image naming it, and each row that scores the same, its own included,
+once per image before i naming it. The counts are summed in float32, exact
+below 2**24 images. The inputs must be finite and small enough that no
+similarity can overflow, so no NaN reaches the ranking. Binary zero-shot scores
+each image by sim(image, positive prompt) - sim(image, negative prompt) and
+reports the exact rank-based AUC with ties counted one half. Multi-class
+zero-shot predicts the argmax over class prompt embeddings (ties toward the
+lower class index) and reports accuracy. Every score, embedding and multiclass
+similarity must be finite: a NaN would read as a tie or a maximum.
 """
 
 from __future__ import annotations
@@ -56,10 +53,8 @@ def recall_at_k(
 ) -> RetrievalResult:
     """Recall of the paired text among the top K candidates for each image.
 
-    The candidates are one text per image: image i's text is row ``text_rows[i]``
-    of ``text_embs`` (row i without ``text_rows``), so a row stands for every
-    image that names it. Image i's rank counts the texts that score higher than
-    its pair and the texts before i that score the same.
+    Image i's text is row ``text_rows[i]`` of ``text_embs`` (row i without
+    ``text_rows``), ranked by the module's rule; n must be below 2**24.
     """
     image_embs = np.asarray(image_embs, dtype=np.float64)
     text_embs = np.asarray(text_embs, dtype=np.float64)
@@ -90,39 +85,29 @@ def recall_at_k(
     image_max, text_max = (max(float(x.max(initial=0.0)), -float(x.min(initial=0.0))) for x in (image_embs, text_embs))
     if not math.isfinite(image_max * text_max * (2.0 * d)):
         raise ValueError("similarities can overflow: embeddings too large")
+    if n >= 2**24:  # a float32 sum of row weights is exact while it stays below 2**24
+        raise ValueError(f"at most 2**24 - 1 images can be ranked, got {n}")
     for k in ks:
         if not isinstance(k, numbers.Integral) or k < 1:
             raise ShapeMismatch(f"every K must be an integer >= 1, got K={k!r}")
         if k > n:
             raise ShapeMismatch(f"every K must be <= {n}, got K={k}")
-    counts = np.bincount(text_rows, minlength=m)
-    # The columns, ordered by how many images name their row: each run of equal counts is one column range,
-    # counted in one pass and weighted by its count. Unnamed rows, weight 0, come first and before every range.
-    order = np.argsort(counts, kind="stable")
-    column = np.empty(m, dtype=np.intp)
-    column[order] = np.arange(m)
-    own = column[text_rows]  # each image's own column
-    weights = counts[order]
-    starts = np.flatnonzero(np.diff(weights, prepend=0))
+    counts = np.bincount(text_rows, minlength=m).astype(np.float32)  # each row's weight: the images naming it
     namings = np.sort(text_rows * n + np.arange(n))  # one (row, image) key per image, sorted
-    texts = text_embs[order]
-    count_type = np.min_scalar_type(m)
     ranks = np.empty(n, dtype=np.int64)
     block = min(RANK_BLOCK, n)
     scores = np.empty((block, m))  # a block's similarities
-    higher = np.empty((block, m), dtype=bool)  # which of them score higher than the pair
+    higher = np.empty((block, m), dtype=np.float32)  # 1 where a row scores higher than the pair, else 0
     for start in range(0, n, RANK_BLOCK):
         stop = min(start + RANK_BLOCK, n)
-        sims = np.matmul(image_embs[start:stop], texts.T, out=scores[: stop - start])
-        diag = sims[np.arange(stop - start), own[start:stop]][:, None]
-        mask = np.greater(sims, diag, out=higher[: stop - start])
-        # each range's count, summed as uint8 (several times faster than count_nonzero), times its weight
-        ranks[start:stop] = np.add.reduceat(mask.view(np.uint8), starts, axis=1, dtype=count_type) @ weights[starts]
+        sims = np.matmul(image_embs[start:stop], text_embs.T, out=scores[: stop - start])
+        own = sims[np.arange(stop - start), text_rows[start:stop]][:, None]
+        ranks[start:stop] = np.greater(sims, own, out=higher[: stop - start]) @ counts
         # a row that ties the pair, its own included, counts once per image before this one that names it;
         # a 2-D np.nonzero is ~10x slower than the flat one
-        image, col = np.divmod(np.flatnonzero(sims == diag), m)
+        image, row = np.divmod(np.flatnonzero(sims == own), m)
         image += start
-        keys = order[col] * n
+        keys = row * n
         np.add.at(ranks, image, np.searchsorted(namings, keys + image) - np.searchsorted(namings, keys))
     recalls = {int(k): float(np.mean(ranks < k)) for k in ks}
     return RetrievalResult(recalls=recalls, rsum=100.0 * sum(recalls.values()), ranks=ranks)

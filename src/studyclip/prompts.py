@@ -47,6 +47,7 @@ template to go in) and a line that does not parse are grammar errors raised by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -339,7 +340,8 @@ class PromptEngine:
 
     @classmethod
     def default(cls) -> "PromptEngine":
-        return cls.from_path(str(resources.files("studyclip").joinpath("data/prompts.grammar")))
+        """An engine over the shipped grammar, parsed once per process: it owns its dict, but its forms are shared."""
+        return cls(dict(_default_prompts()))
 
     # -- rendering
 
@@ -384,3 +386,8 @@ class PromptEngine:
         if style == "rsna":
             return "Findings suggesting pneumonia.", "No evidence of pneumonia."
         raise ValueError(f"unknown evaluation prompt style {style!r}")
+
+
+@functools.cache
+def _default_prompts() -> dict[tuple[str, str], Form]:
+    return PromptEngine.from_path(str(resources.files("studyclip").joinpath("data/prompts.grammar"))).prompts

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,17 +69,23 @@ class SynthSpec:
     min_pattern_distance: float = 0.15
 
     def __post_init__(self):
+        if not isinstance(self.class_names, list) or not all(isinstance(n, str) and n for n in self.class_names):
+            raise ValueError(f"class_names must be a list of non-empty strings, got {self.class_names!r}")
         if len(self.class_names) < 2:
             raise ValueError("need at least two classes")
         repeated = [name for k, name in enumerate(self.class_names) if name in self.class_names[:k]]
         if repeated:  # a study's label map would keep only one entry per name
             raise ValueError(f"class name {repeated[0]!r} is repeated")
-        if not 0.0 <= self.label_only_fraction <= 1.0:
-            raise ValueError("label_only_fraction must lie in [0, 1]")
-        if not 0.0 <= self.multi_image_fraction <= 1.0:
-            raise ValueError("multi_image_fraction must lie in [0, 1]")
-        if not (math.isfinite(self.noise_level) and self.noise_level >= 0.0):
-            raise ValueError(f"noise_level must be finite and non-negative, got {self.noise_level}")
+        # a NaN fails every comparison, so a range check or the pattern-distance guard would pass it silently
+        for name in ("noise_level", "label_only_fraction", "multi_image_fraction", "min_pattern_distance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        if self.noise_level < 0:
+            raise ValueError(f"noise_level must be non-negative, got {self.noise_level}")
+        for name in ("label_only_fraction", "multi_image_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         for name, least in (("train_studies", 0), ("valid_studies", 0), ("test_studies", 0), ("image_size", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

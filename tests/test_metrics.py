@@ -142,6 +142,25 @@ def test_distinct_rows_with_a_row_index_rank_as_the_gathered_rows(n):
     assert_distinct_rows_rank_as_gathered(images, texts, rows)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_repeated_rows_rank_by_the_block_products_in_the_callers_row_order(seed):
+    # a matrix product may round the columns at its edge in another order than the others, so whether two equal
+    # rows tie depends on where they stand: ranking a reordering of the rows breaks or makes ties that the
+    # caller's order does not have. Images are ranked RANK_BLOCK at a time, and a block's product need not round
+    # as the same rows of the whole product do, so the expected similarities come from the same block products.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(300, 1201))
+    m = int(rng.integers(n // 4, n + 1))
+    texts = rng.normal(size=(m, 64))
+    texts[2::3] = texts[1::3][: len(texts[2::3])]  # every third row a copy of the row before it
+    images = rng.normal(size=(n, 64))
+    rows = rng.permutation(np.arange(n) % m)  # every row named
+    g = np.vstack([images[s : s + RANK_BLOCK] @ texts.T for s in range(0, n, RANK_BLOCK)])[:, rows]
+    own = np.diag(g)[:, None]
+    expected = (g > own).sum(1) + np.tril(g == own, -1).sum(1)
+    np.testing.assert_array_equal(recall_at_k(images, texts, ks=(1,), text_rows=rows).ranks, expected)
+
+
 @pytest.mark.parametrize("tied_block", [None, 1])
 def test_blocked_ranks_match_the_full_matrix_without_ties(tied_block):
     n = 2 * RANK_BLOCK + 5
@@ -171,6 +190,14 @@ def test_recall_rejects_embeddings_whose_similarities_can_overflow():
     # the largest that cannot overflow still ranks, with every similarity finite
     scale = np.sqrt(np.finfo(float).max / (2 * d))
     np.testing.assert_array_equal(recall_at_k(scale * np.eye(d), scale * np.eye(d), ks=(1,)).ranks, np.zeros(d))
+
+
+def test_recall_rejects_more_images_than_float32_weights_count_exactly():
+    # zero-stride views: 2**24 images and their row indices without 2**24 rows of memory
+    n = 2**24
+    images, rows = np.broadcast_to(np.ones((1, 1)), (n, 1)), np.broadcast_to(np.intp(0), (n,))
+    with pytest.raises(ValueError, match=r"at most 2\*\*24 - 1 images can be ranked, got 16777216"):
+        recall_at_k(images, np.ones((1, 1)), ks=(1,), text_rows=rows)
 
 
 @pytest.mark.parametrize("side", ["images", "texts"])

@@ -1,4 +1,5 @@
 import hashlib
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -365,6 +366,16 @@ def test_grammar_covers_all_18_expression_classes(engine):
     for class_name in EXPRESSION_CLASSES:
         assert (class_name, "positive") in engine.prompts
         assert (class_name, "negative") in engine.prompts
+
+
+def test_default_engines_own_equal_copies_of_the_grammar_parsed_once():
+    first, second = PromptEngine.default(), PromptEngine.default()
+    assert first.prompts == second.prompts and first.prompts is not second.prompts
+    shipped = resources.files("studyclip").joinpath("data/prompts.grammar")
+    assert first.prompts == PromptEngine.from_path(str(shipped)).prompts
+    del first.prompts[("Pneumonia", "positive")]
+    assert ("Pneumonia", "positive") in second.prompts
+    assert ("Pneumonia", "positive") in PromptEngine.default().prompts
 
 
 def test_grammar_loadable_from_env_override(tmp_path):

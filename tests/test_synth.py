@@ -151,6 +151,35 @@ def test_spec_rejects_a_count_or_size_that_is_not_an_int_naming_the_field(name, 
         SynthSpec(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        # NaN would turn the pattern-distance guard off: every comparison with it is False
+        ("min_pattern_distance", math.nan, "must be a finite real number"),
+        ("min_pattern_distance", math.inf, "must be a finite real number"),
+        ("min_pattern_distance", "x", "must be a finite real number"),
+        ("noise_level", "0.1", "must be a finite real number"),
+        ("noise_level", None, "must be a finite real number"),
+        ("noise_level", True, "must be a finite real number"),
+        ("label_only_fraction", True, "must be a finite real number"),
+        ("multi_image_fraction", False, "must be a finite real number"),
+        ("min_pattern_distance", np.bool_(True), "must be a finite real number"),
+        ("class_names", "ABC", "must be a list of non-empty strings"),  # would be classes A, B and C
+        ("class_names", ("Edema", "Mass"), "must be a list of non-empty strings"),
+        ("class_names", ["Edema", ""], "must be a list of non-empty strings"),
+        ("class_names", ["Edema", 3], "must be a list of non-empty strings"),
+    ],
+)
+def test_spec_rejects_a_field_of_the_wrong_type_naming_it(name, value, message):
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        SynthSpec(**{name: value})
+
+
+def test_spec_accepts_any_finite_real_for_a_float_field():
+    spec = SynthSpec(noise_level=0, label_only_fraction=np.float32(0.5), min_pattern_distance=-1)
+    assert (spec.noise_level, spec.label_only_fraction, spec.min_pattern_distance) == (0, 0.5, -1)
+
+
 def test_spec_accepts_zero_noise_and_empty_splits(engine):
     spec = SynthSpec(train_studies=0, noise_level=0.0, image_size=1)
     assert generate_split(spec, "train", spec.train_studies, 0, engine) == []
