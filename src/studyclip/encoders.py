@@ -42,7 +42,9 @@ The text mean pool is one product with the (batch, vocab) bag matrix of
 ``text_bag``, whose row i weighs each token of sequence i by 1/len (a
 repeated token adds up); ``encode_text_batch`` takes the bag, its cache holds
 it, and the table gradient is its transpose times the pooled-feature
-gradient.
+gradient. ``text_bag`` reads the ids out of the lists in one pass and fills
+the bag with one ``np.bincount`` over row-offset ids, which sums each cell in
+input order.
 
 The encoders own the parameter names: ``img.*`` for the image path, ``txt.*``
 for the text path. The init functions return those arrays as a dict, the
@@ -54,6 +56,7 @@ name, keyed the same.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -153,7 +156,9 @@ def _head_forward(params, prefix: str, pooled: np.ndarray):
     feature = h @ params[f"{prefix}.mlp_w2"] + params[f"{prefix}.mlp_b2"]
     projected = feature @ params[f"{prefix}.proj"]
     norms = np.sqrt(np.add.reduce(projected * projected, axis=1, keepdims=True))  # np.linalg.norm's bits
-    if not np.all(np.isfinite(norms) & (norms > 1e-12)):
+    # the minimum propagates a NaN norm, which fails its test; the initials let an empty batch pass
+    low, high = np.minimum.reduce(norms, axis=None, initial=np.inf), np.maximum.reduce(norms, axis=None, initial=0.0)
+    if not (low > 1e-12 and np.isfinite(high)):
         raise FloatingPointError("projection collapsed to a zero vector or is not finite")
     embedding = projected / norms
     cache = {"pooled": pooled, "h": h, "feature": feature, "projected": projected}
@@ -260,15 +265,17 @@ def text_bag(id_seqs: list[list[int]], vocab_size: int) -> np.ndarray:
     """(B, vocab): row i weighs each token of sequence i by 1/len, so bag @ emb is its mean embedding."""
     if not id_seqs:
         raise EmptySequence("cannot bag an empty batch: no token id sequences")
-    lengths = np.array([len(seq) for seq in id_seqs])
-    if np.any(lengths == 0):
+    lengths = [len(seq) for seq in id_seqs]
+    if 0 in lengths:
         raise EmptySequence("token id sequences must be non-empty")
-    ids = np.concatenate(id_seqs)
+    ids = np.fromiter(itertools.chain.from_iterable(id_seqs), np.intp, count=sum(lengths))
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise IndexError(f"token ids must lie in [0, {vocab_size})")
-    cells = np.repeat(np.arange(len(id_seqs)) * vocab_size, lengths) + ids
-    weights = np.repeat(1.0 / lengths, lengths)
-    return np.bincount(cells, weights, minlength=len(id_seqs) * vocab_size).reshape(len(id_seqs), vocab_size)
+    size = len(id_seqs) * vocab_size
+    cells = np.repeat(np.arange(0, size, vocab_size), lengths)  # each token's row offset
+    cells += ids
+    weights = np.repeat(1.0 / np.array(lengths), lengths)
+    return np.bincount(cells, weights, minlength=size).reshape(len(id_seqs), vocab_size)
 
 
 def encode_text_batch(params, bag: np.ndarray):

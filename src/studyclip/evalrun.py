@@ -157,6 +157,22 @@ def multiclass_labels(studies: list[Study], class_names: list[str]) -> np.ndarra
     return np.array(labels, dtype=np.int64)
 
 
+def _classes_and_labels(studies: list[Study]) -> tuple[list[str], np.ndarray]:
+    """``positive_classes`` and ``multiclass_labels`` over them from one walk over the labels.
+
+    ``LabelError`` names the first study without exactly one positive class.
+    """
+    positives = []
+    for study in studies:
+        names = [c for c, v in (study.labels or {}).items() if v == "positive"]
+        if len(names) != 1:
+            raise LabelError(study.id)
+        positives.append(names[0])
+    class_names = sorted(set(positives))
+    index = {name: i for i, name in enumerate(class_names)}
+    return class_names, np.fromiter(map(index.__getitem__, positives), np.int64, count=len(positives))
+
+
 def evaluate_model(model: TrainedModel, test_set: list[Study], engine: PromptEngine | None = None) -> dict[str, float]:
     """Zero-shot multiclass accuracy plus image-to-text retrieval metrics.
 
@@ -170,8 +186,7 @@ def evaluate_model(model: TrainedModel, test_set: list[Study], engine: PromptEng
     engine = engine or PromptEngine.default()
     image_embs = _share(model, test_set, eval_image_embeddings(model, test_set))  # a new evaluation encodes afresh
 
-    class_names = positive_classes(test_set)
-    labels = multiclass_labels(test_set, class_names)
+    class_names, labels = _classes_and_labels(test_set)
     prompt_rng = np.random.default_rng(CLASS_PROMPT_SEED)
     class_embs, class_rows = encode_texts(
         model, [engine.render_prompt(name, "positive", prompt_rng) for name in class_names]
@@ -205,9 +220,8 @@ def evaluate_binary(
     """
     if not test_set:
         raise EmptySequence("cannot evaluate an empty test set")
-    labels = np.array(
-        [1 if (s.labels or {}).get(class_name) == "positive" else 0 for s in test_set],
-        dtype=np.int64,
+    labels = np.fromiter(
+        ((s.labels or {}).get(class_name) == "positive" for s in test_set), np.int64, count=len(test_set)
     )
     if labels.all() or not labels.any():
         kind = "negative" if labels.all() else "positive"

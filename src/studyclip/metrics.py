@@ -11,10 +11,12 @@ once per image before i naming it. The counts are summed in float32, exact
 below 2**24 images. The inputs must be finite and small enough that no
 similarity can overflow, so no NaN reaches the ranking. Binary zero-shot scores
 each image by sim(image, positive prompt) - sim(image, negative prompt) and
-reports the exact rank-based AUC with ties counted one half. Multi-class
-zero-shot predicts the argmax over class prompt embeddings (ties toward the
-lower class index) and reports accuracy. Every score, embedding and multiclass
-similarity must be finite: a NaN would read as a tie or a maximum.
+reports the exact AUC: the share of positive-negative pairs that the positive
+outscores, ties counted one half (the Mann-Whitney U over the pair count).
+Multi-class zero-shot predicts the argmax over class prompt embeddings (ties
+toward the lower class index) and reports accuracy. Every score, embedding
+and multiclass similarity must be finite: a NaN would read as a tie or a
+maximum.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def zero_shot_binary(
     neg_prompt_emb: np.ndarray,
     labels: np.ndarray,
 ) -> float:
-    """AUC of sim(image, pos) - sim(image, neg) via the exact rank statistic."""
+    """AUC of sim(image, pos) - sim(image, neg) via the exact pair count."""
     image_embs = np.asarray(image_embs, dtype=np.float64)
     pos_prompt_emb, neg_prompt_emb = np.asarray(pos_prompt_emb), np.asarray(neg_prompt_emb)
     for kind, emb in (("positive", pos_prompt_emb), ("negative", neg_prompt_emb)):
@@ -130,26 +132,29 @@ def zero_shot_binary(
 
 
 def auc_exact(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC from mid-ranks; ties count one half."""
+    """Mann-Whitney AUC: the share of (positive, negative) pairs the positive outscores, ties one half.
+
+    Each positive counts the sorted negatives strictly below it and those at or
+    below it; U, half the sum of both counts, is a sum of integers and halves,
+    exact in float64.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.shape != scores.shape:
         raise ShapeMismatch(f"{scores.shape} scores but labels of shape {labels.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
+    positive, negative = labels == 1, labels == 0
+    n_pos, n_neg = np.count_nonzero(positive), np.count_nonzero(negative)
     if n_pos + n_neg != labels.size:
-        other = np.unique(labels[(labels != 0) & (labels != 1)])
+        other = np.unique(labels[~(positive | negative)])
         raise ShapeMismatch(f"labels must be 0 or 1, got {other.tolist()}")
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("need at least one positive and one negative label")
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    # 1-based mid-rank of each group of equal scores: its last rank minus half its width
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
-    rank_sum_pos = float(np.sum(ranks[labels == 1]))
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    negatives = np.sort(scores[negative])
+    positives = np.sort(scores[positive])  # sorted keys: each search starts where the last one ended
+    pairs = np.searchsorted(negatives, positives, "left").sum() + np.searchsorted(negatives, positives, "right").sum()
+    return int(pairs) / 2.0 / (n_pos * n_neg)
 
 
 def zero_shot_multiclass(

@@ -14,6 +14,9 @@ kink.
 Text: the mean pool as a per-row mean of embedding rows, and the table
 gradient as an ``np.add.at`` scatter of each row's share: the formulation that
 the bag-matrix products of ``encode_text_batch`` and ``text_backward`` replace.
+``reference_text_bag`` builds the bag from array conversions of the lists,
+one ``np.bincount`` over row-offset ids that sums each cell in input order:
+``text_bag`` must return its bytes.
 """
 
 import numpy as np
@@ -61,3 +64,11 @@ def reference_text_backward(params, cache, id_seqs, d_emb):
         np.add.at(d_table, seq, row / len(seq))
     grads["txt.emb"] = d_table
     return grads
+
+
+def reference_text_bag(id_seqs, vocab_size):
+    lengths = np.array([len(seq) for seq in id_seqs])
+    ids = np.concatenate(id_seqs)
+    cells = np.repeat(np.arange(len(id_seqs)) * vocab_size, lengths) + ids
+    weights = np.repeat(1.0 / lengths, lengths)
+    return np.bincount(cells, weights, minlength=len(id_seqs) * vocab_size).reshape(len(id_seqs), vocab_size)

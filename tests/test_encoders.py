@@ -7,6 +7,7 @@ from studyclip.encoders import (
     CONV_BLOCK_BYTES,
     EmptySequence,
     Vocab,
+    _head_forward,
     build_vocab,
     encode_image_batch,
     encode_text_batch,
@@ -17,7 +18,13 @@ from studyclip.encoders import (
     text_bag,
     tokenize,
 )
-from encoder_oracle import pre_activations, reference_encode, reference_encode_text, reference_text_backward
+from encoder_oracle import (
+    pre_activations,
+    reference_encode,
+    reference_encode_text,
+    reference_text_backward,
+    reference_text_bag,
+)
 from gradcheck import finite_diff_grad, max_relative_error
 from studyclip.evalrun import EVAL_CHUNK, eval_image_embeddings
 from studyclip.losses import ShapeMismatch, paper_table, total_loss
@@ -115,6 +122,30 @@ def test_a_non_finite_projection_raises(vocab, prefix):
         encode = lambda: encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab)))
     with pytest.raises(FloatingPointError, match="not finite"):
         encode()
+
+
+@pytest.mark.parametrize(
+    "pooled, bias",
+    [
+        ([[0.5], [np.nan]], [0.0, 0.0]),
+        ([[0.5], [0.5]], [np.inf, 0.0]),
+        ([[0.5], [0.5]], [-np.inf, 0.0]),
+        ([[0.5], [0.5]], [1e200, 0.0]),  # finite entries whose norm overflows
+        ([[0.5], [0.0]], [0.0, 0.0]),
+    ],
+    ids=["nan_row", "inf", "minus_inf", "norm_overflow", "zero_row"],
+)
+def test_the_head_raises_on_a_non_finite_or_zero_projection_row(pooled, bias):
+    # one input feature, tanh, then features h (1, 1) + bias, summed into both projected entries
+    params = {"t.mlp_w1": np.ones((1, 1)), "t.mlp_b1": np.zeros(1), "t.mlp_w2": np.ones((1, 2)),
+              "t.mlp_b2": np.array(bias), "t.proj": np.ones((2, 2))}
+    # BLAS may flag an invalid operation on an inf input while it returns inf; squaring 1e200 overflows
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(FloatingPointError, match="projection collapsed to a zero vector or is not finite"):
+            _head_forward(params, "t", np.array(pooled))
+    params["t.mlp_b2"] = np.zeros(2)  # at a zero bias, non-zero inputs pass
+    embedding, _ = _head_forward(params, "t", np.array([[0.5], [-0.25]]))
+    np.testing.assert_allclose(np.linalg.norm(embedding, axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_projection_dims_match_across_modalities(vocab):
@@ -423,3 +454,32 @@ def test_bag_matrix_text_path_matches_row_mean_oracle(seqs):
         text_bag(seqs + [[]], 6)
     with pytest.raises(IndexError):  # an id past the table would land in the next row's cells
         text_bag([[0, 6], [1]], 6)
+
+
+@pytest.mark.parametrize("rows", [2, 600])
+def test_text_bag_matches_the_bincount_oracle_bit_for_bit(rows):
+    vocab_size = 40
+    rng = np.random.default_rng(rows)
+    # up to 30 ids from 40: most rows repeat an id, so a cell sums 1/len more than once
+    seqs = [rng.integers(0, vocab_size, size=int(rng.integers(1, 31))).tolist() for _ in range(rows)]
+    seqs[0] = [0, vocab_size - 1, 0, 0, 0, 0, 0]  # both ends of the vocabulary, one id seven times
+    seqs[1] = [vocab_size - 1]  # a single token
+    seqs[len(seqs) // 2 :] = [[seq[0]] for seq in seqs[len(seqs) // 2 :]]  # single-token rows
+    bag, want = text_bag(seqs, vocab_size), reference_text_bag(seqs, vocab_size)
+    assert (bag.dtype, bag.shape) == (want.dtype, want.shape) == (np.float64, (rows, vocab_size))
+    assert bag.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seqs, error",
+    [
+        ([], EmptySequence),  # no sequence at all
+        ([[1, 2], []], EmptySequence),
+        ([[1, -1]], IndexError),  # would land in the row before
+        ([[0], [5, 6]], IndexError),  # would land in the row after
+    ],
+    ids=["empty_batch", "empty_sequence", "negative_id", "id_past_the_vocabulary"],
+)
+def test_text_bag_rejects_empty_input_and_ids_outside_the_vocabulary(seqs, error):
+    with pytest.raises(error):
+        text_bag(seqs, 6)

@@ -215,6 +215,20 @@ def test_multiclass_labels_names_the_study():
     assert err.value.study_id == "two-positives"
 
 
+def test_evaluate_model_walks_the_labels_once_and_names_the_first_bad_study(model_and_test, engine):
+    model, test_set = model_and_test
+    names, labels = evalrun._classes_and_labels(test_set)
+    assert names == positive_classes(test_set)
+    want = multiclass_labels(test_set, names)
+    assert (labels.dtype, labels.tolist()) == (want.dtype, want.tolist())
+    two = {"Edema": "positive", "Atelectasis": "positive"}
+    bad = [dataclasses.replace(test_set[i], id=f"bad-{i}", labels=lbl) for i, lbl in ((4, None), (7, two))]
+    with pytest.raises(LabelError, match="bad-4"):
+        evaluate_model(model, test_set[:4] + bad + test_set[4:], engine)
+    with pytest.raises(LabelError, match="bad-7"):
+        evaluate_model(model, test_set[:4] + bad[1:] + test_set[4:], engine)
+
+
 def test_binary_on_degenerate_class_names_the_class(model_and_test, engine, encodings):
     model, test_set = model_and_test
     with pytest.raises(DegenerateLabels, match=r"'Pneumothorax' has no positive"):

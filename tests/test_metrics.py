@@ -275,8 +275,32 @@ def test_auc_with_ties_matches_brute_force_pair_count(seed):
     assert auc_exact(scores, labels) == brute_force_auc(scores, labels)
 
 
+def mid_rank_auc(scores, labels) -> float:
+    """U as the positives' rank sum minus n_pos (n_pos + 1) / 2, over the 1-based mid-ranks of tied groups."""
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    u = float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+@pytest.mark.parametrize("case", ["heavy_ties", "all_tied", "one_positive"])
+@pytest.mark.parametrize("n", [2, 100, 2000])
+def test_auc_matches_the_mid_rank_formula_bit_for_bit(n, case):
+    rng = np.random.default_rng(n)
+    scores = rng.integers(-3, 4, size=n) / 4.0  # seven distinct values
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    if case == "all_tied":
+        scores[:] = 0.25
+    elif case == "one_positive":
+        labels[:] = 0
+        labels[n // 2] = 1
+    assert auc_exact(scores, labels).hex() == mid_rank_auc(scores, labels).hex()
+
+
 def test_auc_rejects_non_finite_scores():
-    # unique() sorts the NaN last, so it would score as the highest rank: AUC 0.5 here
+    # a sort puts the NaN last, so it would outscore both negatives: AUC 0.5 here
     with pytest.raises(ValueError, match="scores must be finite"):
         auc_exact(np.array([np.nan, 0.2, 0.1, 0.3]), np.array([1, 0, 1, 0]))
 
