@@ -7,9 +7,10 @@ label record, seeded from (``EVAL_TEXT_SEED``, study id) so every process
 renders the same. Each distinct text is tokenized, encoded and ranked once,
 however many studies share it: a test set repeats its findings and
 impressions. ``encode_texts`` returns the distinct rows and each text's row
-index, and retrieval ranks the rows counted by that index. Images are resized
-and encoded ``EVAL_CHUNK`` studies at a time, each chunk stacked into one
-buffer that every chunk of the call reuses. Every encode here is forward-only
+index, and retrieval ranks each image's row among the distinct rows by the
+rule in the ``metrics`` module docstring. Images are resized and encoded
+``EVAL_CHUNK`` studies at a time, each chunk stacked into one buffer that
+every chunk of the call reuses. Every encode here is forward-only
 (``with_grads=False``): no backward follows, so the image encoder computes
 neither the rectifier's mask nor the conv moments. The encoder bounds its own
 conv temporaries, patches included, by blocks of a few images, so the chunk
@@ -146,19 +147,8 @@ def positive_classes(studies: list[Study]) -> list[str]:
     return sorted(names)
 
 
-def multiclass_labels(studies: list[Study], class_names: list[str]) -> np.ndarray:
-    index = {name: i for i, name in enumerate(class_names)}
-    labels = []
-    for study in studies:
-        positives = [c for c, v in (study.labels or {}).items() if v == "positive"]
-        if len(positives) != 1 or positives[0] not in index:
-            raise LabelError(study.id)
-        labels.append(index[positives[0]])
-    return np.array(labels, dtype=np.int64)
-
-
 def _classes_and_labels(studies: list[Study]) -> tuple[list[str], np.ndarray]:
-    """``positive_classes`` and ``multiclass_labels`` over them from one walk over the labels.
+    """``positive_classes`` and each study's index into them, from one walk over the labels.
 
     ``LabelError`` names the first study without exactly one positive class.
     """
@@ -194,7 +184,7 @@ def evaluate_model(model: TrainedModel, test_set: list[Study], engine: PromptEng
     acc = zero_shot_multiclass(image_embs, class_embs[class_rows], labels)
 
     text_embs, text_rows = encode_texts(model, [eval_text(s, engine) for s in test_set])
-    ks = tuple(k for k in (1, 5, 10) if k <= len(test_set))
+    ks = tuple(k for k in (1, 5, 10) if k <= len(text_embs))
     retrieval = recall_at_k(image_embs, text_embs, ks=ks, text_rows=text_rows)
 
     out = {

@@ -2,21 +2,23 @@
 
 Retrieval ranks the candidate texts per image by inner product and reports
 recall at K plus RSUM, 100 * (R@1 + R@5 + R@10). A test set repeats its texts,
-so they come as distinct rows plus each image's row index. Images are ranked
-``RANK_BLOCK`` at a time over ``image_embs[block] @ text_embs.T``, rows in the
-caller's order (BLAS may round a block's product unlike the same rows of the
-whole one): image i's rank counts each row that scores higher than its pair
-once per image naming it, and each row that scores the same, its own included,
-once per image before i naming it. The counts are summed in float32, exact
-below 2**24 images. The inputs must be finite and small enough that no
-similarity can overflow, so no NaN reaches the ranking. Binary zero-shot scores
-each image by sim(image, positive prompt) - sim(image, negative prompt) and
-reports the exact AUC: the share of positive-negative pairs that the positive
-outscores, ties counted one half (the Mann-Whitney U over the pair count).
-Multi-class zero-shot predicts the argmax over class prompt embeddings (ties
-toward the lower class index) and reports accuracy. Every score, embedding
-and multiclass similarity must be finite: a NaN would read as a tie or a
-maximum.
+so they come as distinct rows plus each image's row index. Image i's rank is
+the number of other rows scoring at least as high as its own row, in [0, m) for
+m rows, so K is at most m. Ties count against the image, and rows repeated
+without a row index are separate rows that count against each other. Where
+texts repeat, this differs from index-based CLIP evaluation, which counts each
+copy of the image's own text against it: here the copies are one row, a hit.
+Images are ranked ``RANK_BLOCK`` at a time and the rule holds over the block
+products ``image_embs[block] @ text_embs.T``: BLAS may round a block's product
+unlike the same rows of the whole one. The inputs must be finite and small
+enough that no similarity can overflow, so no NaN reaches the ranking. Binary
+zero-shot scores each image by sim(image, positive prompt) - sim(image,
+negative prompt) and reports the exact AUC: the share of positive-negative
+pairs that the positive outscores, ties counted one half (the Mann-Whitney U
+over the pair count). Multi-class zero-shot predicts the argmax over class
+prompt embeddings (ties toward the lower class index) and reports accuracy.
+Every score, embedding and multiclass similarity must be finite: a NaN would
+read as a tie or a maximum.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .losses import ShapeMismatch
 
 
-# Images ranked at a time: a block's similarities are RANK_BLOCK x n floats.
+# Images ranked at a time: a block's similarities are RANK_BLOCK x m floats.
 RANK_BLOCK = 256
 
 
@@ -53,10 +55,10 @@ class RetrievalResult:
 def recall_at_k(
     image_embs: np.ndarray, text_embs: np.ndarray, ks=(1, 5, 10), text_rows: np.ndarray | None = None
 ) -> RetrievalResult:
-    """Recall of the paired text among the top K candidates for each image.
+    """Recall of the paired text among the top K candidate rows for each image.
 
     Image i's text is row ``text_rows[i]`` of ``text_embs`` (row i without
-    ``text_rows``), ranked by the module's rule; n must be below 2**24.
+    ``text_rows``), ranked by the rule in the module docstring.
     """
     image_embs = np.asarray(image_embs, dtype=np.float64)
     text_embs = np.asarray(text_embs, dtype=np.float64)
@@ -79,7 +81,6 @@ def recall_at_k(
         )
     if n and (text_rows.min() < 0 or text_rows.max() >= m):
         raise ShapeMismatch(f"text_rows must lie in [0, {m}), got {text_rows.min()} to {text_rows.max()}")
-    text_rows = text_rows.astype(np.intp, copy=False)  # bincount takes no uint64
     if not (np.isfinite(image_embs).all() and np.isfinite(text_embs).all()):
         raise ValueError("embeddings must be finite")
     # every partial sum of a similarity is at most d * max|image| * max|text|, the 2 covers rounding;
@@ -87,30 +88,22 @@ def recall_at_k(
     image_max, text_max = (max(float(x.max(initial=0.0)), -float(x.min(initial=0.0))) for x in (image_embs, text_embs))
     if not math.isfinite(image_max * text_max * (2.0 * d)):
         raise ValueError("similarities can overflow: embeddings too large")
-    if n >= 2**24:  # a float32 sum of row weights is exact while it stays below 2**24
-        raise ValueError(f"at most 2**24 - 1 images can be ranked, got {n}")
     for k in ks:
         if not isinstance(k, numbers.Integral) or k < 1:
             raise ShapeMismatch(f"every K must be an integer >= 1, got K={k!r}")
-        if k > n:
-            raise ShapeMismatch(f"every K must be <= {n}, got K={k}")
-    counts = np.bincount(text_rows, minlength=m).astype(np.float32)  # each row's weight: the images naming it
-    namings = np.sort(text_rows * n + np.arange(n))  # one (row, image) key per image, sorted
+        if k > m:
+            raise ShapeMismatch(f"every K must be <= {m}, got K={k}")
+    if not n:
+        raise ShapeMismatch("no images to rank")
     ranks = np.empty(n, dtype=np.int64)
     block = min(RANK_BLOCK, n)
     scores = np.empty((block, m))  # a block's similarities
-    higher = np.empty((block, m), dtype=np.float32)  # 1 where a row scores higher than the pair, else 0
+    at_least = np.empty((block, m), dtype=bool)  # rows scoring at least the pair, its own included
     for start in range(0, n, RANK_BLOCK):
         stop = min(start + RANK_BLOCK, n)
         sims = np.matmul(image_embs[start:stop], text_embs.T, out=scores[: stop - start])
         own = sims[np.arange(stop - start), text_rows[start:stop]][:, None]
-        ranks[start:stop] = np.greater(sims, own, out=higher[: stop - start]) @ counts
-        # a row that ties the pair, its own included, counts once per image before this one that names it;
-        # a 2-D np.nonzero is ~10x slower than the flat one
-        image, row = np.divmod(np.flatnonzero(sims == own), m)
-        image += start
-        keys = row * n
-        np.add.at(ranks, image, np.searchsorted(namings, keys + image) - np.searchsorted(namings, keys))
+        ranks[start:stop] = np.count_nonzero(np.greater_equal(sims, own, out=at_least[: stop - start]), axis=1) - 1
     recalls = {int(k): float(np.mean(ranks < k)) for k in ks}
     return RetrievalResult(recalls=recalls, rsum=100.0 * sum(recalls.values()), ranks=ranks)
 

@@ -13,7 +13,6 @@ from studyclip.evalrun import (
     eval_text,
     evaluate_binary,
     evaluate_model,
-    multiclass_labels,
     positive_classes,
 )
 from studyclip.metrics import DegenerateLabels
@@ -204,13 +203,15 @@ def test_a_non_finite_parameter_raises_instead_of_scoring(model_and_test, engine
         evaluate_binary(poisoned, test_set, "Edema", engine)
 
 
-def test_multiclass_labels_names_the_study():
+# multiclass_labels is gone: _classes_and_labels, which evaluate_model calls, does its job, so its checks
+# moved there and the expected labels are written out.
+def test_classes_and_labels_names_the_study():
     studies = [
         Study(id="one", images=[StudyImage([[0.5]])], labels={"Edema": "positive"}),
         Study(id="two-positives", images=[StudyImage([[0.5]])], labels={"Edema": "positive", "Atelectasis": "positive"}),
     ]
     with pytest.raises(LabelError, match="two-positives") as err:
-        multiclass_labels(studies, ["Atelectasis", "Edema"])
+        evalrun._classes_and_labels(studies)
     assert isinstance(err.value, ValueError)
     assert err.value.study_id == "two-positives"
 
@@ -219,8 +220,8 @@ def test_evaluate_model_walks_the_labels_once_and_names_the_first_bad_study(mode
     model, test_set = model_and_test
     names, labels = evalrun._classes_and_labels(test_set)
     assert names == positive_classes(test_set)
-    want = multiclass_labels(test_set, names)
-    assert (labels.dtype, labels.tolist()) == (want.dtype, want.tolist())
+    want = [names.index(next(c for c, v in s.labels.items() if v == "positive")) for s in test_set]
+    assert (labels.dtype, labels.tolist()) == (np.int64, want)
     two = {"Edema": "positive", "Atelectasis": "positive"}
     bad = [dataclasses.replace(test_set[i], id=f"bad-{i}", labels=lbl) for i, lbl in ((4, None), (7, two))]
     with pytest.raises(LabelError, match="bad-4"):
@@ -298,9 +299,8 @@ def test_class_rows_are_one_positive_prompt_per_class_encoded_in_one_batch(model
 
 
 def test_retrieval_ranks_the_distinct_rows_with_each_texts_row_index(model_and_test, engine, monkeypatch):
-    # each distinct text is encoded and ranked once, and each text names its row. That these ranks equal those
-    # of one row per text is checked in test_metrics with exact similarities: a second matrix product over the
-    # gathered rows may round differently.
+    # each distinct text is encoded and ranked once, and each text names its row: a copy of an image's text is
+    # that image's own row, not a candidate against it.
     model, test_set = model_and_test
     test_set = test_set + test_set[:12]  # texts that repeat, whatever the test set holds
     scored = []
@@ -317,6 +317,18 @@ def test_retrieval_ranks_the_distinct_rows_with_each_texts_row_index(model_and_t
     assert len(text_embs) == len(set(texts)) < len(texts)
     assert text_embs[text_rows].tobytes() == encode_every_text(model, texts).tobytes()
     assert out["rsum"] == original(image_embs, text_embs, text_rows=text_rows).rsum
+
+
+def test_retrieval_ks_are_bounded_by_the_distinct_texts(model_and_test, engine):
+    # 12 studies of two classes naming 3 distinct texts: a rank lies in [0, 3), so R@5 and R@10 are not reported
+    model, test_set = model_and_test
+    first = test_set[0]
+    other = [s for s in test_set if s.labels != first.labels and eval_text(s, engine) != eval_text(first, engine)]
+    studies = [first, *other[:2]] * 4
+    assert len(set(eval_text(s, engine) for s in studies)) == 3
+    out = evaluate_model(model, studies, engine)
+    assert 0.0 <= out["r_at_1"] <= 1.0 and np.isnan(out["r_at_5"]) and np.isnan(out["r_at_10"])
+    assert out["rsum"] == 100.0 * out["r_at_1"]
 
 
 def test_an_empty_text_batch_raises_empty_sequence(model_and_test):

@@ -17,14 +17,9 @@ from studyclip.metrics import (
 
 
 def brute_force_ranks(sims: np.ndarray, rows=None) -> np.ndarray:
-    """Rank of the paired text: strictly better candidates plus equal ones at a lower index; all rows by default."""
-    n = sims.shape[0]
-    ranks = []
-    for i in range(n) if rows is None else rows:
-        better = sum(1 for j in range(n) if sims[i, j] > sims[i, i])
-        ties_before = sum(1 for j in range(i) if sims[i, j] == sims[i, i])
-        ranks.append(better + ties_before)
-    return np.array(ranks)
+    """Rank of each image's own row: the other rows scoring at least as high. Image i's row is i by default."""
+    rows = range(len(sims)) if rows is None else rows
+    return np.array([np.count_nonzero(np.delete(sims[i], r) >= sims[i, r]) for i, r in enumerate(rows)])
 
 
 def brute_force_auc(scores, labels) -> float:
@@ -32,6 +27,30 @@ def brute_force_auc(scores, labels) -> float:
     neg = [s for s, y in zip(scores, labels) if y == 0]
     wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
     return wins / (len(pos) * len(neg))
+
+
+# The rank rule changed on purpose: image i's rank was the rows scoring higher than its pair plus the rows
+# before i scoring the same, so a repeated text counted each earlier copy against every later image naming it.
+# It is now the other rows scoring at least as high, whatever their order. The tests of the index rule
+# (all-tied ranks 0..n-1, the 2**24 bound of the float32 weights) went with it. Distinct rows with a row
+# index no longer rank as one gathered row per image, whose copies would now count against each other: the
+# block, gathered-row, unnamed-row and block-product tests below check the new rule.
+
+
+def assert_rows_rank_by_the_rule_in_any_row_order(images: np.ndarray, texts: np.ndarray, rows=None) -> None:
+    """Rows plus each image's row index (by default the texts' distinct rows) rank as the rule says, with a
+    uint64 index too, and as the named rows gathered in first-seen order, as ``encode_texts`` gathers a test
+    set's texts: which row a text gets moves no rank."""
+    if rows is None:
+        texts, rows = np.unique(texts, axis=0, return_inverse=True)
+        rows = rows.reshape(-1)
+    ranks = recall_at_k(images, texts, ks=(1,), text_rows=rows).ranks
+    np.testing.assert_array_equal(ranks, brute_force_ranks(images @ texts.T, rows))
+    assert recall_at_k(images, texts, ks=(1,), text_rows=rows.astype(np.uint64)).ranks.tobytes() == ranks.tobytes()
+    gathered = np.array(list(dict.fromkeys(rows.tolist())))
+    new_row = np.empty(len(texts), dtype=np.intp)
+    new_row[gathered] = np.arange(len(gathered))
+    assert recall_at_k(images, texts[gathered], ks=(1,), text_rows=new_row[rows]).ranks.tobytes() == ranks.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -45,30 +64,7 @@ def test_recall_with_tied_similarities_matches_brute_force(seed):
     result = recall_at_k(images, texts)
     np.testing.assert_array_equal(result.ranks, ranks)
     assert result.recalls == {k: float(np.mean(ranks < k)) for k in (1, 5, 10)}
-    assert_distinct_rows_rank_as_gathered(images, *np.unique(texts, axis=0, return_inverse=True))
-
-
-def test_recall_all_tied_ranks_by_index():
-    result = recall_at_k(np.ones((12, 2)), np.ones((12, 2)))
-    np.testing.assert_array_equal(result.ranks, np.arange(12))
-    assert result.recalls == {1: 1 / 12, 5: 5 / 12, 10: 10 / 12}
-
-
-def assert_distinct_rows_rank_as_gathered(images: np.ndarray, distinct: np.ndarray, rows: np.ndarray) -> None:
-    """Distinct text rows plus each text's row index rank byte for byte as one gathered row per text does."""
-    rows = rows.reshape(-1)
-    gathered = recall_at_k(images, distinct[rows])
-    for index in (rows, rows.astype(np.uint64)):
-        from_rows = recall_at_k(images, distinct, text_rows=index)
-        assert from_rows.ranks.dtype == gathered.ranks.dtype
-        assert from_rows.ranks.tobytes() == gathered.ranks.tobytes() and from_rows.recalls == gathered.recalls
-
-
-def full_matrix_ranks(images: np.ndarray, texts: np.ndarray) -> np.ndarray:
-    """The rank formula over the whole n x n similarity matrix at once."""
-    sims = images @ texts.T
-    diag = np.diag(sims)[:, None]
-    return np.sum(sims > diag, axis=1) + np.tril(sims == diag, -1).sum(axis=1)
+    assert_rows_rank_by_the_rule_in_any_row_order(images, texts)
 
 
 @pytest.mark.parametrize("n", [RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1])
@@ -80,30 +76,27 @@ def test_blocked_ranks_match_the_full_matrix_on_ties(n):
     images[n // 2 :] = images[: n - n // 2]
     texts[n // 2 :] = texts[: n - n // 2]
     sims = images @ texts.T
-    assert np.tril(sims == np.diag(sims)[:, None], -1).any()  # ties at a lower index do count
-    expected = full_matrix_ranks(images, texts)
+    assert np.count_nonzero(sims == np.diag(sims)[:, None]) > n  # other rows tie the pair, and count against it
+    expected = brute_force_ranks(sims)
     result = recall_at_k(images, texts)
     np.testing.assert_array_equal(result.ranks, expected)
     assert result.recalls == {k: float(np.mean(expected < k)) for k in (1, 5, 10)}
-    assert_distinct_rows_rank_as_gathered(images, *np.unique(texts, axis=0, return_inverse=True))
+    assert_rows_rank_by_the_rule_in_any_row_order(images, texts)
 
 
 def test_blocked_ranks_match_the_full_matrix_with_repeated_texts_in_every_block():
-    # a test set's size, its texts drawn from 556 distinct rows: ties at lower and higher indices everywhere
+    # a test set's size, its texts drawn from 556 distinct rows: copies of each image's text in every block
     n, distinct = 2000, 556
     rng = np.random.default_rng(3)
     images = np.round(2.0 * rng.normal(size=(n, 8))) / 2.0
     rows = np.concatenate([np.arange(distinct), rng.integers(distinct, size=n - distinct)])
     texts = (np.round(2.0 * rng.normal(size=(distinct, 8))) / 2.0)[rng.permutation(rows)]
     sims = images @ texts.T
-    ties = np.tril(sims == np.diag(sims)[:, None], -1)
+    ties = np.count_nonzero(sims == np.diag(sims)[:, None], axis=1) > 1
     for start in range(0, n, RANK_BLOCK):
-        assert ties[start : start + RANK_BLOCK].any()  # a tie at a lower index in every block
-    ranks = recall_at_k(images, texts).ranks
-    np.testing.assert_array_equal(ranks, full_matrix_ranks(images, texts))
-    subset = np.concatenate([[0, RANK_BLOCK - 1, RANK_BLOCK, n - 1], rng.choice(n, size=60, replace=False)])
-    np.testing.assert_array_equal(ranks[subset], brute_force_ranks(sims, subset))
-    assert_distinct_rows_rank_as_gathered(images, *np.unique(texts, axis=0, return_inverse=True))
+        assert ties[start : start + RANK_BLOCK].any()  # a tie with another row in every block
+    np.testing.assert_array_equal(recall_at_k(images, texts).ranks, brute_force_ranks(sims))
+    assert_rows_rank_by_the_rule_in_any_row_order(images, texts)
 
 
 @given(data=st.data())
@@ -116,30 +109,51 @@ def test_distinct_rows_rank_as_brute_force_with_rows_that_no_image_names(data):
     unnamed = data.draw(st.integers(0, m))
     rows = data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, m - 1)))
     rows += rows >= unnamed
-    expected = brute_force_ranks(images @ texts[rows].T)
+    expected = brute_force_ranks(images @ texts.T, rows)
     np.testing.assert_array_equal(recall_at_k(images, texts, ks=(1,), text_rows=rows).ranks, expected)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_permuting_the_images_and_relabelling_the_rows_leaves_every_recall_bit_identical(data):
+    # half-step embeddings make exact similarities with many ties, so no order can round one differently
+    n, m, d = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+    images = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-3, 3))) / 2.0
+    texts = data.draw(hnp.arrays(np.int64, (m, d), elements=st.integers(-3, 3))) / 2.0
+    rows = data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, m - 1)))
+    order = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+    relabel = np.array(data.draw(st.permutations(range(m))), dtype=np.intp)  # old row r is new row relabel[r]
+    ks = tuple(range(1, m + 1))
+    result = recall_at_k(images, texts, ks=ks, text_rows=rows)
+    moved_texts = np.empty_like(texts)
+    moved_texts[relabel] = texts
+    moved = recall_at_k(images[order], moved_texts, ks=ks, text_rows=relabel[rows[order]])
+    assert moved.ranks.tobytes() == result.ranks[order].tobytes()
+    assert [r.hex() for r in moved.recalls.values()] == [r.hex() for r in result.recalls.values()]
+    assert moved.rsum.hex() == result.rsum.hex()
 
 
 @pytest.mark.parametrize("n", [RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1, 2000])
 def test_distinct_rows_with_a_row_index_rank_as_the_gathered_rows(n):
-    # a test set's share of distinct texts (556 of 2,000), each named at least twice, in random order
+    # the gathered rows are the named rows in first-seen order, as encode_texts gathers them; they were one row
+    # per image under the index rule. A test set's share of distinct texts (556 of 2,000), each named at least
+    # twice, in random order
     rng = np.random.default_rng(n)
     distinct = n * 556 // 2000
     rows = rng.permutation(np.arange(n) % distinct)
     rows[::RANK_BLOCK] = 1  # in every block, an image names row 1 ...
     texts = np.round(2.0 * rng.normal(size=(distinct, 4))) / 2.0
-    texts[1] = texts[0]  # ... which embeds as row 0 does: the same sentences in another order
+    texts[1] = texts[0]  # ... which embeds as row 0 does: the same sentences in another order, a second row
     images = np.round(2.0 * rng.normal(size=(n, 4))) / 2.0  # halves: exact similarities, many ties
-    sims = images @ texts.T
-    other_ties = np.count_nonzero(sims == sims[np.arange(n), rows][:, None], axis=1) > 1
-    assert other_ties[::RANK_BLOCK].all() and np.bincount(rows).min() >= 2
-    assert_distinct_rows_rank_as_gathered(images, texts, rows)
+    assert np.bincount(rows).min() >= 2 and rows[0] != 0  # gathering reorders the rows
+    assert_rows_rank_by_the_rule_in_any_row_order(images, texts, rows)
+    assert (recall_at_k(images, texts, ks=(1,), text_rows=rows).ranks[::RANK_BLOCK] >= 1).all()  # row 0 ties row 1
     # the same namings with no tie but each pair's own. Steps of 2^-16 keep every similarity exact: a matrix
     # product may round a column at its edge in another order than the others.
     images, texts = (np.round(65536.0 * rng.normal(size=x.shape)) / 65536.0 for x in (images, texts))
     sims = images @ texts.T
     assert np.count_nonzero(sims == sims[np.arange(n), rows][:, None]) == n
-    assert_distinct_rows_rank_as_gathered(images, texts, rows)
+    assert_rows_rank_by_the_rule_in_any_row_order(images, texts, rows)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -155,9 +169,9 @@ def test_repeated_rows_rank_by_the_block_products_in_the_callers_row_order(seed)
     texts[2::3] = texts[1::3][: len(texts[2::3])]  # every third row a copy of the row before it
     images = rng.normal(size=(n, 64))
     rows = rng.permutation(np.arange(n) % m)  # every row named
-    g = np.vstack([images[s : s + RANK_BLOCK] @ texts.T for s in range(0, n, RANK_BLOCK)])[:, rows]
-    own = np.diag(g)[:, None]
-    expected = (g > own).sum(1) + np.tril(g == own, -1).sum(1)
+    g = np.vstack([images[s : s + RANK_BLOCK] @ texts.T for s in range(0, n, RANK_BLOCK)])
+    own = g[np.arange(n), rows][:, None]
+    expected = np.count_nonzero(g >= own, axis=1) - 1
     np.testing.assert_array_equal(recall_at_k(images, texts, ks=(1,), text_rows=rows).ranks, expected)
 
 
@@ -166,14 +180,33 @@ def test_blocked_ranks_match_the_full_matrix_without_ties(tied_block):
     n = 2 * RANK_BLOCK + 5
     rng = np.random.default_rng(7)
     images, texts = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
-    if tied_block is not None:  # one tie at a lower index inside the second block; the others have none
+    if tied_block is not None:  # one pair of equal rows inside the second block; the others have none
         start = tied_block * RANK_BLOCK
         texts[start + 9] = texts[start + 2]
     sims = images @ texts.T
-    ties = np.tril(sims == np.diag(sims)[:, None], -1)
-    assert ties.sum() == (0 if tied_block is None else 1)
-    expected = full_matrix_ranks(images, texts)
+    ties = np.count_nonzero(sims == np.diag(sims)[:, None]) - n
+    assert ties == (0 if tied_block is None else 2)  # images start + 2 and start + 9 each tie the other's row
+    expected = brute_force_ranks(sims)
     np.testing.assert_array_equal(recall_at_k(images, texts).ranks, expected)
+
+
+def test_a_perfect_encoder_over_repeated_texts_scores_r_at_1_of_1():
+    # every image names one of 4 texts, each named by 5 images, and embeds as its text: index-based
+    # ranking would count the earlier copies against each later image
+    rows = np.arange(20) % 4
+    texts = np.eye(4)
+    result = recall_at_k(texts[rows], texts, ks=(1, 4), text_rows=rows)
+    np.testing.assert_array_equal(result.ranks, np.zeros(20))
+    assert result.recalls == {1: 1.0, 4: 1.0}
+
+
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_a_constant_encoder_scores_r_at_1_of_0_with_two_rows_or_more(m):
+    # every embedding equal: every row ties every image's own, and ties count against the image
+    result = recall_at_k(np.ones((12, 2)), np.ones((m, 2)), ks=(1, m), text_rows=np.arange(12) % m)
+    np.testing.assert_array_equal(result.ranks, np.full(12, m - 1))
+    assert result.recalls == {1: 0.0, m: 1.0}
+    assert recall_at_k(np.ones((12, 2)), np.ones((1, 2)), ks=(1,), text_rows=np.zeros(12, np.intp)).recalls == {1: 1.0}
 
 
 def test_recall_rejects_embeddings_whose_similarities_can_overflow():
@@ -190,14 +223,6 @@ def test_recall_rejects_embeddings_whose_similarities_can_overflow():
     # the largest that cannot overflow still ranks, with every similarity finite
     scale = np.sqrt(np.finfo(float).max / (2 * d))
     np.testing.assert_array_equal(recall_at_k(scale * np.eye(d), scale * np.eye(d), ks=(1,)).ranks, np.zeros(d))
-
-
-def test_recall_rejects_more_images_than_float32_weights_count_exactly():
-    # zero-stride views: 2**24 images and their row indices without 2**24 rows of memory
-    n = 2**24
-    images, rows = np.broadcast_to(np.ones((1, 1)), (n, 1)), np.broadcast_to(np.intp(0), (n,))
-    with pytest.raises(ValueError, match=r"at most 2\*\*24 - 1 images can be ranked, got 16777216"):
-        recall_at_k(images, np.ones((1, 1)), ks=(1,), text_rows=rows)
 
 
 @pytest.mark.parametrize("side", ["images", "texts"])
@@ -263,6 +288,20 @@ def test_recall_rejects_a_k_that_is_not_an_integer_from_1_naming_it(k):
 
 def test_recall_accepts_numpy_integer_ks():
     assert recall_at_k(np.eye(3), np.eye(3), (np.int64(1), np.int32(3))).recalls == {1: 1.0, 3: 1.0}
+
+
+def test_recall_bounds_k_by_the_rows_not_the_images():
+    # a rank lies in [0, m): a K above the m rows would read 1 whatever the ranking
+    rows = np.array([0, 1, 1])
+    with pytest.raises(ShapeMismatch, match=r"every K must be <= 2, got K=3"):
+        recall_at_k(np.eye(3), np.eye(3)[:2], (1, 3), text_rows=rows)
+    assert recall_at_k(np.eye(3), np.eye(3)[:2], (1, 2), text_rows=rows).recalls == {1: 2 / 3, 2: 1.0}
+
+
+def test_recall_rejects_no_images():
+    # no rank to average: every recall would read NaN
+    with pytest.raises(ShapeMismatch, match="no images to rank"):
+        recall_at_k(np.ones((0, 2)), np.ones((3, 2)), (1,), text_rows=np.zeros(0, np.intp))
 
 
 @pytest.mark.parametrize("seed", range(20))
