@@ -1,11 +1,13 @@
 """A forked prefetcher: one child process fills a ring of shared slots, step by step, ahead of its caller.
 
 ``Worker(produce, rows, layout)`` runs ``produce(step)``, a ``{name: float64
-array}``, for every step in order, and writes the arrays into a ring of
-``SLOTS`` slots in one anonymous shared ``mmap``, each name at its ``layout``
-shape. ``wait(step)`` hands the first ``rows[step]`` rows of each to the caller
-as read-only views of their slot, with no copy and no unpickling;
-``release()`` frees the slot once the caller is done with them.
+array}`` of ``rows[step]`` rows each, for every step in order, and writes the
+arrays into a ring of ``SLOTS`` slots in one anonymous shared ``mmap``, each
+name at its ``layout`` shape. ``wait(step)`` hands the written rows of each to
+the caller as read-only views of their slot, with no copy and no unpickling;
+``release()`` frees the slot once the caller is done with them. An array of
+another row count fails its step, wherever ``produce`` ran, with a
+``ValueError`` naming the step and the field.
 
 The worker is forked with ``os.fork``, not spawned, so it reads what the caller
 already holds, with no pickling and no fresh import; and it is no
@@ -91,14 +93,22 @@ class Worker:
         the step raises, and if it returns, ``AssemblyError`` names the step.
         """
         if self.slots is None:
-            return self.produce(step)
+            return self._checked(step)
         while not self.filled.acquire(timeout=_POLL_S):
             exitcode = self.poll()
             if exitcode is not None and not self.filled.acquire(block=False):
-                self.produce(step)  # a failure of the step's own inputs raises here
+                self._checked(step)  # a failure of the step's own inputs raises here
                 raise AssemblyError(step, exitcode)
         n = self.rows[step]
         return {name: self.slots[name][step % SLOTS, :n] for name in self.slots.dtype.names}
+
+    def _checked(self, step: int) -> Mapping[str, np.ndarray]:
+        """``produce(step)``, once each of its arrays has ``rows[step]`` rows."""
+        arrays = self.produce(step)
+        for name, array in arrays.items():
+            if len(array) != self.rows[step]:
+                raise ValueError(f"step {step}: produce gave {len(array)} rows of {name!r}, not {self.rows[step]}")
+        return arrays
 
     def release(self) -> None:
         """Frees the slot of the step just read, for the worker to fill."""
@@ -114,7 +124,7 @@ class Worker:
             while not self.free.acquire(timeout=_POLL_S):
                 if os.getppid() != parent:
                     return  # the caller is gone
-            for name, view in self.produce(step).items():
+            for name, view in self._checked(step).items():
                 self.slots[name][step % SLOTS, : len(view)] = view
             self.filled.release()
 

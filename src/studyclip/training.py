@@ -8,11 +8,11 @@ Each step assembles one batch in the configured sampling mode through the
 sampler's batch loop and scores it with the loss table of
 ``TrainConfig.loss_table``: the paper's six pairings for ``pairs``, the
 single (u1, v1) pairing for the single modes. A step reads only what its
-encoders take, its ``_step_inputs``: for each view the table names, its
-images, or its texts' (n, V) token bag (``encoders.text_bag``) over the
-vocabulary of V tokens. Each named view is encoded once; the gradient of each
-view is propagated back through its encoder, and parameter gradients
-accumulate in the fixed view order v1, v2, u1, u2.
+encoders take, its ``_step_inputs``: its k image views as one (k*n, S, S) stack
+and its k text views as one (k*n, V) token bag (``encoders.text_bag``) over the
+V tokens of the vocabulary, rows in view order (v1, v2 and u1, u2); k is 2 for
+the paper's table and 1 for the single pairing. Each modality is encoded once
+per step, and its view gradients go back through one backward pass.
 
 Training batches are assembled beside the compute, in the forked worker of
 ``assembly``. ``train`` first draws the whole step schedule (``_step_chunks``):
@@ -303,51 +303,51 @@ def _param_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.
     return views
 
 
-# view name -> (StudyBatch field, parameter prefix), in gradient accumulation order
-VIEWS = {"v1": ("x1", "img"), "v2": ("x2", "img"), "u1": ("t1", "txt"), "u2": ("t2", "txt")}
+def _views_per_modality(table: tuple[Pairing, ...]) -> int:
+    """k, the views of each modality a step encodes: 2 when the table names v2 or u2, else 1 (v1 and u1)."""
+    return 2 if {"v2", "u2"} & {name for row in table for name in row[:2]} else 1
 
 
 def _step_inputs(
-    batch: StudyBatch, table: tuple[Pairing, ...], vocab: Vocab, known: dict[str, list[int]] | None = None
+    batch: StudyBatch, k: int, vocab: Vocab, known: dict[str, list[int]] | None = None
 ) -> dict[str, np.ndarray]:
-    """What a step encodes: each view the table names, in ``VIEWS`` order, as its images or its texts' token bag.
-
-    A text in ``known``, a map of texts to their ``tokenize`` ids, takes its ids from there.
+    """What a step encodes: ``img``, the v1 then the v2 images (``batch.x1`` itself when k = 1), and
+    ``txt``, the token bag of the u1 then the u2 texts. A text in ``known``, a map of texts to their
+    ``tokenize`` ids, takes its ids from there.
     """
     known = known or {}
-    named = {name for row in table for name in row[:2]}
-    inputs = {}
-    for name, (attr, prefix) in VIEWS.items():
-        if name in named:
-            view = getattr(batch, attr)
-            if prefix == "txt":
-                view = text_bag([known.get(t) or tokenize(t, vocab) for t in view], len(vocab))
-            inputs[name] = view
-    return inputs
+    texts = batch.t1 + batch.t2 if k == 2 else batch.t1
+    return {
+        "img": np.concatenate([batch.x1, batch.x2]) if k == 2 else batch.x1,
+        "txt": text_bag([known.get(t) or tokenize(t, vocab) for t in texts], len(vocab)),
+    }
 
 
-def _batch_loss(model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple[Pairing, ...], with_grads: bool):
-    """Forward (and optionally backward) for one step's ``_step_inputs``, encoding each view once.
+def _batch_loss(
+    model: TrainedModel, inputs: dict[str, np.ndarray], table: tuple[Pairing, ...], k: int, with_grads: bool
+):
+    """Forward (and optionally backward) for one step's ``_step_inputs``, with one encode per modality.
 
-    Returns the ``LossOutput`` and, with ``with_grads``, the gradient: a vector
-    laid out as the flat parameters. Without it, a forward-only encode, a
-    value-only loss and None.
+    The loss reads the k views of a modality as row slices of its embedding, and their gradients,
+    joined in row order, go back through one backward pass. Returns the ``LossOutput`` and, with
+    ``with_grads``, the gradient laid out as the flat parameters; without it, a forward-only
+    encode, a value-only loss and None.
     """
-    views, caches = {}, {}
-    for name, x in inputs.items():
-        if VIEWS[name][1] == "img":
-            views[name], caches[name] = encode_image_batch(model.params, x, with_grads)
-        else:
-            views[name], caches[name] = encode_text_batch(model.params, x)
+    img, img_cache = encode_image_batch(model.params, inputs["img"], with_grads)
+    txt, txt_cache = encode_text_batch(model.params, inputs["txt"])
+    n = len(img) // k
+    views = {"v1": img, "u1": txt} if k == 1 else {"v1": img[:n], "v2": img[n:], "u1": txt[:n], "u2": txt[n:]}
     out = total_loss(views, model.log_tau, table, with_grads)
     if not with_grads:
         return out, None
-    flat = np.zeros(sum(p.size for p in model.params.values()))  # a parameter no view reaches gets 0
+    d_img, d_txt = out.grad_views["v1"], out.grad_views["u1"]
+    if k == 2:
+        d_img, d_txt = np.concatenate([d_img, out.grad_views["v2"]]), np.concatenate([d_txt, out.grad_views["u2"]])
+    grads = {**image_backward(model.params, img_cache, d_img), **text_backward(model.params, txt_cache, d_txt)}
+    flat = np.zeros(sum(p.size for p in model.params.values()))
     slots = _param_views(flat, model.params)
-    for name in views:
-        backward = image_backward if VIEWS[name][1] == "img" else text_backward
-        for param, g in backward(model.params, caches[name], out.grad_views[name]).items():
-            slots[param] += g
+    for param, g in grads.items():
+        slots[param] += g
     slots["log_tau"][...] = out.grad_log_tau
     return out, flat
 
@@ -386,7 +386,8 @@ def validation_loss(model: TrainedModel, inputs: list[dict[str, np.ndarray]], ta
     on n. It would also change which epoch is best, and so the trained
     parameters.
     """
-    return float(np.mean([_batch_loss(model, batch, table, False)[0].value for batch in inputs]))
+    k = _views_per_modality(table)
+    return float(np.mean([_batch_loss(model, batch, table, k, False)[0].value for batch in inputs]))
 
 
 def _step_chunks(studies: int, cfg: TrainConfig) -> list[np.ndarray]:
@@ -402,11 +403,12 @@ def _step_chunks(studies: int, cfg: TrainConfig) -> list[np.ndarray]:
 def _step_worker(dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, vocab: Vocab) -> Worker:
     """The assembly worker of a ``train`` call, producing the ``_step_inputs`` of every scheduled step.
 
-    The first step it produces builds the section token table, ``tokenize`` ids by distinct
-    section text: in the worker, so the main process pays nothing for it. ``produce`` looks
-    ``_sample_batch``, ``_step_inputs`` and ``tokenize`` up in this module when it runs.
+    Its slots hold two fields, ``img`` and ``txt``, at k rows per study. The first step it produces
+    builds the section token table, ``tokenize`` ids by distinct section text: in the worker, so the
+    main process pays nothing for it. ``produce`` looks ``_sample_batch``, ``_step_inputs`` and
+    ``tokenize`` up in this module when it runs.
     """
-    chunks, table = _step_chunks(len(dataset), cfg), cfg.loss_table()
+    chunks, k = _step_chunks(len(dataset), cfg), _views_per_modality(cfg.loss_table())
     sections: dict[str, list[int]] | None = None
 
     def produce(step: int) -> dict[str, np.ndarray]:
@@ -419,13 +421,11 @@ def _step_worker(dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, v
             batch = _sample_batch(studies, cfg, engine, seed=cfg.seed * 1_000_003 + step)
         except SamplingError as err:
             raise SamplingError(f"step {step}: {err}") from err.__cause__
-        return _step_inputs(batch, table, vocab, sections)
+        return _step_inputs(batch, k, vocab, sections)
 
-    n = min(cfg.batch_studies, len(dataset))
-    shapes = {"img": (n, cfg.image_size, cfg.image_size), "txt": (n, len(vocab))}
-    named = {name for row in table for name in row[:2]}
-    layout = {name: shapes[prefix] for name, (_, prefix) in VIEWS.items() if name in named}
-    return Worker(produce, [len(chunk) for chunk in chunks], layout)
+    n = k * min(cfg.batch_studies, len(dataset))
+    layout = {"img": (n, cfg.image_size, cfg.image_size), "txt": (n, len(vocab))}
+    return Worker(produce, [k * len(chunk) for chunk in chunks], layout)
 
 
 def train(
@@ -453,9 +453,10 @@ def train(
     state = OptimState(flat.size)
     log = TrainLog()
     table = cfg.loss_table()
+    k = _views_per_modality(table)
 
     with _step_worker(dataset, cfg, engine, vocab) as worker:
-        val_inputs = [_step_inputs(batch, table, vocab) for batch in validation_batches(val_dataset, cfg, engine)]
+        val_inputs = [_step_inputs(batch, k, vocab) for batch in validation_batches(val_dataset, cfg, engine)]
         best_val = validation_loss(model, val_inputs, table)
         best_flat = flat.copy()
         log.epochs.append(EpochRecord(epoch=0, val_loss=best_val, best=True))
@@ -465,7 +466,7 @@ def train(
         for epoch in range(1, cfg.epochs + 1):
             for _ in range(steps_per_epoch):
                 inputs = worker.wait(step)
-                out, grad = _batch_loss(model, inputs, table, with_grads=True)
+                out, grad = _batch_loss(model, inputs, table, k, with_grads=True)
                 worker.release()  # the step is done with its slot
                 if not math.isfinite(out.value):
                     raise NumericError(step=step, value=out.value)

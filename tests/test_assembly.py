@@ -74,3 +74,25 @@ def test_a_step_that_fails_everywhere_raises_its_own_error_from_wait():
         receive(worker, 2)
         with pytest.raises(ValueError, match="step 2 cannot be produced"):
             worker.wait(2)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in_caller"])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_over"])
+def test_an_array_of_the_wrong_row_count_fails_its_step_naming_the_field(monkeypatch, fork, extra):
+    # step 5 reuses a slot and has room for one row more: either way, the slot's rows would not be the step's
+    step = 5
+    assert step >= SLOTS and ROWS[step] + 1 <= LAYOUT["a"][0]
+
+    def miscounted(k: int) -> dict[str, np.ndarray]:
+        arrays = produce(k)
+        if k == step:
+            arrays["b"] = np.arange(ROWS[k] + extra) * 1.0
+        return arrays
+
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    with Worker(miscounted, ROWS, LAYOUT) as worker:
+        assert receive(worker, step) == [(contents(produce(k)), {not fork}) for k in range(step)]
+        message = rf"^step {step}: produce gave {ROWS[step] + extra} rows of 'b', not {ROWS[step]}$"
+        with pytest.raises(ValueError, match=message):
+            worker.wait(step)
