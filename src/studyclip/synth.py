@@ -9,18 +9,18 @@ by a phase offset. Texts mention the class (through the prompt grammar) and the
 attributes (through fixed sentence patterns), so exact-study retrieval is
 learnable while within-class confusion remains.
 
-One ``generate_split`` call builds each unit pattern (the ±1 class stripes of
-one view phase, the radial texture of one phase, the checkerboard marker) at
-most once, in a table it drops when it returns. The table holds unit patterns
-only: ``render_image`` reads the amplitudes from ``SEVERITIES``, ``TEXTURES``
+``render_image`` reads each unit pattern (the ±1 class stripes of one view
+phase, the radial texture of one phase, the checkerboard marker) through
+``_unit_pattern``, a ``functools.lru_cache`` per process, bounded by its
+``maxsize``: a process builds each pattern once, read-only, for every split.
+The cache holds unit patterns only (19 for the default spec, 8 KB each at
+32 px): ``render_image`` reads the amplitudes from ``SEVERITIES``, ``TEXTURES``
 and ``MARKERS`` as it renders, so a caller that patches those tables (to vary
-one attribute's salience, say) changes the pixels, and the table's size does
-not grow with the number of amplitudes. Each image is its own noise draw, to
-which ``render_image`` adds the base ``0.5 + a*P (+ t*T) (+ m*M)`` built from
-the table, then clips, both in place. Finished bases are not kept: a split of
-the default spec meets most of its up to 180 (class, view, amplitudes) bases
-once or twice, so a table of them saves little time, and at 128 px it would
-hold up to 24 MB.
+one attribute's salience, say) changes the pixels. Each image is its own noise
+draw, to which ``render_image`` adds the base ``0.5 + a*P (+ t*T) (+ m*M)``,
+then clips, both in place. Finished bases are not kept: a split of the default
+spec meets most of its up to 180 (class, view, amplitudes) bases once or twice,
+so a table of them saves little time, and at 128 px it would hold up to 24 MB.
 
 Per study, the generator draws in a fixed order: the label-only flag (train
 and valid only) and the multi-view flag, one ``rng.random()`` each; the view
@@ -147,36 +147,32 @@ class StudyLatent:
     marker_idx: int
 
 
-def pattern_memo():
-    """A table of unit patterns: ``memo(build, *args)`` returns ``build(*args)``, built on the first call
-    with those arguments and read-only, since every later call shares it. ``build`` is
-    ``class_pattern``, ``texture_pattern`` or ``marker_pattern``."""
-
-    @functools.cache
-    def memo(build, *args):
-        pattern = build(*args)
-        pattern.flags.writeable = False
-        return pattern
-
-    return memo
+@functools.lru_cache(maxsize=64)
+def _unit_pattern(build, *args) -> np.ndarray:
+    """``build(*args)``, read-only, since later calls share it; ``build`` is one of the ``*_pattern`` builders."""
+    pattern = build(*args)
+    pattern.flags.writeable = False
+    return pattern
 
 
-def render_image(latent: StudyLatent, spec: SynthSpec, view: str, rng: np.random.Generator, patterns) -> np.ndarray:
+def render_image(latent: StudyLatent, spec: SynthSpec, view: str, rng: np.random.Generator) -> np.ndarray:
     """A fresh image: a noise draw from ``rng`` plus the base ``0.5 + a*P (+ t*T) (+ m*M)``, clipped to [0, 1].
 
-    ``P``, ``T`` and ``M`` are the unit patterns in ``patterns``, a ``pattern_memo()``; a zero texture or
-    marker amplitude skips its term. The base is added to the noise draw and the sum clipped, both in place.
+    ``P``, ``T`` and ``M`` come from ``_unit_pattern``, a per-process cache bounded by its ``maxsize`` that
+    holds unit patterns only: the amplitudes are read from ``SEVERITIES``, ``TEXTURES`` and ``MARKERS`` on
+    each call, so patching those tables changes later renders. A zero texture or marker amplitude skips
+    its term. The base is added to the noise draw and the sum clipped, both in place.
     """
     size = spec.image_size
     phase = VIEW_PHASES[view]
     _, amplitude = SEVERITIES[latent.severity_idx]
     _, tex_amp = TEXTURES[latent.texture_idx]
     _, marker_amp = MARKERS[latent.marker_idx]
-    base = 0.5 + amplitude * patterns(class_pattern, latent.class_idx, spec.class_count, size, phase)
+    base = 0.5 + amplitude * _unit_pattern(class_pattern, latent.class_idx, spec.class_count, size, phase)
     if tex_amp:
-        base += tex_amp * patterns(texture_pattern, size, phase)
+        base += tex_amp * _unit_pattern(texture_pattern, size, phase)
     if marker_amp:
-        base += marker_amp * patterns(marker_pattern, size)
+        base += marker_amp * _unit_pattern(marker_pattern, size)
     img = rng.normal(0.0, spec.noise_level, size=(size, size))
     img += base
     np.maximum(img, 0.0, out=img)
@@ -224,7 +220,6 @@ def generate_split(
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _SPLITS[split]]))
-    patterns = pattern_memo()
     studies = []
     for class_idx, n_class in enumerate(_split_counts(count, spec.class_count)):
         labels = {name: ("positive" if idx == class_idx else "negative") for idx, name in enumerate(spec.class_names)}
@@ -239,7 +234,7 @@ def generate_split(
                 texture_idx=int(rng.integers(len(TEXTURES))),
                 marker_idx=int(rng.integers(len(MARKERS))),
             )
-            images = [StudyImage(render_image(latent, spec, view, rng, patterns), view) for view in views]
+            images = [StudyImage(render_image(latent, spec, view, rng), view) for view in views]
             findings = impression = None
             if not label_only:
                 findings, impression = study_texts(latent, spec, engine, rng)

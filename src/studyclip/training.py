@@ -37,9 +37,10 @@ parameter out in one contiguous float64 vector, with log(tau) in the last
 slot, and ``model.params`` maps each name to a view of it. That map is the
 only form of the parameters: the encoders read their ``img.*`` and ``txt.*``
 arrays from it by name, and their backward passes return gradients under the
-same names, which a step adds into views of one zeroed vector of the same
-layout. A single ``np.isfinite`` checks that vector (the failing parameter is
-looked up only when it fails), and ``optim_step`` updates parameters and the
+same names. A step checks each one's shape and joins them, log(tau)'s last,
+in one ``np.concatenate`` in ``model.params`` order. ``np.isfinite`` checks
+that vector (the failing parameter is looked up only when it fails), and
+``optim_step`` updates parameters and the
 flat moments in about a dozen whole-vector passes, in place, with the bits of
 a per-parameter update: at this model size a step pays more in per-array call
 overhead than in arithmetic. The best-validation snapshot is one vector copy,
@@ -54,7 +55,8 @@ parameters are kept and training stops after ``early_stop_patience`` epochs
 without improvement.
 
 Everything is seeded: identical config and data give bit-identical parameters
-and logs.
+and logs on one BLAS kernel (under ``OPENBLAS_CORETYPE=Haswell`` on a
+``SkylakeX`` CPU, the parameters differ in their last bits).
 """
 
 from __future__ import annotations
@@ -330,8 +332,8 @@ def _batch_loss(
 
     The loss reads the k views of a modality as row slices of its embedding, and their gradients,
     joined in row order, go back through one backward pass. Returns the ``LossOutput`` and, with
-    ``with_grads``, the gradient laid out as the flat parameters; without it, a forward-only
-    encode, a value-only loss and None.
+    ``with_grads``, the flat gradient: the shape-checked gradients in ``model.params`` order, joined by one
+    ``np.concatenate``; without it, a forward-only encode, a value-only loss and None.
     """
     img, img_cache = encode_image_batch(model.params, inputs["img"], with_grads)
     txt, txt_cache = encode_text_batch(model.params, inputs["txt"])
@@ -344,12 +346,14 @@ def _batch_loss(
     if k == 2:
         d_img, d_txt = np.concatenate([d_img, out.grad_views["v2"]]), np.concatenate([d_txt, out.grad_views["u2"]])
     grads = {**image_backward(model.params, img_cache, d_img), **text_backward(model.params, txt_cache, d_txt)}
-    flat = np.zeros(sum(p.size for p in model.params.values()))
-    slots = _param_views(flat, model.params)
-    for param, g in grads.items():
-        slots[param] += g
-    slots["log_tau"][...] = out.grad_log_tau
-    return out, flat
+    grads["log_tau"] = out.grad_log_tau
+    parts = []
+    for name, param in model.params.items():
+        g = np.asarray(grads[name])
+        if g.shape != param.shape:
+            raise ShapeMismatch(f"gradient for {name} has shape {g.shape}, its parameter {param.shape}")
+        parts.append(g.ravel())
+    return out, np.concatenate(parts)
 
 
 def _sample_batch(studies, cfg: TrainConfig, engine, seed: int):

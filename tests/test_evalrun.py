@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from blas_kernel import kernel_note
 from studyclip import evalrun
 from studyclip.encoders import EmptySequence, encode_text_batch, text_bag, tokenize
 from studyclip.evalrun import (
@@ -268,7 +269,7 @@ def test_encoding_each_distinct_text_once_keeps_every_row_bit_for_bit(model_and_
         emb, rows = encode_texts(model, batch)
         assert tokenized == list(dict.fromkeys(batch))  # once per distinct text, in first-seen order
         assert len(emb) == len(tokenized) and [tokenized[r] for r in rows] == batch
-        assert emb[rows].tobytes() == encode_every_text(model, batch).tobytes()
+        assert emb[rows].tobytes() == encode_every_text(model, batch).tobytes(), kernel_note()
 
 
 def test_one_text_repeated_encodes_as_that_text_alone(model_and_test, engine):

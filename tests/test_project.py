@@ -5,8 +5,10 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import blas_kernel
 from studyclip import training
 from studyclip.prompts import PromptEngine
 from studyclip.synth import SynthSpec, generate_split
@@ -169,3 +171,10 @@ def test_the_traced_sampler_sees_one_batch_per_training_step_and_validation_batc
     assert len(log.steps) == 6
     batches = sum(name == "sampling.make_batch" for name, *_ in active.spans)
     assert batches == len(log.steps) + len(training.validation_batches(valid, cfg, engine)) == 8
+
+
+def test_the_blas_kernel_reads_unknown_where_numpy_bundles_no_openblas(monkeypatch, tmp_path):
+    # pinned-value tests name the kernel in their messages: this must not fail where it cannot be read
+    assert blas_kernel.openblas_kernel()  # the bundled library's kernel here, or "unknown"
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert blas_kernel.openblas_kernel.__wrapped__() == "unknown"

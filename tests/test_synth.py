@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -20,7 +21,6 @@ from studyclip.synth import (
     generate_dataset,
     generate_split,
     pattern_distances,
-    pattern_memo,
     render_image,
 )
 
@@ -286,7 +286,7 @@ def test_unit_patterns_keep_their_golden_digest():
 @pytest.mark.parametrize("size", [16, 32, 128])
 def test_render_image_matches_the_written_out_reference_bit_for_bit(size, noise_level):
     spec = SynthSpec(image_size=size, noise_level=noise_level)
-    patterns, rng, reference_rng = pattern_memo(), np.random.default_rng(3), np.random.default_rng(3)
+    rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
     marker = synth.marker_pattern(size)
     for class_idx, (view, phase) in itertools.product(range(spec.class_count), synth.VIEW_PHASES.items()):
         stripes = synth.class_pattern(class_idx, spec.class_count, size, phase)
@@ -299,35 +299,64 @@ def test_render_image_matches_the_written_out_reference_bit_for_bit(size, noise_
             if mark:
                 want = want + mark * marker
             want = np.clip(want + reference_rng.normal(0.0, noise_level, (size, size)), 0.0, 1.0)
-            got = render_image(StudyLatent(class_idx, s, t, m), spec, view, rng, patterns)
+            got = render_image(StudyLatent(class_idx, s, t, m), spec, view, rng)
             assert got.dtype == np.float64 and got.shape == (size, size)
             assert got.tobytes() == want.tobytes(), (class_idx, view, s, t, m)
 
 
-def test_rendered_images_share_no_memory_with_the_pattern_memo():
+def test_rendered_images_share_no_memory_with_the_pattern_cache():
     spec = SynthSpec(image_size=16, noise_level=0.0)
     latent = StudyLatent(class_idx=2, severity_idx=1, texture_idx=1, marker_idx=1)
-    patterns, rng = pattern_memo(), np.random.default_rng(0)
-    first = render_image(latent, spec, "AP", rng, patterns)
-    second = render_image(latent, spec, "AP", rng, patterns)
+    rng = np.random.default_rng(0)
+    first = render_image(latent, spec, "AP", rng)
+    second = render_image(latent, spec, "AP", rng)
     assert first is not second and not np.shares_memory(first, second)
     assert first.flags.writeable and second.flags.writeable
     np.testing.assert_array_equal(first, second)
-    assert not patterns(synth.class_pattern, 2, spec.class_count, 16, synth.VIEW_PHASES["AP"]).flags.writeable
+    cached = [
+        synth._unit_pattern(synth.class_pattern, 2, spec.class_count, 16, synth.VIEW_PHASES["AP"]),
+        synth._unit_pattern(synth.texture_pattern, 16, synth.VIEW_PHASES["AP"]),
+        synth._unit_pattern(synth.marker_pattern, 16),
+    ]
+    for pattern in cached:
+        assert not pattern.flags.writeable
+        assert not np.shares_memory(first, pattern) and not np.shares_memory(second, pattern)
     want = second.copy()
-    first[...] = -7.0  # a write into one render reaches neither the memo nor later renders
-    np.testing.assert_array_equal(render_image(latent, spec, "AP", rng, patterns), want)
+    first[...] = -7.0  # a write into one render reaches neither the cache nor later renders
+    np.testing.assert_array_equal(render_image(latent, spec, "AP", rng), want)
 
 
 @pytest.mark.parametrize("table, index", [("SEVERITIES", 2), ("TEXTURES", 1), ("MARKERS", 1)])
-def test_patched_amplitudes_reach_renders_from_a_used_memo(monkeypatch, table, index):
+def test_patched_amplitudes_reach_renders_from_a_used_cache(monkeypatch, table, index):
     spec = SynthSpec(image_size=16, noise_level=0.0)
     latent = StudyLatent(class_idx=0, severity_idx=2, texture_idx=1, marker_idx=1)
-    patterns, rng = pattern_memo(), np.random.default_rng(0)
-    before = render_image(latent, spec, "PA", rng, patterns)
+    rng = np.random.default_rng(0)
+    before = render_image(latent, spec, "PA", rng)
     rows = list(getattr(synth, table))
     rows[index] = (rows[index][0], rows[index][1] / 2)
     monkeypatch.setattr(synth, table, rows)
-    after = render_image(latent, spec, "PA", rng, patterns)
+    after = render_image(latent, spec, "PA", rng)
     assert not np.array_equal(before, after)
-    np.testing.assert_array_equal(after, render_image(latent, spec, "PA", rng, pattern_memo()))
+    synth._unit_pattern.cache_clear()
+    np.testing.assert_array_equal(after, render_image(latent, spec, "PA", rng))
+
+
+def test_generating_a_split_again_builds_no_unit_pattern(engine, monkeypatch):
+    built = collections.Counter()
+    for name in ("class_pattern", "texture_pattern", "marker_pattern"):
+
+        def counting(*args, build=getattr(synth, name), name=name):
+            built[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(synth, name, counting)
+    synth._unit_pattern.cache_clear()
+    first = generate_split(SPEC, "train", 13, 0, engine)
+    phases = len(synth.VIEW_PHASES)  # each pattern is built at most once
+    assert 0 < built["class_pattern"] <= SPEC.class_count * phases
+    assert 0 < built["texture_pattern"] <= phases and built["marker_pattern"] == 1
+    counts = dict(built)
+    second = generate_split(SPEC, "train", 13, 0, engine)
+    assert built == counts  # the second split reads every pattern from the cache
+    for a, b in zip(first, second, strict=True):
+        assert [image.pixels.tobytes() for image in a.images] == [image.pixels.tobytes() for image in b.images]

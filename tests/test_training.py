@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blas_kernel import kernel_note
 from gradcheck import finite_diff_grad, max_relative_error
 from studyclip import sampling, training
 from studyclip.assembly import SLOTS, AssemblyError
@@ -30,7 +31,7 @@ from studyclip.encoders import (
     tokenize,
 )
 from studyclip.evalrun import encode_texts, eval_text, evaluate_model
-from studyclip.losses import CLIP_TABLE, paper_table, total_loss
+from studyclip.losses import CLIP_TABLE, ShapeMismatch, paper_table, total_loss
 from studyclip.metrics import DEFAULT_VARIANTS
 from studyclip.prompts import PromptEngine
 from studyclip.sampling import SamplingError, make_batch
@@ -582,12 +583,22 @@ def test_a_killed_worker_raises_assembly_error_naming_the_step(engine, splits, m
     assert (err.value.step, err.value.exitcode) == (2, -signal.SIGKILL)
 
 
+def poisoned_conv_w(replace):
+    """``image_backward`` with its ``img.conv_w`` gradient g replaced by ``replace(g)``."""
+
+    def poisoned(*args):
+        grads = image_backward(*args)
+        return {**grads, "img.conv_w": replace(grads["img.conv_w"])}
+
+    return poisoned
+
+
 def open_descriptors() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
-@pytest.mark.parametrize("ending", ["return", "early_stop", "numeric_error"])
+@pytest.mark.parametrize("ending", ["return", "early_stop", "numeric_error", "shape_error"])
 def test_train_leaves_no_worker_and_no_descriptor_behind(engine, splits, monkeypatch, deadline, ending):
     train(*splits, tiny_config(epochs=2, early_stop_patience=2), engine)  # any lazy imports and set-up first
     before = open_descriptors()
@@ -597,11 +608,16 @@ def test_train_leaves_no_worker_and_no_descriptor_behind(engine, splits, monkeyp
         _, log = train(*splits, tiny_config(early_stop_patience=1), engine)
         assert len(log.epochs) == 2
     elif ending == "numeric_error":
-        original = training.image_backward
-        monkeypatch.setattr(training, "image_backward", lambda *args: {**original(*args), "img.conv_w": np.inf})
+        monkeypatch.setattr(training, "image_backward", poisoned_conv_w(lambda g: np.full_like(g, np.inf)))
         # the caller holds the error, its traceback and so train's frame: the worker is closed all the same
         with pytest.raises(NumericError, match="at step 0") as held:
             train(*splits, cfg, engine)
+    elif ending == "shape_error":  # a scalar gradient, and a transposed one
+        for wrong, shape in ((lambda g: 0.0, "()"), (lambda g: g.transpose(1, 2, 0), "(3, 3, 16)")):
+            monkeypatch.setattr(training, "image_backward", poisoned_conv_w(wrong))
+            message = rf"^gradient for img\.conv_w has shape {re.escape(shape)}, its parameter \(16, 3, 3\)$"
+            with pytest.raises(ShapeMismatch, match=message):
+                train(*splits, cfg, engine)
     else:
         train(*splits, cfg, engine)
     assert multiprocessing.active_children() == []
@@ -610,7 +626,7 @@ def test_train_leaves_no_worker_and_no_descriptor_behind(engine, splits, monkeyp
         assert held.value.step == 0
 
 
-@pytest.mark.parametrize("ending", ["return", "early_stop", "numeric_error"])
+@pytest.mark.parametrize("ending", ["return", "early_stop", "numeric_error", "shape_error"])
 def test_train_reaps_its_worker(engine, splits, monkeypatch, tmp_path, deadline, ending):
     # the worker is forked with os.fork, so multiprocessing.active_children() does not see it
     record = tmp_path / "pids.txt"
@@ -627,9 +643,12 @@ def test_train_reaps_its_worker(engine, splits, monkeypatch, tmp_path, deadline,
         _, log = train(*splits, tiny_config(early_stop_patience=1), engine)
         assert len(log.epochs) == 2
     elif ending == "numeric_error":
-        backward = training.image_backward
-        monkeypatch.setattr(training, "image_backward", lambda *args: {**backward(*args), "img.conv_w": np.inf})
+        monkeypatch.setattr(training, "image_backward", poisoned_conv_w(lambda g: np.full_like(g, np.inf)))
         with pytest.raises(NumericError, match="at step 0"):
+            train(*splits, tiny_config(), engine)
+    elif ending == "shape_error":
+        monkeypatch.setattr(training, "image_backward", poisoned_conv_w(lambda g: 0.0))
+        with pytest.raises(ShapeMismatch, match=r"^gradient for img\.conv_w has shape \(\), its parameter"):
             train(*splits, tiny_config(), engine)
     else:
         train(*splits, tiny_config(), engine)
@@ -988,7 +1007,7 @@ def test_variant_parameters_keep_their_golden_digest(variant, golden_splits, eng
         arr = np.ascontiguousarray(model.params[name])
         digest.update(f"{name}:{arr.dtype.str}:{arr.shape};".encode())
         digest.update(arr.tobytes())
-    assert digest.hexdigest() == GOLDEN_DIGESTS[variant.name]
+    assert digest.hexdigest() == GOLDEN_DIGESTS[variant.name], kernel_note()
 
 
 # What ``perfbench/run.py --verify --seed 0`` reports for each gated workload: the parameter SHA-256
@@ -1018,4 +1037,4 @@ def test_benchmark_workload_keeps_its_recorded_outcome(workload):
     assert done.returncode == 0, done.stderr
     outcome = json.loads(done.stdout.strip().splitlines()[-1])
     got = tuple(outcome[key] for key in ("param_sha256", "acc", "rsum", "auc_mean"))
-    assert got == BENCH_OUTCOMES[workload]
+    assert got == BENCH_OUTCOMES[workload], kernel_note()
