@@ -5,18 +5,20 @@ augmented) stands for the study; the evaluation text is the findings section,
 falling back to the impression, falling back to one prompt rendering of the
 label record, seeded from (``EVAL_TEXT_SEED``, study id) so every process
 renders the same. Each distinct text is tokenized, encoded and ranked once,
-however many studies share it: a test set repeats its findings and
-impressions. ``encode_texts`` returns the distinct rows and each text's row
-index, and retrieval ranks each image's row among the distinct rows by the
-rule in the ``metrics`` module docstring. Images are resized and encoded
-``EVAL_CHUNK`` studies at a time, each chunk stacked into one buffer that
-every chunk of the call reuses. Every encode here is forward-only
-(``with_grads=False``): no backward follows, so the image encoder computes
-neither the rectifier's mask nor the conv moments. The encoder bounds its own
-conv temporaries, patches included, by blocks of a few images, so the chunk
-bounds only what a call holds for the whole chunk: the resized stack and the
-head activations of the encoder's cache. Memory stays bounded for any test-set
-size.
+however many studies share it: a test set repeats its findings and impressions.
+``encode_texts`` returns the distinct rows and each text's row index, and
+retrieval ranks each image's row among the distinct rows by the rule in the
+``metrics`` module docstring. Encoding each distinct text once keeps every
+row's bits on the recording OpenBLAS kernel (``SkylakeX``); under
+``OPENBLAS_CORETYPE=Haswell``, ``bag @ emb`` rounds a row by how many rows
+share the product. Images are resized and encoded ``EVAL_CHUNK`` studies at a
+time, each chunk stacked into one buffer that every chunk of the call reuses.
+Every encode here is forward-only (``with_grads=False``): no backward follows,
+so the image encoder computes neither the rectifier's mask nor the conv
+moments. The encoder bounds its own conv temporaries, patches included, by
+blocks of a few images, so the chunk bounds only what a call holds for the
+whole chunk: the resized stack and the head activations of the encoder's cache.
+Memory stays bounded for any test-set size.
 
 An evaluation, ``evaluate_model`` then ``evaluate_binary`` per class, encodes
 the test images once. ``evaluate_model`` always encodes afresh, even for a model
@@ -168,15 +170,17 @@ def evaluate_model(model: TrainedModel, test_set: list[Study], engine: PromptEng
 
     Each class is represented by one positive prompt, rendered in class order
     from ``CLASS_PROMPT_SEED``; the prompts are encoded as one batch, like the
-    retrieval texts. Encodes the test images and shares them with the
-    ``evaluate_binary`` calls that follow.
+    retrieval texts. Checks the labels, then encodes the test images and shares
+    them with the ``evaluate_binary`` calls that follow.
     """
     if not test_set:
         raise EmptySequence("cannot evaluate an empty test set")
+    class_names, labels = _classes_and_labels(test_set)
+    if len(class_names) < 2:  # multiclass accuracy needs two classes
+        raise DegenerateLabels(f"class {class_names[0]!r} is the only positive class of {len(test_set)} test studies")
     engine = engine or PromptEngine.default()
     image_embs = _share(model, test_set, eval_image_embeddings(model, test_set))  # a new evaluation encodes afresh
 
-    class_names, labels = _classes_and_labels(test_set)
     prompt_rng = np.random.default_rng(CLASS_PROMPT_SEED)
     class_embs, class_rows = encode_texts(
         model, [engine.render_prompt(name, "positive", prompt_rng) for name in class_names]

@@ -37,7 +37,7 @@ RANK_BLOCK = 256
 
 
 class DegenerateLabels(ValueError):
-    """Binary AUC needs at least one positive and one negative label."""
+    """Too few kinds of label: binary AUC needs a positive and a negative, multiclass accuracy two classes."""
 
 
 @dataclass

@@ -14,13 +14,14 @@ and text as they are.
 Every sampler reads the one ``TrainConfig``: its sampling mode, ``augment``,
 image size and CLAHE probability.
 
-``assemble_batch`` is the one batch loop, for every mode: it gives each
-study its own draws, ``study_rng(global seed, study id)``, so a batch depends
-only on its studies and seed, not on the order or the process that assembles
-it; it tags a per-study failure with the study id. So ``training.train``
-assembles its training batches in a forked worker process, beside the
-compute, bit for bit as the main process would, and its validation batches
-in the main process. ``make_batch`` picks the per-study sampler for the
+A batch is its studies' ``SampledPair``s, in study order; training picks the
+views a step encodes. ``assemble_batch`` is the one batch loop, for every mode:
+it gives each study its own draws, ``study_rng(global seed, study id)``, so a
+batch depends only on its studies and seed, not on the order or the process
+that assembles it; it tags a per-study failure with the study id. So
+``training.train`` assembles its training batches in a forked worker process,
+beside the compute, bit for bit as the main process would, and its validation
+batches in the main process. ``make_batch`` picks the per-study sampler for the
 configured mode.
 
 A study's draws (``StudyDraws``) are uniform doubles from a counter-based
@@ -51,7 +52,7 @@ import numpy as np
 
 from .augment import augment_image, augment_text, resize_bilinear
 from .prompts import PromptEngine
-from .studies import SampledPair, Study
+from .studies import Study
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -73,18 +74,30 @@ SAMPLING_MODES = ("pairs", "study_single", "single")
 
 
 @dataclass
-class StudyBatch:
-    """Aligned per-study views: n studies yield 2n image-text pairs."""
+class SampledPair:
+    """One study's two images and two texts, with provenance flags."""
 
-    x1: np.ndarray  # (n, S, S)
+    x1: np.ndarray
     x2: np.ndarray
-    t1: list[str]
-    t2: list[str]
+    t1: str
+    t2: str
+    image2_augmented: bool = False
+    text_source: str = "sections"  # sections | section_aug | prompts | single
+
+    def __post_init__(self):
+        if self.x1.size == 0 or self.x2.size == 0 or not self.t1 or not self.t2:
+            raise ValueError("sampled pair fields must be non-empty")
+
+
+@dataclass
+class StudyBatch:
+    """The sampled pair of each study, in study order: n studies yield 2n image-text pairs."""
+
     pairs: list[SampledPair]
 
     @property
     def n(self) -> int:
-        return len(self.t1)
+        return len(self.pairs)
 
 
 # Uniform doubles per block of a study's draws. A study of the default synthetic
@@ -247,14 +260,7 @@ def assemble_batch(
             pairs.append(sample(study, cfg, engine, study_rng(seed, study.id)))
         except Exception as err:
             raise SamplingError(f"study {study.id!r}: {err}") from err
-    x1 = np.stack([p.x1 for p in pairs])
-    return StudyBatch(
-        x1=x1,
-        x2=np.stack([p.x2 for p in pairs]) if cfg.sampling_mode == "pairs" else x1,
-        t1=[p.t1 for p in pairs],
-        t2=[p.t2 for p in pairs],
-        pairs=pairs,
-    )
+    return StudyBatch(pairs)
 
 
 def make_batch(studies: list[Study], cfg: TrainConfig, engine: PromptEngine, seed: int) -> StudyBatch:

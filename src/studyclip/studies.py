@@ -113,22 +113,6 @@ class Study:
         return [s for s in (self.findings, self.impression) if s]
 
 
-@dataclass
-class SampledPair:
-    """Per-study training quadruple with provenance flags."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    t1: str
-    t2: str
-    image2_augmented: bool = False
-    text_source: str = "sections"  # sections | section_aug | prompts | single
-
-    def __post_init__(self):
-        if self.x1.size == 0 or self.x2.size == 0 or not self.t1 or not self.t2:
-            raise ValueError("sampled pair fields must be non-empty")
-
-
 # ------------------------------------------------------------- graymap files
 
 

@@ -6,13 +6,14 @@ checks every field against its declared type when it is built.
 
 Each step assembles one batch in the configured sampling mode through the
 sampler's batch loop and scores it with the loss table of
-``TrainConfig.loss_table``: the paper's six pairings for ``pairs``, the
-single (u1, v1) pairing for the single modes. A step reads only what its
-encoders take, its ``_step_inputs``: its k image views as one (k*n, S, S) stack
-and its k text views as one (k*n, V) token bag (``encoders.text_bag``) over the
-V tokens of the vocabulary, rows in view order (v1, v2 and u1, u2); k is 2 for
-the paper's table and 1 for the single pairing. Each modality is encoded once
-per step, and its view gradients go back through one backward pass.
+``TrainConfig.loss_table``: the paper's six pairings for ``pairs``, the single
+(u1, v1) pairing for the single modes. A step reads only what its encoders
+take, its ``_step_inputs``, built from the batch's sampled pairs: its k image
+views as one (k*n, S, S) stack and its k text views as one (k*n, V) token bag
+(``encoders.text_bag``) over the V tokens of the vocabulary, rows in view order
+(v1, v2 and u1, u2); k is 2 for the paper's table and 1 for the single pairing.
+Each modality is encoded once per step, and its view gradients go back through
+one backward pass.
 
 Training batches are assembled beside the compute, in the forked worker of
 ``assembly``. ``train`` first draws the whole step schedule (``_step_chunks``):
@@ -313,16 +314,14 @@ def _views_per_modality(table: tuple[Pairing, ...]) -> int:
 def _step_inputs(
     batch: StudyBatch, k: int, vocab: Vocab, known: dict[str, list[int]] | None = None
 ) -> dict[str, np.ndarray]:
-    """What a step encodes: ``img``, the v1 then the v2 images (``batch.x1`` itself when k = 1), and
-    ``txt``, the token bag of the u1 then the u2 texts. A text in ``known``, a map of texts to their
-    ``tokenize`` ids, takes its ids from there.
+    """What a step encodes: ``img``, one stack of the pairs' v1 then their v2 images (v1 only when
+    k = 1), and ``txt``, the token bag of the u1 then the u2 texts. A text in ``known``, a map of texts
+    to their ``tokenize`` ids, takes its ids from there.
     """
     known = known or {}
-    texts = batch.t1 + batch.t2 if k == 2 else batch.t1
-    return {
-        "img": np.concatenate([batch.x1, batch.x2]) if k == 2 else batch.x1,
-        "txt": text_bag([known.get(t) or tokenize(t, vocab) for t in texts], len(vocab)),
-    }
+    second = [(p.x2, p.t2) for p in batch.pairs] if k == 2 else []
+    images, texts = zip(*[(p.x1, p.t1) for p in batch.pairs], *second)
+    return {"img": np.stack(images), "txt": text_bag([known.get(t) or tokenize(t, vocab) for t in texts], len(vocab))}
 
 
 def _batch_loss(
@@ -427,9 +426,9 @@ def _step_worker(dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, v
             raise SamplingError(f"step {step}: {err}") from err.__cause__
         return _step_inputs(batch, k, vocab, sections)
 
-    n = k * min(cfg.batch_studies, len(dataset))
-    layout = {"img": (n, cfg.image_size, cfg.image_size), "txt": (n, len(vocab))}
-    return Worker(produce, [k * len(chunk) for chunk in chunks], layout)
+    rows = [k * len(chunk) for chunk in chunks]
+    layout = {"img": (max(rows), cfg.image_size, cfg.image_size), "txt": (max(rows), len(vocab))}
+    return Worker(produce, rows, layout)
 
 
 def train(

@@ -242,6 +242,15 @@ def test_binary_on_degenerate_class_names_the_class(model_and_test, engine, enco
     assert encodings == []  # the labels are checked before any encoding
 
 
+def test_multiclass_on_one_class_names_the_class(model_and_test, engine, encodings):
+    model, test_set = model_and_test
+    edema_only = [s for s in test_set if s.labels.get("Edema") == "positive"]
+    assert len(edema_only) >= 2
+    with pytest.raises(DegenerateLabels, match=rf"'Edema' is the only positive class of {len(edema_only)} test studies"):
+        evaluate_model(model, edema_only, engine)
+    assert encodings == []  # the labels are checked before any encoding
+
+
 def encode_every_text(model, texts):
     """One row per text, every text tokenized and encoded in one batch, repeats included."""
     return encode_text_batch(model.params, text_bag([tokenize(t, model.vocab) for t in texts], len(model.vocab)))[0]

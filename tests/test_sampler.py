@@ -33,6 +33,7 @@ from studyclip import sampling
 from studyclip.prompts import PromptEngine
 from studyclip.sampling import (
     DRAW_BLOCK,
+    SampledPair,
     SamplingError,
     make_batch,
     sample_images,
@@ -407,9 +408,10 @@ def studies_for_batch(n, size=12):
 def test_batch_of_128_studies_yields_256_pairs(engine):
     cfg = config()
     batch = make_batch(studies_for_batch(128), cfg, engine, seed=0)
-    assert batch.n == 128
-    assert batch.x1.shape == batch.x2.shape == (128, 8, 8)
-    assert len(batch.t1) == len(batch.t2) == 128
+    assert batch.n == len(batch.pairs) == 128
+    for pair in batch.pairs:
+        assert pair.x1.shape == pair.x2.shape == (8, 8)
+        assert isinstance(pair.t1, str) and isinstance(pair.t2, str)
     # n studies carry 2n image-text pairs in the multi-view sense
     assert 2 * batch.n == 256
 
@@ -425,9 +427,11 @@ def test_batch_deterministic_under_seed(engine):
     studies = studies_for_batch(9)
     a = make_batch(studies, cfg, engine, seed=42)
     b = make_batch(studies, cfg, engine, seed=42)
-    np.testing.assert_array_equal(a.x1, b.x1)
-    np.testing.assert_array_equal(a.x2, b.x2)
-    assert a.t1 == b.t1 and a.t2 == b.t2
+    assert len(a.pairs) == len(b.pairs) == 9
+    for pa, pb in zip(a.pairs, b.pairs):
+        np.testing.assert_array_equal(pa.x1, pb.x1)
+        np.testing.assert_array_equal(pa.x2, pb.x2)
+        assert pa.t1 == pb.t1 and pa.t2 == pb.t2
 
 
 def test_batch_independent_of_study_order(engine):
@@ -436,16 +440,29 @@ def test_batch_independent_of_study_order(engine):
     studies = studies_for_batch(6)
     fwd = make_batch(studies, cfg, engine, seed=7)
     rev = make_batch(studies[::-1], cfg, engine, seed=7)
-    np.testing.assert_array_equal(fwd.x1, rev.x1[::-1])
-    assert fwd.t1 == rev.t1[::-1]
+    assert len(fwd.pairs) == len(rev.pairs) == 6
+    for pf, pr in zip(fwd.pairs, rev.pairs[::-1]):
+        np.testing.assert_array_equal(pf.x1, pr.x1)
+        assert pf.t1 == pr.t1
 
 
 @pytest.mark.parametrize("mode", ["study_single", "single"])
 def test_single_modes_share_one_image_array(engine, mode):
     cfg = config(mode)
     batch = make_batch(studies_for_batch(6), cfg, engine, seed=0)
-    assert batch.x2 is batch.x1 and batch.x1.shape == (6, 8, 8)
-    assert batch.t2 == batch.t1
+    assert len(batch.pairs) == 6
+    for pair in batch.pairs:
+        assert pair.x2 is pair.x1 and pair.x1.shape == (8, 8)
+        assert pair.t2 == pair.t1
+
+
+@pytest.mark.parametrize("field", ["x1", "x2", "t1", "t2"])
+def test_sampled_pair_refuses_an_empty_field(field):
+    fields = {"x1": np.zeros((2, 2)), "x2": np.zeros((2, 2)), "t1": "One.", "t2": "Two."}
+    SampledPair(**fields)
+    empty = {"x1": np.zeros((0, 2)), "x2": np.zeros((2, 0)), "t1": "", "t2": ""}[field]
+    with pytest.raises(ValueError, match="must be non-empty"):
+        SampledPair(**{**fields, field: empty})
 
 
 @pytest.mark.parametrize("mode", ["pairs", "study_single", "single"])
@@ -785,7 +802,7 @@ def test_assembled_batches_keep_their_golden_digest(mode, guard_studies, engine)
     digest = hashlib.sha256()
     for seed, start in ((0, 0), (1, 10), (2, 20)):
         batch = make_batch(guard_studies[start : start + 10], GUARD_CONFIGS[mode], engine, seed)
-        digest.update(batch.x1.tobytes() + batch.x2.tobytes())
+        digest.update(np.stack([p.x1 for p in batch.pairs]).tobytes() + np.stack([p.x2 for p in batch.pairs]).tobytes())
         for pair in batch.pairs:
             digest.update(f"{pair.t1}\0{pair.t2}\0{pair.text_source}\0{pair.image2_augmented}\0".encode())
     assert digest.hexdigest() == GUARD_DIGESTS[mode]
@@ -795,6 +812,7 @@ def test_assembled_batches_keep_their_golden_digest(mode, guard_studies, engine)
 # prompts, single-image ones augment a second view) and prints the SHA-256 of their bytes.
 ASSEMBLY_SCRIPT = """
 import hashlib
+import numpy as np
 from studyclip.prompts import PromptEngine
 from studyclip.sampling import make_batch
 from studyclip.synth import SynthSpec, generate_split
@@ -808,7 +826,9 @@ for cfg in (
     digest = hashlib.sha256()
     for seed, start in ((0, 0), (1, 10), (2, 20)):
         batch = make_batch(studies[start : start + 10], cfg, engine, seed)
-        digest.update(batch.x1.tobytes() + batch.x2.tobytes() + "\\0".join(batch.t1 + batch.t2).encode())
+        x1, x2 = np.stack([p.x1 for p in batch.pairs]), np.stack([p.x2 for p in batch.pairs])
+        texts = [p.t1 for p in batch.pairs] + [p.t2 for p in batch.pairs]
+        digest.update(x1.tobytes() + x2.tobytes() + "\\0".join(texts).encode())
     print(cfg.sampling_mode, digest.hexdigest())
 """
 

@@ -195,6 +195,11 @@ def test_train_assembles_the_validation_batches_once(engine, splits, monkeypatch
     assert len(worker) == len(log.steps)
 
 
+def batch_texts(batch) -> list[str]:
+    """A batch's u1 texts, then its u2 texts."""
+    return [p.t1 for p in batch.pairs] + [p.t2 for p in batch.pairs]
+
+
 def test_train_tokenizes_each_validation_text_once(engine, splits, monkeypatch, tmp_path):
     # the worker is a forked process: each tokenize call appends its process id and text to a file
     record = tmp_path / "tokenized.jsonl"
@@ -218,12 +223,12 @@ def test_train_tokenizes_each_validation_text_once(engine, splits, monkeypatch, 
     train_set, valid = splits
     assert len(log.epochs) == cfg.epochs + 1
     # this process: the two texts of each validation study, once in all
-    assert main == [t for batch in validation_batches(valid, cfg, engine) for t in batch.t1 + batch.t2]
+    assert main == [t for batch in validation_batches(valid, cfg, engine) for t in batch_texts(batch)]
     # the worker: each distinct section text of the training set once, into its table, first of all;
     # then each other text (a prompt rendering or a swapped section) each time a step uses it
     sections = list(dict.fromkeys(text for study in train_set for text in study.sections))
     assert worker[: len(sections)] == sections
-    used = [t for batch in expected_batches(train_set, cfg, engine) for t in batch.t1 + batch.t2]
+    used = [t for batch in expected_batches(train_set, cfg, engine) for t in batch_texts(batch)]
     assert collections.Counter(worker[len(sections) :]) == collections.Counter(t for t in used if t not in sections)
     assert any(t not in sections for t in used)  # the run tokenized texts outside the table too
 
@@ -297,12 +302,15 @@ def test_step_inputs_are_the_named_views_images_and_token_bags(engine, splits, m
     inputs = training._step_inputs(batch, k, vocab)
     assert list(inputs) == ["img", "txt"]
     if mode == "single":
-        assert inputs["img"] is batch.x1
+        assert inputs["img"].shape == (4, cfg.image_size, cfg.image_size)
+        for row, pair in zip(inputs["img"], batch.pairs, strict=True):
+            np.testing.assert_array_equal(row, pair.x1)
 
     def views(batch, vocab) -> dict[str, np.ndarray]:
-        """The image rows and the token bag of a batch's views, built from its fields."""
-        images, texts = ([batch.x1, batch.x2], batch.t1 + batch.t2) if mode == "pairs" else ([batch.x1], batch.t1)
-        return {"img": np.concatenate(images), "txt": text_bag([tokenize(t, vocab) for t in texts], len(vocab))}
+        """The image rows and the token bag of a batch's views, built from its pairs."""
+        x1, t1 = [p.x1 for p in batch.pairs], [p.t1 for p in batch.pairs]
+        images, texts = (x1 + [p.x2 for p in batch.pairs], batch_texts(batch)) if mode == "pairs" else (x1, t1)
+        return {"img": np.stack(images), "txt": text_bag([tokenize(t, vocab) for t in texts], len(vocab))}
 
     assert input_contents(inputs) == input_contents(views(batch, vocab))
 
