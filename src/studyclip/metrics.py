@@ -163,7 +163,7 @@ def zero_shot_multiclass(
         raise ShapeMismatch(f"labels must be integer class indices, got dtype {labels.dtype}")
     k = class_prompt_embs.shape[0]
     if k < 2:
-        raise ShapeMismatch("need at least two classes")
+        raise DegenerateLabels(f"need at least two classes, got {k}")
     if image_embs.shape[1] != class_prompt_embs.shape[1]:
         raise ShapeMismatch(
             f"embedding dims differ: {image_embs.shape[1]} vs {class_prompt_embs.shape[1]}"

@@ -357,8 +357,8 @@ class PromptEngine:
     def render_prompt(self, class_name: str, value: str, rng: Draws) -> str:
         return expand_template(self._prompt(class_name, value), rng)
 
-    def prompt_set(self, class_name: str, value: str, cap: int = 100_000) -> frozenset[str]:
-        return frozenset(enumerate_expansions(self._prompt(class_name, value), cap))
+    def prompt_set(self, class_name: str, value: str) -> frozenset[str]:
+        return frozenset(enumerate_expansions(self._prompt(class_name, value)))
 
     def build_study_text(self, labels: dict[str, str], rng: Draws) -> str:
         """One prompt per labeled class, joined in a seeded random order.

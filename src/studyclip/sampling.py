@@ -11,8 +11,8 @@ With ``augment`` off, augmentation is skipped: a fallback second view of
 ``pairs`` is a copy of the first, and the single modes use the picked image
 and text as they are.
 
-Every sampler reads the one ``TrainConfig``: its sampling mode, ``augment``,
-image size and CLAHE probability.
+Every sampler reads the one ``TrainConfig``: its sampling mode, ``augment``
+and image size; CLAHE's probability is ``augment.CLAHE_PROBABILITY``.
 
 A batch is its studies' ``SampledPair``s, in study order; training picks the
 views a step encodes. ``assemble_batch`` is the one batch loop, for every mode:
@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from .augment import augment_image, augment_text, resize_bilinear
+from .augment import CLAHE_PROBABILITY, augment_image, augment_text, resize_bilinear
 from .prompts import PromptEngine
 from .studies import Study
 
@@ -175,15 +175,13 @@ def study_rng(global_seed: int, study_id: str) -> StudyDraws:
 
 def sample_images(study: Study, cfg: TrainConfig, rng: Draws):
     """Pick (x1, x2) per the distinct-view preference; returns (x1, x2, augmented)."""
-    if not study.images:
-        raise NoImages(f"study {study.id!r} has no images")
     size = cfg.image_size
     if len(study.images) == 1:
         base = study.images[0].pixels
         x1 = resize_bilinear(base, size, size)
         if not cfg.augment:
             return x1, x1, False
-        return x1, augment_image(base, size, cfg.clahe_probability, rng), True
+        return x1, augment_image(base, size, CLAHE_PROBABILITY, rng), True
 
     views = [img.view for img in study.images]
     unique_views = sorted(set(views))
@@ -205,8 +203,6 @@ def sample_images(study: Study, cfg: TrainConfig, rng: Draws):
 def sample_texts(study: Study, cfg: TrainConfig, rng: Draws, engine: PromptEngine):
     """Pick (t1, t2) per the section/prompt rules; returns (t1, t2, source)."""
     sections = study.sections
-    if not sections and study.labels is None:
-        raise NoText(f"study {study.id!r} has neither text sections nor labels")
     if not sections:
         t1 = engine.build_study_text(study.labels, rng)
         t2 = engine.build_study_text(study.labels, rng)
@@ -243,7 +239,7 @@ def sample_single(study: Study, cfg: TrainConfig, engine: PromptEngine, rng) -> 
     size = cfg.image_size
     img = resize_bilinear(img, size, size)
     if cfg.augment:
-        img = augment_image(img, size, cfg.clahe_probability, rng)
+        img = augment_image(img, size, CLAHE_PROBABILITY, rng)
         text = augment_text(text, rng)
     return SampledPair(x1=img, x2=img, t1=text, t2=text, text_source="single")
 
@@ -257,6 +253,10 @@ def assemble_batch(
     pairs = []
     for study in studies:
         try:
+            if not study.images:  # a Study's fields are mutable: one emptied since it was built fails before any draw
+                raise NoImages(f"study {study.id!r} has no images")
+            if not study.sections and study.labels is None:
+                raise NoText(f"study {study.id!r} has neither text sections nor labels")
             pairs.append(sample(study, cfg, engine, study_rng(seed, study.id)))
         except Exception as err:
             raise SamplingError(f"study {study.id!r}: {err}") from err

@@ -54,6 +54,7 @@ TEXTURES = [("smooth", 0.0), ("coarse", 0.55)]  # ring amplitude
 MARKERS = [(False, 0.0), (True, 0.14)]
 VIEW_PHASES = {"PA": 0.0, "AP": math.pi / 3.0, "LATERAL": 2.0 * math.pi / 3.0}
 _SPLITS = {"train": 0, "valid": 1, "test": 2}  # split name -> its stream's key
+MIN_PATTERN_DISTANCE = 0.15  # least RMS distance between two class signatures that generate_dataset accepts
 
 
 @dataclass
@@ -66,7 +67,6 @@ class SynthSpec:
     noise_level: float = 0.03
     label_only_fraction: float = 0.4  # train/valid only; test is report-bearing
     multi_image_fraction: float = 0.5
-    min_pattern_distance: float = 0.15
 
     def __post_init__(self):
         if not isinstance(self.class_names, list) or not all(isinstance(n, str) and n for n in self.class_names):
@@ -76,8 +76,8 @@ class SynthSpec:
         repeated = [name for k, name in enumerate(self.class_names) if name in self.class_names[:k]]
         if repeated:  # a study's label map would keep only one entry per name
             raise ValueError(f"class name {repeated[0]!r} is repeated")
-        # a NaN fails every comparison, so a range check or the pattern-distance guard would pass it silently
-        for name in ("noise_level", "label_only_fraction", "multi_image_fraction", "min_pattern_distance"):
+        # a NaN fails every comparison, so a range check would pass it silently
+        for name in ("noise_level", "label_only_fraction", "multi_image_fraction"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
@@ -256,10 +256,8 @@ def generate_dataset(
     """Write train/valid/test JSONL splits plus graymap files; returns paths."""
     engine = engine or PromptEngine.default()
     min_dist = pattern_distances(spec)
-    if min_dist < spec.min_pattern_distance:
-        raise ValueError(
-            f"class signatures too close: min RMS distance {min_dist:.3f} < {spec.min_pattern_distance}"
-        )
+    if min_dist < MIN_PATTERN_DISTANCE:
+        raise ValueError(f"class signatures too close: min RMS distance {min_dist:.3f} < {MIN_PATTERN_DISTANCE}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}

@@ -31,8 +31,9 @@ study that fails raises ``SamplingError`` naming the step and the study,
 caused by the study's own exception, with a worker or without one.
 
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
-to the parameters) with a linear-warmup cosine-annealed learning rate. The
-learnable log-temperature is updated like any other parameter but excluded
+to the parameters). Its learning rate rises linearly over the first epoch,
+when another follows, then anneals by a cosine to zero. The learnable
+log-temperature is updated like any other parameter but excluded
 from weight decay and clamped after every step. ``train`` lays every
 parameter out in one contiguous float64 vector, with log(tau) in the last
 slot, and ``model.params`` maps each name to a view of it. That map is the
@@ -104,7 +105,6 @@ class NumericError(FloatingPointError):
 class TrainConfig:
     learning_rate: float = 5e-5
     epochs: int = 15
-    warmup_epochs: int = 1
     batch_studies: int = 32
     lambda_icl: float = 1.0
     lambda_tcl: float = 0.5
@@ -120,7 +120,6 @@ class TrainConfig:
     # sampling
     sampling_mode: str = "pairs"  # pairs | study_single | single
     augment: bool = True
-    clahe_probability: float = 0.5
 
     def __post_init__(self):
         for f in fields(self):
@@ -131,7 +130,7 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("learning_rate", "warmup_epochs", "early_stop_patience", "seed"):
+        for name in ("learning_rate", "early_stop_patience", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         smallest = {  # the conv stage's window is 3 x 3 pixels; a unit-norm embedding of 1 dim is only +-1
@@ -141,8 +140,6 @@ class TrainConfig:
         for name, least in smallest.items():
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if self.warmup_epochs >= self.epochs:
-            raise ConfigError("warmup_epochs must be smaller than epochs")
         if self.lambda_icl < 0 or self.lambda_tcl < 0:
             raise ConfigError("loss weights must be non-negative")
         if self.sampling_mode not in SAMPLING_MODES:
@@ -152,8 +149,6 @@ class TrainConfig:
                 f"sampling_mode {self.sampling_mode!r} trains only the (u1, v1) pairing: "
                 "lambda_icl and lambda_tcl must be 0"
             )
-        if not 0.0 <= self.clahe_probability <= 1.0:
-            raise ConfigError(f"clahe_probability must lie in [0, 1], got {self.clahe_probability}")
 
     def loss_table(self) -> tuple[Pairing, ...]:
         """The weighted view pairings of the objective for this sampling mode."""
@@ -452,7 +447,7 @@ def train(
 
     steps_per_epoch = math.ceil(len(dataset) / cfg.batch_studies)
     total_steps = steps_per_epoch * cfg.epochs
-    warmup_steps = steps_per_epoch * cfg.warmup_epochs
+    warmup_steps = steps_per_epoch if cfg.epochs > 1 else 0
     state = OptimState(flat.size)
     log = TrainLog()
     table = cfg.loss_table()

@@ -35,7 +35,7 @@ def model_and_test(engine):
         generate_split(spec, split, count, 0, engine)
         for split, count in (("train", 16), ("valid", 8), ("test", 30))
     )
-    cfg = TrainConfig(learning_rate=5e-3, epochs=1, warmup_epochs=0, batch_studies=8, early_stop_patience=1)
+    cfg = TrainConfig(learning_rate=5e-3, epochs=1, batch_studies=8, early_stop_patience=1)
     model, _ = train(train_set, valid_set, cfg, engine)
     return model, test_set
 

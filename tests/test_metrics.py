@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from studyclip.losses import ShapeMismatch
 from studyclip.metrics import (
     RANK_BLOCK,
+    DegenerateLabels,
     auc_exact,
     recall_at_k,
     zero_shot_binary,
@@ -379,7 +380,6 @@ def test_zero_shot_multiclass_ties_go_to_the_lowest_class(label, accuracy):
 @pytest.mark.parametrize(
     "images, classes, labels",
     [
-        (np.ones((2, 3)), np.ones((1, 3)), [0, 0]),  # one class
         (np.ones((2, 3)), np.eye(4)[:2], [0, 1]),  # embedding dims differ
         (np.ones((2, 3)), np.eye(3), [0, 3]),
         (np.ones((2, 3)), np.eye(3), [-1, 0]),
@@ -389,6 +389,12 @@ def test_zero_shot_multiclass_ties_go_to_the_lowest_class(label, accuracy):
 def test_zero_shot_multiclass_rejects_inconsistent_shapes(images, classes, labels):
     with pytest.raises(ShapeMismatch):
         zero_shot_multiclass(images, classes, np.array(labels))
+
+
+def test_zero_shot_multiclass_on_one_class_names_the_label_problem():
+    # every image is right by construction: a label problem, not a shape one
+    with pytest.raises(DegenerateLabels, match="need at least two classes, got 1"):
+        zero_shot_multiclass(np.ones((2, 3)), np.ones((1, 3)), np.array([0, 0]))
 
 
 @pytest.mark.parametrize(

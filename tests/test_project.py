@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import blas_kernel
 from studyclip import training
+from studyclip.metrics import DEFAULT_VARIANTS
 from studyclip.prompts import PromptEngine
 from studyclip.synth import SynthSpec, generate_split
 
@@ -111,6 +113,33 @@ def test_every_config_field_is_read_outside_its_own_checks():
                 read.add(node.attr)
     assert fields, "no TrainConfig class found"
     assert [name for name in fields if name not in read] == []
+
+
+# The encoder shapes stay settings though only tests change them: tier-1's central-difference
+# gradient checks need encoders small enough to perturb every parameter.
+MODEL_SHAPE_FIELDS = ("image_size", "conv_filters", "hidden_dim", "feature_dim", "token_dim", "embed_dim")
+
+
+def dict_keys(node: ast.AST) -> set[str]:
+    """The string keys of every dict literal in ``node``."""
+    dicts = [d for d in ast.walk(node) if isinstance(d, ast.Dict)]
+    return {key.value for d in dicts for key in d.keys if isinstance(key, ast.Constant)}
+
+
+def test_every_config_field_is_set_by_a_caller_outside_the_tests():
+    # a setting that only tests set takes one value in every run: it is a constant
+    set_by = {key for variant in DEFAULT_VARIANTS for key in variant.overrides}
+    for node in ast.walk(parse(ROOT / "perfbench" / "workloads.py")):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", "").endswith("_CONFIG") for t in node.targets):
+            set_by |= dict_keys(node.value)
+        elif isinstance(node, ast.keyword) and node.arg == "config":
+            set_by |= dict_keys(node.value)
+    for node in ast.walk(parse(ROOT / "perfbench" / "run.py")):  # raw["seed"] = seed
+        stored = isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        if stored and getattr(node.value, "id", "") == "raw":
+            set_by.add(node.slice.value)
+    fields = [f.name for f in dataclasses.fields(training.TrainConfig)]
+    assert [name for name in fields if name not in set_by and name not in MODEL_SHAPE_FIELDS] == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

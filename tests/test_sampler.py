@@ -23,6 +23,7 @@ from studyclip.augment import (
     BadImage,
     CLAHE_BINS,
     CLAHE_CLIP_FRACTION,
+    CLAHE_PROBABILITY,
     augment_image,
     augment_text,
     clahe,
@@ -33,6 +34,8 @@ from studyclip import sampling
 from studyclip.prompts import PromptEngine
 from studyclip.sampling import (
     DRAW_BLOCK,
+    NoImages,
+    NoText,
     SampledPair,
     SamplingError,
     make_batch,
@@ -472,6 +475,27 @@ def test_batch_error_carries_study_id(engine, mode):
         make_batch([bad], config(mode), engine, seed=0)
 
 
+class NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"drew ({name}) for a study that cannot be sampled")
+
+
+@pytest.mark.parametrize("fault, cause", [("images", NoImages), ("text", NoText)])
+@pytest.mark.parametrize("mode", ["pairs", "study_single", "single"])
+def test_a_study_left_without_images_or_text_fails_with_a_typed_cause_before_any_draw(
+    engine, monkeypatch, mode, fault, cause
+):
+    study = make_study("emptied", findings="Clear lungs.")  # Study's fields stay mutable after it is built
+    if fault == "images":
+        study.images = []
+    else:
+        study.findings = None
+    monkeypatch.setattr(sampling, "study_rng", lambda seed, study_id: NoDraws())
+    with pytest.raises(SamplingError, match="'emptied'") as raised:
+        make_batch([study], config(mode), engine, seed=0)
+    assert type(raised.value.__cause__) is cause
+
+
 def test_augmentation_fallback_flag_consistency(engine):
     cfg = config()
     for study in studies_for_batch(12):
@@ -773,8 +797,9 @@ def test_missing_dataset_file(tmp_path):
 # Synthetic 24 px studies (single- and two-image, report-bearing and label-only; every third
 # report keeps only its findings, for the section-augmentation path), assembled at 8 px.
 GUARD_SPEC = SynthSpec(train_studies=30, image_size=24)
+# pairs also takes CLAHE on every augmented view: its test sets the samplers' CLAHE_PROBABILITY to 1.
 GUARD_CONFIGS = {
-    "pairs": config(augment=True, clahe_probability=1.0),
+    "pairs": config(augment=True),
     "study_single": config("study_single"),
     "single": config("single"),
 }
@@ -798,7 +823,9 @@ def guard_studies(engine):
 
 
 @pytest.mark.parametrize("mode", list(GUARD_CONFIGS))
-def test_assembled_batches_keep_their_golden_digest(mode, guard_studies, engine):
+def test_assembled_batches_keep_their_golden_digest(mode, guard_studies, engine, monkeypatch):
+    if mode == "pairs":
+        monkeypatch.setattr(sampling, "CLAHE_PROBABILITY", 1.0)
     digest = hashlib.sha256()
     for seed, start in ((0, 0), (1, 10), (2, 20)):
         batch = make_batch(guard_studies[start : start + 10], GUARD_CONFIGS[mode], engine, seed)
@@ -813,22 +840,27 @@ def test_assembled_batches_keep_their_golden_digest(mode, guard_studies, engine)
 ASSEMBLY_SCRIPT = """
 import hashlib
 import numpy as np
+from studyclip import sampling
 from studyclip.prompts import PromptEngine
-from studyclip.sampling import make_batch
 from studyclip.synth import SynthSpec, generate_split
 from studyclip.training import TrainConfig
 engine = PromptEngine.default()
 studies = generate_split(SynthSpec(train_studies=30, image_size=24), "train", 30, 5, engine)
-for cfg in (
-    TrainConfig(sampling_mode="pairs", image_size=8, clahe_probability=1.0),
-    TrainConfig(sampling_mode="study_single", image_size=8, lambda_icl=0.0, lambda_tcl=0.0),
+default_clahe = sampling.CLAHE_PROBABILITY
+for cfg, clahe_probability in (
+    (TrainConfig(sampling_mode="pairs", image_size=8), 1.0),
+    (TrainConfig(sampling_mode="study_single", image_size=8, lambda_icl=0.0, lambda_tcl=0.0), default_clahe),
 ):
     digest = hashlib.sha256()
-    for seed, start in ((0, 0), (1, 10), (2, 20)):
-        batch = make_batch(studies[start : start + 10], cfg, engine, seed)
-        x1, x2 = np.stack([p.x1 for p in batch.pairs]), np.stack([p.x2 for p in batch.pairs])
-        texts = [p.t1 for p in batch.pairs] + [p.t2 for p in batch.pairs]
-        digest.update(x1.tobytes() + x2.tobytes() + "\\0".join(texts).encode())
+    sampling.CLAHE_PROBABILITY = clahe_probability
+    try:
+        for seed, start in ((0, 0), (1, 10), (2, 20)):
+            batch = sampling.make_batch(studies[start : start + 10], cfg, engine, seed)
+            x1, x2 = np.stack([p.x1 for p in batch.pairs]), np.stack([p.x2 for p in batch.pairs])
+            texts = [p.t1 for p in batch.pairs] + [p.t2 for p in batch.pairs]
+            digest.update(x1.tobytes() + x2.tobytes() + "\\0".join(texts).encode())
+    finally:  # run in this process too: the constant is left as it was
+        sampling.CLAHE_PROBABILITY = default_clahe
     print(cfg.sampling_mode, digest.hexdigest())
 """
 
@@ -837,6 +869,7 @@ def test_batches_are_the_same_bytes_in_a_process_with_random_hash_seed():
     here = io.StringIO()
     with contextlib.redirect_stdout(here):
         exec(ASSEMBLY_SCRIPT, {})
+    assert sampling.CLAHE_PROBABILITY == CLAHE_PROBABILITY  # the script restored what it set
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONHASHSEED": "random", "PYTHONPATH": str(src)}
     there = subprocess.run([sys.executable, "-c", ASSEMBLY_SCRIPT], env=env, capture_output=True, text=True, check=True)

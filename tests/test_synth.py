@@ -12,6 +12,7 @@ from studyclip.prompts import PromptEngine
 from studyclip.studies import load_studies
 from studyclip.synth import (
     MARKERS,
+    MIN_PATTERN_DISTANCE,
     SEVERITIES,
     TEXTURES,
     StudyLatent,
@@ -154,16 +155,11 @@ def test_spec_rejects_a_count_or_size_that_is_not_an_int_naming_the_field(name, 
 @pytest.mark.parametrize(
     "name, value, message",
     [
-        # NaN would turn the pattern-distance guard off: every comparison with it is False
-        ("min_pattern_distance", math.nan, "must be a finite real number"),
-        ("min_pattern_distance", math.inf, "must be a finite real number"),
-        ("min_pattern_distance", "x", "must be a finite real number"),
         ("noise_level", "0.1", "must be a finite real number"),
         ("noise_level", None, "must be a finite real number"),
         ("noise_level", True, "must be a finite real number"),
         ("label_only_fraction", True, "must be a finite real number"),
         ("multi_image_fraction", False, "must be a finite real number"),
-        ("min_pattern_distance", np.bool_(True), "must be a finite real number"),
         ("class_names", "ABC", "must be a list of non-empty strings"),  # would be classes A, B and C
         ("class_names", ("Edema", "Mass"), "must be a list of non-empty strings"),
         ("class_names", ["Edema", ""], "must be a list of non-empty strings"),
@@ -176,8 +172,8 @@ def test_spec_rejects_a_field_of_the_wrong_type_naming_it(name, value, message):
 
 
 def test_spec_accepts_any_finite_real_for_a_float_field():
-    spec = SynthSpec(noise_level=0, label_only_fraction=np.float32(0.5), min_pattern_distance=-1)
-    assert (spec.noise_level, spec.label_only_fraction, spec.min_pattern_distance) == (0, 0.5, -1)
+    spec = SynthSpec(noise_level=0, label_only_fraction=np.float32(0.5))
+    assert (spec.noise_level, spec.label_only_fraction) == (0, 0.5)
 
 
 def test_spec_accepts_zero_noise_and_empty_splits(engine):
@@ -223,7 +219,8 @@ def test_every_split_check_raises_before_any_study_is_built(engine, monkeypatch,
 
 
 def test_generate_dataset_refuses_classes_closer_than_the_minimum(engine, tmp_path):
-    spec = SynthSpec(min_pattern_distance=pattern_distances(SynthSpec()) + 0.01)
+    spec = SynthSpec(image_size=1)  # every class signature is the same one pixel
+    assert pattern_distances(spec) < MIN_PATTERN_DISTANCE
     with pytest.raises(ValueError, match="class signatures too close"):
         generate_dataset(spec, 0, tmp_path / "out", engine)
     assert not (tmp_path / "out").exists()

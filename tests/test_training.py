@@ -151,7 +151,7 @@ def test_early_stop_after_patience_epochs_without_improvement(splits, monkeypatc
 
 
 def test_validation_loss_is_the_unweighted_mean_of_batch_losses(engine, splits, monkeypatch):
-    cfg = tiny_config(epochs=1, warmup_epochs=0, batch_studies=32)
+    cfg = tiny_config(epochs=1, batch_studies=32)
     model, _ = train(*splits, cfg, engine)
     valid = generate_split(SynthSpec(valid_studies=40), "valid", 40, 0, engine)
     batches = []
@@ -779,7 +779,6 @@ def test_bool_config_rejects_non_bool_text():
         ("learning_rate", math.nan, "nan"),
         ("lambda_icl", math.nan, "nan"),
         ("lambda_tcl", -math.inf, "-inf"),
-        ("clahe_probability", math.nan, "NaN"),
     ],
 )
 def test_non_finite_float_fields_are_rejected(name, value, text):
@@ -820,7 +819,6 @@ def test_single_modes_reject_icl_and_tcl_weights(mode):
 @pytest.mark.parametrize(
     "name, value, text, message",
     [
-        ("clahe_probability", 1.5, "1.5", "clahe_probability must lie in [0, 1], got 1.5"),
         ("text_aug_mode", "bogus", "bogus", "unknown config key 'text_aug_mode'"),
     ],
 )
@@ -899,7 +897,7 @@ def test_adamw_two_steps_match_hand_arithmetic():
 
 
 def test_log_tau_is_clamped_after_every_step(splits, monkeypatch):
-    cfg = tiny_config(epochs=2, warmup_epochs=0)  # 2 steps per epoch
+    cfg = tiny_config(epochs=2)  # 2 steps per epoch
     # log(tau) stays in range without a push, and the clamp then leaves every parameter bit as it was
     in_range, _ = train(*splits, cfg)
     with monkeypatch.context() as m:
@@ -930,6 +928,16 @@ def test_lr_schedule_endpoints():
     assert lr_at(0, total, warmup, base) == 0.0
     assert lr_at(warmup, total, warmup, base) == base
     assert lr_at(total, total, warmup, base) == 0.0
+
+
+def test_the_first_epoch_warms_up_only_when_another_epoch_follows(splits):
+    one = tiny_config(epochs=1)
+    _, log = train(*splits, one)
+    assert log.steps[0].lr == one.learning_rate  # a one-epoch run has no warmup
+    two = tiny_config(epochs=2)  # 2 steps per epoch
+    _, log = train(*splits, two)
+    assert [rec.epoch for rec in log.steps] == [1, 1, 2, 2]
+    assert (log.steps[0].lr, log.steps[2].lr) == (0.0, two.learning_rate)
 
 
 @pytest.mark.parametrize("step", [-1, -0.5, 100.5, 101])
