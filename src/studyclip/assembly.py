@@ -18,11 +18,7 @@ worker banks steps while the caller is busy elsewhere or on cheap steps, and
 spends that lead on the slow ones. Two semaphores count the filled and the free
 slots: taking one whose slot is already filled needs no system call, and the
 caller never blocks in a pipe read (pickling batches through a pipe made later
-work in the caller page-fault its heap back in). The worker runs on the CPUs
-the process may use other than the one the caller last ran on before the fork
-(where Linux says which): left to the scheduler on a 2-CPU machine, the worker,
-woken for each short step, at times shared the caller's CPU while the other
-stayed idle, and single-view training ran slower than with no worker at all.
+work in the caller page-fault its heap back in).
 
 The worker hands over arrays only: an exception ends it with exit code 1, after
 it prints its traceback. When it has ended and the step's slot is empty, the
@@ -44,9 +40,10 @@ from collections.abc import Callable, Mapping, Sequence
 import numpy as np
 
 # Steps in the shared ring: one read by the caller, up to SLOTS - 1 filled ahead by the worker.
-# On paper_full (median train studies/s, seven seeds; three at depth 2) depth 3 gave 3,992,
-# 4 gave 4,148, 6 gave 4,189 and 8 gave 4,168, against 3,649 at 2: 4 is the smallest depth
-# within the run-to-run spread (~130) of the best. Each slot adds about 0.5 MB of touched pages.
+# Median train studies/s of 7 alternating 8 s runs at seed 0 on a 2-CPU x86-64 VM, depth 2
+# against 4: paper_full 6,685 against 9,213 (IQR at 4: 258), clip_single 15,130 against 16,350
+# (IQR 433). Depths 6 and 8 were no faster than 4 when training ran ~4,000 studies/s. Each slot
+# adds about 0.5 MB of touched pages: peak RSS is 1.0 MB lower at depth 2.
 SLOTS = 4
 _POLL_S = 0.1  # a blocked wait checks this often that the other process is alive
 
@@ -115,11 +112,8 @@ class Worker:
         if self.slots is not None:
             self.free.release()
 
-    def _run(self, parent: int, parent_cpu: int | None) -> None:
+    def _run(self, parent: int) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller takes an interrupt and ends the worker
-        others = set() if parent_cpu is None else os.sched_getaffinity(0) - {parent_cpu}
-        if others:
-            os.sched_setaffinity(0, others)  # off the caller's CPU: see the module docstring
         for step in range(len(self.rows)):
             while not self.free.acquire(timeout=_POLL_S):
                 if os.getppid() != parent:
@@ -130,12 +124,12 @@ class Worker:
 
     def __enter__(self) -> "Worker":
         if self.slots is not None:
-            parent, parent_cpu = os.getpid(), _current_cpu()
+            parent = os.getpid()
             self.pid = os.fork()
             if self.pid == 0:  # the worker: it leaves through os._exit, never into the caller's frames
                 code = 1
                 try:
-                    self._run(parent, parent_cpu)
+                    self._run(parent)
                     code = 0
                 except Exception:
                     traceback.print_exc()
@@ -149,13 +143,3 @@ class Worker:
             os.kill(self.pid, signal.SIGKILL)
             self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
-
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on, where the system says (Linux), else None."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    try:
-        with open("/proc/self/stat") as stat:
-            return int(stat.read().rsplit(")", 1)[1].split()[36])  # field 39, "processor"
-    except (OSError, IndexError, ValueError):
-        return None

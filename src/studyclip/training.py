@@ -70,6 +70,7 @@ import numpy as np
 
 from .assembly import Worker
 from .encoders import (
+    EmptySequence,
     Vocab,
     build_vocab,
     encode_image_batch,
@@ -432,8 +433,9 @@ def train(
     cfg: TrainConfig,
     engine: PromptEngine | None = None,
 ) -> tuple[TrainedModel, TrainLog]:
-    if not dataset or not val_dataset:
-        raise ValueError("train and validation datasets must be non-empty")
+    for split, studies in (("train", dataset), ("validation", val_dataset)):
+        if not studies:
+            raise EmptySequence(f"{split} set is empty")
     engine = engine or PromptEngine.default()
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(corpus_texts(dataset, engine))

@@ -18,6 +18,7 @@ from studyclip.evalrun import (
 )
 from studyclip.metrics import DegenerateLabels
 from studyclip.prompts import PromptEngine
+from studyclip.sampling import study_rng
 from studyclip.studies import Study, StudyImage
 from studyclip.synth import SynthSpec, generate_split
 from studyclip.training import TrainConfig, train
@@ -339,6 +340,38 @@ def test_retrieval_ks_are_bounded_by_the_distinct_texts(model_and_test, engine):
     out = evaluate_model(model, studies, engine)
     assert 0.0 <= out["r_at_1"] <= 1.0 and np.isnan(out["r_at_5"]) and np.isnan(out["r_at_10"])
     assert out["rsum"] == 100.0 * out["r_at_1"]
+
+
+def label_text(study: Study, engine) -> str:
+    return engine.build_study_text(study.labels, study_rng(evalrun.EVAL_TEXT_SEED, study.id))
+
+
+def test_a_study_without_findings_is_scored_with_its_impression_then_with_a_text_of_its_labels(model_and_test, engine):
+    study = model_and_test[1][0]
+    impression_only = dataclasses.replace(study, findings=None)
+    assert study.impression != study.findings and eval_text(impression_only, engine) == study.impression
+    label_only = dataclasses.replace(study, findings=None, impression=None)
+    assert eval_text(label_only, engine) == label_text(study, engine) == eval_text(label_only, engine)
+
+
+def test_retrieval_scores_each_kind_of_study_with_its_own_text(model_and_test, engine, monkeypatch):
+    # every third study keeps its findings, the next only its impression, the next only its labels
+    model, test_set = model_and_test
+    kept = ({}, {"findings": None}, {"findings": None, "impression": None})
+    mixed = [dataclasses.replace(s, **kept[i % 3]) for i, s in enumerate(test_set)]
+    scored = []
+    original = evalrun.recall_at_k
+
+    def capturing(image_embs, text_embs, ks, text_rows):
+        scored.append(text_embs[text_rows])
+        return original(image_embs, text_embs, ks, text_rows)
+
+    monkeypatch.setattr(evalrun, "recall_at_k", capturing)
+    out = evaluate_model(model, mixed, engine)
+    texts = [eval_text(s, engine) for s in mixed]
+    assert texts[:3] == [test_set[0].findings, test_set[1].impression, label_text(test_set[2], engine)]
+    assert len(scored) == 1 and scored[0].tobytes() == encode_every_text(model, texts).tobytes()
+    assert 0.0 <= out["acc"] <= 1.0 and out["n_test"] == len(mixed)
 
 
 def test_an_empty_text_batch_raises_empty_sequence(model_and_test):

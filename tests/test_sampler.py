@@ -459,6 +459,11 @@ def test_single_modes_share_one_image_array(engine, mode):
         assert pair.t2 == pair.t1
 
 
+def test_a_batch_of_zero_studies_is_refused(engine):
+    with pytest.raises(ValueError, match="^cannot assemble a batch from zero studies$"):
+        make_batch([], config(), engine, seed=0)
+
+
 @pytest.mark.parametrize("field", ["x1", "x2", "t1", "t2"])
 def test_sampled_pair_refuses_an_empty_field(field):
     fields = {"x1": np.zeros((2, 2)), "x2": np.zeros((2, 2)), "t1": "One.", "t2": "Two."}
