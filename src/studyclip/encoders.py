@@ -7,10 +7,12 @@ times the token embedding table (the mean pool over tokens), then the same
 perceptron/projection/normalization stack.
 
 The shared head owns the unit normalization and its backward pass. The
-forward pass divides each projected row by its norm and raises if a
-projection collapses to zero; its cache holds the ``norms`` and the
-``embedding`` it returned, and the backward pass takes the gradient through
-the division with those, computing neither again.
+forward pass divides each projected row by its norm and raises
+``CollapsedProjection``, naming the encoder, if a row is zero or not finite
+(one relu filter that no patch of an image activates gives a zero row); its
+cache holds the ``norms`` and the ``embedding`` it returned, and the backward
+pass takes the gradient through the division with those, computing neither
+again.
 ``losses`` takes the embeddings as they come and checks only their shape.
 
 The conv stage rectifies before it pools: pooling an odd activation of
@@ -68,6 +70,10 @@ from .losses import ShapeMismatch
 
 class EmptySequence(ValueError):
     pass
+
+
+class CollapsedProjection(FloatingPointError):
+    """A projected row that is zero or not finite, so it has no direction; the message names the encoder."""
 
 
 UNK_TOKEN = "<unk>"
@@ -159,7 +165,7 @@ def _head_forward(params, prefix: str, pooled: np.ndarray):
     # the minimum propagates a NaN norm, which fails its test; the initials let an empty batch pass
     low, high = np.minimum.reduce(norms, axis=None, initial=np.inf), np.maximum.reduce(norms, axis=None, initial=0.0)
     if not (low > 1e-12 and np.isfinite(high)):
-        raise FloatingPointError("projection collapsed to a zero vector or is not finite")
+        raise CollapsedProjection(f"{prefix} encoder: projection collapsed to a zero vector or is not finite")
     embedding = projected / norms
     cache = {"pooled": pooled, "h": h, "feature": feature, "projected": projected}
     cache.update(norms=norms, embedding=embedding)  # what the backward pass divides by, and its y

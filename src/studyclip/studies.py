@@ -1,11 +1,12 @@
-"""Study records, line-delimited ingestion format, and graymap pixel files.
+"""Study records, and their exact on-disk form: one ``.npz`` archive per split.
 
-One study per JSON line with fields ``id`` (unique in the file), ``images``
-(list of objects with ``view`` plus either ``path`` to a portable graymap or
-inline ``pixels`` as a nested list), optional ``findings`` / ``impression``
-strings, and an optional ``labels`` map from class name to one of
-positive/negative/uncertain/none.
-Image paths are resolved relative to the record file's directory.
+``save_split`` writes three arrays: ``pixels``, every image's float64 pixels,
+raveled and concatenated in study order; ``shapes``, the (images, 2) array of
+their shapes; and ``studies``, one JSON string with each study's ``id``,
+``views`` (one per image, in order), ``findings``, ``impression`` and
+``labels``, studies and label maps in their own order. ``load_split`` reads it
+with ``np.load(..., allow_pickle=False)``, so loading runs no pickled code and
+gives back every id, view, pixel byte, section and label as it was saved.
 
 A ``StudyImage`` is immutable: it is a frozen dataclass, and it keeps its own
 copy of the pixels in a read-only array that no flag can make writable. So the
@@ -23,8 +24,10 @@ maximum, so finiteness is read from those two values first, and the range
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +39,7 @@ VIEWS = ("AP", "PA", "LATERAL", "UNKNOWN")
 
 
 class DataFormatError(ValueError):
-    """Malformed study record or pixel file."""
+    """Malformed study or split file."""
 
 
 @dataclass(frozen=True)
@@ -113,163 +116,91 @@ class Study:
         return [s for s in (self.findings, self.impression) if s]
 
 
-# ------------------------------------------------------------- graymap files
+# ------------------------------------------------------------------ split files
+
+_SPLIT_ARRAYS = ("pixels", "shapes", "studies")
+_RECORD_FIELDS = ("id", "views", "findings", "impression", "labels")
 
 
-def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
-    """Binary portable graymap, maxval 255; intensities quantized from [0, 1]."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    h, w = pixels.shape
-    data = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
-def _header_int(path, field: str, token: bytes, lo: int, hi: int | None = None) -> int:
-    """A graymap header field: ASCII decimal digits with a value in [lo, hi]."""
-    value = int(token) if token.isdigit() else None
-    if value is None or value < lo or (hi is not None and value > hi):
-        allowed = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
-        raise DataFormatError(f"{path}: graymap {field} must be an integer {allowed}, got {token!r}")
-    return value
-
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    tokens: list[bytes] = []
-    i = 0
-    while len(tokens) < 4 and i < len(raw):
-        while i < len(raw) and raw[i : i + 1].isspace():
-            i += 1
-        if i == len(raw):
-            break
-        if raw[i : i + 1] == b"#":
-            while i < len(raw) and raw[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(raw) and not raw[i : i + 1].isspace():
-            i += 1
-        tokens.append(raw[start:i])
-    if len(tokens) < 4:
-        raise DataFormatError(f"{path}: truncated graymap header")
-    magic = tokens[0]
-    if magic not in (b"P5", b"P2"):
-        raise DataFormatError(f"{path}: unsupported graymap magic {magic!r}")
-    w = _header_int(path, "width", tokens[1], 1)
-    h = _header_int(path, "height", tokens[2], 1)
-    maxval = _header_int(path, "maxval", tokens[3], 1, 65535)
-    if magic == b"P5":
-        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)  # 2 big-endian bytes per pixel above 255
-        size = w * h * dtype.itemsize
-        body = raw[i + 1 : i + 1 + size]
-        if len(body) != size:
-            raise DataFormatError(f"{path}: expected {size} pixel bytes, got {len(body)}")
-        data = np.frombuffer(body, dtype=dtype).reshape(h, w).astype(np.float64)
-    else:
-        values = raw[i:].split()
-        if len(values) != w * h:
-            raise DataFormatError(f"{path}: expected {w * h} pixel values, got {len(values)}")
-        if not all(v.isdigit() for v in values):
-            raise DataFormatError(f"{path}: graymap pixel values must be non-negative integers")
-        data = np.array([int(v) for v in values], dtype=np.float64).reshape(h, w)
-    if data.max() > maxval:
-        raise DataFormatError(f"{path}: graymap pixel value {int(data.max())} exceeds maxval {maxval}")
-    return data / float(maxval)
-
-
-# ----------------------------------------------------------------- JSON lines
-
-
-def study_to_record(study: Study, image_paths: list[str]) -> dict:
-    """The JSON record of a study whose images are stored at ``image_paths``, relative to the record file."""
-    images = [{"path": path, "view": img.view} for path, img in zip(image_paths, study.images, strict=True)]
-    record: dict = {"id": study.id, "images": images}
-    if study.findings is not None:
-        record["findings"] = study.findings
-    if study.impression is not None:
-        record["impression"] = study.impression
-    if study.labels is not None:
-        record["labels"] = dict(sorted(study.labels.items()))
-    return record
-
-
-def record_to_study(record: dict, base_dir: Path) -> Study:
-    if not isinstance(record, dict):
-        raise DataFormatError(f"study record must be an object, got {type(record).__name__}")
-    try:
-        study_id = record["id"]
-        raw_images = record["images"]
-    except KeyError as missing:
-        raise DataFormatError(f"study record missing field {missing}") from None
-    if not isinstance(raw_images, list) or not all(isinstance(entry, dict) for entry in raw_images):
-        raise DataFormatError(f"study {study_id!r}: images must be a list of objects, got {raw_images!r}")
-    images = []
-    for entry in raw_images:
-        view = entry.get("view", "UNKNOWN")
-        if "pixels" in entry:
-            pixels = entry["pixels"]
-        elif "path" in entry:
-            pixels = read_pgm(base_dir / entry["path"])
-        else:
-            raise DataFormatError(f"study {study_id!r}: image entry needs 'pixels' or 'path'")
-        images.append(StudyImage(pixels=pixels, view=view))
-    return Study(
-        id=study_id,
-        images=images,
-        findings=record.get("findings"),
-        impression=record.get("impression"),
-        labels=record.get("labels"),
-    )
-
-
-def save_studies(path: str | Path, studies: list[Study], image_dir_name: str = "images") -> None:
-    """Write one JSON record per line; pixel grids stored as graymaps next to it, named after the study id.
-
-    Every id must be unique and a plain file-name component, checked before any file is written.
-    """
+def _refuse_repeated_ids(path: str | Path, studies: list[Study]) -> None:
     seen = set()
     for study in studies:
         if study.id in seen:
-            raise DataFormatError(f"study id {study.id!r} is repeated: its image files would overwrite each other")
-        if study.id in (".", "..") or any(c in study.id for c in "/\\\0"):
-            raise DataFormatError(f"study id {study.id!r} is not a plain file name")
+            raise DataFormatError(f"{path}: study id {study.id!r} is repeated")
         seen.add(study.id)
-    path = Path(path)
-    image_dir = path.parent / image_dir_name
-    image_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for study in studies:
-        rel_paths = []
-        for k, img in enumerate(study.images):
-            rel = f"{image_dir_name}/{study.id}_{k}.pgm"
-            write_pgm(path.parent / rel, img.pixels)
-            rel_paths.append(rel)
-        lines.append(json.dumps(study_to_record(study, rel_paths), sort_keys=True))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_studies(path: str | Path) -> list[Study]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    studies = []
-    first_line: dict[str, int] = {}  # each id's line: a repeated id would share its image files and its rng stream
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+def save_split(path: str | Path, studies: list[Study]) -> None:
+    """Write ``studies`` to one ``.npz`` archive at ``path``, which ``load_split`` reads back exactly.
+
+    Every id must be unique, checked before the file is opened.
+    """
+    _refuse_repeated_ids(path, studies)
+    images = [image for study in studies for image in study.images]
+    records = [
+        {"id": s.id, "views": [image.view for image in s.images], "findings": s.findings,
+         "impression": s.impression, "labels": s.labels}
+        for s in studies
+    ]
+    with open(path, "wb") as fh:  # given a name, np.savez would append ".npz" to it
+        np.savez(
+            fh,
+            pixels=np.concatenate([np.empty(0), *(image.pixels.ravel() for image in images)]),
+            shapes=np.array([image.pixels.shape for image in images], dtype=np.int64).reshape(-1, 2),
+            studies=np.array(json.dumps(records)),
+        )
+
+
+def load_split(path: str | Path) -> list[Study]:
+    """The studies ``save_split`` wrote at ``path``, bit for bit.
+
+    A file that is not such an archive raises ``DataFormatError`` naming it and, where the fault
+    lies in one study's record or images, the study; a missing file raises ``FileNotFoundError``.
+    """
+    try:
+        with open(path, "rb") as fh:  # given a name, np.load leaves the file open when the archive is damaged
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise DataFormatError("holds one array, not an archive of arrays")
+            missing = [name for name in _SPLIT_ARRAYS if name not in archive.files]
+            if missing:
+                raise DataFormatError(f"has no {missing[0]!r} array")
+            pixels, shapes, text = (archive[name] for name in _SPLIT_ARRAYS)
+    # what a damaged archive raises; a DataFormatError raised above is a ValueError and gets the path here too
+    except (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as err:
+        raise DataFormatError(f"{path}: {err}") from err
+    try:
+        records = json.loads(text.item()) if text.dtype.kind == "U" and text.ndim == 0 else None
+    except json.JSONDecodeError:
+        records = None
+    if not isinstance(records, list):
+        raise DataFormatError(f"{path}: 'studies' must be one string holding a JSON list")
+    if not (shapes.dtype.kind in "iu" and shapes.ndim == 2 and shapes.shape[1] == 2 and (shapes >= 1).all()):
+        raise DataFormatError(f"{path}: 'shapes' must be (images, 2) positive ints, got {shapes.dtype} {shapes.shape}")
+    ends = list(itertools.accumulate((h * w for h, w in shapes.tolist()), initial=0))  # Python ints: no overflow
+    if pixels.shape != (ends[-1],):
+        raise DataFormatError(f"{path}: the image shapes cover {ends[-1]} pixels, 'pixels' has shape {pixels.shape}")
+    studies, used = [], 0
+    for record in records:
+        study_id = record.get("id") if isinstance(record, dict) else None
+        if not isinstance(record, dict) or record.keys() != set(_RECORD_FIELDS):
+            raise DataFormatError(f"{path}: study {study_id!r}: a record must hold the fields {_RECORD_FIELDS}")
+        views = record["views"]
+        if not isinstance(views, list) or used + len(views) > len(shapes):
+            left = len(shapes) - used
+            raise DataFormatError(f"{path}: study {study_id!r}: views must list at most {left} images, got {views!r}")
         try:
-            study = record_to_study(json.loads(line), path.parent)
-        except json.JSONDecodeError as err:
-            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({err})") from None
-        except (ValueError, TypeError, OSError) as err:  # a missing image file too; the failure is the cause
-            raise DataFormatError(f"{path}:{lineno}: {err}") from err
-        first = first_line.setdefault(study.id, lineno)
-        if first != lineno:
-            raise DataFormatError(f"{path}:{lineno}: study id {study.id!r} is repeated, first on line {first}")
-        studies.append(study)
-    if not studies:
-        raise DataFormatError(f"{path}: no study records")
+            images = [
+                StudyImage(pixels[ends[k] : ends[k + 1]].reshape(shapes[k]), view) for k, view in enumerate(views, used)
+            ]
+        except DataFormatError as err:
+            raise DataFormatError(f"{path}: study {study_id!r}: {err}") from err
+        try:
+            studies.append(Study(record["id"], images, record["findings"], record["impression"], record["labels"]))
+        except DataFormatError as err:  # its message names the study
+            raise DataFormatError(f"{path}: {err}") from err
+        used += len(views)
+    if used != len(shapes):
+        raise DataFormatError(f"{path}: {len(shapes) - used} stored images belong to no study")
+    _refuse_repeated_ids(path, studies)
     return studies

@@ -44,8 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .prompts import PromptEngine
-from .studies import Study, StudyImage, save_studies
+from .prompts import NoTemplateError, PromptEngine
+from .studies import Study, StudyImage, save_split
 
 DEFAULT_CLASSES = ["Atelectasis", "Cardiomegaly", "Consolidation", "Edema", "Pleural Effusion"]
 
@@ -219,6 +219,10 @@ def generate_split(
         raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
+    for name in spec.class_names:  # a report may affirm or negate any class, whatever the seed and count
+        for value in ("positive", "negative"):
+            if (name, value) not in engine.prompts:
+                raise NoTemplateError(f"class {name!r} has no {value} prompt set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _SPLITS[split]]))
     studies = []
     for class_idx, n_class in enumerate(_split_counts(count, spec.class_count)):
@@ -253,7 +257,7 @@ def generate_split(
 def generate_dataset(
     spec: SynthSpec, seed: int, out_dir: str | Path, engine: PromptEngine | None = None
 ) -> dict[str, Path]:
-    """Write train/valid/test JSONL splits plus graymap files; returns paths."""
+    """Write the train, valid and test splits to ``out_dir/{split}.npz`` with ``save_split``; returns their paths."""
     engine = engine or PromptEngine.default()
     min_dist = pattern_distances(spec)
     if min_dist < MIN_PATTERN_DISTANCE:
@@ -267,7 +271,7 @@ def generate_dataset(
         ("test", spec.test_studies),
     ):
         studies = generate_split(spec, split, count, seed, engine)
-        path = out_dir / f"{split}.jsonl"
-        save_studies(path, studies, image_dir_name=f"images_{split}")
+        path = out_dir / f"{split}.npz"
+        save_split(path, studies)
         paths[split] = path
     return paths

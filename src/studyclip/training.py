@@ -28,7 +28,9 @@ it tokenizes each distinct section text of the training set once, into a
 table of token ids that every step looks its section texts up in; prompt
 renderings and swapped sections are tokenized each time they are used. A
 study that fails raises ``SamplingError`` naming the step and the study,
-caused by the study's own exception, with a worker or without one.
+caused by the study's own exception, with a worker or without one. An
+encoder whose projection collapses raises ``CollapsedProjection`` naming the
+step or the validation epoch too.
 
 The optimizer is AdamW (bias-corrected moments, weight decay applied straight
 to the parameters). Its learning rate rises linearly over the first epoch,
@@ -63,6 +65,7 @@ and logs on one BLAS kernel (under ``OPENBLAS_CORETYPE=Haswell`` on a
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields
 
@@ -70,6 +73,7 @@ import numpy as np
 
 from .assembly import Worker
 from .encoders import (
+    CollapsedProjection,
     EmptySequence,
     Vocab,
     build_vocab,
@@ -427,6 +431,15 @@ def _step_worker(dataset: list[Study], cfg: TrainConfig, engine: PromptEngine, v
     return Worker(produce, rows, layout)
 
 
+@contextlib.contextmanager
+def _at(place: str):
+    """Re-raises a ``CollapsedProjection`` naming the ``place`` in ``train`` where it happened."""
+    try:
+        yield
+    except CollapsedProjection as err:
+        raise CollapsedProjection(f"{place}: {err}") from err
+
+
 def train(
     dataset: list[Study],
     val_dataset: list[Study],
@@ -457,7 +470,8 @@ def train(
 
     with _step_worker(dataset, cfg, engine, vocab) as worker:
         val_inputs = [_step_inputs(batch, k, vocab) for batch in validation_batches(val_dataset, cfg, engine)]
-        best_val = validation_loss(model, val_inputs, table)
+        with _at("validation epoch 0"):
+            best_val = validation_loss(model, val_inputs, table)
         best_flat = flat.copy()
         log.epochs.append(EpochRecord(epoch=0, val_loss=best_val, best=True))
         epochs_since_best = 0
@@ -466,7 +480,8 @@ def train(
         for epoch in range(1, cfg.epochs + 1):
             for _ in range(steps_per_epoch):
                 inputs = worker.wait(step)
-                out, grad = _batch_loss(model, inputs, table, k, with_grads=True)
+                with _at(f"step {step}"):
+                    out, grad = _batch_loss(model, inputs, table, k, with_grads=True)
                 worker.release()  # the step is done with its slot
                 if not math.isfinite(out.value):
                     raise NumericError(step=step, value=out.value)
@@ -490,7 +505,8 @@ def train(
                 )
                 step += 1
 
-            val = validation_loss(model, val_inputs, table)
+            with _at(f"validation epoch {epoch}"):
+                val = validation_loss(model, val_inputs, table)
             improved = val < best_val
             if improved:
                 best_val = val

@@ -5,6 +5,7 @@ import pytest
 
 from studyclip.encoders import (
     CONV_BLOCK_BYTES,
+    CollapsedProjection,
     EmptySequence,
     Vocab,
     _head_forward,
@@ -105,7 +106,7 @@ def test_a_mid_gray_image_encodes_at_initialisation():
 def test_a_collapsed_projection_raises(vocab):
     params = init_text_params(0, len(vocab), TINY)
     params["txt.mlp_w2"][...] = 0.0  # with the zero bias, every feature and projection is 0
-    with pytest.raises(FloatingPointError, match="projection collapsed"):
+    with pytest.raises(CollapsedProjection, match="^txt encoder: projection collapsed"):
         encode_text_batch(params, text_bag([tokenize("lungs are clear.", vocab)], len(vocab)))
 
 

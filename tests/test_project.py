@@ -174,6 +174,21 @@ def test_no_module_imports_subprocess():
     assert importers == []
 
 
+def test_every_np_load_refuses_pickled_objects():
+    # unpickling runs code a file names: a study or split file is data and must stay data
+    calls, unguarded = 0, []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            func = getattr(node, "func", None)
+            if not (isinstance(func, ast.Attribute) and func.attr == "load" and getattr(func.value, "id", "") == "np"):
+                continue
+            calls += 1
+            guard = [kw.value for kw in node.keywords if kw.arg == "allow_pickle"]
+            if not (guard and isinstance(guard[0], ast.Constant) and guard[0].value is False):
+                unguarded.append(f"{path.stem}:{node.lineno}")
+    assert calls and unguarded == []
+
+
 def test_every_call_site_the_benchmark_traces_exists():
     # the benchmark patches names one module calls in another; a refactor that drops one
     # leaves that name's per-layer metrics out of every run

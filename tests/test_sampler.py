@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import pickle
 import re
@@ -48,13 +49,12 @@ from studyclip.studies import (
     DataFormatError,
     Study,
     StudyImage,
-    load_studies,
-    read_pgm,
-    save_studies,
-    write_pgm,
+    load_split,
+    save_split,
 )
 from studyclip.synth import SynthSpec, generate_split
 from studyclip.training import TrainConfig
+from study_records import exact_form
 
 
 @pytest.fixture(scope="module")
@@ -532,144 +532,123 @@ def test_pairs_without_augmentation_repeat_the_first_view(engine, monkeypatch):
 # -------------------------------------------------------------- study records
 
 
-def test_jsonl_pgm_round_trip(tmp_path, engine):
-    studies = studies_for_batch(5)
-    path = tmp_path / "train.jsonl"
-    save_studies(path, studies)
-    loaded = load_studies(path)
-    assert [s.id for s in loaded] == [s.id for s in studies]
-    for a, b in zip(loaded, studies):
-        assert len(a.images) == len(b.images)
-        for ia, ib in zip(a.images, b.images):
-            assert ia.view == ib.view
-            # graymap quantizes to 8 bits
-            np.testing.assert_allclose(ia.pixels, ib.pixels, atol=1.0 / 255.0)
-        assert a.findings == b.findings
-        assert a.impression == b.impression
-        assert a.labels == b.labels
+def split_studies():
+    """Studies of every kind a split holds: several images of unlike shapes, sections, labels in no sorted order."""
+    wide = StudyImage(np.random.default_rng(5).uniform(size=(3, 7)), "LATERAL")
+    return [
+        make_study("s0", ("PA", "LATERAL"), "F.", "I.", labels={"Edema": "positive", "Atelectasis": "negative"}),
+        make_study("s1", ("AP",), impression="Only an impression.", size=5),
+        make_study("s2", ("PA",), labels={"Pneumonia": "uncertain", "Edema": "none", "Cardiomegaly": "positive"}),
+        Study("s3", [wide, StudyImage(grid_image(4, seed=9), "UNKNOWN")], findings="Ünïcode — text.\n\tTabbed."),
+    ]
+
+
+@pytest.mark.parametrize("count", [4, 0], ids=["studies", "empty"])
+def test_a_split_round_trips_bit_for_bit(tmp_path, count):
+    studies = split_studies()[:count]
+    save_split(tmp_path / "split.npz", studies)
+    loaded = load_split(tmp_path / "split.npz")
+    assert exact_form(loaded) == exact_form(studies)  # labels in their order too
+    save_split(tmp_path / "again", loaded)  # no suffix is added, and the same studies give the same bytes
+    assert (tmp_path / "again").read_bytes() == (tmp_path / "split.npz").read_bytes()
+
+
+def test_save_split_refuses_a_repeated_id_before_writing(tmp_path):
+    studies = [make_study(study_id, findings="Lungs are clear.") for study_id in ["s0", "s1", "s0"]]
+    with pytest.raises(DataFormatError, match=r"train.npz: study id 's0' is repeated$"):
+        save_split(tmp_path / "train.npz", studies)
+    assert list(tmp_path.iterdir()) == []
+
+
+def saved(save, *args, **kwargs) -> bytes:
+    """The bytes ``save`` writes: given a file name, np.save and np.savez would add a suffix to it."""
+    buffer = io.BytesIO()
+    save(buffer, *args, **kwargs)
+    return buffer.getvalue()
+
+
+def split_arrays(tmp_path) -> dict:
+    save_split(tmp_path / "good.npz", split_studies())
+    with np.load(tmp_path / "good.npz") as archive:
+        arrays = dict(archive)
+    arrays["records"] = json.loads(arrays.pop("studies").item())
+    return arrays
+
+
+def edit_record(index, **fields):
+    def edit(arrays):
+        arrays["records"][index].update(fields)
+        return arrays
+    return edit
+
+
+def drop_field(arrays):
+    del arrays["records"][1]["views"]
+    return arrays
+
+
+def non_finite_pixel(arrays):
+    arrays["pixels"][-1] = np.nan  # the last image of s3
+    return arrays
 
 
 @pytest.mark.parametrize(
-    "ids, message",
+    "edit, cause",
     [
-        (["s0", "s1", "s0"], r"study id 's0' is repeated"),
-        (["s0", "../s1"], r"study id '../s1' is not a plain file name"),
-        (["s0", "a/b"], r"study id 'a/b' is not a plain file name"),
-        (["s0", ".."], r"study id '..' is not a plain file name"),
-        (["s0", "a\\b"], r"study id 'a\\\\b' is not a plain file name"),
+        (lambda a: {k: v for k, v in a.items() if k != "shapes"}, "has no 'shapes' array"),
+        (lambda a: {**a, "pixels": a["pixels"].astype(object)}, "Object arrays cannot be loaded"),
+        (lambda a: {**a, "shapes": a["shapes"][:-1]}, "the image shapes cover 814 pixels, 'pixels' has shape (830,)"),
+        (lambda a: {**a, "shapes": -a["shapes"]}, "'shapes' must be (images, 2) positive ints, got int64 (6, 2)"),
+        (lambda a: {**a, "shapes": a["shapes"].astype(float)}, "'shapes' must be (images, 2) positive ints, got float"),
+        (lambda a: {**a, "pixels": np.concatenate([a["pixels"], [0.5]]), "shapes": np.vstack([a["shapes"], [[1, 1]]])},
+         "1 stored images belong to no study"),
+        (edit_record(3, views=["PA"] * 3), "study 's3': views must list at most 2 images, got ['PA', 'PA', 'PA']"),
+        (edit_record(1, views="AP"), "study 's1': views must list at most 4 images, got 'AP'"),
+        (edit_record(2, id="s0"), "study id 's0' is repeated"),
+        (edit_record(1, findings=5), "study 's1': findings must be str or None, got 5"),
+        (edit_record(2, labels={"Edema": "positve"}), "study 's2': label value 'positve' for 'Edema'"),
+        (edit_record(2, labels=["Edema"]), "study 's2': labels must be dict or None, got ['Edema']"),
+        (edit_record(0, views=["PA", "SIDEWAYS"]), "study 's0': view must be one of"),
+        (drop_field, "study 's1': a record must hold the fields"),
+        (non_finite_pixel, "study 's3': image intensities must be finite"),
+        (lambda a: {**a, "records": {"s0": {}}}, "'studies' must be one string holding a JSON list"),
     ],
-    ids=["repeated", "parent", "slash", "dot-dot", "backslash"],
+    ids=["missing_array", "object_array", "shapes_short", "shapes_negative", "shapes_float", "image_of_no_study",
+         "views_past_the_images", "views_not_a_list", "repeated_id", "findings_int", "label_value", "labels_list",
+         "view", "record_field", "non_finite_pixel", "records_not_a_list"],
 )
-def test_save_studies_rejects_ids_that_would_clash_or_escape_before_writing(tmp_path, ids, message):
-    studies = [make_study(study_id, findings="Lungs are clear.") for study_id in ids]
-    with pytest.raises(DataFormatError, match=message):
-        save_studies(tmp_path / "out" / "train.jsonl", studies)
-    assert list(tmp_path.iterdir()) == []  # no file and no directory written
-
-
-def test_pgm_round_trip_exact_bytes(tmp_path):
-    img = np.linspace(0.0, 1.0, 64).reshape(8, 8)
-    p = tmp_path / "x.pgm"
-    write_pgm(p, img)
-    back = read_pgm(p)
-    np.testing.assert_allclose(back, img, atol=1.0 / 255.0)
-    write_pgm(tmp_path / "y.pgm", img)
-    assert (tmp_path / "x.pgm").read_bytes() == (tmp_path / "y.pgm").read_bytes()
-
-
-def test_ascii_pgm_supported(tmp_path):
-    p = tmp_path / "a.pgm"
-    p.write_text("P2\n# comment\n2 2\n255\n0 128\n255 64\n", encoding="ascii")
-    np.testing.assert_allclose(read_pgm(p), [[0, 128 / 255], [1.0, 64 / 255]])
-
-
-def test_16_bit_binary_pgm_reads_two_big_endian_bytes_per_pixel(tmp_path):
-    p = tmp_path / "wide.pgm"
-    pixels = np.array([[0, 65535], [32768, 1000]], dtype=">u2")
-    p.write_bytes(b"P5\n2 2\n65535\n" + pixels.tobytes())
-    np.testing.assert_array_equal(read_pgm(p), pixels / 65535.0)
-    p.write_bytes(b"P5\n2 2\n65535\n" + pixels.tobytes()[:4])  # one byte per pixel: truncated
-    with pytest.raises(DataFormatError, match="expected 8 pixel bytes, got 4"):
-        read_pgm(p)
+def test_a_damaged_split_raises_data_format_error_naming_the_file(tmp_path, edit, cause):
+    arrays = edit(split_arrays(tmp_path))
+    arrays["studies"] = np.array(json.dumps(arrays.pop("records")))
+    path = tmp_path / "bad.npz"
+    path.write_bytes(saved(np.savez, **arrays))
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: .*{re.escape(cause)}"):
+        load_split(path)
 
 
 @pytest.mark.parametrize(
-    "header, body, field",
+    "contents, cause",
     [
-        (b"P5\n2 1\n0\n", b"\x00\x01", "maxval"),  # maxval 0 would divide by zero
-        (b"P5\n2 1\n65536\n", b"\x00\x00\x00\x01", "maxval"),
-        (b"P5\n2 1\nabc\n", b"\x00\x01", "maxval"),
-        (b"P5\n0 1\n255\n", b"", "width"),
-        (b"P5\n2 -1\n255\n", b"\x00\x01", "height"),
-        (b"P5\n2.5 1\n255\n", b"\x00\x01", "width"),
-        (b"P5\n2 1\n100\n", bytes([50, 200]), "pixel value 200 exceeds maxval 100"),
-        (b"P2\n2 1\n100\n", b"50 101\n", "pixel value 101 exceeds maxval 100"),
-        (b"P2\n2 1\n100\n", b"50 -1\n", "pixel values must be non-negative integers"),
+        (lambda raw: raw[: len(raw) // 2], "File is not a zip file"),
+        (lambda raw: raw[:-1], "File is not a zip file"),
+        (lambda raw: raw[:3], "pickled"),
+        (lambda raw: b"", "No data left in file"),
+        (lambda raw: saved(np.save, np.zeros(3)), "holds one array, not an archive of arrays"),
+        (lambda raw: pickle.dumps(split_studies()), "pickled"),
+        (lambda raw: saved(np.savez, pixels=np.zeros(1), shapes=np.ones((1, 2), int), studies=np.array("{")),
+         "'studies' must be one string holding a JSON list"),
+        (lambda raw: saved(np.savez, pixels=np.zeros(0), shapes=np.zeros((0, 2), int), studies=np.array(["[]"])),
+         "'studies' must be one string holding a JSON list"),
     ],
-    ids=["maxval_0", "maxval_65536", "maxval_text", "width_0", "height_negative", "width_fraction",
-         "p5_pixel_above_maxval", "p2_pixel_above_maxval", "p2_pixel_negative"],
+    ids=["truncated_half", "truncated_last_byte", "truncated_three_bytes", "empty", "npy", "pickle", "not_json",
+         "studies_array"],
 )
-def test_invalid_pgm_header_or_pixel_names_the_file_and_field(tmp_path, header, body, field):
-    p = tmp_path / "bad.pgm"
-    p.write_bytes(header + body)
-    with pytest.raises(DataFormatError, match=f"bad.pgm: graymap {field}"):
-        read_pgm(p)
-
-
-@pytest.mark.parametrize(
-    "raw",
-    [b"", b"P5", b"P5\n4 4\n", b"P2 2 1 # c"],
-    ids=["empty", "magic_only", "trailing_whitespace", "trailing_comment"],
-)
-def test_a_header_that_ends_early_is_truncated(tmp_path, raw):
-    p = tmp_path / "short.pgm"
-    p.write_bytes(raw)
-    with pytest.raises(DataFormatError, match="short.pgm: truncated graymap header"):
-        read_pgm(p)
-
-
-def test_inline_pixel_records(tmp_path):
-    path = tmp_path / "inline.jsonl"
-    path.write_text(
-        '{"id": "a", "images": [{"pixels": [[0.0, 1.0], [0.5, 0.25]], "view": "PA"}], "findings": "F."}\n',
-        encoding="utf-8",
-    )
-    (study,) = load_studies(path)
-    np.testing.assert_allclose(study.images[0].pixels, [[0.0, 1.0], [0.5, 0.25]])
-
-
-def test_non_finite_pixels_rejected(tmp_path):
-    # json.loads accepts NaN, so a record can carry it straight into the pixel grid
-    path = tmp_path / "nan.jsonl"
-    path.write_text(
-        '{"id": "s1", "images": [{"view": "PA", "pixels": [[NaN, 0.5], [0.5, 0.5]]}], "findings": "Lungs are clear."}\n',
-        encoding="utf-8",
-    )
-    with pytest.raises(DataFormatError, match="finite"):
-        load_studies(path)
-
-
-@pytest.mark.parametrize(
-    "record, cause",
-    [
-        ("[1, 2]", "study record must be an object, got list"),
-        ('{"id": "b", "images": ["b.pgm"], "findings": "F."}', "images must be a list of objects, got ['b.pgm']"),
-        ('{"id": "b", "images": {"path": "b.pgm"}, "findings": "F."}', "images must be a list of objects, got {'path': 'b.pgm'}"),
-        ('{"id": "b", "images": [{"pixels": [[0.5]]}], "findings": 5}', "findings must be str or None, got 5"),
-        ('{"id": "b", "images": [{"pixels": [[0.5]]}], "labels": ["Edema"]}', "labels must be dict or None"),
-        ('{"id": "b", "images": [{"pixels": [[0.5, 0.5], [0.5]]}], "findings": "F."}', "image must be a non-empty 2-d grid of numbers"),
-        ('{"images": [{"pixels": [[0.5]]}], "findings": "F."}', "study record missing field 'id'"),
-        ('{"id": "b", "images": [{"path": "absent.pgm"}], "findings": "F."}', "absent.pgm"),
-    ],
-    ids=["list_line", "image_str", "images_object", "findings_int", "labels_list", "ragged_pixels", "no_id",
-         "missing_file"],
-)
-def test_a_malformed_record_raises_data_format_error_naming_the_file_and_line(tmp_path, record, cause):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"id": "a", "images": [{"pixels": [[0.5]]}], "findings": "F."}\n' + record + "\n")
-    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:2: .*{re.escape(cause)}") as err:
-        load_studies(path)
-    assert err.value.__cause__ is not None
+def test_a_truncated_or_foreign_file_raises_data_format_error_naming_it(tmp_path, contents, cause):
+    save_split(tmp_path / "good.npz", split_studies())
+    path = tmp_path / "other.npz"
+    path.write_bytes(contents((tmp_path / "good.npz").read_bytes()))
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: .*{re.escape(cause)}"):
+        load_split(path)
 
 
 def test_study_invariants_enforced():
@@ -696,15 +675,6 @@ def test_study_rejects_an_image_that_is_not_a_study_image_naming_the_study():
         Study("a", [np.full((4, 4), 0.5)], findings="x")
     with pytest.raises(DataFormatError, match="study 'a': images must be StudyImage, got list"):
         Study("a", [StudyImage(grid_image(4), "PA"), [[0.5]]], findings="x")
-
-
-def test_load_studies_rejects_a_repeated_id_naming_both_lines(tmp_path):
-    # two studies with one id would share their image files and draw the same per-study random stream
-    path = tmp_path / "repeat.jsonl"
-    record = '{{"id": "{}", "images": [{{"pixels": [[0.5]]}}], "findings": "F."}}\n'
-    path.write_text(record.format("s1") + record.format("s2") + "\n" + record.format("s1"), encoding="utf-8")
-    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:4: study id 's1' is repeated, first on line 1$"):
-        load_studies(path)
 
 
 def test_image_keeps_its_pixels_when_the_callers_array_changes():
@@ -794,7 +764,7 @@ def test_image_accepts_the_unit_range_within_its_tolerance():
 
 def test_missing_dataset_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_studies(tmp_path / "nope.jsonl")
+        load_split(tmp_path / "nope.npz")
 
 
 # --------------------------------------------------------------- golden batches

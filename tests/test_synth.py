@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from studyclip import synth
-from studyclip.prompts import PromptEngine
-from studyclip.studies import load_studies
+from studyclip.prompts import NoTemplateError, PromptEngine
+from studyclip.studies import load_split
 from studyclip.synth import (
     MARKERS,
     MIN_PATTERN_DISTANCE,
@@ -24,6 +24,7 @@ from studyclip.synth import (
     pattern_distances,
     render_image,
 )
+from study_records import exact_form
 
 SPEC = SynthSpec(train_studies=13, valid_studies=7, test_studies=11, image_size=16)
 
@@ -199,6 +200,21 @@ def test_generate_split_rejects_a_count_that_is_not_an_int_naming_it(engine, cou
         generate_split(SPEC, "train", count, 0, engine)
 
 
+@pytest.mark.parametrize(
+    "names, missing",
+    [
+        (["Edema", "No Finding", "Atelectasis"], "'No Finding' has no negative"),
+        (["Edema", "Bat Wing"], "'Bat Wing' has no positive"),
+    ],
+    ids=["no_negative", "unknown_class"],
+)
+@pytest.mark.parametrize("count", [0, 3, 10, 40])
+def test_a_class_the_grammar_cannot_affirm_and_negate_is_named_at_every_count(engine, names, missing, count):
+    # a report negates one other class, so a split failed only when its draws negated this one
+    with pytest.raises(NoTemplateError, match=f"^class {missing} prompt set$"):
+        generate_split(SynthSpec(class_names=names, image_size=8), "train", count, 0, engine)
+
+
 @pytest.mark.parametrize("split, count", [("val", 3), ("train", -1), ("train", 2.0), ("test", True)])
 def test_every_split_check_raises_before_any_study_is_built(engine, monkeypatch, split, count):
     class Rendered(Exception):
@@ -229,15 +245,9 @@ def test_generate_dataset_refuses_classes_closer_than_the_minimum(engine, tmp_pa
 def test_generate_dataset_writes_the_three_splits(engine, tmp_path):
     spec = SynthSpec(train_studies=4, valid_studies=2, test_studies=3, image_size=8)
     paths = generate_dataset(spec, 0, tmp_path, engine)
-    assert sorted(paths) == ["test", "train", "valid"]
-    test = load_studies(paths["test"])
-    want = generate_split(spec, "test", 3, 0, engine)
-    assert [s.id for s in test] == [s.id for s in want]
-    assert [s.findings for s in test] == [s.findings for s in want]
-    for got, made in zip(test, want):
-        # graymap files quantize the pixels
-        for a, b in zip(got.images, made.images):
-            assert np.abs(a.pixels - b.pixels).max() <= 0.5 / 255 + 1e-12
+    assert paths == {split: tmp_path / f"{split}.npz" for split in ("train", "valid", "test")}
+    for split, count in (("train", 4), ("valid", 2), ("test", 3)):
+        assert exact_form(load_split(paths[split])) == exact_form(generate_split(spec, split, count, 0, engine))
 
 
 # SHA-256 over every id, view, pixel byte, section and label of the three splits

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -20,6 +21,7 @@ from gradcheck import finite_diff_grad, max_relative_error
 from studyclip import sampling, training
 from studyclip.assembly import SLOTS, AssemblyError
 from studyclip.encoders import (
+    CollapsedProjection,
     EmptySequence,
     build_vocab,
     encode_image_batch,
@@ -36,6 +38,7 @@ from studyclip.losses import CLIP_TABLE, ShapeMismatch, paper_table, total_loss
 from studyclip.metrics import DEFAULT_VARIANTS
 from studyclip.prompts import PromptEngine
 from studyclip.sampling import SamplingError, make_batch
+from studyclip.studies import load_split, save_split
 from studyclip.synth import SynthSpec, generate_split
 from studyclip.training import (
     ConfigError,
@@ -105,6 +108,33 @@ def test_a_nan_gradient_entry_raises_numeric_error_naming_its_parameter(splits, 
     with pytest.raises(NumericError, match=r"gradient for txt\.emb at step 0") as err:
         train(*splits, tiny_config())
     assert (err.value.step, err.value.param) == (0, "txt.emb")
+
+
+def test_a_collapsed_image_projection_names_the_encoder_and_the_validation_epoch(engine):
+    # at seed 1 the one relu filter is dead on a validation image: its pooled feature, so its projection, is 0
+    spec = SynthSpec(train_studies=6, valid_studies=4, test_studies=4, image_size=8)
+    train_set, valid_set = (generate_split(spec, split, n, 1, engine) for split, n in (("train", 6), ("valid", 4)))
+    cfg = TrainConfig(conv_filters=1, image_size=8, epochs=2, batch_studies=4, learning_rate=5e-3, seed=1)
+    with pytest.raises(CollapsedProjection, match=r"^validation epoch 0: img encoder: projection collapsed to a zero"):
+        train(train_set, valid_set, cfg, engine)
+
+
+# 10 training studies in batches of 8 and one validation batch: the text encoder's calls are validation
+# epoch 0, steps 0 and 1, validation epoch 1, ...
+@pytest.mark.parametrize("call, place", [(1, "step 0"), (2, "step 1"), (3, "validation epoch 1")])
+def test_a_projection_that_collapses_in_training_names_the_step_or_the_validation_epoch(
+    splits, monkeypatch, call, place
+):
+    calls, original = itertools.count(), training.encode_text_batch
+
+    def collapsing(params, bag):
+        if next(calls) == call:
+            params = {**params, "txt.proj": np.zeros_like(params["txt.proj"])}
+        return original(params, bag)
+
+    monkeypatch.setattr(training, "encode_text_batch", collapsing)
+    with pytest.raises(CollapsedProjection, match=rf"^{place}: txt encoder: projection collapsed"):
+        train(*splits, tiny_config())
 
 
 def test_returned_parameters_are_views_of_one_buffer_no_later_step_writes(engine, splits, monkeypatch):
@@ -1035,10 +1065,20 @@ def golden_splits(engine):
     return [generate_split(GOLDEN_SPEC, split, count, 0, engine) for split, count in (("train", 48), ("valid", 20))]
 
 
-@pytest.mark.parametrize("variant", DEFAULT_VARIANTS, ids=lambda v: v.name)
-def test_variant_parameters_keep_their_golden_digest(variant, golden_splits, engine):
+@pytest.mark.parametrize(
+    "variant, from_files",
+    [pytest.param(v, False, id=v.name) for v in DEFAULT_VARIANTS]
+    + [pytest.param(v, True, id=f"{v.name}-from_files") for v in DEFAULT_VARIANTS if v.name == "full"],
+)
+def test_variant_parameters_keep_their_golden_digest(variant, from_files, golden_splits, engine, tmp_path):
+    # from files: the splits went through save_split and load_split, which give back every bit
+    splits = golden_splits
+    if from_files:
+        for name, studies in zip(("train.npz", "valid.npz"), golden_splits):
+            save_split(tmp_path / name, studies)
+        splits = [load_split(tmp_path / name) for name in ("train.npz", "valid.npz")]
     cfg = config_from_dict({"learning_rate": 5e-3, "epochs": 3, "batch_studies": 16, "seed": 0, **variant.overrides})
-    model, _ = train(*golden_splits, cfg, engine)
+    model, _ = train(*splits, cfg, engine)
     digest = hashlib.sha256()
     for name in sorted(model.params):  # the digest the benchmark reports as param_sha256
         arr = np.ascontiguousarray(model.params[name])
